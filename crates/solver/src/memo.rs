@@ -228,7 +228,10 @@ impl std::fmt::Debug for MemoStore {
 impl MemoStore {
     /// A store for `u`'s residual states under the given byte budget.
     /// Returns `None` when the state cannot be keyed exactly
-    /// (`num_chords > 128`, i.e. `n ≥ 17` — beyond exact search anyway).
+    /// (`num_chords > 128`, i.e. `n ≥ 17`). This is a known limit, not a
+    /// bound on exact search: ρ(17) certifies on the default route and the
+    /// partition route certifies ρ(18), both with the memo off and nothing
+    /// in the answer saying so. Wider keys are ROADMAP open item 3.
     pub fn new(u: &TileUniverse, budget_bytes: usize) -> Option<MemoStore> {
         let num_chords = u.num_chords();
         if num_chords > 128 {

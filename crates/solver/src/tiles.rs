@@ -4,7 +4,6 @@
 use crate::bitset::ChordSet;
 use cyclecover_graph::Edge;
 use cyclecover_ring::{Ring, Tile};
-use std::collections::HashMap;
 use std::sync::OnceLock;
 
 /// The universe of candidate covering cycles for exact search on `C_n`:
@@ -38,12 +37,12 @@ use std::sync::OnceLock;
 /// node costs a few word operations instead of per-chord ring arithmetic.
 pub struct TileUniverse {
     ring: Ring,
+    /// Strictly increasing in `Tile` order (lexicographic vertex lists,
+    /// prefix first) — the enumeration order, which `index_of` searches.
     tiles: Vec<Tile>,
     /// `by_chord[edge.dense_index(n)]` lists indices of tiles having that
     /// chord (as a ring-consecutive pair, i.e. actually covering it).
     by_chord: Vec<Vec<u32>>,
-    /// Tile → index (tiles are unique within a universe).
-    index_of: HashMap<Tile, u32>,
 
     // ---- chord tables (priority space) ----
     /// dense index → priority index.
@@ -125,65 +124,80 @@ pub struct DihedralTables {
 }
 
 impl DihedralTables {
+    /// Builds the tables from the images of the two generators: the
+    /// rotation `v ↦ v + 1` (element 1) and the reflection `v ↦ −v`
+    /// (element `n`). Only those two rows are computed per chord and tile;
+    /// every other row is a composition of them (see [`compose_rows`]).
     fn build(u: &TileUniverse) -> Option<DihedralTables> {
         let n = u.ring.n();
         let order = 2 * n;
         if order > 64 {
             return None;
         }
-        let m = u.num_chords();
-        let t_count = u.len() as u32;
-        let mut chord_perm = vec![0u32; (order * m) as usize];
-        let mut tile_perm = vec![0u32; order as usize * t_count as usize];
-        let mut chord_stab = vec![0u64; m as usize];
-        let mut tile_stab = vec![0u64; t_count as usize];
-        let mut canon_tile: Vec<u32> = (0..t_count).collect();
-        for g in 0..order {
-            // Vertex action of element g (see the type docs).
-            let map = |v: u32| -> u32 {
-                if g < n {
-                    u.ring.add(v, g)
-                } else {
-                    u.ring.sub(g - n, v)
-                }
-            };
-            for c in 0..m {
-                let e = Edge::from_dense_index(u.dense_of_pri(c) as usize, n as usize);
-                let img = Edge::new(map(e.u()), map(e.v()));
-                let img_pri = u.pri_of_dense(img.dense_index(n as usize) as u32);
-                chord_perm[(g * m + c) as usize] = img_pri;
-                if img_pri == c {
-                    chord_stab[c as usize] |= 1 << g;
-                }
-            }
-            for t in 0..t_count {
-                let verts: Vec<u32> = u.tiles[t as usize]
-                    .vertices()
-                    .iter()
-                    .map(|&v| map(v))
-                    .collect();
-                let img = u
-                    .index_of(&Tile::from_vertices(u.ring, verts))
-                    .expect("tile universe is closed under the dihedral action");
-                tile_perm[g as usize * t_count as usize + t as usize] = img;
-                if img == t {
-                    tile_stab[t as usize] |= 1 << g;
-                }
-                if img < canon_tile[t as usize] {
-                    canon_tile[t as usize] = img;
-                }
+        let (nu, rows) = (n as usize, order as usize);
+        let (m, t_count) = (u.num_chords() as usize, u.len());
+
+        let mut chord_perm = vec![0u32; rows * m];
+        let pri = |a: u32, b: u32| u.pri_of_dense(Edge::new(a, b).dense_index(nu) as u32);
+        for c in 0..m {
+            let (a, b) = u.chord_ends_of_pri(c as u32);
+            chord_perm[c] = c as u32;
+            chord_perm[m + c] = pri(u.ring.add(a, 1), u.ring.add(b, 1));
+            chord_perm[nu * m + c] = pri(u.ring.sub(0, a), u.ring.sub(0, b));
+        }
+        compose_rows(&mut chord_perm, nu, m);
+
+        // Tiles as n-bit vertex masks (n ≤ 32 here), sorted so that a
+        // generator image is found by binary search.
+        let full = u32::MAX >> (32 - n);
+        let rotate = |mask: u32| (mask << 1 | mask >> (n - 1)) & full;
+        let reflect = |mask: u32| rotate(mask.reverse_bits() >> (32 - n));
+        let mut by_mask: Vec<(u32, u32)> = (0..t_count as u32)
+            .map(|t| {
+                let verts = u.tiles[t as usize].vertices();
+                (verts.iter().fold(0u32, |mask, &v| mask | 1 << v), t)
+            })
+            .collect();
+        by_mask.sort_unstable();
+        let index_of_mask = |mask: u32| {
+            let i = by_mask
+                .binary_search_by_key(&mask, |&(m, _)| m)
+                .expect("tile universe is closed under the dihedral action");
+            by_mask[i].1
+        };
+        let mut tile_perm = vec![0u32; rows * t_count];
+        for &(mask, t) in &by_mask {
+            tile_perm[t as usize] = t;
+            tile_perm[t_count + t as usize] = index_of_mask(rotate(mask));
+            tile_perm[nu * t_count + t as usize] = index_of_mask(reflect(mask));
+        }
+        compose_rows(&mut tile_perm, nu, t_count);
+
+        let mut canon_tile: Vec<u32> = (0..t_count as u32).collect();
+        for g in 0..rows {
+            for (canon, &img) in canon_tile.iter_mut().zip(&tile_perm[g * t_count..]) {
+                *canon = (*canon).min(img);
             }
         }
         Some(DihedralTables {
             order,
-            num_chords: m,
-            num_tiles: t_count,
+            num_chords: m as u32,
+            num_tiles: t_count as u32,
+            chord_stab: stabilizers(&chord_perm, rows, m),
+            tile_stab: stabilizers(&tile_perm, rows, t_count),
             chord_perm,
             tile_perm,
-            chord_stab,
-            tile_stab,
             canon_tile,
         })
+    }
+
+    /// Heap bytes of the tables for a group of order `order` acting on
+    /// `num_chords` chords and `num_tiles` tiles: the two permutation
+    /// tables, the two stabilizer arrays and the canonical-image array.
+    fn heap_bytes(order: usize, num_chords: usize, num_tiles: usize) -> usize {
+        use std::mem::size_of;
+        (order * (num_chords + num_tiles) + num_tiles) * size_of::<u32>()
+            + (num_chords + num_tiles) * size_of::<u64>()
     }
 
     /// Group order `2n`.
@@ -263,6 +277,40 @@ impl DihedralTables {
         }
         mask
     }
+}
+
+/// Completes a `g`-major table of `width` columns over `D_n` (element
+/// indexing as in [`DihedralTables`]) from its rows `1` (rotation by one)
+/// and `n` (the reflection `v ↦ −v`): row `g = row 1 ∘ row (g − 1)` for
+/// `1 < g < n`, and row `n + r = row r ∘ row n`.
+fn compose_rows(perm: &mut [u32], n: usize, width: usize) {
+    for g in 2..n {
+        let (done, rest) = perm.split_at_mut(g * width);
+        let (rot, prev) = (&done[width..2 * width], &done[(g - 1) * width..]);
+        for (img, &x) in rest[..width].iter_mut().zip(prev) {
+            *img = rot[x as usize];
+        }
+    }
+    let (rotations, reflections) = perm.split_at_mut(n * width);
+    let (refl, rest) = reflections.split_at_mut(width);
+    for r in 1..n {
+        let rot_r = &rotations[r * width..(r + 1) * width];
+        for (img, &x) in rest[(r - 1) * width..r * width].iter_mut().zip(&*refl) {
+            *img = rot_r[x as usize];
+        }
+    }
+}
+
+/// `stab[x]`: bitmask of the rows `g ∈ 0..order` of a `g`-major table of
+/// `width` columns that fix column `x`.
+fn stabilizers(perm: &[u32], order: usize, width: usize) -> Vec<u64> {
+    let mut stab = vec![0u64; width];
+    for g in 0..order {
+        for (x, (s, &img)) in stab.iter_mut().zip(&perm[g * width..]).enumerate() {
+            *s |= ((img as usize == x) as u64) << g;
+        }
+    }
+    stab
 }
 
 impl TileUniverse {
@@ -370,7 +418,6 @@ impl TileUniverse {
 
         // Per-tile metadata + per-chord candidate lists, one pass.
         let mut by_chord = vec![Vec::new(); m];
-        let mut index_of = HashMap::with_capacity(tiles.len());
         let mut chord_off = Vec::with_capacity(tiles.len() + 1);
         let mut chord_idx = Vec::new();
         let mut masks = Vec::with_capacity(tiles.len());
@@ -380,7 +427,6 @@ impl TileUniverse {
         let mut diam_count = Vec::with_capacity(tiles.len());
         chord_off.push(0u32);
         for (i, t) in tiles.iter().enumerate() {
-            index_of.insert(t.clone(), i as u32);
             let mut mask = ChordSet::empty(m as u32);
             let mut tile_load = 0u32;
             let mut tile_diam = 0u32;
@@ -417,7 +463,6 @@ impl TileUniverse {
             ring,
             tiles,
             by_chord,
-            index_of,
             pri_of_dense,
             dense_of_pri,
             dist_of_pri,
@@ -453,8 +498,11 @@ impl TileUniverse {
     /// Approximate heap footprint of this universe in bytes — the figure
     /// a byte-budgeted universe cache charges per entry. Counts the
     /// dominant owned allocations (tile vertex lists, CSR chord tables,
-    /// bitmasks, per-chord candidate lists); deliberately excludes the
-    /// lazily-built dihedral tables, which are a lower-order term.
+    /// bitmasks, per-chord candidate lists) and, whenever `2n ≤ 64`, the
+    /// dihedral tables at their exact size, built or not: a cache charges
+    /// an entry once, on insertion, and the tables are built lazily later
+    /// (for the full `n = 17` universe, 18.5 MiB against 25.7 MiB for the
+    /// rest).
     pub fn approx_bytes(&self) -> usize {
         use std::mem::size_of;
         let m = self.pri_of_dense.len();
@@ -465,12 +513,6 @@ impl TileUniverse {
             .tiles
             .iter()
             .map(|t| size_of::<Tile>() + t.len() * size_of::<u32>())
-            .sum::<usize>();
-        // index_of mirrors the tile list (key clone + u32 + bucket slack).
-        bytes += self
-            .tiles
-            .iter()
-            .map(|t| size_of::<Tile>() + t.len() * size_of::<u32>() + 2 * size_of::<usize>())
             .sum::<usize>();
         bytes += self
             .by_chord
@@ -484,6 +526,10 @@ impl TileUniverse {
         bytes += self.masks.len() * (mask_bytes + size_of::<(u32, u32)>());
         bytes += (self.load.len() + self.waste.len() + self.diam_count.len()) * size_of::<u32>();
         bytes += self.vertex_masks.len() * mask_bytes;
+        let order = 2 * self.ring.n() as usize;
+        if order <= 64 {
+            bytes += DihedralTables::heap_bytes(order, m, self.tiles.len());
+        }
         bytes
     }
 
@@ -519,7 +565,7 @@ impl TileUniverse {
 
     /// The index of `tile` in this universe, if enumerated.
     pub fn index_of(&self, tile: &Tile) -> Option<u32> {
-        self.index_of.get(tile).copied()
+        self.tiles.binary_search(tile).ok().map(|i| i as u32)
     }
 
     /// Number of chord slots (`n(n−1)/2`).
@@ -811,9 +857,16 @@ mod tests {
 
     #[test]
     fn tile_metadata_matches_recomputation() {
-        for n in [6u32, 9, 12] {
+        // `(n, max_len, max_gap)`: full-gap and gap-restricted shapes.
+        for (n, max_len, max_gap) in [(6u32, 5, 6), (9, 5, 9), (12, 5, 12), (9, 4, 4), (12, 5, 6)] {
             let ring = Ring::new(n);
-            let u = TileUniverse::new(ring, 5);
+            let u = TileUniverse::with_max_gap(ring, max_len, max_gap);
+            let shape = format!("n={n} max_gap={max_gap}");
+            // `index_of` binary-searches the enumeration order.
+            assert!(
+                u.tiles().windows(2).all(|w| w[0] < w[1]),
+                "{shape}: not sorted"
+            );
             for i in 0..u.len() as u32 {
                 let t = u.tile(i);
                 // Chord list ↔ mask ↔ tile.chords agreement.
@@ -823,31 +876,116 @@ mod tests {
                     .map(|c| u.pri_of_dense(c.to_edge().dense_index(n as usize) as u32))
                     .collect();
                 let mut got = u.tile_chords(i).to_vec();
-                assert_eq!(got.len(), t.len(), "n={n} tile {i}");
+                assert_eq!(got.len(), t.len(), "{shape} tile {i}");
                 expect.sort_unstable();
                 got.sort_unstable();
-                assert_eq!(got, expect, "n={n} tile {i}");
+                assert_eq!(got, expect, "{shape} tile {i}");
                 assert_eq!(
                     u.tile_mask(i).iter().collect::<Vec<_>>(),
                     expect,
-                    "n={n} tile {i} mask"
+                    "{shape} tile {i} mask"
                 );
                 // Load / waste / diameter count.
-                assert_eq!(u.tile_load(i), t.shortest_load(ring), "n={n} tile {i}");
+                assert_eq!(u.tile_load(i), t.shortest_load(ring), "{shape} tile {i}");
                 assert_eq!(
                     u.tile_waste(i),
                     n - t.shortest_load(ring).min(n),
-                    "n={n} tile {i}"
+                    "{shape} tile {i}"
                 );
                 let diam = t
                     .chords(ring)
                     .iter()
                     .filter(|c| ring.is_diameter_class(c.distance(ring)))
                     .count() as u32;
-                assert_eq!(u.tile_diam_count(i), diam, "n={n} tile {i}");
+                assert_eq!(u.tile_diam_count(i), diam, "{shape} tile {i}");
                 // Index lookup round-trips.
-                assert_eq!(u.index_of(t), Some(i), "n={n} tile {i}");
+                assert_eq!(u.index_of(t), Some(i), "{shape} tile {i}");
             }
+        }
+        // A tile the gap bound excludes is not found.
+        let ring = Ring::new(9);
+        let u = TileUniverse::with_max_gap(ring, 4, 4);
+        assert_eq!(u.index_of(&Tile::from_vertices(ring, vec![0, 1, 2])), None);
+    }
+
+    /// The tables agree with the ring crate's tile symmetries: element
+    /// `g < n` is `rotate_tile(·, g)` and element `n + r` is
+    /// `rotate_tile(reflect_tile(·), r)` — on full and C ≤ 4 shortest-gap
+    /// universes, an empty one, and at `n = 32`, where the vertex mask is
+    /// all of `u32`.
+    #[test]
+    fn dihedral_tables_match_ring_symmetry() {
+        use cyclecover_ring::symmetry::{reflect_tile, rotate_tile};
+        let mut universes: Vec<TileUniverse> = [3u32, 4, 7, 8, 11]
+            .iter()
+            .map(|&n| TileUniverse::new(Ring::new(n), n as usize))
+            .collect();
+        universes.extend(
+            [8u32, 9, 14, 17]
+                .iter()
+                .map(|&n| TileUniverse::with_max_gap(Ring::new(n), 4, n / 2)),
+        );
+        universes.push(TileUniverse::with_max_gap(Ring::new(9), 3, 2));
+        universes.push(TileUniverse::new(Ring::new(32), 3));
+        assert!(universes[universes.len() - 2].is_empty());
+        for u in &universes {
+            let ring = u.ring();
+            let n = ring.n();
+            let d = u.dihedral().expect("2n <= 64");
+            for g in 0..d.order() {
+                let (r, reflected) = if g < n { (g, false) } else { (g - n, true) };
+                for t in 0..u.len() as u32 {
+                    let tile = u.tile(t);
+                    let base = if reflected {
+                        reflect_tile(ring, tile)
+                    } else {
+                        tile.clone()
+                    };
+                    let img = u
+                        .index_of(&rotate_tile(ring, &base, r))
+                        .expect("closed under D_n");
+                    assert_eq!(d.tile_image(g, t), img, "n={n} g={g} t={t}");
+                }
+                // The vertex map those two functions apply, on chord ends.
+                let map = |v: u32| ring.add(if reflected { ring.sub(0, v) } else { v }, r);
+                for c in 0..u.num_chords() {
+                    let (a, b) = u.chord_ends_of_pri(c);
+                    let img = Edge::new(map(a), map(b)).dense_index(n as usize) as u32;
+                    assert_eq!(
+                        d.chord_image(g, c),
+                        u.pri_of_dense(img),
+                        "n={n} g={g} c={c}"
+                    );
+                }
+            }
+        }
+        assert!(TileUniverse::new(Ring::new(33), 3).dihedral().is_none());
+    }
+
+    /// `approx_bytes` charges the dihedral tables at their built size,
+    /// before they are built, whenever `2n ≤ 64`.
+    #[test]
+    fn approx_bytes_charges_the_dihedral_tables() {
+        use std::mem::size_of;
+        for u in [
+            TileUniverse::new(Ring::new(9), 9),
+            TileUniverse::with_max_gap(Ring::new(14), 4, 7),
+            TileUniverse::new(Ring::new(32), 3),
+        ] {
+            let unbuilt = u.approx_bytes();
+            let d = u.dihedral().expect("2n <= 64");
+            assert_eq!(u.approx_bytes(), unbuilt, "charged before the build");
+            let built = (d.chord_perm.len() + d.tile_perm.len() + d.canon_tile.len())
+                * size_of::<u32>()
+                + (d.chord_stab.len() + d.tile_stab.len()) * size_of::<u64>();
+            let charged =
+                DihedralTables::heap_bytes(d.order() as usize, u.num_chords() as usize, u.len());
+            let n = u.ring().n();
+            assert_eq!(charged, built, "n={n}");
+            assert!(
+                unbuilt >= charged + u.len() * size_of::<Tile>(),
+                "n={n}: the charge covers the tables and the tile list"
+            );
         }
     }
 }
