@@ -27,9 +27,9 @@
 //!
 //! 5. **Panic isolation** — every engine dispatch runs under
 //!    `catch_unwind`; a panic becomes a terminal `Failed`/`panic` answer
-//!    fanned to every coalesced waiter, the worker thread survives, and
-//!    the request's coalescing key is **quarantined** so a poison
-//!    instance cannot re-panic later batches.
+//!    fanned to every coalesced waiter, the draining thread (the caller
+//!    or a helper) survives, and the request's coalescing key is
+//!    **quarantined** so a poison instance cannot re-panic later batches.
 //! 6. **Retry with backoff** — transient outcomes (a panic with attempts
 //!    left; a deadline exhaustion while the job's real deadline still has
 //!    slack) are retried up to [`ServiceConfig::max_attempts`] per ladder
@@ -47,9 +47,11 @@
 //!    within ~4096 nodes and report `budget_exhausted`/`shutdown`;
 //!    not-yet-started groups are reported unstarted without running.
 //!
-//! `workers > 1` drains the group list on that many OS threads (engines
-//! are `Sync`; the EDF order is preserved by having workers pull group
-//! indices from a shared counter).
+//! The thread that calls [`SolveService::drain`] is itself a worker:
+//! `workers = N` runs the group loop on the caller plus `N − 1` scoped
+//! helper threads (engines are `Sync`; the EDF order is preserved by
+//! having workers pull group indices from a shared counter). The default
+//! single worker therefore spawns no thread at all.
 
 use crate::cache::{CacheStats, UniverseCache, UniverseKey};
 use crate::certs::CertCache;
@@ -73,7 +75,9 @@ use std::time::{Duration, Instant};
 /// Service tuning knobs.
 #[derive(Clone, Copy, Debug)]
 pub struct ServiceConfig {
-    /// Worker threads draining the batch (`≥ 1`; clamped up to 1).
+    /// Threads draining the batch (`≥ 1`; clamped up to 1), the caller
+    /// of [`SolveService::drain`] included: `workers − 1` helper threads
+    /// are spawned per drain, none for the default of 1.
     pub workers: usize,
     /// Byte budget for the universe cache.
     pub cache_bytes: usize,
@@ -417,9 +421,6 @@ impl SolveService {
         // member is its earliest-deadline waiter.
         pending.sort_by_key(|p| (p.job.deadline_ms.is_none(), p.job.deadline_ms, p.seq));
 
-        struct Group {
-            members: Vec<Pending>,
-        }
         let mut groups: Vec<Group> = Vec::new();
         let mut by_key: HashMap<String, usize> = HashMap::new();
         for p in pending {
@@ -427,8 +428,11 @@ impl SolveService {
             match by_key.get(&key) {
                 Some(&g) => groups[g].members.push(p),
                 None => {
-                    by_key.insert(key, groups.len());
-                    groups.push(Group { members: vec![p] });
+                    by_key.insert(key.clone(), groups.len());
+                    groups.push(Group {
+                        key,
+                        members: vec![p],
+                    });
                 }
             }
         }
@@ -455,18 +459,23 @@ impl SolveService {
         };
         let next = AtomicUsize::new(0);
         let reports: Mutex<Vec<JobReport>> = Mutex::new(Vec::with_capacity(submitted));
+        // The calling thread is one of the workers: it runs the same
+        // group loop as the `workers - 1` helpers, so a one-worker drain
+        // spawns nothing.
+        let work = || loop {
+            let g = next.fetch_add(1, Ordering::SeqCst);
+            let Some(group) = groups.get(g) else {
+                break;
+            };
+            let out = process_group(g, group, &ctx);
+            reports.lock().expect("report sink poisoned").extend(out);
+        };
         let workers = self.config.workers.max(1).min(groups.len().max(1));
         std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let g = next.fetch_add(1, Ordering::SeqCst);
-                    if g >= groups.len() {
-                        break;
-                    }
-                    let out = process_group(g, &groups[g].members, &ctx);
-                    reports.lock().expect("report sink poisoned").extend(out);
-                });
+            for _ in 1..workers {
+                scope.spawn(work);
             }
+            work();
         });
 
         let mut jobs = reports.into_inner().expect("report sink poisoned");
@@ -577,6 +586,15 @@ fn coalesce_key(job: &SolveJob) -> String {
     json::request_to_json(&key)
 }
 
+/// Jobs identical up to `id` and `deadline_ms`, in EDF order: one solve
+/// answers them all.
+struct Group {
+    /// The members' shared [`coalesce_key`], computed once per job at
+    /// grouping (it doubles as the certificate-cache and quarantine key).
+    key: String,
+    members: Vec<Pending>,
+}
+
 /// Everything a worker needs to process one group.
 struct DrainCtx<'a> {
     epoch: Instant,
@@ -621,17 +639,17 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-fn process_group(admit_order: usize, members: &[Pending], ctx: &DrainCtx) -> Vec<JobReport> {
+fn process_group(admit_order: usize, group: &Group, ctx: &DrainCtx) -> Vec<JobReport> {
     let now = Instant::now();
+    let Group { key, members } = group;
     let mut out = Vec::with_capacity(members.len());
     let mut survivors: Vec<(&Pending, Option<Instant>)> = Vec::new();
     // The coalescing key doubles as the certificate-cache key; probing
     // it first lets a held certificate waive the predictive-admission
     // check below (the answer costs a lookup, not a predicted kernel).
-    let key = coalesce_key(&members[0].job);
     let cert_hit = ctx
         .cert_cache
-        .and_then(|cc| cc.lock().expect("cert cache poisoned").lookup(&key));
+        .and_then(|cc| cc.lock().expect("cert cache poisoned").lookup(key));
     let report = |p: &Pending| JobReport {
         seq: p.seq,
         id: p.job.id.clone(),
@@ -712,7 +730,12 @@ fn process_group(admit_order: usize, members: &[Pending], ctx: &DrainCtx) -> Vec
     // Quarantine: a key that already panicked terminally is refused
     // outright — a poison instance must not re-panic the batch through
     // coalescing or resubmission.
-    if ctx.quarantine.lock().expect("quarantine poisoned").contains(&key) {
+    if ctx
+        .quarantine
+        .lock()
+        .expect("quarantine poisoned")
+        .contains(key)
+    {
         for (p, _) in survivors {
             out.push(JobReport {
                 failure: Some("quarantined: an earlier dispatch of this request panicked".into()),
@@ -926,7 +949,7 @@ fn process_group(admit_order: usize, members: &[Pending], ctx: &DrainCtx) -> Vec
     if let Some(cc) = ctx.cert_cache {
         cc.lock()
             .expect("cert cache poisoned")
-            .record(&primary.job, &key, &solution);
+            .record(&primary.job, key, &solution);
     }
     for (i, (p, _)) in survivors.iter().enumerate() {
         out.push(JobReport {

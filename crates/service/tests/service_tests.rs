@@ -153,27 +153,82 @@ fn deadlines_do_not_fragment_coalescing_groups() {
 
 #[test]
 fn multi_worker_drain_matches_single_worker() {
+    // workers = 1 drains every group on the calling thread; workers = 3
+    // on the caller plus two helper threads. Both paths must give every
+    // job the same verdict, node count, coalescing and attempt count,
+    // and both must isolate a panicking group and quarantine its key.
+    let plan = r#"{"format": "cyclecover-fault-plan", "version": 1,
+                   "faults": [{"job": "boom", "kind": "panic"}]}"#;
     let build = |workers: usize| {
         let mut svc = SolveService::new(ServiceConfig {
             workers,
+            backoff_base_ms: 0,
             ..ServiceConfig::default()
         });
-        for (id, n) in [("w6", 6u32), ("w7", 7), ("w8", 8), ("w6b", 6)] {
+        svc.set_fault_plan(FaultPlan::from_json(plan).expect("test plan parses"));
+        for (id, n) in [
+            ("w6", 6u32),
+            ("w7", 7),
+            ("boom", 9),
+            ("w8", 8),
+            ("w6b", 6),
+            ("boom-twin", 9),
+        ] {
             svc.submit(SolveJob::new(id, n)).unwrap();
         }
-        svc.drain()
+        let first = svc.drain();
+        svc.submit(SolveJob::new("boom-again", 9)).unwrap();
+        (first, svc.drain())
     };
-    let solo = build(1);
-    let duo = build(3);
-    assert_eq!(solo.stats.solved, duo.stats.solved);
-    for job in &solo.jobs {
-        let twin = by_id(&duo, &job.id);
+    let (solo, trio) = (build(1), build(3));
+    for (solo, trio) in [(&solo.0, &trio.0), (&solo.1, &trio.1)] {
+        assert_eq!(solo.jobs.len(), trio.jobs.len());
+        for job in &solo.jobs {
+            let twin = by_id(trio, &job.id);
+            let (a, b) = (
+                job.solution.as_ref().unwrap(),
+                twin.solution.as_ref().unwrap(),
+            );
+            assert_eq!(a.optimality(), b.optimality(), "{}", job.id);
+            assert_eq!(a.size(), b.size(), "{}", job.id);
+            assert_eq!(a.stats().nodes, b.stats().nodes, "{}", job.id);
+            assert_eq!(a.stats().attempts, b.stats().attempts, "{}", job.id);
+            assert_eq!(job.coalesced, twin.coalesced, "{}", job.id);
+            assert_eq!(job.failure, twin.failure, "{}", job.id);
+        }
+    }
+    for (workers, (first, again)) in [(1, &solo), (3, &trio)] {
+        let st = &first.stats;
+        assert_eq!((st.solved, st.coalesced), (4, 1), "workers = {workers}");
+        assert_eq!((st.failed, st.quarantined), (2, 1), "workers = {workers}");
         assert_eq!(
-            job.solution.as_ref().unwrap().size(),
-            twin.solution.as_ref().unwrap().size(),
-            "{}",
-            job.id
+            (st.retries, st.faults_injected),
+            (1, 2),
+            "workers = {workers}"
         );
+        assert!(by_id(first, "w6b").coalesced);
+        assert_eq!(
+            by_id(first, "w8").solution.as_ref().unwrap().size(),
+            Some(9)
+        );
+        for id in ["boom", "boom-twin"] {
+            let r = by_id(first, id);
+            assert_eq!(
+                *r.solution.as_ref().unwrap().optimality(),
+                Optimality::Failed {
+                    kind: FailureKind::Panic
+                },
+                "{id}, workers = {workers}"
+            );
+            assert_eq!(r.solution.as_ref().unwrap().stats().attempts, 2);
+        }
+        let r = by_id(again, "boom-again");
+        assert!(
+            r.failure.as_ref().unwrap().contains("quarantined"),
+            "{:?}",
+            r.failure
+        );
+        assert_eq!(again.stats.faults_injected, 0, "workers = {workers}");
     }
 }
 

@@ -983,14 +983,17 @@ pub fn engine_by_name(name: &str) -> Option<&'static dyn Engine> {
 
 /// Drives one exact budgeted-search function through any [`Objective`]:
 /// a single probe for `WithinBudget`/`ProveInfeasible`, iterative
-/// deepening from the combinatorial bound for `FindOptimal`.
+/// deepening from the combinatorial bound for `FindOptimal`. `start` is
+/// the engine's entry instant: `Stats::wall` and the request's deadline
+/// both run from it, so set-up the engine did before the first probe
+/// (building its refutation store) is charged and budgeted too.
 fn drive_exact(
     engine: &'static str,
+    start: Instant,
     problem: &Problem,
     request: &SolveRequest,
     run: impl Fn(u32, &RunLimits) -> (Outcome, bnb::Stats, Option<Exhaustion>),
 ) -> Solution {
-    let start = Instant::now();
     let base_lim = request.run_limits(start);
     let u = problem.universe();
     let mut total = bnb::Stats::default();
@@ -1106,6 +1109,7 @@ impl Engine for BitsetEngine {
     }
 
     fn solve(&self, problem: &Problem, request: &SolveRequest) -> Solution {
+        let start = Instant::now();
         let sym = request.symmetry();
         // One store for the whole request: every deepening probe (and,
         // under a parallel policy, every worker) shares it.
@@ -1114,7 +1118,7 @@ impl Engine for BitsetEngine {
             ExecPolicy::Parallel {
                 threads,
                 prefix_depth,
-            } => drive_exact("bitset", problem, request, |budget, lim| {
+            } => drive_exact("bitset", start, problem, request, |budget, lim| {
                 bnb::budget_search_parallel(
                     problem.universe(),
                     problem.spec(),
@@ -1127,7 +1131,7 @@ impl Engine for BitsetEngine {
                 )
             }),
             ExecPolicy::Sequential | ExecPolicy::Auto => {
-                drive_exact("bitset", problem, request, |budget, lim| {
+                drive_exact("bitset", start, problem, request, |budget, lim| {
                     bnb::budget_search(
                         problem.universe(),
                         problem.spec(),
@@ -1165,6 +1169,7 @@ impl Engine for ParallelBitsetEngine {
     }
 
     fn solve(&self, problem: &Problem, request: &SolveRequest) -> Solution {
+        let start = Instant::now();
         let (threads, prefix) = match request.policy() {
             ExecPolicy::Parallel {
                 threads,
@@ -1173,7 +1178,7 @@ impl Engine for ParallelBitsetEngine {
             ExecPolicy::Sequential | ExecPolicy::Auto => (0, bnb::DEFAULT_PREFIX_PER_THREAD),
         };
         let store = request.build_store(problem.universe());
-        drive_exact("bitset-parallel", problem, request, |budget, lim| {
+        drive_exact("bitset-parallel", start, problem, request, |budget, lim| {
             bnb::budget_search_parallel(
                 problem.universe(),
                 problem.spec(),
@@ -1209,7 +1214,7 @@ impl Engine for LegacyEngine {
     }
 
     fn solve(&self, problem: &Problem, request: &SolveRequest) -> Solution {
-        drive_exact("legacy", problem, request, |budget, lim| {
+        drive_exact("legacy", Instant::now(), problem, request, |budget, lim| {
             bnb::budget_search_legacy(problem.universe(), problem.spec(), budget, lim)
         })
     }
@@ -1256,8 +1261,9 @@ impl Engine for PartitionEngine {
     }
 
     fn solve(&self, problem: &Problem, request: &SolveRequest) -> Solution {
+        let start = Instant::now();
         let store = request.build_store(problem.universe());
-        drive_exact("partition", problem, request, |budget, lim| {
+        drive_exact("partition", start, problem, request, |budget, lim| {
             crate::dlx::search_partition(
                 problem.universe(),
                 problem.spec(),
@@ -1304,8 +1310,9 @@ impl Engine for DlxEngine {
     }
 
     fn solve(&self, problem: &Problem, request: &SolveRequest) -> Solution {
+        let start = Instant::now();
         let store = request.build_store(problem.universe());
-        drive_exact("dlx", problem, request, |budget, lim| {
+        drive_exact("dlx", start, problem, request, |budget, lim| {
             crate::dlx::search_partition(
                 problem.universe(),
                 problem.spec(),

@@ -159,67 +159,10 @@ impl ChordSet {
         self.words.iter().zip(&other.words).all(|(a, b)| a & !b == 0)
     }
 
-    /// Whether `self ⊆ other`, examining only the word range
-    /// `lo..hi` — sound whenever the caller knows every set bit of
-    /// `self` lies inside that range (e.g. a tile mask restricted to the
-    /// words the tile's chords occupy). The search's dominance tests use
-    /// this so a subset check touches the one or two words a candidate's
-    /// coverage can live in instead of the full set width.
-    #[inline]
-    pub fn is_subset_of_in(&self, other: &ChordSet, lo: usize, hi: usize) -> bool {
-        debug_assert_eq!(self.nbits, other.nbits);
-        debug_assert!(hi <= self.words.len());
-        debug_assert!(
-            self.words[..lo].iter().all(|&w| w == 0)
-                && self.words[hi..].iter().all(|&w| w == 0),
-            "set bits outside the advertised word span"
-        );
-        self.words[lo..hi]
-            .iter()
-            .zip(&other.words[lo..hi])
-            .all(|(a, b)| a & !b == 0)
-    }
-
-    /// Writes `self ∩ other` into `out`, touching only the word range
-    /// `lo..hi`; words of `out` outside the range are zeroed cheaply via
-    /// the caller's guarantee that they already are (debug-asserted).
-    /// Companion of [`ChordSet::is_subset_of_in`] for masks whose set
-    /// bits all live inside the range.
-    #[inline]
-    pub fn intersection_into_in(&self, other: &ChordSet, out: &mut ChordSet, lo: usize, hi: usize) {
-        debug_assert_eq!(self.nbits, other.nbits);
-        debug_assert_eq!(self.nbits, out.nbits);
-        debug_assert!(
-            self.words[..lo].iter().all(|&w| w == 0)
-                && self.words[hi..].iter().all(|&w| w == 0),
-            "set bits outside the advertised word span"
-        );
-        debug_assert!(
-            out.words[..lo].iter().all(|&w| w == 0)
-                && out.words[hi..].iter().all(|&w| w == 0),
-            "stale scratch bits outside the advertised word span"
-        );
-        for ((o, a), b) in out.words[lo..hi]
-            .iter_mut()
-            .zip(&self.words[lo..hi])
-            .zip(&other.words[lo..hi])
-        {
-            *o = a & b;
-        }
-    }
-
     /// Clears all bits (width unchanged).
     #[inline]
     pub fn clear(&mut self) {
         self.words.iter_mut().for_each(|w| *w = 0);
-    }
-
-    /// Clears only the words `lo..hi` — the cheap way to retire a scratch
-    /// mask whose set bits were confined to that span.
-    #[inline]
-    pub fn clear_words(&mut self, lo: usize, hi: usize) {
-        debug_assert!(hi <= self.words.len());
-        self.words[lo..hi].iter_mut().for_each(|w| *w = 0);
     }
 
     /// Iterates set bits in increasing order.

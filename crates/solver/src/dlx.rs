@@ -52,7 +52,7 @@ use crate::bitset::{ChordSet, LaneSet, LANES_PER_WORD, LANE_LOW};
 use crate::bnb::{CoverSpec, Outcome, RunLimits, Stats, SymmetryMode};
 use crate::lower_bound::{diameter_slack_bound, parity_join_bound_from_odd};
 use crate::memo::{MemoStore, KEY_WORDS};
-use crate::search_core::LaneTables;
+use crate::search_core::{DomArena, LaneTables};
 use crate::tiles::DihedralTables;
 use crate::TileUniverse;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -356,8 +356,7 @@ pub(crate) struct PartitionCore<'a> {
     chosen: Vec<u32>,
 
     // ---- dominance arena ----
-    dom_masks: Vec<ChordSet>,
-    dom_spans: Vec<(u32, u32)>,
+    dom: DomArena,
 
     // ---- statistics and limits ----
     stats: Stats,
@@ -445,7 +444,6 @@ impl<'a> PartitionCore<'a> {
             })
         });
 
-        let max_cands = u.max_candidates() as usize;
         PartitionCore {
             u,
             lanes,
@@ -465,8 +463,7 @@ impl<'a> PartitionCore<'a> {
             frames: Vec::new(),
             undo: Vec::new(),
             chosen: Vec::new(),
-            dom_masks: (0..max_cands).map(|_| ChordSet::empty(m)).collect(),
-            dom_spans: vec![(0, 0); max_cands],
+            dom: DomArena::new(u),
             stats: Stats {
                 sym_factor: 1,
                 partition_probes: 1,
@@ -780,39 +777,7 @@ impl<'a> PartitionCore<'a> {
         }
         scored.sort_by_key(|&(_, cov, waste)| (std::cmp::Reverse(cov), waste));
 
-        let c = scored.len();
-        debug_assert!(c <= self.dom_masks.len(), "arena sized from max_candidates");
-        if c > 1 {
-            for (slot, &(t, _, _)) in scored.iter().enumerate() {
-                let (lo, hi) = u.tile_mask_span(t);
-                let (plo, phi) = self.dom_spans[slot];
-                self.dom_masks[slot].clear_words(plo as usize, phi as usize);
-                u.tile_mask(t).intersection_into_in(
-                    &self.support,
-                    &mut self.dom_masks[slot],
-                    lo as usize,
-                    hi as usize,
-                );
-                self.dom_spans[slot] = (lo, hi);
-            }
-            for (i, &(t, _, _)) in scored.iter().enumerate() {
-                if i > 0 {
-                    let (lo, hi) = u.tile_mask_span(t);
-                    let (earlier, rest) = self.dom_masks.split_at(i);
-                    let mask_i = &rest[0];
-                    if earlier
-                        .iter()
-                        .any(|prior| mask_i.is_subset_of_in(prior, lo as usize, hi as usize))
-                    {
-                        self.stats.dominated += 1;
-                        continue;
-                    }
-                }
-                cands.push(t);
-            }
-        } else {
-            cands.extend(scored.iter().map(|&(t, _, _)| t));
-        }
+        self.stats.dominated += self.dom.filter(u, &self.support, &scored, &mut cands);
 
         self.filter_symmetric(branch, &mut cands);
         let f = &mut self.frames[depth];

@@ -11,9 +11,9 @@
 //!
 //! * **Explicit stack, depth-indexed arenas.** Recursion becomes a loop
 //!   over per-depth [`Frame`]s whose candidate/score buffers are reused
-//!   across every node at that depth; dominance masks live in one arena
-//!   pre-sized from [`TileUniverse::max_candidates`]. After warm-up no
-//!   search node allocates.
+//!   across every node at that depth; dominance masks live in one flat
+//!   [`DomArena`] grown to the longest candidate list seen. After
+//!   warm-up no search node allocates.
 //! * **Incremental bound ingredients.** Residual distance, the
 //!   uncovered-diameter count, and per-vertex uncovered degrees (with
 //!   the odd-degree population the parity/T-join bound needs) are
@@ -32,7 +32,7 @@
 //!   to the **setwise** prefix stabilizer — the ROADMAP's
 //!   canonical-prefix reduction, in the two places it is sound.
 //!
-//! Dominance subset tests and scratch recycling touch only the words a
+//! Candidate scoring and dominance subset tests touch only the words a
 //! tile's mask spans ([`TileUniverse::tile_mask_span`]) instead of the
 //! full chord width.
 
@@ -79,6 +79,75 @@ enum Enter {
     Ready,
 }
 
+/// Dominance-filter scratch for the frame-based cores ([`IterCore`],
+/// [`LaneCore`] and the partition kernel): one slot of `stride` words
+/// per candidate of the node being filtered, in one flat word arena
+/// grown to the longest candidate list seen. A node filters tens of
+/// candidates, far fewer than [`TileUniverse::max_candidates`].
+pub(crate) struct DomArena {
+    words: Vec<u64>,
+    /// Words per slot: the universe's chord-set width.
+    stride: usize,
+}
+
+impl DomArena {
+    pub(crate) fn new(u: &TileUniverse) -> Self {
+        DomArena {
+            words: Vec::new(),
+            stride: u.num_chords().div_ceil(64) as usize,
+        }
+    }
+
+    /// Appends the sorted `scored` candidates to `cands`, dropping each
+    /// whose live coverage (its tile mask ∩ `live`) is a subset of an
+    /// earlier candidate's — sorting put dominators first, so ties keep
+    /// the first occurrence. Returns how many were dropped. A slot holds
+    /// zeros outside its tile's word span
+    /// ([`TileUniverse::tile_mask_span`]), so each subset test reads only
+    /// that span.
+    pub(crate) fn filter(
+        &mut self,
+        u: &TileUniverse,
+        live: &ChordSet,
+        scored: &[(u32, u32, u32)],
+        cands: &mut Vec<u32>,
+    ) -> u64 {
+        if scored.len() < 2 {
+            cands.extend(scored.iter().map(|&(t, _, _)| t));
+            return 0;
+        }
+        let stride = self.stride;
+        if self.words.len() < scored.len() * stride {
+            self.words.resize(scored.len() * stride, 0);
+        }
+        for (slot, &(t, _, _)) in self.words.chunks_exact_mut(stride).zip(scored) {
+            for ((w, a), b) in slot
+                .iter_mut()
+                .zip(u.tile_mask(t).words())
+                .zip(live.words())
+            {
+                *w = a & b;
+            }
+        }
+        let mut dominated = 0;
+        for (i, &(t, _, _)) in scored.iter().enumerate() {
+            let (lo, hi) = u.tile_mask_span(t);
+            let (lo, hi) = (lo as usize, hi as usize);
+            let (earlier, rest) = self.words.split_at(i * stride);
+            let mine = &rest[lo..hi];
+            if earlier
+                .chunks_exact(stride)
+                .any(|prior| mine.iter().zip(&prior[lo..hi]).all(|(a, b)| a & !b == 0))
+            {
+                dominated += 1;
+            } else {
+                cands.push(t);
+            }
+        }
+        dominated
+    }
+}
+
 /// The iterative search over one budgeted probe. Mirrors
 /// `bnb::SearchCtx<BitsetKernel>` observably (same nodes, same order,
 /// same stats) while keeping all per-node state incremental.
@@ -106,10 +175,7 @@ pub(crate) struct IterCore<'a> {
     chosen: Vec<u32>,
 
     // ---- dominance arena (slot = candidate position in the node) ----
-    dom_masks: Vec<ChordSet>,
-    /// Word span each arena slot was last written in (so retiring a
-    /// slot clears only those words).
-    dom_spans: Vec<(u32, u32)>,
+    dom: DomArena,
 
     // ---- statistics and limits (as the recursive context) ----
     stats: Stats,
@@ -193,7 +259,6 @@ impl<'a> IterCore<'a> {
         });
         let canon = store.is_some() && mode == SymmetryMode::Full;
 
-        let max_cands = u.max_candidates() as usize;
         IterCore {
             u,
             budget,
@@ -206,8 +271,7 @@ impl<'a> IterCore<'a> {
             frames: Vec::new(),
             undo: Vec::new(),
             chosen: Vec::new(),
-            dom_masks: (0..max_cands).map(|_| ChordSet::empty(m)).collect(),
-            dom_spans: vec![(0, 0); max_cands],
+            dom: DomArena::new(u),
             stats: Stats {
                 sym_factor: 1,
                 ..Stats::default()
@@ -520,42 +584,8 @@ impl<'a> IterCore<'a> {
         scored.sort_by_key(|&(_, cov, waste)| (std::cmp::Reverse(cov), waste));
 
         // Dominance: a candidate whose useful coverage is a subset of an
-        // earlier one's is dropped (sorting put dominators first; ties
-        // keep the first occurrence). Mask writes and subset tests touch
-        // only each tile's word span.
-        let c = scored.len();
-        debug_assert!(c <= self.dom_masks.len(), "arena sized from max_candidates");
-        if c > 1 {
-            for (slot, &(t, _, _)) in scored.iter().enumerate() {
-                let (lo, hi) = u.tile_mask_span(t);
-                let (plo, phi) = self.dom_spans[slot];
-                self.dom_masks[slot].clear_words(plo as usize, phi as usize);
-                u.tile_mask(t).intersection_into_in(
-                    &self.uncovered,
-                    &mut self.dom_masks[slot],
-                    lo as usize,
-                    hi as usize,
-                );
-                self.dom_spans[slot] = (lo, hi);
-            }
-            for (i, &(t, _, _)) in scored.iter().enumerate() {
-                if i > 0 {
-                    let (lo, hi) = u.tile_mask_span(t);
-                    let (earlier, rest) = self.dom_masks.split_at(i);
-                    let mask_i = &rest[0];
-                    if earlier
-                        .iter()
-                        .any(|prior| mask_i.is_subset_of_in(prior, lo as usize, hi as usize))
-                    {
-                        self.stats.dominated += 1;
-                        continue;
-                    }
-                }
-                cands.push(t);
-            }
-        } else {
-            cands.extend(scored.iter().map(|&(t, _, _)| t));
-        }
+        // earlier one's is dropped.
+        self.stats.dominated += self.dom.filter(u, &self.uncovered, &scored, &mut cands);
 
         self.filter_symmetric(branch, &mut cands);
         let f = &mut self.frames[depth];
@@ -1091,8 +1121,7 @@ pub(crate) struct LaneCore<'a> {
     chosen: Vec<u32>,
 
     // ---- dominance arena ----
-    dom_masks: Vec<ChordSet>,
-    dom_spans: Vec<(u32, u32)>,
+    dom: DomArena,
 
     // ---- statistics and limits ----
     stats: Stats,
@@ -1172,7 +1201,6 @@ impl<'a> LaneCore<'a> {
             })
         });
 
-        let max_cands = u.max_candidates() as usize;
         LaneCore {
             u,
             lanes,
@@ -1187,8 +1215,7 @@ impl<'a> LaneCore<'a> {
             frames: Vec::new(),
             undo: Vec::new(),
             chosen: Vec::new(),
-            dom_masks: (0..max_cands).map(|_| ChordSet::empty(m)).collect(),
-            dom_spans: vec![(0, 0); max_cands],
+            dom: DomArena::new(u),
             stats: Stats {
                 sym_factor: 1,
                 ..Stats::default()
@@ -1487,39 +1514,7 @@ impl<'a> LaneCore<'a> {
         // Dominance over live coverage: sound under multiplicities —
         // replacing a dominated tile with its dominator in any covering
         // multiset yields a covering of the same size.
-        let c = scored.len();
-        debug_assert!(c <= self.dom_masks.len(), "arena sized from max_candidates");
-        if c > 1 {
-            for (slot, &(t, _, _)) in scored.iter().enumerate() {
-                let (lo, hi) = u.tile_mask_span(t);
-                let (plo, phi) = self.dom_spans[slot];
-                self.dom_masks[slot].clear_words(plo as usize, phi as usize);
-                u.tile_mask(t).intersection_into_in(
-                    &self.support,
-                    &mut self.dom_masks[slot],
-                    lo as usize,
-                    hi as usize,
-                );
-                self.dom_spans[slot] = (lo, hi);
-            }
-            for (i, &(t, _, _)) in scored.iter().enumerate() {
-                if i > 0 {
-                    let (lo, hi) = u.tile_mask_span(t);
-                    let (earlier, rest) = self.dom_masks.split_at(i);
-                    let mask_i = &rest[0];
-                    if earlier
-                        .iter()
-                        .any(|prior| mask_i.is_subset_of_in(prior, lo as usize, hi as usize))
-                    {
-                        self.stats.dominated += 1;
-                        continue;
-                    }
-                }
-                cands.push(t);
-            }
-        } else {
-            cands.extend(scored.iter().map(|&(t, _, _)| t));
-        }
+        self.stats.dominated += self.dom.filter(u, &self.support, &scored, &mut cands);
 
         self.filter_symmetric(branch, &mut cands);
         let f = &mut self.frames[depth];
@@ -1886,5 +1881,57 @@ pub(crate) fn search_lanes_parallel(
             Some(decode_cause(stop_cause.load(Ordering::Relaxed))),
         ),
         None => (Outcome::Infeasible, stats, None),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cyclecover_ring::Ring;
+    use rand::{rngs::StdRng, Rng, SeedableRng};
+
+    /// The arena against the plain definition: a candidate is dropped
+    /// when its live coverage is a subset of an earlier candidate's. One
+    /// arena serves lists of every length over 1-, 2- and 3-word chord
+    /// sets, so slots left over from longer lists, and tiles whose word
+    /// spans differ from their neighbours', are both exercised.
+    #[test]
+    fn dom_arena_matches_pairwise_subset_filter() {
+        let mut rng = StdRng::seed_from_u64(14);
+        for (n, max_len) in [(8, 8), (12, 4), (14, 4), (17, 4)] {
+            let u = TileUniverse::new(Ring::new(n), max_len);
+            let m = u.num_chords();
+            let mut arena = DomArena::new(&u);
+            let mut cands = Vec::new();
+            for _ in 0..400 {
+                let density = rng.gen_range(1..=9u32);
+                let mut live = ChordSet::empty(m);
+                for c in 0..m {
+                    if rng.gen_range(0..10u32) < density {
+                        live.insert(c);
+                    }
+                }
+                let scored: Vec<(u32, u32, u32)> = (0..rng.gen_range(0..40usize))
+                    .map(|_| rng.gen_range(0..u.len() as u32))
+                    .filter(|&t| u.tile_mask(t).intersects(&live))
+                    .map(|t| (t, 0, 0))
+                    .collect();
+                cands.clear();
+                let dropped = arena.filter(&u, &live, &scored, &mut cands);
+
+                let mut masks: Vec<ChordSet> = Vec::new();
+                let mut expected = Vec::new();
+                for &(t, _, _) in &scored {
+                    let mut mask = ChordSet::empty(m);
+                    u.tile_mask(t).intersection_into(&live, &mut mask);
+                    if !masks.iter().any(|prior| mask.is_subset_of(prior)) {
+                        expected.push(t);
+                    }
+                    masks.push(mask);
+                }
+                assert_eq!(cands, expected, "n = {n}");
+                assert_eq!(dropped as usize, scored.len() - expected.len(), "n = {n}");
+            }
+        }
     }
 }

@@ -71,8 +71,8 @@ pub struct TileUniverse {
     /// Per-tile chord bitmask (priority space).
     masks: Vec<ChordSet>,
     /// Per-tile `(lo, hi)` word span of the mask: every set bit of
-    /// `masks[i]` lies in words `lo..hi`. Dominance subset tests and
-    /// scratch clears touch only this span instead of the full width.
+    /// `masks[i]` lies in words `lo..hi`. Candidate scoring and dominance
+    /// subset tests touch only this span instead of the full width.
     mask_span: Vec<(u32, u32)>,
     /// Per-tile total shortest-path load `Σ dist(chord)`.
     load: Vec<u32>,
@@ -596,8 +596,8 @@ impl TileUniverse {
     }
 
     /// Length of the longest per-chord candidate list — an upper bound on
-    /// how many candidates any single search node can score, and the
-    /// one-shot sizing of per-node scratch arenas.
+    /// how many candidates any single search node can score (the
+    /// recursive reference search sizes its dominance scratch from it).
     #[inline]
     pub fn max_candidates(&self) -> u32 {
         self.max_candidates
