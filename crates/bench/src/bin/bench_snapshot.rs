@@ -63,6 +63,10 @@
 //! * `--quick`: regression subset only — n ∈ {8, 10}, engine `bitset`,
 //!   `Off`/`Root` × memo off/on, plus the λ-fold rows and the n = 16
 //!   probe (no n = 12, no unit legacy, no parallel)
+//!
+//! Only the full matrix (no `--quick`, `--skip-n12`, or `--max-n` below
+//! 10) writes `BENCH_10.json`; a subset run prints its rows and leaves
+//! the committed snapshot alone.
 //! * `--check`: after running, fail unless the `Off` + memo-off rows
 //!   match BENCH_1 exactly, the `Root` rows (memo off *and* on) stay
 //!   within the recorded ceilings, the λ-fold rows match their legacy
@@ -617,8 +621,17 @@ fn main() {
         json.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
     }
     json.push_str("  ]\n}\n");
-    std::fs::write("BENCH_10.json", &json).expect("write BENCH_10.json");
-    println!("\nwrote BENCH_10.json ({} instances)", rows.len());
+    // Only the full matrix owns the committed snapshot: writing a
+    // `--quick`, `--skip-n12` or `--max-n` subset over it would truncate it.
+    if !skip_n12 && max_n >= 10 {
+        std::fs::write("BENCH_10.json", &json).expect("write BENCH_10.json");
+        println!("\nwrote BENCH_10.json ({} instances)", rows.len());
+    } else {
+        println!(
+            "\nsubset run ({} instances): BENCH_10.json not written",
+            rows.len()
+        );
+    }
 
     // Every row certifies except, possibly, the node-capped n = 12
     // `Off` + memo-off probe (the documented pre-symmetry state).

@@ -21,10 +21,11 @@
 //!
 //! | name | substrate |
 //! |------|-----------|
-//! | `bitset` | word-packed branch & bound (sequential; honors `ExecPolicy::Parallel`) |
-//! | `bitset-parallel` | the same search drained over a rayon frontier |
+//! | `bitset` | branch & bound on the routed core (sequential; honors `ExecPolicy::Parallel`) |
+//! | `bitset-parallel` | the same engine, always on the frontier driver |
 //! | `legacy` | the multiplicity-counter reference search |
-//! | `dlx` | Dancing-Links exact partition (odd `n`, complete spec) |
+//! | `dlx` | the partition kernel, restricted to zero-slack specs |
+//! | `partition` | the slack-budgeted partition kernel, any spec with demands ≤ 3 |
 //! | `greedy` | max-coverage greedy |
 //! | `greedy-improve` | greedy + drop/merge local search |
 //! | `anneal` | greedy + simulated annealing + local search |
@@ -960,11 +961,11 @@ pub trait Engine: Sync {
 /// All registered engines, exact first.
 pub fn engines() -> &'static [&'static dyn Engine] {
     static ENGINES: [&dyn Engine; 8] = [
-        &BitsetEngine,
-        &ParallelBitsetEngine,
+        &BitsetEngine::BITSET,
+        &BitsetEngine::PARALLEL,
         &LegacyEngine,
-        &DlxEngine,
-        &PartitionEngine,
+        &PartitionEngine::DLX,
+        &PartitionEngine::PARTITION,
         &HeuristicEngine::GREEDY,
         &HeuristicEngine::GREEDY_IMPROVE,
         &HeuristicEngine::ANNEAL,
@@ -1086,22 +1087,46 @@ fn drive_exact(
     }
 }
 
-/// The word-packed branch & bound (`"bitset"`): the default exact engine.
-/// Unit-demand specs run on the bitset kernel; λ-fold specs run on the
-/// lane kernel, except that a low-slack probe (`budget·n − λ·Σd(e) < n`)
-/// reroutes to the partition kernel, recorded in the certificate's
-/// `partition_probes` stat. `ExecPolicy::Sequential`/`Auto` run the
-/// depth-first search in-thread; `ExecPolicy::Parallel` drains a rayon
-/// frontier.
-pub struct BitsetEngine;
+/// The branch & bound engines (`"bitset"`, `"bitset-parallel"`): every
+/// budget probe runs on the context the route rule picks — the bitset
+/// core for unit demands, the lane core for demands ≤ 3, the partition
+/// kernel when a λ ≤ 3 probe's waste slack `budget·n − λ·Σd(e)` is below
+/// `n` (recorded in the certificate's `partition_probes` stat), the
+/// recursive multiplicity kernel beyond — sequentially or on the
+/// frontier-parallel driver, whose workers share the request's
+/// refutation store.
+pub struct BitsetEngine {
+    name: &'static str,
+    description: &'static str,
+    /// Whether `ExecPolicy::Sequential`/`Auto` run the frontier driver too.
+    always_parallel: bool,
+}
+
+impl BitsetEngine {
+    /// The default exact engine: `ExecPolicy::Sequential`/`Auto` search
+    /// depth-first in-thread; `ExecPolicy::Parallel` drains a frontier.
+    pub const BITSET: BitsetEngine = BitsetEngine {
+        name: "bitset",
+        description: "word-packed branch & bound (dominance pruning; honors ExecPolicy::Parallel)",
+        always_parallel: false,
+    };
+    /// Always frontier-parallel, even under `ExecPolicy::Auto` (all
+    /// cores, 8 prefixes per thread unless `ExecPolicy::Parallel` says
+    /// otherwise).
+    pub const PARALLEL: BitsetEngine = BitsetEngine {
+        name: "bitset-parallel",
+        description: "breadth-first frontier of search prefixes drained on a rayon scope",
+        always_parallel: true,
+    };
+}
 
 impl Engine for BitsetEngine {
     fn name(&self) -> &'static str {
-        "bitset"
+        self.name
     }
 
     fn description(&self) -> &'static str {
-        "word-packed branch & bound (dominance pruning; honors ExecPolicy::Parallel)"
+        self.description
     }
 
     fn supports(&self, _problem: &Problem, _request: &SolveRequest) -> bool {
@@ -1110,84 +1135,27 @@ impl Engine for BitsetEngine {
 
     fn solve(&self, problem: &Problem, request: &SolveRequest) -> Solution {
         let start = Instant::now();
-        let sym = request.symmetry();
-        // One store for the whole request: every deepening probe (and,
-        // under a parallel policy, every worker) shares it.
-        let store = request.build_store(problem.universe());
-        match request.policy() {
+        let par = match request.policy() {
             ExecPolicy::Parallel {
                 threads,
                 prefix_depth,
-            } => drive_exact("bitset", start, problem, request, |budget, lim| {
-                bnb::budget_search_parallel(
-                    problem.universe(),
-                    problem.spec(),
-                    budget,
-                    lim,
-                    threads,
-                    prefix_per_thread(prefix_depth),
-                    sym,
-                    store.as_deref(),
-                )
-            }),
-            ExecPolicy::Sequential | ExecPolicy::Auto => {
-                drive_exact("bitset", start, problem, request, |budget, lim| {
-                    bnb::budget_search(
-                        problem.universe(),
-                        problem.spec(),
-                        budget,
-                        lim,
-                        sym,
-                        store.as_deref(),
-                    )
-                })
-            }
-        }
-    }
-}
-
-fn prefix_per_thread(prefix_depth: u32) -> usize {
-    1usize << prefix_depth.min(16)
-}
-
-/// The frontier-parallel branch & bound (`"bitset-parallel"`): always
-/// parallel, even under `ExecPolicy::Auto` (use [`BitsetEngine`] with an
-/// explicit policy for sequential runs).
-pub struct ParallelBitsetEngine;
-
-impl Engine for ParallelBitsetEngine {
-    fn name(&self) -> &'static str {
-        "bitset-parallel"
-    }
-
-    fn description(&self) -> &'static str {
-        "breadth-first frontier of search prefixes drained on a rayon scope"
-    }
-
-    fn supports(&self, _problem: &Problem, _request: &SolveRequest) -> bool {
-        true
-    }
-
-    fn solve(&self, problem: &Problem, request: &SolveRequest) -> Solution {
-        let start = Instant::now();
-        let (threads, prefix) = match request.policy() {
-            ExecPolicy::Parallel {
-                threads,
-                prefix_depth,
-            } => (threads, prefix_per_thread(prefix_depth)),
-            ExecPolicy::Sequential | ExecPolicy::Auto => (0, bnb::DEFAULT_PREFIX_PER_THREAD),
+            } => Some((threads, 1usize << prefix_depth.min(16))),
+            ExecPolicy::Sequential | ExecPolicy::Auto => self
+                .always_parallel
+                .then_some((0, bnb::DEFAULT_PREFIX_PER_THREAD)),
         };
+        // One store for the whole request: every deepening probe (and
+        // every frontier worker) shares it.
         let store = request.build_store(problem.universe());
-        drive_exact("bitset-parallel", start, problem, request, |budget, lim| {
-            bnb::budget_search_parallel(
+        drive_exact(self.name, start, problem, request, |budget, lim| {
+            bnb::budget_search(
                 problem.universe(),
                 problem.spec(),
                 budget,
                 lim,
-                threads,
-                prefix,
                 request.symmetry(),
                 store.as_deref(),
+                par,
             )
         })
     }
@@ -1220,106 +1188,81 @@ impl Engine for LegacyEngine {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Partition engines (the slack-budgeted exact-cover kernel)
-// ---------------------------------------------------------------------------
-
-/// `λ·Σd(e)`: the total demanded distance of a spec over a universe —
-/// what the waste slack `budget·n − λ·Σd(e)` is measured against.
-fn demanded_distance(u: &TileUniverse, spec: &CoverSpec) -> u64 {
-    (0..u.num_chords())
-        .map(|d| spec.demand[d as usize] as u64 * u.dist_of_pri(u.pri_of_dense(d)) as u64)
-        .sum()
+/// The slack-budgeted partition planner as directly selectable engines
+/// (`"partition"`, `"dlx"`): every probe runs on the partition kernel
+/// ([`crate::dlx`]) — MRV column selection over the priority chords,
+/// exact-waste candidate filtering against the budget's slack
+/// `budget·n − λ·Σd(e)`, full-load collapse at zero slack — through the
+/// same deepening driver as the branch-and-bound engines, so verdicts
+/// carry identical certificates and the memo, symmetry, deadline, and
+/// cancellation machinery all apply.
+pub struct PartitionEngine {
+    name: &'static str,
+    description: &'static str,
+    /// Whether only zero-slack specs (`λ·Σd(e) ≡ 0 mod n`) are supported.
+    zero_slack: bool,
 }
 
-/// The slack-budgeted partition planner as a directly selectable engine
-/// (`"partition"`): any spec with demands in `1..=3`, at any budget.
-///
-/// Runs `crate::dlx::search_partition` — MRV column selection over
-/// the priority chords, exact-waste candidate filtering against the
-/// budget's slack `budget·n − λ·Σd(e)`, full-load collapse at zero
-/// slack — through the same deepening driver as the branch-and-bound
-/// engines, so verdicts carry identical certificates and the memo,
-/// symmetry, deadline, and cancellation machinery all apply. Most
-/// effective on capacity-tight instances (where the sequential
-/// `"bitset"` dispatch reroutes here automatically once slack < n);
-/// selectable explicitly to push *any* λ ≤ 3 probe through the
-/// partition route, e.g. the n = 16 frontier probes.
-pub struct PartitionEngine;
+impl PartitionEngine {
+    /// Any spec with demands in `1..=3`, at any budget. Most effective on
+    /// capacity-tight instances (where the route rule picks this kernel
+    /// automatically once slack < n); selectable explicitly to push *any*
+    /// λ ≤ 3 probe through the partition route, e.g. the n = 16 frontier
+    /// probes.
+    pub const PARTITION: PartitionEngine = PartitionEngine {
+        name: "partition",
+        description: "slack-budgeted exact-cover kernel (MRV chords, waste budget = budget*n - lambda*total-dist)",
+        zero_slack: false,
+    };
+    /// Zero-slack exact partition, the capacity-tightness specialist.
+    /// When `λ·Σd(e) ≡ 0 (mod n)` the capacity budget `λ·Σd(e)/n` leaves
+    /// **zero waste**: any covering at that budget is an exact partition
+    /// of the demand into full-load tiles, which is precisely where the
+    /// kernel collapses to Algorithm X (MRV over chords, only full-load
+    /// rows survive the waste filter). Scope: odd complete rings
+    /// (Theorem 1's partitions), *and* even rings and λ-fold specs whose
+    /// demanded distance divides evenly (e.g. `n = 8` complete, where the
+    /// parity bound refutes budget 8 in one node and budget 9 carries
+    /// slack n; `ρ₂(6) = 9`; `ρ₂(8) = 16`). A complete exact engine on
+    /// that domain: refutations are genuine exhaustive proofs.
+    pub const DLX: PartitionEngine = PartitionEngine {
+        name: "dlx",
+        description:
+            "exact partition at zero slack (lambda*total-dist divisible by n, demands <= 3)",
+        zero_slack: true,
+    };
+}
 
 impl Engine for PartitionEngine {
     fn name(&self) -> &'static str {
-        "partition"
+        self.name
     }
 
     fn description(&self) -> &'static str {
-        "slack-budgeted exact-cover kernel (MRV chords, waste budget = budget*n - lambda*total-dist)"
-    }
-
-    fn supports(&self, problem: &Problem, _request: &SolveRequest) -> bool {
-        (1..=3).contains(&problem.spec().max_demand())
-    }
-
-    fn solve(&self, problem: &Problem, request: &SolveRequest) -> Solution {
-        let start = Instant::now();
-        let store = request.build_store(problem.universe());
-        drive_exact("partition", start, problem, request, |budget, lim| {
-            crate::dlx::search_partition(
-                problem.universe(),
-                problem.spec(),
-                budget,
-                lim,
-                request.symmetry(),
-                store.as_deref(),
-            )
-        })
-    }
-}
-
-/// Zero-slack exact partition (`"dlx"`): the capacity-tightness
-/// specialist, now honest about its scope.
-///
-/// When `λ·Σd(e) ≡ 0 (mod n)` the capacity budget `λ·Σd(e)/n` leaves
-/// **zero waste**: any covering at that budget is an exact partition of
-/// the demand into full-load tiles. That is precisely where the
-/// slack-budgeted kernel collapses to Algorithm X (MRV over chords,
-/// only full-load rows survive the waste filter), so this engine is the
-/// partition kernel restricted to zero-slack specs — odd complete rings
-/// (Theorem 1's partitions), *and* even rings and λ-fold specs whose
-/// demanded distance divides evenly (e.g. `n = 8` complete, where the
-/// parity bound refutes budget 8 in one node and budget 9 carries slack
-/// n; `ρ₂(6) = 9`; `ρ₂(8) = 16`). Unlike the historical Dancing-Links
-/// engine it is a complete exact engine on its domain: refutations are
-/// genuine exhaustive proofs, not `EngineLimit` shrugs.
-pub struct DlxEngine;
-
-impl Engine for DlxEngine {
-    fn name(&self) -> &'static str {
-        "dlx"
-    }
-
-    fn description(&self) -> &'static str {
-        "exact partition at zero slack (lambda*total-dist divisible by n, demands <= 3)"
+        self.description
     }
 
     fn supports(&self, problem: &Problem, _request: &SolveRequest) -> bool {
         let spec = problem.spec();
         (1..=3).contains(&spec.max_demand())
-            && demanded_distance(problem.universe(), spec)
-                .is_multiple_of(problem.ring().n() as u64)
+            && (!self.zero_slack
+                || bnb::demanded_distance(problem.universe(), spec)
+                    .is_multiple_of(problem.ring().n() as u64))
     }
 
     fn solve(&self, problem: &Problem, request: &SolveRequest) -> Solution {
         let start = Instant::now();
         let store = request.build_store(problem.universe());
-        drive_exact("dlx", start, problem, request, |budget, lim| {
-            crate::dlx::search_partition(
+        drive_exact(self.name, start, problem, request, |budget, lim| {
+            bnb::search_route(
+                bnb::Route::Partition,
                 problem.universe(),
                 problem.spec(),
                 budget,
                 lim,
                 request.symmetry(),
                 store.as_deref(),
+                None,
             )
         })
     }

@@ -1,4 +1,5 @@
-//! Branch & bound minimum DRC covering.
+//! Branch & bound minimum DRC covering: the search vocabulary, the one
+//! route rule, and the recursive reference search.
 //!
 //! Exact search over a [`TileUniverse`]: find a covering of the demanded
 //! requests by at most `budget` tiles, or prove none exists. Iterated over
@@ -16,43 +17,58 @@
 //! * prune with `used + max(⌈remaining_dist / n⌉, remaining_diameters,
 //!   max_v ⌈uncovered_degree(v)/2⌉) > budget` — the capacity, diameter and
 //!   vertex-degree lower bounds restricted to the unsatisfied demand (the
-//!   vertex bound is bitset-kernel only);
+//!   multiplicity reference kernel skips the vertex bound);
 //! * optional node limit for bounded experiments.
 //!
-//! # The bitset kernel
+//! # Routes
 //!
-//! For unit-demand specs (every demand ≤ 1 — the standard `ρ(n)` instances
-//! and all partial instances) coverage bookkeeping runs on word-packed
-//! [`ChordSet`]s in the universe's *priority* chord order: placing a tile
-//! is two AND/ANDNOT word sweeps, scoring a candidate is an
-//! intersection-popcount, and selecting the branch chord is
-//! `trailing_zeros` on the uncovered set. The universe precomputes each
-//! tile's chord bitmask, load, and diameter count once
-//! ([`TileUniverse::tile_mask`] and friends), so search nodes never touch
-//! ring arithmetic.
+//! One rule picks the search context of every budget probe, for the
+//! sequential search and the frontier-parallel driver alike (the waste
+//! slack is `budget·n − λ·Σd(e)`):
 //!
-//! Since PR 5, unit-demand searches run on the **iterative,
-//! allocation-free core** in `crate::search_core` — an explicit stack
-//! over depth-indexed scratch arenas with incrementally maintained bound
-//! ingredients and an optional **residual-state dominance memo**
-//! ([`MemoConfig`], `crate::memo`) that prunes nodes reaching an
-//! already-exhausted uncovered set with an equal-or-worse budget. With
-//! the memo off the core reproduces the recursive search here *to the
-//! node* ([`budget_search_reference`] keeps the recursive path callable
-//! as the differential fixture); λ-fold specs still run the recursive
-//! multiplicity kernel.
+//! | spec | waste slack | search context |
+//! |------|-------------|----------------|
+//! | unit demands | any | the iterative bitset core |
+//! | demands ≤ 3 | in `[0, n)` | the slack-budgeted partition kernel ([`crate::dlx`]) |
+//! | demands ≤ 3 | otherwise | the lane core (packed 2-bit residual lanes) |
+//! | demands > 3 | any | the recursive multiplicity kernel |
 //!
-//! On top of the word kernel the search applies **dominance pruning** at
-//! every node: a candidate whose useful-coverage mask is a subset of an
-//! earlier sibling's is skipped — replacing it by the dominator in any
-//! covering yields a covering of the same size, so completeness is
-//! preserved while sibling subtrees that only permute coverage are cut.
-//! Dominance at full depth is the decisive pruning rule: the ρ(10)
-//! witness search needs 13.4M nodes with it vs 225M without.
+//! The partition route is recorded in [`Stats::partition_probes`]. Unit
+//! probes never take it: their memo-off node counts are pinned bit for
+//! bit to the recursive reference. A negative slack (budget below
+//! capacity) stays on the lane core, whose root bound refutes in one
+//! node.
 //!
-//! λ-fold specs (some demand > 1) use the multiplicity kernel: plain
-//! per-chord `Vec<u32>` counters, still driven by the precomputed chord
-//! index lists.
+//! The iterative cores (in `crate::search_core` and [`crate::dlx`]) run
+//! an explicit stack over reused arenas with incrementally maintained
+//! bound ingredients and the optional **residual-state dominance memo**
+//! ([`MemoConfig`], `crate::memo`), which prunes nodes reaching an
+//! already-exhausted residual state with an equal-or-worse budget. The
+//! unit core keeps its coverage bookkeeping in word-packed [`ChordSet`]s
+//! in the universe's *priority* chord order: placing a tile is two
+//! AND/ANDNOT word sweeps, scoring a candidate an intersection-popcount,
+//! and selecting the branch chord `trailing_zeros` on the uncovered set.
+//! The universe precomputes each tile's chord bitmask, load, and
+//! diameter count once ([`TileUniverse::tile_mask`] and friends), so
+//! search nodes never touch ring arithmetic.
+//!
+//! Every core applies **dominance pruning** at every node but the
+//! multiplicity kernel: a candidate whose useful-coverage mask is a
+//! subset of an earlier sibling's is skipped — replacing it by the
+//! dominator in any covering yields a covering of the same size, so
+//! completeness is preserved while sibling subtrees that only permute
+//! coverage are cut. Dominance at full depth is the decisive pruning
+//! rule: the ρ(10) witness search needs 13.4M nodes with it vs 225M
+//! without.
+//!
+//! # The recursive reference
+//!
+//! The recursive search here is kept as the differential reference
+//! ([`budget_search_reference`]): on unit specs its bitset kernel is what
+//! the iterative core reproduces *to the node* with the memo off, and its
+//! multiplicity kernel (plain per-chord counters, still driven by the
+//! precomputed chord index lists) serves demands above 3 and the frozen
+//! `legacy` engine.
 //!
 //! # Symmetry reduction
 //!
@@ -63,30 +79,34 @@
 //! [`diameter_slack_bound`]; [`SymmetryMode::Full`] extends the orbit
 //! filtering to every depth under the incrementally maintained pointwise
 //! stabilizer of the placed prefix. [`SymmetryMode::Off`] reproduces the
-//! pre-symmetry search node for node — the deprecated free functions pin
-//! it, and `bench_snapshot` uses it to track the reduction factor.
+//! pre-symmetry search node for node — `bench_snapshot` uses it to track
+//! the reduction factor.
 //!
 //! # Parallel search
 //!
-//! [`cover_spec_within_budget_parallel`] expands the tree breadth-first
-//! into a frontier of independent prefixes (several per thread, not just
-//! the root candidates) and drains it on a work-sharing `rayon` scope with
-//! a shared early-exit flag and node budget — a thread that exhausts its
+//! Every route also runs on one frontier-parallel driver (the `bitset`
+//! engine under `ExecPolicy::Parallel`, and the `bitset-parallel`
+//! engine): it expands the tree breadth-first into a frontier of
+//! independent prefixes (several per thread, not just the root
+//! candidates) and drains it on a work-sharing `rayon` scope with a
+//! shared early-exit flag and node budget — a thread that exhausts its
 //! subtree immediately pulls the next pending prefix, so infeasibility
 //! proofs scale past the root branching factor.
 
 use crate::api::{CancelToken, Exhaustion};
 use crate::bitset::ChordSet;
+use crate::dlx::PartitionCore;
 use crate::lower_bound::{
     combinatorial_lower_bound, diameter_slack_bound, parity_join_bound, weighted_demand_bound,
 };
 pub use crate::memo::{MemoConfig, MemoStore, DEFAULT_MEMO_BYTES};
+use crate::search_core::{
+    drive, Frontier, Governor, IterCore, LaneCore, LaneTables, Parallelism, Probe, SearchCore,
+};
 use crate::tiles::DihedralTables;
 use crate::TileUniverse;
 use cyclecover_graph::Edge;
-use cyclecover_ring::Tile;
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Instant;
 
 /// How much dihedral symmetry reduction a search applies. `C_n`'s
@@ -133,7 +153,7 @@ pub enum SymmetryMode {
 /// Externally-imposed resource limits on one budgeted search: a node
 /// budget, an optional wall-clock deadline, and an optional shared
 /// cancellation flag. Built by the [`crate::api`] engines from a
-/// [`crate::api::SolveRequest`]; the deprecated free functions fill in
+/// [`crate::api::SolveRequest`]; the forced-route entries below fill in
 /// node-budget-only limits.
 #[derive(Clone, Default)]
 pub(crate) struct RunLimits {
@@ -147,7 +167,7 @@ pub(crate) struct RunLimits {
 }
 
 impl RunLimits {
-    /// Node-budget-only limits — the legacy free-function contract.
+    /// Node-budget-only limits.
     pub(crate) fn nodes_only(max_nodes: u64) -> Self {
         RunLimits {
             max_nodes,
@@ -642,7 +662,7 @@ struct SearchCtx<'a, K: Kernel> {
 /// when the tables are unavailable (`2n > 64`) or the spec-preserving
 /// subgroup is only the identity; otherwise the requested mode with the
 /// tables and the subgroup mask. Shared by the recursive context and
-/// the iterative core — the differential node-count gate relies on both
+/// the iterative cores — the differential node-count gate relies on them
 /// degrading identically.
 pub(crate) fn resolve_symmetry<'a>(
     u: &'a TileUniverse,
@@ -671,7 +691,7 @@ impl<'a, K: Kernel> SearchCtx<'a, K> {
         u: &'a TileUniverse,
         spec: &CoverSpec,
         budget: u32,
-        lim: &'a RunLimits,
+        gov: Governor<'a>,
         requested: SymmetryMode,
     ) -> Self {
         let strong = requested != SymmetryMode::Off;
@@ -680,7 +700,7 @@ impl<'a, K: Kernel> SearchCtx<'a, K> {
             u,
             kernel: K::new(u, spec),
             budget,
-            max_nodes: lim.max_nodes,
+            max_nodes: gov.max_nodes,
             stats: Stats {
                 sym_factor: 1,
                 ..Stats::default()
@@ -688,10 +708,10 @@ impl<'a, K: Kernel> SearchCtx<'a, K> {
             chosen: Vec::new(),
             hit_limit: false,
             stop_cause: None,
-            deadline: lim.deadline,
-            cancel: lim.cancel.as_ref().map(|c| c.flag()),
-            early_exit: None,
-            shared_nodes: None,
+            deadline: gov.deadline,
+            cancel: gov.cancel,
+            early_exit: gov.frontier.map(|(f, _)| &f.found),
+            shared_nodes: gov.frontier.map(|(f, cap)| (&f.nodes, cap)),
             synced_nodes: 0,
             // Sized once from the longest candidate list any branch chord
             // can present — no node ever allocates a scratch mask
@@ -966,44 +986,103 @@ impl<'a, K: Kernel> SearchCtx<'a, K> {
     }
 }
 
-fn search<K: Kernel>(
-    u: &TileUniverse,
-    spec: &CoverSpec,
-    budget: u32,
-    lim: &RunLimits,
-    sym: SymmetryMode,
-) -> (Outcome, Stats, Option<Exhaustion>) {
-    let mut ctx = SearchCtx::<K>::new(u, spec, budget, lim, sym);
-    if ctx.dfs() {
-        (Outcome::Feasible(ctx.chosen.clone()), ctx.stats, None)
-    } else if ctx.hit_limit {
-        (Outcome::NodeLimit, ctx.stats, ctx.stop_cause)
+impl<K: Kernel> SearchCore for SearchCtx<'_, K> {
+    fn satisfied(&self) -> bool {
+        self.kernel.satisfied()
+    }
+
+    fn place(&mut self, t: u32) {
+        SearchCtx::place(self, t);
+    }
+
+    fn unplace(&mut self) {
+        let t = *self.chosen.last().expect("unplace without place");
+        SearchCtx::unplace(self, t);
+    }
+
+    fn refuted(&self) -> bool {
+        let used = self.chosen.len() as u64;
+        let slack = (self.budget as u64).saturating_sub(used);
+        used + self.kernel.remaining_lb(self.u) > self.budget as u64
+            || (self.strong && self.kernel.strong_lb(self.u, slack) > slack)
+    }
+
+    fn children(&mut self) -> Vec<u32> {
+        let branch = self
+            .kernel
+            .branch_chord()
+            .expect("unsatisfied demand exists");
+        self.sorted_candidates(branch)
+    }
+
+    fn run(&mut self) -> bool {
+        self.dfs()
+    }
+
+    fn stats(&mut self) -> &mut Stats {
+        &mut self.stats
+    }
+
+    fn finish(mut self, found: bool) -> Probe {
+        // Flush the unsynced remainder so a frontier's total is exact.
+        self.sync_shared_nodes();
+        if found {
+            (Outcome::Feasible(self.chosen), self.stats, None)
+        } else if self.hit_limit {
+            (Outcome::NodeLimit, self.stats, self.stop_cause)
+        } else {
+            (Outcome::Infeasible, self.stats, None)
+        }
+    }
+}
+
+/// `λ·Σd(e)`: the total demanded distance of a spec — what the waste
+/// slack `budget·n − λ·Σd(e)` is measured against.
+pub(crate) fn demanded_distance(u: &TileUniverse, spec: &CoverSpec) -> u64 {
+    (0..u.num_chords())
+        .map(|d| spec.demand[d as usize] as u64 * u.dist_of_pri(u.pri_of_dense(d)) as u64)
+        .sum()
+}
+
+/// The search context a budget probe runs on (see the module docs).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Route {
+    /// Unit demands: the iterative bitset core.
+    Unit,
+    /// Demands ≤ 3: the word-parallel lane core.
+    Lanes,
+    /// Demands ≤ 3 with waste slack in `[0, n)`: the slack-budgeted
+    /// partition kernel.
+    Partition,
+    /// Demands > 3: the recursive multiplicity kernel.
+    Multi,
+}
+
+/// The one dispatch rule: which search context serves `budget` on `spec`.
+pub(crate) fn route(u: &TileUniverse, spec: &CoverSpec, budget: u32) -> Route {
+    if spec.is_unit() {
+        return Route::Unit;
+    }
+    if spec.max_demand() > 3 {
+        return Route::Multi;
+    }
+    let n = u.ring().n() as u64;
+    let cap = budget as u64 * n;
+    let demanded = demanded_distance(u, spec);
+    if cap >= demanded && cap - demanded < n {
+        Route::Partition
     } else {
-        (Outcome::Infeasible, ctx.stats, None)
+        Route::Lanes
     }
 }
 
 /// Budgeted search under full [`RunLimits`]: the engine-facing entry
-/// point. Unit-demand specs run on the **iterative bitset core**
-/// (allocation-free search stack, incremental bounds, and the
-/// refutation `store` — pass the same store across probes or requests
-/// to reuse recorded refutations, or `None` for the memo-free search);
-/// specs with multiplicities in `2..=3` (every λ-fold instance the
-/// paper studies) on the **word-parallel lane core** — packed 2-bit
-/// residual lanes with the same dominance, symmetry, bound, and memo
-/// machinery. Only demands > 3 fall back to the recursive multiplicity
-/// kernel (which ignores the store). The third component reports why an
-/// inconclusive search stopped.
-///
-/// λ-fold probes whose waste slack `budget·n − λ·Σd(e)` sits in
-/// `[0, n)` — capacity-tight instances, where almost every tile of a
-/// witness must be full-load — route through the slack-budgeted
-/// partition kernel ([`crate::dlx`]) instead of the lane core; the
-/// route is recorded in [`Stats::partition_probes`]. Negative slack
-/// (budget below capacity) stays on the lane core, whose root bound
-/// refutes in one node — the frozen λ gate counts. Unit probes never
-/// reroute: their memo-off node counts are pinned bit for bit to the
-/// recursive reference.
+/// point. The probe runs on the context [`route`] picks, sequentially
+/// (`par = None`) or on the frontier driver. `store` is the refutation
+/// memo every memo-backed core probes and feeds — pass the same store
+/// across probes or requests to reuse recorded refutations, or `None`
+/// for the memo-free search; the recursive kernel ignores it. The third
+/// component reports why an inconclusive search stopped.
 pub(crate) fn budget_search(
     u: &TileUniverse,
     spec: &CoverSpec,
@@ -1011,31 +1090,68 @@ pub(crate) fn budget_search(
     lim: &RunLimits,
     sym: SymmetryMode,
     store: Option<&MemoStore>,
-) -> (Outcome, Stats, Option<Exhaustion>) {
-    if spec.is_unit() {
-        crate::search_core::search_iterative(u, spec, budget, lim, sym, store)
-    } else if spec.max_demand() <= 3 {
-        let n = u.ring().n() as u64;
-        let wsum: u64 = (0..u.num_chords())
-            .map(|d| spec.demand[d as usize] as u64 * u.dist_of_pri(u.pri_of_dense(d)) as u64)
-            .sum();
-        let cap = budget as u64 * n;
-        if cap >= wsum && cap - wsum < n {
-            crate::dlx::search_partition(u, spec, budget, lim, sym, store)
-        } else {
-            crate::search_core::search_lanes(u, spec, budget, lim, sym, store)
+    par: Parallelism,
+) -> Probe {
+    search_route(
+        route(u, spec, budget),
+        u,
+        spec,
+        budget,
+        lim,
+        sym,
+        store,
+        par,
+    )
+}
+
+/// [`budget_search`] on a given route. Partition-route probes are
+/// recorded in [`Stats::partition_probes`].
+///
+/// # Panics
+/// Panics if a lane route meets a demand above 3.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn search_route(
+    route: Route,
+    u: &TileUniverse,
+    spec: &CoverSpec,
+    budget: u32,
+    lim: &RunLimits,
+    sym: SymmetryMode,
+    store: Option<&MemoStore>,
+    par: Parallelism,
+) -> Probe {
+    let frontier = Frontier::default();
+    let f = &frontier;
+    match route {
+        Route::Unit => drive(f, lim, par, store, |g| {
+            IterCore::new(u, spec, budget, g, sym, store)
+        }),
+        Route::Lanes => {
+            let lanes = LaneTables::build(u);
+            drive(f, lim, par, store, |g| {
+                LaneCore::new(u, spec, budget, g, sym, store, &lanes)
+            })
         }
-    } else {
-        search::<MultiKernel>(u, spec, budget, lim, sym)
+        Route::Partition => {
+            let lanes = LaneTables::build(u);
+            let (outcome, mut stats, cause) = drive(f, lim, par, store, |g| {
+                PartitionCore::new(u, spec, budget, g, sym, store, &lanes)
+            });
+            stats.partition_probes = 1;
+            (outcome, stats, cause)
+        }
+        Route::Multi => drive(f, lim, par, None, |g| {
+            SearchCtx::<MultiKernel>::new(u, spec, budget, g, sym)
+        }),
     }
 }
 
-/// The PR-3 **recursive** search path, kept callable as the differential
-/// reference for the iterative core: unit-demand specs on the recursive
-/// bitset kernel, λ-fold specs on the multiplicity kernel — never the
+/// The **recursive** search, kept callable as the differential
+/// reference for the iterative cores: unit-demand specs on the recursive
+/// bitset kernel, other specs on the multiplicity kernel — never the
 /// memo, never the setwise/canonical machinery. With the memo off the
-/// iterative core must agree with this function on verdicts, optima,
-/// *and exact node counts* (`tests/kernel_proptests.rs` pins it).
+/// iterative unit core must agree with this function on verdicts,
+/// optima, *and exact node counts* (`tests/kernel_proptests.rs` pins it).
 pub fn budget_search_reference(
     u: &TileUniverse,
     spec: &CoverSpec,
@@ -1044,17 +1160,18 @@ pub fn budget_search_reference(
     sym: SymmetryMode,
 ) -> (Outcome, Stats) {
     let lim = RunLimits::nodes_only(max_nodes);
+    let gov = Governor::new(&lim);
     let (o, s, _) = if spec.is_unit() {
-        search::<BitsetKernel>(u, spec, budget, &lim, sym)
+        SearchCtx::<BitsetKernel>::new(u, spec, budget, gov, sym).probe()
     } else {
-        search::<MultiKernel>(u, spec, budget, &lim, sym)
+        SearchCtx::<MultiKernel>::new(u, spec, budget, gov, sym).probe()
     };
     (o, s)
 }
 
 /// `budget_search` forced onto the word-parallel **lane core** for a
-/// λ ≤ 3 spec, bypassing the low-slack partition dispatch — the
-/// branch-and-bound counterpart path the partition kernel is measured
+/// λ ≤ 3 spec, bypassing the low-slack partition route — the
+/// branch-and-bound counterpart the partition kernel is measured
 /// against (benches gate partition witness rows strictly under it;
 /// differential tests pin verdicts and optima to it).
 ///
@@ -1070,15 +1187,15 @@ pub fn budget_search_packed(
 ) -> (Outcome, Stats) {
     assert!(spec.max_demand() <= 3, "lane core requires demands ≤ 3");
     let lim = RunLimits::nodes_only(max_nodes);
-    let (o, s, _) = crate::search_core::search_lanes(u, spec, budget, &lim, sym, store);
+    let (o, s, _) = search_route(Route::Lanes, u, spec, budget, &lim, sym, store, None);
     (o, s)
 }
 
 /// `budget_search` forced onto the **slack-budgeted partition
 /// kernel** ([`crate::dlx`]) regardless of the instance's slack — the
 /// direct entry benches and differential tests use to measure the
-/// partition route on any λ ≤ 3 spec (the auto-dispatch only reroutes
-/// when slack < n).
+/// partition route on any λ ≤ 3 spec (the route rule only picks it when
+/// slack < n).
 ///
 /// # Panics
 /// Panics if a demand exceeds 3 (the kernel's packed lane width).
@@ -1091,390 +1208,38 @@ pub fn budget_search_partition(
     store: Option<&MemoStore>,
 ) -> (Outcome, Stats) {
     let lim = RunLimits::nodes_only(max_nodes);
-    let (o, s, _) = crate::dlx::search_partition(u, spec, budget, &lim, sym, store);
+    let (o, s, _) = search_route(Route::Partition, u, spec, budget, &lim, sym, store, None);
     (o, s)
 }
 
 /// [`budget_search`] forced onto the multiplicity (`Vec<u32>`) kernel —
-/// the pre-bitset reference path for differential tests and benches.
-/// Always runs [`SymmetryMode::Off`]: this path *is* the measured
+/// the pre-bitset reference path behind the `legacy` engine. Always runs
+/// [`SymmetryMode::Off`] without the memo: this path *is* the measured
 /// "before".
 pub(crate) fn budget_search_legacy(
     u: &TileUniverse,
     spec: &CoverSpec,
     budget: u32,
     lim: &RunLimits,
-) -> (Outcome, Stats, Option<Exhaustion>) {
-    search::<MultiKernel>(u, spec, budget, lim, SymmetryMode::Off)
-}
-
-/// [`budget_search`] on the breadth-first frontier + `rayon` scope.
-/// `prefix_per_thread` controls how many independent prefixes are
-/// expanded per thread before the scope drains them. Unit-demand specs
-/// drain [`crate::search_core`] workers sharing one refutation store
-/// (each attached under its own generation, so cross-worker reuse shows
-/// up as `shared_hits`); λ ≤ 3 specs drain the lane-core workers the
-/// same way; only demands > 3 keep the recursive multiplicity workers.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn budget_search_parallel(
-    u: &TileUniverse,
-    spec: &CoverSpec,
-    budget: u32,
-    lim: &RunLimits,
-    threads: usize,
-    prefix_per_thread: usize,
-    sym: SymmetryMode,
-    store: Option<&MemoStore>,
-) -> (Outcome, Stats, Option<Exhaustion>) {
-    if spec.is_unit() {
-        crate::search_core::search_iterative_parallel(
-            u,
-            spec,
-            budget,
-            lim,
-            threads,
-            prefix_per_thread,
-            sym,
-            store,
-        )
-    } else if spec.max_demand() <= 3 {
-        crate::search_core::search_lanes_parallel(
-            u,
-            spec,
-            budget,
-            lim,
-            threads,
-            prefix_per_thread,
-            sym,
-            store,
-        )
-    } else {
-        search_parallel::<MultiKernel>(u, spec, budget, lim, threads, prefix_per_thread, sym)
-    }
-}
-
-/// Searches for a covering of `spec` using at most `budget` tiles from the
-/// universe. Exhaustive up to `max_nodes` search nodes. Unit-demand specs
-/// run on the bitset kernel; λ-fold specs on the multiplicity kernel.
-///
-/// Runs without symmetry reduction, preserving this function's historical
-/// node counts; the engine path defaults to [`SymmetryMode::Root`].
-#[deprecated(
-    since = "0.2.0",
-    note = "use the `SolveRequest`/`Engine` API in `cyclecover_solver::api`: \
-            engine \"bitset\" with `Objective::WithinBudget`; \
-            `SolveRequest::with_symmetry(SymmetryMode::Off)` reproduces this \
-            function's exact search"
-)]
-pub fn cover_spec_within_budget(
-    u: &TileUniverse,
-    spec: &CoverSpec,
-    budget: u32,
-    max_nodes: u64,
-) -> (Outcome, Stats) {
-    let (o, s, _) = budget_search(
+) -> Probe {
+    search_route(
+        Route::Multi,
         u,
         spec,
         budget,
-        &RunLimits::nodes_only(max_nodes),
+        lim,
         SymmetryMode::Off,
         None,
-    );
-    (o, s)
-}
-
-/// Reference implementation on the multiplicity (`Vec<u32>`) kernel
-/// regardless of the spec — the pre-bitset search path, kept callable for
-/// differential tests and before/after benchmarking.
-#[deprecated(
-    since = "0.2.0",
-    note = "use the `SolveRequest`/`Engine` API in `cyclecover_solver::api` \
-            (engine \"legacy\")"
-)]
-pub fn cover_spec_within_budget_legacy(
-    u: &TileUniverse,
-    spec: &CoverSpec,
-    budget: u32,
-    max_nodes: u64,
-) -> (Outcome, Stats) {
-    let (o, s, _) = budget_search_legacy(u, spec, budget, &RunLimits::nodes_only(max_nodes));
-    (o, s)
-}
-
-/// [`cover_spec_within_budget`] for the standard all-of-`K_n` spec.
-#[deprecated(
-    since = "0.2.0",
-    note = "use the `SolveRequest`/`Engine` API in `cyclecover_solver::api`: \
-            engine \"bitset\" with `Objective::WithinBudget`; \
-            `SolveRequest::with_symmetry(SymmetryMode::Off)` reproduces this \
-            function's exact search"
-)]
-pub fn cover_within_budget(u: &TileUniverse, budget: u32, max_nodes: u64) -> (Outcome, Stats) {
-    let spec = CoverSpec::complete(u.ring().n());
-    let (o, s, _) = budget_search(
-        u,
-        &spec,
-        budget,
-        &RunLimits::nodes_only(max_nodes),
-        SymmetryMode::Off,
         None,
-    );
-    (o, s)
-}
-
-/// Parallel variant: the tree is expanded breadth-first into a frontier of
-/// independent prefixes (several per thread), which a work-sharing `rayon`
-/// scope drains with a shared early-exit flag and node budget. Semantics
-/// match [`cover_spec_within_budget`] (up to which feasible solution is
-/// found). `threads = 0` uses the available parallelism.
-#[deprecated(
-    since = "0.2.0",
-    note = "use the `SolveRequest`/`Engine` API in `cyclecover_solver::api`: \
-            engine \"bitset-parallel\" (or `ExecPolicy::Parallel`); \
-            `SolveRequest::with_symmetry(SymmetryMode::Off)` reproduces this \
-            function's exact search"
-)]
-pub fn cover_spec_within_budget_parallel(
-    u: &TileUniverse,
-    spec: &CoverSpec,
-    budget: u32,
-    max_nodes: u64,
-    threads: usize,
-) -> (Outcome, Stats) {
-    let (o, s, _) = budget_search_parallel(
-        u,
-        spec,
-        budget,
-        &RunLimits::nodes_only(max_nodes),
-        threads,
-        DEFAULT_PREFIX_PER_THREAD,
-        SymmetryMode::Off,
-        None,
-    );
-    (o, s)
+    )
 }
 
 /// Frontier prefixes expanded per thread when the caller does not choose
 /// (`prefix_depth = 3` in [`crate::api::ExecPolicy::Parallel`] terms).
 pub(crate) const DEFAULT_PREFIX_PER_THREAD: usize = 8;
 
-/// The recursive frontier-parallel driver (λ-fold specs; unit specs run
-/// `crate::search_core::search_iterative_parallel`, which mirrors this
-/// function stanza for stanza — a fix to either's scheduling logic
-/// belongs in both).
-fn search_parallel<K: Kernel>(
-    u: &TileUniverse,
-    spec: &CoverSpec,
-    budget: u32,
-    lim: &RunLimits,
-    threads: usize,
-    prefix_per_thread: usize,
-    sym: SymmetryMode,
-) -> (Outcome, Stats, Option<Exhaustion>) {
-    let max_nodes = lim.max_nodes;
-    // `num_threads(0)` = available parallelism, mirroring rayon's builder.
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(threads)
-        .build()
-        .expect("thread pool");
-    let threads = pool.current_num_threads();
-    let mut root = SearchCtx::<K>::new(u, spec, budget, lim, sym);
-    if root.kernel.satisfied() {
-        return (Outcome::Feasible(Vec::new()), root.stats, None);
-    }
-    let root_infeasible = root.kernel.remaining_lb(u) > budget as u64
-        || (root.strong && root.kernel.strong_lb(u, budget as u64) > budget as u64);
-    if root_infeasible {
-        // Count the root node, matching what the sequential dfs reports
-        // for the identical workload.
-        return (
-            Outcome::Infeasible,
-            Stats {
-                nodes: 1,
-                pruned: 1,
-                sym_factor: 1,
-                ..Stats::default()
-            },
-            None,
-        );
-    }
-
-    // Breadth-first frontier expansion: keep splitting the shallowest
-    // prefix until there are enough independent tasks to keep every thread
-    // busy through subtree-size imbalance.
-    let target = threads * prefix_per_thread.max(1);
-    let mut frontier: VecDeque<Vec<u32>> = VecDeque::from([Vec::new()]);
-    while frontier.len() < target {
-        let Some(prefix) = frontier.pop_front() else {
-            break;
-        };
-        if let Some(cause) = lim.stop_requested() {
-            return (Outcome::NodeLimit, root.stats, Some(cause));
-        }
-        for &t in &prefix {
-            root.place(t);
-        }
-        let mut early: Option<Outcome> = None;
-        if root.kernel.satisfied() {
-            early = Some(Outcome::Feasible(root.chosen.clone()));
-        } else {
-            root.stats.nodes += 1;
-            let prefix_slack = (budget as u64).saturating_sub(root.chosen.len() as u64);
-            if root.stats.nodes > max_nodes {
-                early = Some(Outcome::NodeLimit);
-            } else if root.chosen.len() as u64 + root.kernel.remaining_lb(u)
-                > budget as u64
-                || (root.strong && root.kernel.strong_lb(u, prefix_slack) > prefix_slack)
-            {
-                // The prefix dies here; nothing gets enqueued.
-                root.stats.pruned += 1;
-            } else {
-                let branch = root.kernel.branch_chord().expect("unsatisfied");
-                for t in root.sorted_candidates(branch) {
-                    let mut child = prefix.clone();
-                    child.push(t);
-                    frontier.push_back(child);
-                }
-            }
-        }
-        for &t in prefix.iter().rev() {
-            root.unplace(t);
-        }
-        if let Some(outcome) = early {
-            let cause = matches!(outcome, Outcome::NodeLimit)
-                .then_some(Exhaustion::NodeBudget);
-            return (outcome, root.stats, cause);
-        }
-    }
-    let expand_stats = root.stats;
-    drop(root);
-    if frontier.is_empty() {
-        // Every prefix was pruned or expanded away: exhaustive.
-        return (Outcome::Infeasible, expand_stats, None);
-    }
-
-    let found = AtomicBool::new(false);
-    let limit_hit = AtomicBool::new(false);
-    // Why the first externally-stopped worker stopped (0 = none; see
-    // `encode_cause`). Deadline/cancel out-rank the node budget so a
-    // request that trips both reports the wall-clock cause.
-    let stop_cause = AtomicU8::new(0);
-    let nodes = AtomicU64::new(expand_stats.nodes);
-    let pruned = AtomicU64::new(expand_stats.pruned);
-    let dominated = AtomicU64::new(expand_stats.dominated);
-    let sym_pruned = AtomicU64::new(expand_stats.sym_pruned);
-    let sym_factor = AtomicU32::new(expand_stats.sym_factor);
-    let solution = std::sync::Mutex::new(None::<Vec<u32>>);
-
-    pool.scope(|scope| {
-        for prefix in &frontier {
-            let found = &found;
-            let limit_hit = &limit_hit;
-            let stop_cause = &stop_cause;
-            let nodes = &nodes;
-            let pruned = &pruned;
-            let dominated = &dominated;
-            let sym_pruned = &sym_pruned;
-            let sym_factor = &sym_factor;
-            let solution = &solution;
-            scope.spawn(move |_| {
-                if found.load(Ordering::Relaxed) {
-                    return;
-                }
-                // The node budget is global: every worker flushes its
-                // local count into `nodes` each 1024 nodes and aborts once
-                // the shared total passes `max_nodes`, so total work
-                // overshoots by at most `threads × 1024` nodes.
-                if nodes.load(Ordering::Relaxed) >= max_nodes {
-                    limit_hit.store(true, Ordering::Relaxed);
-                    stop_cause.fetch_max(encode_cause(Exhaustion::NodeBudget), Ordering::Relaxed);
-                    return;
-                }
-                // Workers inherit the deadline and cancellation flag (the
-                // per-worker node cap is lifted in favor of the shared
-                // counter above), so a wall-clock deadline stops every
-                // worker within ~4096 nodes.
-                let worker_lim = RunLimits {
-                    max_nodes: u64::MAX,
-                    deadline: lim.deadline,
-                    cancel: lim.cancel.clone(),
-                };
-                let mut ctx = SearchCtx::<K>::new(u, spec, budget, &worker_lim, sym);
-                ctx.early_exit = Some(found);
-                ctx.shared_nodes = Some((nodes, max_nodes));
-                for &t in prefix {
-                    ctx.place(t);
-                }
-                let ok = ctx.dfs();
-                // Flush the unsynced remainder so the reported total is exact.
-                ctx.sync_shared_nodes();
-                pruned.fetch_add(ctx.stats.pruned, Ordering::Relaxed);
-                dominated.fetch_add(ctx.stats.dominated, Ordering::Relaxed);
-                sym_pruned.fetch_add(ctx.stats.sym_pruned, Ordering::Relaxed);
-                sym_factor.fetch_max(ctx.stats.sym_factor, Ordering::Relaxed);
-                if ok {
-                    found.store(true, Ordering::Relaxed);
-                    *solution.lock().expect("poison-free") = Some(ctx.chosen.clone());
-                    return;
-                }
-                if ctx.hit_limit && !found.load(Ordering::Relaxed) {
-                    limit_hit.store(true, Ordering::Relaxed);
-                    if let Some(cause) = ctx.stop_cause {
-                        stop_cause.fetch_max(encode_cause(cause), Ordering::Relaxed);
-                    }
-                }
-            });
-        }
-    });
-
-    let stats = Stats {
-        nodes: nodes.load(Ordering::Relaxed),
-        pruned: pruned.load(Ordering::Relaxed),
-        dominated: dominated.load(Ordering::Relaxed),
-        sym_pruned: sym_pruned.load(Ordering::Relaxed),
-        sym_factor: sym_factor.load(Ordering::Relaxed),
-        // The recursive parallel driver never runs the memo machinery
-        // (λ-fold specs only — the iterative core serves unit specs).
-        ..Stats::default()
-    };
-    let sol = solution.lock().expect("poison-free").take();
-    match sol {
-        Some(sol) => (Outcome::Feasible(sol), stats, None),
-        None if limit_hit.load(Ordering::Relaxed) => (
-            Outcome::NodeLimit,
-            stats,
-            Some(decode_cause(stop_cause.load(Ordering::Relaxed))),
-        ),
-        None => (Outcome::Infeasible, stats, None),
-    }
-}
-
-/// Ranks stop causes for the parallel aggregation (`fetch_max`): an
-/// explicit cancellation or deadline is more informative than "ran out of
-/// nodes", so it wins when workers disagree.
-pub(crate) fn encode_cause(c: Exhaustion) -> u8 {
-    match c {
-        Exhaustion::EngineLimit => 1,
-        Exhaustion::NodeBudget => 2,
-        Exhaustion::Deadline => 3,
-        Exhaustion::Cancelled => 4,
-        Exhaustion::Shutdown => 5,
-    }
-}
-
-pub(crate) fn decode_cause(code: u8) -> Exhaustion {
-    match code {
-        3 => Exhaustion::Deadline,
-        4 => Exhaustion::Cancelled,
-        5 => Exhaustion::Shutdown,
-        _ => Exhaustion::NodeBudget,
-    }
-}
-
 /// The deepening start budget for a spec: the combinatorial bound for the
-/// complete instance, the capacity bound otherwise. Shared by the
-/// deprecated `solve_optimal*` family and the [`crate::api`] engines so
-/// both explore the identical budget ladder.
+/// complete instance, the capacity bound otherwise.
 pub(crate) fn deepening_start(u: &TileUniverse, spec: &CoverSpec) -> u32 {
     let n = u.ring().n();
     let base = spec.capacity_lower_bound(u.ring());
@@ -1485,128 +1250,49 @@ pub(crate) fn deepening_start(u: &TileUniverse, spec: &CoverSpec) -> u32 {
     }
 }
 
-/// Optimal covering by iterative deepening from the combinatorial lower
-/// bound. Returns the tiles and the optimum, or `None` if the node limit
-/// was hit before a conclusion.
-#[deprecated(
-    since = "0.2.0",
-    note = "use the `SolveRequest`/`Engine` API in `cyclecover_solver::api` \
-            (engine \"bitset\" with `Objective::FindOptimal`)"
-)]
-pub fn solve_optimal(u: &TileUniverse, max_nodes: u64) -> Option<(Vec<Tile>, u32, Stats)> {
-    let spec = CoverSpec::complete(u.ring().n());
-    solve_optimal_spec_with(u, &spec, budget_search_off, max_nodes)
-}
-
-/// [`budget_search`] pinned to [`SymmetryMode::Off`] with the memo
-/// disabled — the deprecated free functions' historical search, bit for
-/// bit.
-fn budget_search_off(
-    u: &TileUniverse,
-    spec: &CoverSpec,
-    budget: u32,
-    lim: &RunLimits,
-) -> (Outcome, Stats, Option<Exhaustion>) {
-    budget_search(u, spec, budget, lim, SymmetryMode::Off, None)
-}
-
-/// Optimal covering for an arbitrary [`CoverSpec`], by iterative deepening
-/// from the spec's capacity bound.
-#[deprecated(
-    since = "0.2.0",
-    note = "use the `SolveRequest`/`Engine` API in `cyclecover_solver::api` \
-            (engine \"bitset\" with `Objective::FindOptimal`)"
-)]
-pub fn solve_optimal_spec(
-    u: &TileUniverse,
-    spec: &CoverSpec,
-    max_nodes: u64,
-) -> Option<(Vec<Tile>, u32, Stats)> {
-    solve_optimal_spec_with(u, spec, budget_search_off, max_nodes)
-}
-
-/// [`solve_optimal_spec`] with every deepening step run on the parallel
-/// frontier search over `threads` threads.
-#[deprecated(
-    since = "0.2.0",
-    note = "use the `SolveRequest`/`Engine` API in `cyclecover_solver::api` \
-            (engine \"bitset-parallel\" with `Objective::FindOptimal`)"
-)]
-pub fn solve_optimal_spec_parallel(
-    u: &TileUniverse,
-    spec: &CoverSpec,
-    max_nodes: u64,
-    threads: usize,
-) -> Option<(Vec<Tile>, u32, Stats)> {
-    solve_optimal_spec_with(
-        u,
-        spec,
-        |u, spec, budget, lim| {
-            budget_search_parallel(
-                u,
-                spec,
-                budget,
-                lim,
-                threads,
-                DEFAULT_PREFIX_PER_THREAD,
-                SymmetryMode::Off,
-                None,
-            )
-        },
-        max_nodes,
-    )
-}
-
-fn solve_optimal_spec_with(
-    u: &TileUniverse,
-    spec: &CoverSpec,
-    run: impl Fn(&TileUniverse, &CoverSpec, u32, &RunLimits) -> (Outcome, Stats, Option<Exhaustion>),
-    max_nodes: u64,
-) -> Option<(Vec<Tile>, u32, Stats)> {
-    let lim = RunLimits::nodes_only(max_nodes);
-    let mut budget = deepening_start(u, spec);
-    let mut total = Stats::default();
-    loop {
-        let (outcome, stats, _) = run(u, spec, budget, &lim);
-        total.absorb(stats);
-        match outcome {
-            Outcome::Feasible(idx) => {
-                let tiles = idx.into_iter().map(|i| u.tile(i).clone()).collect();
-                return Some((tiles, budget, total));
-            }
-            Outcome::Infeasible => budget += 1,
-            Outcome::NodeLimit => return None,
-        }
-    }
-}
-
-/// Certifies that no covering with at most `budget` tiles exists.
-/// Returns `Some(true)` for a completed infeasibility proof, `Some(false)`
-/// if a covering was found, `None` if the node limit was hit.
-#[deprecated(
-    since = "0.2.0",
-    note = "use the `SolveRequest`/`Engine` API in `cyclecover_solver::api` \
-            (`Objective::ProveInfeasible`)"
-)]
-pub fn prove_infeasible(u: &TileUniverse, budget: u32, max_nodes: u64) -> Option<bool> {
-    let spec = CoverSpec::complete(u.ring().n());
-    match budget_search_off(u, &spec, budget, &RunLimits::nodes_only(max_nodes)).0 {
-        Outcome::Infeasible => Some(true),
-        Outcome::Feasible(_) => Some(false),
-        Outcome::NodeLimit => None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::lower_bound::rho_formula;
     use cyclecover_graph::EdgeMultiset;
-    use cyclecover_ring::Ring;
+    use cyclecover_ring::{Ring, Tile};
 
-    // Kernel-level wrappers over the engine internals, mirroring the
-    // deprecated free functions' signatures (the public path is covered
-    // by `api`'s tests and `tests/engine_conformance.rs`).
+    /// [`budget_search`] pinned to [`SymmetryMode::Off`] with the memo
+    /// disabled — the historical search, bit for bit.
+    fn budget_search_off(
+        u: &TileUniverse,
+        spec: &CoverSpec,
+        budget: u32,
+        lim: &RunLimits,
+    ) -> Probe {
+        budget_search(u, spec, budget, lim, SymmetryMode::Off, None, None)
+    }
+
+    /// Optimal covering by iterative deepening from [`deepening_start`],
+    /// each probe run by `run`; `None` if the node limit was hit first.
+    fn solve_optimal_spec_with(
+        u: &TileUniverse,
+        spec: &CoverSpec,
+        run: impl Fn(&TileUniverse, &CoverSpec, u32, &RunLimits) -> Probe,
+        max_nodes: u64,
+    ) -> Option<(Vec<Tile>, u32, Stats)> {
+        let lim = RunLimits::nodes_only(max_nodes);
+        let mut budget = deepening_start(u, spec);
+        let mut total = Stats::default();
+        loop {
+            let (outcome, stats, _) = run(u, spec, budget, &lim);
+            total.absorb(stats);
+            match outcome {
+                Outcome::Feasible(idx) => {
+                    let tiles = idx.into_iter().map(|i| u.tile(i).clone()).collect();
+                    return Some((tiles, budget, total));
+                }
+                Outcome::Infeasible => budget += 1,
+                Outcome::NodeLimit => return None,
+            }
+        }
+    }
+
     fn within(u: &TileUniverse, spec: &CoverSpec, budget: u32, max_nodes: u64) -> (Outcome, Stats) {
         let (o, s, _) = budget_search_off(u, spec, budget, &RunLimits::nodes_only(max_nodes));
         (o, s)
@@ -1619,14 +1305,8 @@ mod tests {
         max_nodes: u64,
         sym: SymmetryMode,
     ) -> (Outcome, Stats) {
-        let (o, s, _) = budget_search(
-            u,
-            spec,
-            budget,
-            &RunLimits::nodes_only(max_nodes),
-            sym,
-            None,
-        );
+        let lim = RunLimits::nodes_only(max_nodes);
+        let (o, s, _) = budget_search(u, spec, budget, &lim, sym, None, None);
         (o, s)
     }
 
@@ -1638,14 +1318,8 @@ mod tests {
         sym: SymmetryMode,
     ) -> (Outcome, Stats) {
         let store = MemoStore::new(u, DEFAULT_MEMO_BYTES);
-        let (o, s, _) = budget_search(
-            u,
-            spec,
-            budget,
-            &RunLimits::nodes_only(max_nodes),
-            sym,
-            store.as_ref(),
-        );
+        let lim = RunLimits::nodes_only(max_nodes);
+        let (o, s, _) = budget_search(u, spec, budget, &lim, sym, store.as_ref(), None);
         (o, s)
     }
 
@@ -1665,17 +1339,11 @@ mod tests {
         budget: u32,
         max_nodes: u64,
         threads: usize,
+        sym: SymmetryMode,
     ) -> (Outcome, Stats) {
-        let (o, s, _) = budget_search_parallel(
-            u,
-            spec,
-            budget,
-            &RunLimits::nodes_only(max_nodes),
-            threads,
-            DEFAULT_PREFIX_PER_THREAD,
-            SymmetryMode::Off,
-            None,
-        );
+        let lim = RunLimits::nodes_only(max_nodes);
+        let par = Some((threads, DEFAULT_PREFIX_PER_THREAD));
+        let (o, s, _) = budget_search(u, spec, budget, &lim, sym, None, par);
         (o, s)
     }
 
@@ -1755,11 +1423,12 @@ mod tests {
             let spec = CoverSpec::complete(n);
             let budget = rho_formula(n) as u32;
             let (seq, _) = within(&u, &spec, budget - 1, 100_000_000);
-            let (par, _) = within_parallel(&u, &spec, budget - 1, 100_000_000, 4);
+            let (par, _) =
+                within_parallel(&u, &spec, budget - 1, 100_000_000, 4, SymmetryMode::Off);
             assert_eq!(seq, Outcome::Infeasible, "n={n}");
             assert_eq!(par, Outcome::Infeasible, "n={n}");
             let (seq_ok, _) = within(&u, &spec, budget, 100_000_000);
-            let (par_ok, _) = within_parallel(&u, &spec, budget, 100_000_000, 4);
+            let (par_ok, _) = within_parallel(&u, &spec, budget, 100_000_000, 4, SymmetryMode::Off);
             assert!(matches!(seq_ok, Outcome::Feasible(_)), "n={n}");
             assert!(matches!(par_ok, Outcome::Feasible(_)), "n={n}");
         }
@@ -1953,31 +1622,13 @@ mod tests {
         let spec = CoverSpec::complete(8);
         for sym in [SymmetryMode::Root, SymmetryMode::Full] {
             let (seq, seq_stats) = within_sym(&u, &spec, 8, 100_000_000, sym);
-            let (par, par_stats, _) = budget_search_parallel(
-                &u,
-                &spec,
-                8,
-                &RunLimits::nodes_only(100_000_000),
-                4,
-                DEFAULT_PREFIX_PER_THREAD,
-                sym,
-                None,
-            );
+            let (par, par_stats) = within_parallel(&u, &spec, 8, 100_000_000, 4, sym);
             assert_eq!(seq, Outcome::Infeasible, "{sym:?}");
             assert_eq!(par, Outcome::Infeasible, "{sym:?}");
             // Both prune the capacity-tight root via the parity bound.
             assert_eq!(seq_stats.nodes, 1, "{sym:?}");
             assert_eq!(par_stats.nodes, 1, "{sym:?}");
-            let (par_ok, ok_stats, _) = budget_search_parallel(
-                &u,
-                &spec,
-                9,
-                &RunLimits::nodes_only(100_000_000),
-                4,
-                DEFAULT_PREFIX_PER_THREAD,
-                sym,
-                None,
-            );
+            let (par_ok, ok_stats) = within_parallel(&u, &spec, 9, 100_000_000, 4, sym);
             assert!(matches!(par_ok, Outcome::Feasible(_)), "{sym:?}");
             // The witness search's frontier expansion reduced its root by
             // the order-4 diameter-chord stabilizer.
@@ -2048,7 +1699,7 @@ mod tests {
         let spec = CoverSpec::complete(8);
         let lim = RunLimits::nodes_only(50_000_000);
         let store = MemoStore::new(&u, 0);
-        let (o, s, _) = budget_search(&u, &spec, 8, &lim, SymmetryMode::Off, store.as_ref());
+        let (o, s, _) = budget_search(&u, &spec, 8, &lim, SymmetryMode::Off, store.as_ref(), None);
         assert_eq!(o, Outcome::Infeasible);
         assert!(s.nodes <= 97_465, "worse than memo-free: {s:?}");
         assert!(s.memo_entries > 0, "{s:?}");

@@ -8,17 +8,17 @@
 //!   with live counts, MRV column selection. Used by the design-theory
 //!   baselines (`cyclecover-design`) and tests that need "find any
 //!   exact decomposition".
-//! * `PartitionCore` / `search_partition` — the cycle-covering
-//!   search re-posed as a *slack-budgeted exact cover*: columns are the
-//!   priority chords (packed 2-bit residual lanes for demands ≤ 3, the
-//!   [`crate::bitset::LaneSet`] the λ-fold core uses), rows are the
-//!   tiles, and one extra global resource — the **waste budget**
-//!   `slack = budget·n − λ·Σd(e)` — absorbs every unit of cycle length
-//!   not spent covering residual demand. The paper's capacity bound
-//!   `⌈λ·Σd(e)/n⌉` (Theorem 1 / Proposition 1) says exactly that a
-//!   `k`-tile covering wastes `k·n − λ·Σd(e)`; near-tight instances
-//!   (the Theorem 1/2 rows, the n ≡ 0 (mod 8) probes) leave the search
-//!   almost no slack, and this kernel exploits it:
+//! * `PartitionCore` — the cycle-covering search re-posed as a
+//!   *slack-budgeted exact cover*: columns are the priority chords
+//!   (packed 2-bit residual lanes for demands ≤ 3, the
+//!   `crate::search_core::LaneResidual` it shares with the lane core),
+//!   rows are the tiles, and one extra global resource — the **waste
+//!   budget** `slack = budget·n − λ·Σd(e)` — absorbs every unit of cycle
+//!   length not spent covering residual demand. The paper's capacity
+//!   bound `⌈λ·Σd(e)/n⌉` (Theorem 1 / Proposition 1) says exactly that a
+//!   `k`-tile covering wastes `k·n − λ·Σd(e)`; near-tight instances (the
+//!   Theorem 1/2 rows, the n ≡ 0 (mod 8) probes) leave the search almost
+//!   no slack, and this kernel exploits it:
 //!
 //!   * **MRV column selection.** Instead of branching on the
 //!     highest-priority residual chord, each node branches on the
@@ -32,31 +32,28 @@
 //!     applied without spawning the node. Once remaining slack falls
 //!     below the cheapest positive tile waste, only full-load tiles
 //!     survive and the candidate set collapses to the partition rows.
-//!   * **Reused machinery, where sound.** Subset-dominance filtering
-//!     (waste-filter first, then dominance: a dominator covers a
-//!     superset of the dominated tile's live chords, so its waste
-//!     increment is no larger and it survives the filter whenever the
-//!     dominated tile does), dihedral orbit reduction (pointwise, as
-//!     the lane core), the capacity/diameter/vertex-degree and
-//!     parity/T-join bounds, in-kernel deadline/cancel checks, and the
-//!     refutation memo — keyed by the packed residual lanes under a
-//!     **waste-slack** `rem` (lane width tag 3 in `crate::memo`):
-//!     "no completion of this residual state wastes ≤ `rem`". Since a
-//!     `k`-tile completion of a state `R` wastes exactly
+//!   * **Everything else is the shared frame machinery** of
+//!     `crate::search_core`, where it is sound: subset-dominance
+//!     filtering (after the waste filter: a dominator covers a superset
+//!     of the dominated tile's live chords, so its waste increment is no
+//!     larger and it survives the filter whenever the dominated tile
+//!     does), pointwise dihedral orbit reduction, the capacity,
+//!     diameter, vertex-degree and parity/T-join bounds, the in-kernel
+//!     limit checks, the search-core drivers (sequential and
+//!     frontier-parallel), and the refutation memo — keyed by the packed
+//!     residual lanes under a **waste-slack** `rem` (lane width tag 3 in
+//!     `crate::memo`): "no completion of this residual state wastes ≤
+//!     `rem`". Since a `k`-tile completion of a state `R` wastes exactly
 //!     `k·n − Σ residual-dist(R)`, the statement is budget-free and
 //!     monotone in `rem`, so the store's dominated/record rules apply
 //!     unchanged.
 
-use crate::api::Exhaustion;
-use crate::bitset::{ChordSet, LaneSet, LANES_PER_WORD, LANE_LOW};
-use crate::bnb::{CoverSpec, Outcome, RunLimits, Stats, SymmetryMode};
-use crate::lower_bound::{diameter_slack_bound, parity_join_bound_from_odd};
+use crate::bnb::{CoverSpec, Stats, SymmetryMode};
 use crate::memo::{MemoStore, KEY_WORDS};
-use crate::search_core::{DomArena, LaneTables};
-use crate::tiles::DihedralTables;
+use crate::search_core::{
+    run_frames, FrameCore, Governor, LaneResidual, LaneTables, MemoEntry, Probe, SearchCore, Stack,
+};
 use crate::TileUniverse;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::time::Instant;
 
 /// A (mutable) exact-cover problem instance.
 ///
@@ -287,60 +284,22 @@ impl ExactCover {
 // The slack-budgeted partition kernel
 // ---------------------------------------------------------------------------
 
-/// Per-depth iteration state of the partition kernel — the lane/bitset
-/// cores' frame, with candidates staged by the MRV column choice.
-#[derive(Default)]
-struct PartFrame {
-    /// `(tile, live coverage, exact waste increment)` scoring scratch.
-    scored: Vec<(u32, u32, u32)>,
-    /// Candidates surviving the waste filter, dominance, and orbit
-    /// filtering, in order.
-    cands: Vec<u32>,
-    cursor: usize,
-    /// Residual-state key/hash at node entry (memo bookkeeping).
-    key: [u64; KEY_WORDS],
-    hash: u64,
-    memoable: bool,
-}
-
-/// What happened when the loop entered a node.
-enum PartEnter {
-    Solved,
-    Abort,
-    Dead,
-    Ready,
-}
-
-/// The slack-budgeted exact-cover search over packed residual lanes —
-/// [`crate::search_core`]'s lane core re-armed for capacity-tight
-/// instances. See the module docs for the column/row/waste-budget
-/// formulation and what is reused versus new.
+/// The slack-budgeted exact-cover search: the lane core's
+/// [`LaneResidual`] and frame machinery, plus the three things that make
+/// it a partition planner — the waste budget, the MRV branch choice, and
+/// the waste filter. See the module docs for the formulation.
 pub(crate) struct PartitionCore<'a> {
-    u: &'a TileUniverse,
-    lanes: &'a LaneTables,
-    budget: u32,
-    n: u32,
-    /// The root waste budget `budget·n − λ·Σd(e)` (clamped to 0 when
-    /// the budget is below capacity — the root bound prune fires before
-    /// the slack is ever consulted).
+    s: Stack<'a>,
+    r: LaneResidual<'a>,
+    /// The root waste budget `budget·n − λ·Σd(e)` (clamped to 0 when the
+    /// budget is below capacity — the root bound prune fires before the
+    /// slack is ever consulted).
     slack: u64,
     /// Waste spent by the placed prefix: `Σ (n − useful(t))` over
     /// placements, where `useful` counts only newly decremented chords.
-    /// Invariant: `placed·n = covered-dist + waste_used`, and the
-    /// candidate filter keeps `waste_used ≤ slack` at every node.
+    /// Invariant: `placed·n = covered-dist + waste_used`, and the waste
+    /// filter keeps `waste_used ≤ slack` at every node.
     waste_used: u64,
-
-    // ---- residual state, maintained on place/unplace ----
-    residual: LaneSet,
-    /// Chords with residual > 0 — the unit-machinery view of the state.
-    support: ChordSet,
-    rem_dist: u64,
-    rem_diam: u64,
-    deg: Vec<u32>,
-    odd: u64,
-    hash: u64,
-
-    // ---- MRV tables ----
     /// Static tile wastes (`n − load`) of each chord's candidates,
     /// sorted ascending: `waste_sorted[waste_off[c]..waste_off[c+1]]`.
     /// A `partition_point` at the remaining slack counts how many
@@ -348,36 +307,6 @@ pub(crate) struct PartitionCore<'a> {
     /// bounds the exact increment, so the count never undercounts).
     waste_sorted: Vec<u32>,
     waste_off: Vec<u32>,
-
-    // ---- the explicit stack ----
-    frames: Vec<PartFrame>,
-    /// `undo[d]`: per lane word, the decrement mask depth `d` applied.
-    undo: Vec<Vec<u64>>,
-    chosen: Vec<u32>,
-
-    // ---- dominance arena ----
-    dom: DomArena,
-
-    // ---- statistics and limits ----
-    stats: Stats,
-    max_nodes: u64,
-    hit_limit: bool,
-    stop_cause: Option<Exhaustion>,
-    deadline: Option<Instant>,
-    cancel: Option<&'a AtomicBool>,
-
-    // ---- symmetry (pointwise, as the lane core) ----
-    mode: SymmetryMode,
-    strong: bool,
-    sym: Option<&'a DihedralTables>,
-    spec_group: u64,
-    stab_stack: Vec<u64>,
-    sym_seen: Vec<u64>,
-    sym_stamp: u64,
-
-    // ---- memo (lane width 3: waste-slack entries) ----
-    store: Option<&'a MemoStore>,
-    gen: u32,
 }
 
 impl<'a> PartitionCore<'a> {
@@ -385,576 +314,145 @@ impl<'a> PartitionCore<'a> {
         u: &'a TileUniverse,
         spec: &CoverSpec,
         budget: u32,
-        lim: &'a RunLimits,
+        gov: Governor<'a>,
         requested: SymmetryMode,
         store: Option<&'a MemoStore>,
-        lanes: &'a LaneTables,
+        tables: &'a LaneTables,
     ) -> Self {
-        let m = u.num_chords();
-        assert_eq!(spec.demand.len(), m as usize, "spec size mismatch");
         assert!(
             spec.max_demand() <= 3,
             "partition kernel requires demands ≤ 3"
         );
-        let strong = requested != SymmetryMode::Off;
-        let (mode, sym, spec_group) = crate::bnb::resolve_symmetry(u, spec, requested);
-
-        let n = u.ring().n();
-        let diam = u.diam_chords();
-        let mut residual = LaneSet::zero(m);
-        let mut support = ChordSet::empty(m);
-        let mut rem_dist = 0u64;
-        let mut rem_diam = 0u64;
-        let mut deg = vec![0u32; n as usize];
-        for pri in 0..m {
-            let need = spec.demand[u.dense_of_pri(pri) as usize];
-            if need > 0 {
-                residual.set(pri, need);
-                support.insert(pri);
-                rem_dist += need as u64 * u.dist_of_pri(pri) as u64;
-                if pri < diam {
-                    rem_diam += need as u64;
-                }
-                let (a, b) = u.chord_ends_of_pri(pri);
-                deg[a as usize] += need;
-                deg[b as usize] += need;
-            }
-        }
-        let odd = deg.iter().filter(|&&d| d & 1 == 1).count() as u64;
-        let slack = (budget as u64 * n as u64).saturating_sub(rem_dist);
-
-        let mut waste_off = Vec::with_capacity(m as usize + 1);
-        waste_off.push(0u32);
+        let s = Stack::new(u, spec, budget, gov, requested, store, 3);
+        let r = LaneResidual::new(&s, spec, tables);
+        let slack = (budget as u64 * u.ring().n() as u64).saturating_sub(r.d.rem_dist);
+        let mut waste_off = vec![0u32];
         let mut waste_sorted = Vec::new();
-        for c in 0..m {
+        for c in 0..u.num_chords() {
             let start = waste_sorted.len();
             waste_sorted.extend(u.candidates_pri(c).iter().map(|&t| u.tile_waste(t)));
             waste_sorted[start..].sort_unstable();
             waste_off.push(waste_sorted.len() as u32);
         }
-
-        let store = store.filter(|s| s.compatible(u));
-        let gen = store.map_or(0, |s| s.attach());
-        let hash = store.map_or(0, |s| {
-            support.iter().fold(0u64, |mut h, c| {
-                for v in 1..=residual.get(c) {
-                    h ^= s.chord_level_key(c, v);
-                }
-                h
-            })
-        });
-
         PartitionCore {
-            u,
-            lanes,
-            budget,
-            n,
+            s,
+            r,
             slack,
             waste_used: 0,
-            residual,
-            support,
-            rem_dist,
-            rem_diam,
-            deg,
-            odd,
-            hash,
             waste_sorted,
             waste_off,
-            frames: Vec::new(),
-            undo: Vec::new(),
-            chosen: Vec::new(),
-            dom: DomArena::new(u),
-            stats: Stats {
-                sym_factor: 1,
-                partition_probes: 1,
-                ..Stats::default()
-            },
-            max_nodes: lim.max_nodes,
-            hit_limit: false,
-            stop_cause: None,
-            deadline: lim.deadline,
-            cancel: lim.cancel.as_ref().map(|c| c.flag()),
-            mode,
-            strong,
-            sym,
-            spec_group,
-            stab_stack: if mode == SymmetryMode::Full {
-                vec![spec_group]
-            } else {
-                Vec::new()
-            },
-            sym_seen: Vec::new(),
-            sym_stamp: 0,
-            store,
-            gen,
         }
     }
 
-    /// Places tile `t` — the lane core's masked subtract and incremental
-    /// sweep, plus waste accounting: the placement's exact waste
-    /// increment is `n` minus the distance of the chords it newly
-    /// decremented.
+    /// The waste the prefix may still spend.
+    fn rem_slack(&self) -> u64 {
+        self.slack - self.waste_used
+    }
+
+    /// Accounts a placement (or its reversal) that covered `useful`
+    /// distance: a tile wastes the rest of its cycle length.
+    fn waste(&self, useful: u64) -> u64 {
+        let n = self.s.u.ring().n() as u64;
+        debug_assert!(useful <= n, "a tile covers at most one cycle length");
+        n - useful
+    }
+}
+
+impl SearchCore for PartitionCore<'_> {
+    fn satisfied(&self) -> bool {
+        self.r.d.live.is_empty()
+    }
+
     fn place(&mut self, t: u32) {
-        if self.mode == SymmetryMode::Full {
-            let top = *self.stab_stack.last().expect("stab stack seeded");
-            let stab = self.sym.expect("tables exist in Full mode").tile_stab(t);
-            self.stab_stack.push(top & stab);
-        }
-        let depth = self.chosen.len();
-        if self.undo.len() == depth {
-            self.undo.push(vec![0u64; self.lanes.lane_words()]);
-        }
-        let (llo, lhi) = self.lanes.span(t);
-        let diam = self.u.diam_chords();
-        let mut useful = 0u64;
-        for w in llo as usize..lhi as usize {
-            let before = self.residual.words()[w];
-            let sub = self.residual.place_word(w, self.lanes.mask(t)[w]);
-            self.undo[depth][w] = sub;
-            let mut m = sub;
-            while m != 0 {
-                let p = m.trailing_zeros();
-                let c = (w as u32) * LANES_PER_WORD + p / 2;
-                let old = (before >> p & 0b11) as u32;
-                let d = self.u.dist_of_pri(c) as u64;
-                useful += d;
-                self.rem_dist -= d;
-                self.rem_diam -= (c < diam) as u64;
-                let (a, b) = self.u.chord_ends_of_pri(c);
-                for v in [a, b] {
-                    let dv = &mut self.deg[v as usize];
-                    if *dv & 1 == 1 {
-                        self.odd -= 1;
-                    } else {
-                        self.odd += 1;
-                    }
-                    *dv -= 1;
-                }
-                if old == 1 {
-                    self.support.remove(c);
-                }
-                if let Some(store) = self.store {
-                    self.hash ^= store.chord_level_key(c, old);
-                }
-                m &= m - 1;
-            }
-        }
-        debug_assert!(useful <= self.n as u64, "a tile covers at most one cycle length");
-        self.waste_used += self.n as u64 - useful;
-        self.chosen.push(t);
+        let useful = self.r.place(t, self.s.depth());
+        self.waste_used += self.waste(useful);
+        self.s.push(t);
     }
 
-    /// Reverts the most recent placement (including its waste).
     fn unplace(&mut self) {
-        let t = self.chosen.pop().expect("unplace without place");
-        let depth = self.chosen.len();
-        let (llo, lhi) = self.lanes.span(t);
-        let diam = self.u.diam_chords();
-        let mut useful = 0u64;
-        for w in llo as usize..lhi as usize {
-            let sub = self.undo[depth][w];
-            if sub == 0 {
-                continue;
-            }
-            self.residual.unplace_word(w, sub);
-            let after = self.residual.words()[w];
-            let mut m = sub;
-            while m != 0 {
-                let p = m.trailing_zeros();
-                let c = (w as u32) * LANES_PER_WORD + p / 2;
-                let val = (after >> p & 0b11) as u32;
-                let d = self.u.dist_of_pri(c) as u64;
-                useful += d;
-                self.rem_dist += d;
-                self.rem_diam += (c < diam) as u64;
-                let (a, b) = self.u.chord_ends_of_pri(c);
-                for v in [a, b] {
-                    let dv = &mut self.deg[v as usize];
-                    if *dv & 1 == 1 {
-                        self.odd -= 1;
-                    } else {
-                        self.odd += 1;
-                    }
-                    *dv += 1;
-                }
-                if val == 1 {
-                    self.support.insert(c);
-                }
-                if let Some(store) = self.store {
-                    self.hash ^= store.chord_level_key(c, val);
-                }
-                m &= m - 1;
-            }
-        }
-        self.waste_used -= self.n as u64 - useful;
-        if self.mode == SymmetryMode::Full {
-            self.stab_stack.pop();
-        }
+        let t = self.s.pop();
+        let useful = self.r.unplace(t, self.s.depth());
+        self.waste_used -= self.waste(useful);
     }
 
-    /// The cheap bound trio (capacity / diameter / vertex degree) over
-    /// the residual-weighted ingredients — the lane core's bound. The
-    /// capacity term is the waste budget seen from the other side:
-    /// `used + ⌈rem_dist/n⌉ > budget ⟺ waste_used > slack − (future
-    /// minimum waste)`.
-    fn remaining_lb(&self) -> u64 {
-        let n = self.n as u64;
-        let mut lb = self.rem_dist.div_ceil(n).max(self.rem_diam);
-        for &d in &self.deg {
-            lb = lb.max((d as u64).div_ceil(2));
-        }
-        lb
+    /// The lane core's bounds. The capacity term is the waste budget
+    /// seen from the other side: `used + ⌈rem_dist/n⌉ > budget ⟺
+    /// waste_used > slack − (future minimum waste)`.
+    fn refuted(&self) -> bool {
+        self.s.refutes(&self.r.d)
     }
 
-    /// The strong bound: parity/T-join first, then the diameter-slack
-    /// dual over the support set — both valid under multiplicities for
-    /// the same reasons as in the lane core.
-    fn strong_lb(&self, stop_above: u64) -> u64 {
-        let parity = parity_join_bound_from_odd(self.n, self.rem_dist, self.odd);
-        if parity > stop_above {
-            return parity;
-        }
-        diameter_slack_bound(self.u, &self.support, self.rem_dist, stop_above).max(parity)
+    fn children(&mut self) -> Vec<u32> {
+        self.stage(None);
+        self.s.children()
     }
 
-    /// The memo key: the packed residual lane words, zero-padded.
-    fn state_key(&self) -> [u64; KEY_WORDS] {
-        let words = self.residual.words();
-        debug_assert!(words.len() <= KEY_WORDS, "store.compatible caps chords at 128");
-        let mut key = [0u64; KEY_WORDS];
-        key[..words.len()].copy_from_slice(words);
-        key
+    fn run(&mut self) -> bool {
+        run_frames(self)
     }
 
-    /// MRV column selection: the support chord with the fewest
-    /// candidates affordable under the remaining slack (counted by
-    /// `partition_point` over the chord's sorted static wastes; ties
-    /// break toward the higher-priority chord, so a uniform count
-    /// reproduces the priority branch rule). With zero remaining slack
-    /// only full-load tiles count — the exact-partition collapse.
-    fn choose_branch(&self) -> u32 {
-        let rem_slack = self.slack - self.waste_used;
-        let mut best = 0u32;
+    fn stats(&mut self) -> &mut Stats {
+        &mut self.s.stats
+    }
+
+    fn finish(self, found: bool) -> Probe {
+        self.s.finish(found)
+    }
+}
+
+impl<'a> FrameCore<'a> for PartitionCore<'a> {
+    fn stack(&mut self) -> &mut Stack<'a> {
+        &mut self.s
+    }
+
+    fn memo_state(&self) -> ([u64; KEY_WORDS], u64, bool) {
+        self.r.memo_state()
+    }
+
+    /// Memo entries are keyed under the remaining *waste* slack (width
+    /// tag 3).
+    fn memo_rem(&self) -> u32 {
+        self.rem_slack() as u32
+    }
+
+    /// The child's remaining waste budget. Candidates were filtered
+    /// against the node's slack, so it never underflows.
+    fn child_state(&self, store: &MemoStore, t: u32) -> Option<MemoEntry> {
+        let (key, hash, useful) = self.r.child(store, t);
+        Some((hash, key, (self.rem_slack() - self.waste(useful)) as u32))
+    }
+
+    /// MRV branch choice, then staging under the waste filter: the
+    /// support chord with the fewest candidates affordable under the
+    /// remaining slack (counted by `partition_point` over the chord's
+    /// sorted static wastes; ties break toward the higher-priority
+    /// chord, so a uniform count reproduces the priority branch rule),
+    /// whose candidates are kept only if their exact waste increment
+    /// fits the slack. With zero slack only full-load tiles survive —
+    /// the exact-partition collapse. The waste filter runs before
+    /// dominance, so dominance stays sound: a dominator's waste
+    /// increment never exceeds its dominated tile's.
+    fn stage(&mut self, entry: Option<MemoEntry>) {
+        debug_assert!(
+            self.waste_used <= self.slack,
+            "the waste filter keeps every placement within the waste budget"
+        );
+        let rem_slack = self.rem_slack();
+        let mut branch = 0u32;
         let mut best_count = usize::MAX;
-        for c in self.support.iter() {
+        for c in self.r.d.live.iter() {
             let lo = self.waste_off[c as usize] as usize;
             let hi = self.waste_off[c as usize + 1] as usize;
             let count = self.waste_sorted[lo..hi].partition_point(|&w| w as u64 <= rem_slack);
             if count < best_count {
                 best_count = count;
-                best = c;
+                branch = c;
                 if count == 0 {
                     break;
                 }
             }
         }
-        best
-    }
-
-    /// One node's entry sequence: satisfied / limits / bounds / memo /
-    /// candidate staging — the lane core's, with the MRV branch choice
-    /// and the waste-slack memo domain.
-    fn enter_node(&mut self, check_memo: bool) -> PartEnter {
-        if self.support.is_empty() {
-            return PartEnter::Solved;
-        }
-        self.stats.nodes += 1;
-        if self.stats.nodes > self.max_nodes {
-            self.hit_limit = true;
-            self.stop_cause = Some(Exhaustion::NodeBudget);
-            return PartEnter::Abort;
-        }
-        if self.stats.nodes.is_multiple_of(4096) {
-            if let Some(flag) = self.cancel {
-                if flag.load(Ordering::Relaxed) {
-                    self.hit_limit = true;
-                    self.stop_cause = Some(Exhaustion::Cancelled);
-                    return PartEnter::Abort;
-                }
-            }
-            if let Some(d) = self.deadline {
-                if Instant::now() >= d {
-                    self.hit_limit = true;
-                    self.stop_cause = Some(Exhaustion::Deadline);
-                    return PartEnter::Abort;
-                }
-            }
-        }
-        debug_assert!(
-            self.waste_used <= self.slack,
-            "the candidate filter keeps every placement within the waste budget"
-        );
-        let used = self.chosen.len() as u64;
-        if used + self.remaining_lb() > self.budget as u64 {
-            self.stats.pruned += 1;
-            return PartEnter::Dead;
-        }
-        if self.strong {
-            let slack_tiles = self.budget as u64 - used;
-            if self.strong_lb(slack_tiles) > slack_tiles {
-                self.stats.pruned += 1;
-                return PartEnter::Dead;
-            }
-        }
-        let mut key = [0u64; KEY_WORDS];
-        let mut khash = 0u64;
-        let mut memoable = false;
-        if let Some(store) = self.store {
-            let k = self.state_key();
-            if check_memo {
-                let rem_slack = (self.slack - self.waste_used) as u32;
-                if let Some(owner) = store.dominated(self.hash, k, 3, rem_slack) {
-                    self.stats.memo_hits += 1;
-                    if owner != self.gen {
-                        self.stats.shared_hits += 1;
-                    }
-                    return PartEnter::Dead;
-                }
-            }
-            key = k;
-            khash = self.hash;
-            memoable = true;
-        }
-        let branch = self.choose_branch();
-        self.fill_candidates(branch);
-        let depth = self.chosen.len();
-        let f = &mut self.frames[depth];
-        f.cursor = 0;
-        f.key = key;
-        f.hash = khash;
-        f.memoable = memoable;
-        PartEnter::Ready
-    }
-
-    /// Scores the branch chord's candidates with their **exact** waste
-    /// increment, drops any that would overdraw the slack (the
-    /// full-load propagation: at zero remaining slack only exact
-    /// partition rows survive), then sorts, dominance-filters, and
-    /// orbit-filters as the lane core does. The waste filter runs
-    /// first, so dominance stays sound: a dominator's waste increment
-    /// never exceeds its dominated tile's.
-    fn fill_candidates(&mut self, branch: u32) {
-        let depth = self.chosen.len();
-        while self.frames.len() <= depth {
-            self.frames.push(PartFrame::default());
-        }
-        let u = self.u;
-        let n = self.n;
-        let rem_slack = self.slack - self.waste_used;
-        let mut scored = std::mem::take(&mut self.frames[depth].scored);
-        let mut cands = std::mem::take(&mut self.frames[depth].cands);
-        scored.clear();
-        cands.clear();
-        for &t in u.candidates_pri(branch) {
-            let (lo, hi) = u.tile_mask_span(t);
-            let mut cov = 0u32;
-            let mut useful = 0u32;
-            for (wi, (a, b)) in u.tile_mask(t).words()[lo as usize..hi as usize]
-                .iter()
-                .zip(&self.support.words()[lo as usize..hi as usize])
-                .enumerate()
-            {
-                let mut w = a & b;
-                cov += w.count_ones();
-                while w != 0 {
-                    let i = (lo + wi as u32) * 64 + w.trailing_zeros();
-                    useful += u.dist_of_pri(i);
-                    w &= w - 1;
-                }
-            }
-            if cov > 0 {
-                debug_assert!(useful <= n, "a tile covers at most one cycle length");
-                let waste = n - useful;
-                if waste as u64 > rem_slack {
-                    // The child would overdraw the waste budget — the
-                    // capacity prune it would hit as a node, applied
-                    // without spawning one.
-                    self.stats.pruned += 1;
-                    continue;
-                }
-                scored.push((t, cov, waste));
-            }
-        }
-        scored.sort_by_key(|&(_, cov, waste)| (std::cmp::Reverse(cov), waste));
-
-        self.stats.dominated += self.dom.filter(u, &self.support, &scored, &mut cands);
-
-        self.filter_symmetric(branch, &mut cands);
-        let f = &mut self.frames[depth];
-        f.scored = scored;
-        f.cands = cands;
-    }
-
-    /// Sibling orbit filtering, pointwise only — the lane core's rule
-    /// verbatim: `Root` at the empty prefix under the spec group,
-    /// `Full` at every depth under the pointwise prefix stabilizer.
-    fn filter_symmetric(&mut self, branch: u32, cands: &mut Vec<u32>) {
-        let Some(sym) = self.sym else { return };
-        let group = match self.mode {
-            SymmetryMode::Off => return,
-            SymmetryMode::Root => {
-                if !self.chosen.is_empty() {
-                    return;
-                }
-                self.spec_group
-            }
-            SymmetryMode::Full => *self.stab_stack.last().expect("stab stack seeded"),
-        };
-        let filter = group & sym.chord_stab(branch);
-        if self.chosen.is_empty() {
-            self.stats.sym_factor = self.stats.sym_factor.max(filter.count_ones());
-        }
-        if filter & !1 == 0 {
-            return;
-        }
-        if self.sym_seen.len() < sym.num_tiles() as usize {
-            self.sym_seen.resize(sym.num_tiles() as usize, 0);
-        }
-        self.sym_stamp += 1;
-        let stamp = self.sym_stamp;
-        let sym_seen = &mut self.sym_seen;
-        let stats = &mut self.stats;
-        cands.retain(|&t| {
-            let mut elements = filter & !1;
-            while elements != 0 {
-                let g = elements.trailing_zeros();
-                elements &= elements - 1;
-                let image = sym.tile_image(g, t);
-                if image != t && sym_seen[image as usize] == stamp {
-                    stats.sym_pruned += 1;
-                    return false;
-                }
-            }
-            sym_seen[t as usize] = stamp;
-            true
-        });
-    }
-
-    /// Drives the search from the current placement depth — the lane
-    /// core's loop with waste-slack memo records.
-    fn run(&mut self) -> bool {
-        let base = self.chosen.len();
-        let mut entering = true;
-        let mut check_memo = true;
-        loop {
-            if entering {
-                match self.enter_node(check_memo) {
-                    PartEnter::Solved => return true,
-                    PartEnter::Abort => return false,
-                    PartEnter::Dead => {
-                        if self.chosen.len() == base {
-                            return false;
-                        }
-                        self.unplace();
-                        entering = false;
-                        continue;
-                    }
-                    PartEnter::Ready => {}
-                }
-            }
-            let depth = self.chosen.len();
-            let f = &mut self.frames[depth];
-            if f.cursor < f.cands.len() {
-                let t = f.cands[f.cursor];
-                f.cursor += 1;
-                if self.skip_candidate(t) {
-                    entering = false;
-                    continue;
-                }
-                self.place(t);
-                entering = true;
-                check_memo = false;
-            } else {
-                if f.memoable {
-                    let (hash, key) = (f.hash, f.key);
-                    let rem = (self.slack - self.waste_used) as u32;
-                    self.store
-                        .expect("memoable implies a store")
-                        .record(hash, key, 3, rem, self.gen);
-                }
-                if depth == base {
-                    return false;
-                }
-                self.unplace();
-                entering = false;
-            }
-        }
-    }
-
-    /// Probes the store for candidate `t`'s child residual state before
-    /// placing it, under the child's remaining *waste* slack — the lane
-    /// core's pre-probe in the waste-slack domain.
-    fn skip_candidate(&mut self, t: u32) -> bool {
-        let Some(store) = self.store else {
-            return false;
-        };
-        let mut key = self.state_key();
-        let mut h = self.hash;
-        let mut useful = 0u64;
-        let (llo, lhi) = self.lanes.span(t);
-        for (w, kw) in key
-            .iter_mut()
-            .enumerate()
-            .take(lhi as usize)
-            .skip(llo as usize)
-        {
-            let r = *kw;
-            let sub = (r | r >> 1) & self.lanes.mask(t)[w] & LANE_LOW;
-            *kw = r - sub;
-            let mut m = sub;
-            while m != 0 {
-                let p = m.trailing_zeros();
-                let c = (w as u32) * LANES_PER_WORD + p / 2;
-                useful += self.u.dist_of_pri(c) as u64;
-                h ^= store.chord_level_key(c, (r >> p & 0b11) as u32);
-                m &= m - 1;
-            }
-        }
-        if key == [0; KEY_WORDS] {
-            return false;
-        }
-        // Candidates were filtered against the node's slack, so the
-        // child's remaining waste budget never underflows.
-        let child_rem = self.slack - self.waste_used - (self.n as u64 - useful);
-        if let Some(owner) = store.dominated(h, key, 3, child_rem as u32) {
-            self.stats.memo_hits += 1;
-            if owner != self.gen {
-                self.stats.shared_hits += 1;
-            }
-            return true;
-        }
-        false
-    }
-
-    /// Final statistics (stamps the store's resident entry count).
-    fn take_stats(&mut self) -> Stats {
-        self.stats.memo_entries = self.store.map_or(0, |s| s.len());
-        self.stats
-    }
-}
-
-/// Budgeted search through the slack-budgeted partition kernel — the
-/// engine path for capacity-tight instances with demands ≤ 3. Same
-/// contract as `search_lanes`; `stats.partition_probes` records the
-/// route for certificate provenance.
-pub(crate) fn search_partition(
-    u: &TileUniverse,
-    spec: &CoverSpec,
-    budget: u32,
-    lim: &RunLimits,
-    sym: SymmetryMode,
-    store: Option<&MemoStore>,
-) -> (Outcome, Stats, Option<Exhaustion>) {
-    let lanes = LaneTables::build(u);
-    let mut core = PartitionCore::new(u, spec, budget, lim, sym, store, &lanes);
-    if core.run() {
-        let chosen = core.chosen.clone();
-        (Outcome::Feasible(chosen), core.take_stats(), None)
-    } else if core.hit_limit {
-        let cause = core.stop_cause;
-        (Outcome::NodeLimit, core.take_stats(), cause)
-    } else {
-        (Outcome::Infeasible, core.take_stats(), None)
+        self.s.stage(&self.r.d.live, branch, rem_slack, None, entry);
     }
 }
 
@@ -1029,6 +527,7 @@ mod tests {
 
     // ---- the slack-budgeted partition kernel ----
 
+    use crate::bnb::Outcome;
     use cyclecover_ring::Ring;
 
     fn universe(n: u32) -> TileUniverse {
@@ -1042,9 +541,7 @@ mod tests {
         sym: SymmetryMode,
         store: Option<&MemoStore>,
     ) -> (Outcome, Stats) {
-        let lim = RunLimits::nodes_only(50_000_000);
-        let (o, s, _) = search_partition(u, spec, budget, &lim, sym, store);
-        (o, s)
+        crate::bnb::budget_search_partition(u, spec, budget, 50_000_000, sym, store)
     }
 
     fn assert_meets_spec(u: &TileUniverse, spec: &CoverSpec, tiles: &[u32]) {

@@ -59,22 +59,21 @@
 //!   ([`lower_bound::parity_join_bound`] — Theorem 2's `+1` derived at
 //!   the root of capacity-tight even probes) and the diameter-slack
 //!   greedy dual ([`lower_bound::diameter_slack_bound`]);
-//! * [`bnb`] — the branch & bound searches: unit-demand specs run the
-//!   iterative allocation-free core (explicit search stack over reused
-//!   arenas, incremental bound ingredients, and the residual-state
-//!   dominance memo — Zobrist-keyed, byte-budgeted via
+//! * [`bnb`] — the branch & bound searches and their one route rule:
+//!   unit-demand specs run the iterative allocation-free core (explicit
+//!   search stack over reused arenas, incremental bound ingredients, and
+//!   the residual-state dominance memo — Zobrist-keyed, byte-budgeted via
 //!   [`bnb::MemoConfig`], with canonical dihedral state keying under
-//!   `SymmetryMode::Full`); the recursive bitset path survives as the
-//!   differential reference ([`bnb::budget_search_reference`]) and the
-//!   legacy multiplicity kernel serves λ-fold specs. The old free
-//!   functions remain as deprecated wrappers over the engine internals;
+//!   `SymmetryMode::Full`), demands ≤ 3 the packed-lane core, and
+//!   demands above 3 the recursive multiplicity kernel, sequentially or
+//!   on one frontier-parallel driver; the recursive bitset path survives
+//!   as the differential reference ([`bnb::budget_search_reference`]);
 //! * [`dlx`] — the slack-budgeted exact-cover kernel behind the
 //!   `partition` and `dlx` engines (MRV chord selection, exact-waste
 //!   candidate filtering against the budget's slack
 //!   `budget·n − λ·Σd(e)`, full-load collapse at zero slack), which the
-//!   sequential `bitset` dispatch reroutes low-slack λ-fold probes
-//!   through; plus the generic Dancing-Links substrate (Knuth's
-//!   Algorithm X) it grew out of;
+//!   route rule picks for low-slack λ-fold probes; plus the generic
+//!   Dancing-Links substrate (Knuth's Algorithm X) it grew out of;
 //! * [`greedy`], [`improve`], [`anneal`] — the heuristic pipeline:
 //!   lazy-bucket max-coverage greedy, drop/merge local search, simulated
 //!   annealing.

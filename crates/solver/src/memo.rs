@@ -496,12 +496,6 @@ impl MemoStore {
         }
         hash
     }
-
-    /// [`MemoStore::hash_of_state`] for a unit (1-bit) key.
-    #[cfg(test)]
-    pub(crate) fn hash_of_key(&self, key: [u64; KEY_WORDS]) -> u64 {
-        self.hash_of_state(key, 1)
-    }
 }
 
 #[cfg(test)]
@@ -519,7 +513,7 @@ mod tests {
         let memo = MemoStore::new(&universe(12), 1 << 20).expect("n=12 fits");
         let gen = memo.attach();
         let key = [0b1011, 0b1, 0, 0];
-        let hash = memo.hash_of_key(key);
+        let hash = memo.hash_of_state(key, 1);
         assert!(memo.dominated(hash, key, 1, 5).is_none());
         memo.record(hash, key, 1, 5, gen);
         assert!(
@@ -549,7 +543,7 @@ mod tests {
         let g2 = memo.attach();
         assert_ne!(g1, g2, "every searcher draws a fresh generation");
         let key = [0b110, 0, 0, 0];
-        let hash = memo.hash_of_key(key);
+        let hash = memo.hash_of_state(key, 1);
         memo.record(hash, key, 1, 3, g1);
         assert_eq!(
             memo.dominated(hash, key, 1, 2),
@@ -572,8 +566,8 @@ mod tests {
         let gen = memo.attach();
         let a = [0x1u64, 0, 0, 0];
         let b = [0x2u64, 0, 0, 0];
-        memo.record(memo.hash_of_key(a), a, 1, 2, gen);
-        assert!(memo.dominated(memo.hash_of_key(b), b, 1, 1).is_none());
+        memo.record(memo.hash_of_state(a, 1), a, 1, 2, gen);
+        assert!(memo.dominated(memo.hash_of_state(b, 1), b, 1, 1).is_none());
     }
 
     #[test]
@@ -631,7 +625,7 @@ mod tests {
             .map(|_| [rng.next_u64(), rng.next_u64() & hi_mask, 0, 0])
             .collect();
         for (i, &k) in keys.iter().enumerate() {
-            memo.record(memo.hash_of_key(k), k, 1, (i % 17) as u32, gen);
+            memo.record(memo.hash_of_state(k, 1), k, 1, (i % 17) as u32, gen);
         }
         assert!(
             memo.len() > (SHARDS * MIN_SLOTS) as u64 * 3 / 4,
@@ -642,7 +636,7 @@ mod tests {
             .iter()
             .enumerate()
             .filter(|&(i, &k)| {
-                memo.dominated(memo.hash_of_key(k), k, 1, (i % 17) as u32)
+                memo.dominated(memo.hash_of_state(k, 1), k, 1, (i % 17) as u32)
                     .is_some()
             })
             .count();
@@ -719,8 +713,8 @@ mod tests {
         for i in 0..1_000u64 {
             // n = 10 has 45 chords: keep keys inside the chord range.
             let key = [(i * 0x9E37_79B9) & ((1u64 << 45) - 1), 0, 0, 0];
-            memo.record(memo.hash_of_key(key), key, 1, (i % 5) as u32, gen);
-            memo.dominated(memo.hash_of_key(key), key, 1, 1);
+            memo.record(memo.hash_of_state(key, 1), key, 1, (i % 5) as u32, gen);
+            memo.dominated(memo.hash_of_state(key, 1), key, 1, 1);
         }
         assert_eq!(memo.contention(), 0);
     }
