@@ -1,4 +1,5 @@
-//! Exploration harness for the even-n construction (DESIGN.md §2.3).
+//! Exploration harness for the even-n construction (the parity split of
+//! `cyclecover_core::even`).
 //! Validates the parity-split + algebraic cross-family approach before it
 //! is promoted into `cyclecover-core::even`.
 

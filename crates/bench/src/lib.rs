@@ -1,8 +1,8 @@
 //! # cyclecover-bench
 //!
-//! The experiment harness for the reproduction: one binary per table /
-//! figure of `EXPERIMENTS.md` (E1–E14) plus Criterion timing benches
-//! (B1–B7). See `DESIGN.md` §4 for the experiment index.
+//! The experiment harness for the reproduction: one binary per table or
+//! figure (each binary's module docs name its experiment, E1–E14) plus
+//! Criterion timing benches (B1–B7).
 //!
 //! # `BENCH_*.json` provenance
 //!

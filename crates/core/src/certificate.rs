@@ -3,10 +3,11 @@
 //!
 //! A [`Certificate`] bundles, for one ring size `n`: the constructed
 //! covering, the independent validation verdict, the capacity lower bound,
-//! the claimed `ρ(n)`, and the optimality status. `EXPERIMENTS.md` tables
-//! are projections of certificates; tests assert their internal
-//! consistency so a regression anywhere in the stack (constructions,
-//! validation, bounds) surfaces as a broken certificate.
+//! the claimed `ρ(n)`, and the optimality status. The theorem tables
+//! (`table_theorem1`, `table_theorem2`) report the same facts; tests
+//! assert their internal consistency so a regression anywhere in the
+//! stack (constructions, validation, bounds) surfaces as a broken
+//! certificate.
 
 use crate::{construct_with_status, rho, DrcCovering, Optimality};
 use cyclecover_solver::lower_bound::{capacity_lower_bound, combinatorial_lower_bound};

@@ -246,7 +246,7 @@ mod tests {
     fn exactness_check() {
         let ring = Ring::new(5);
         // K5 partition: quad {0,1,2,3} + triangles {3,4,1}, {4,0,2}
-        // (the worked n=5 instance of DESIGN.md §2.3).
+        // (4 + 3 + 3 = 10 chord slots for K5's 10 requests).
         let cover = DrcCovering::from_tiles(
             ring,
             vec![

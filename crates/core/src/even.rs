@@ -16,8 +16,8 @@
 //!
 //! Cross quads `Q(a,b)` with gap sequence `(a, p+1−a, b, p−1−b)` at offset
 //! `−(a+b) mod n`, for odd `a ∈ [3, p]`, odd `b ∈ [1, p−2]`. A residue
-//! computation (mod 2 × mod p, `DESIGN.md` §2.3) shows these cover every
-//! odd-distance class except a *residual* of exactly `2p−1` requests:
+//! computation (mod 2 × mod p) shows these cover every odd-distance class
+//! except a *residual* of exactly `2p−1` requests:
 //! a star at vertex `p`, the `(p−1)/2` "path" requests `{w, w+1}` with
 //! even `w ≥ p+1`, and `(p−1)/2` diameters `{v, v+p}` with odd `v`. The
 //! residual is finished by exactly `(p+1)/2` closed-form tiles:
@@ -41,15 +41,22 @@
 //! ## `n ≡ 0 (mod 8)` (`q` even) — solver-assisted
 //!
 //! Here the split pays both halves' `+1` parity penalties and lands at
-//! `ρ(n)+1`, and we prove in `DESIGN.md` that the natural slack-transfer
-//! repairs cannot close the gap (a pentagon chain always loses a strictly
-//! nested cross chord, and no short path on `C_p` carries total distance
-//! ≥ `p`). For `n = 8` we ship the covering found and certified optimal by
-//! the exact branch-and-bound solver. For larger `n ≡ 0 (mod 8)` the
-//! library returns the parity-split covering of size `ρ(n)+1` and reports
-//! the status honestly via [`Optimality`] — mirroring the note itself,
-//! which asserts Theorem 2 without constructions. `EXPERIMENTS.md` E2
-//! records this reproduction gap explicitly.
+//! `ρ(n)+1`. The natural slack-transfer repairs inside the split cannot
+//! close the gap: a pentagon chain always loses a strictly nested cross
+//! chord, and no short path on `C_p` carries total distance ≥ `p`. For
+//! `n = 8` we ship the covering found and certified optimal by the exact
+//! branch-and-bound solver. For larger `n ≡ 0 (mod 8)` the library
+//! returns the parity-split covering of size `ρ(n)+1` and reports the
+//! status honestly via [`Optimality`] — mirroring the note itself, which
+//! asserts Theorem 2 without constructions.
+//!
+//! The gap is this construction's, not Theorem 2's: the solver's
+//! partition kernel certifies `ρ(16) = 33` in 43 nodes on the C ≤ 4
+//! shortest-gap universe (the n = 16 `partition` row of `BENCH_10.json`).
+//! That witness is not shipped here, so the shipped construction stays at
+//! `ρ(n)+1`: [`construct`]`(16)` returns 34 cycles. `tests/paper_claims.rs`
+//! pins the gap (`Excess` exactly at `n ≡ 0 (mod 8)`, `n ≥ 16`), and the
+//! E2 table (`table_theorem2`) reports it.
 
 use crate::{odd, small, DrcCovering};
 use cyclecover_ring::{Ring, Tile};

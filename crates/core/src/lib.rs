@@ -84,8 +84,7 @@ pub fn construct_optimal(n: u32) -> DrcCovering {
 /// As [`construct_optimal`], also reporting whether the covering is
 /// certified minimum. The only inputs currently yielding
 /// [`Optimality::Excess`] are `n ≡ 0 (mod 8)`, `n ≥ 16` — see the
-/// [`even`] module docs and `EXPERIMENTS.md` E2 for the documented
-/// reproduction gap.
+/// [`even`] module docs for the documented reproduction gap.
 pub fn construct_with_status(n: u32) -> (DrcCovering, Optimality) {
     assert!(n >= 3, "need n >= 3, got {n}");
     if n <= 6 {

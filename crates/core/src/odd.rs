@@ -134,7 +134,7 @@ mod tests {
         }
     }
 
-    /// n=3: one triangle; n=5: the DESIGN.md worked example shape.
+    /// n=3: one triangle; n=5: a quad and two triangles partitioning K5.
     #[test]
     fn tiny_cases() {
         let c3 = construct(3);

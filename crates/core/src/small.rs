@@ -4,8 +4,8 @@
 //! * `n = 4` — the paper's worked example: `ρ(4) = 3`, one C4 + two C3
 //!   (`(1,2,3,4)`, `(1,2,4)`, `(1,3,4)` in the paper's 1-based labels).
 //! * `n = 6` — `ρ(6) = 5 = ⌈(3²+1)/2⌉` with the Theorem-2 composition
-//!   `2 C3 + 3 C4`; the explicit covering below was derived by hand in
-//!   `DESIGN.md` §2.3 and is machine-verified in the tests.
+//!   `2 C3 + 3 C4`; the explicit covering below was derived by hand and
+//!   is machine-verified in the tests.
 
 use crate::{odd, DrcCovering};
 use cyclecover_ring::{Ring, Tile};
@@ -66,7 +66,8 @@ mod tests {
         let stats = construct(6).stats();
         assert_eq!(stats.c3, 2);
         assert_eq!(stats.c4, 3);
-        // Overlap analysis from DESIGN.md: exactly p = 3 requests doubled.
+        // 2·3 + 3·4 = 18 chord slots over 15 requests: exactly p = 3
+        // requests are doubled.
         assert_eq!(stats.overlapped_requests, 3);
     }
 

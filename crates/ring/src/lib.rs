@@ -20,9 +20,10 @@
 //!   searches all `2^k` arc assignments (ground truth, used for testing and
 //!   for small instances);
 //! * [`routing::winding_routing`] — the O(k) structural characterization
-//!   (*winding lemma*, §2.1 of `DESIGN.md`): a cycle is DRC-routable iff its
-//!   cyclic vertex order agrees with the ring's cyclic order (in one of the
-//!   two directions), and then the consecutive arcs form the routing.
+//!   (*winding lemma*, proved in the [`routing`] module docs): a cycle is
+//!   DRC-routable iff its cyclic vertex order agrees with the ring's cyclic
+//!   order (in one of the two directions), and then the consecutive arcs
+//!   form the routing.
 //!
 //! The two are cross-validated by exhaustive tests for small `n` and by
 //! property tests; all higher layers (constructions, solvers, the WDM

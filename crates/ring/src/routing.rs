@@ -7,12 +7,23 @@
 //! arcs), so DRC feasibility is a search over `2^k` assignments —
 //! implemented exactly in [`route_order`] / [`route_cycle`].
 //!
-//! The *winding lemma* (derived for this reproduction, §2.1 of `DESIGN.md`)
-//! collapses the search: a cycle is DRC-routable iff its cyclic vertex order
-//! agrees with the ring order in one of the two directions, i.e. iff the sum
-//! of clockwise gaps along the cycle is `n` (winds once clockwise) or
+//! The *winding lemma* (derived for this reproduction) collapses the
+//! search: a cycle is DRC-routable iff its cyclic vertex order agrees with
+//! the ring order in one of the two directions, i.e. iff the sum of
+//! clockwise gaps along the cycle is `n` (winds once clockwise) or
 //! `(k−1)·n` (the reverse orientation winds once). The consecutive arcs then
 //! tile the ring and give the routing — [`winding_routing_order`], O(k).
+//!
+//! *Proof.* If the order agrees, the clockwise arcs `v_i → v_{i+1}` have
+//! lengths summing to `n`, so they tile the ring and are edge-disjoint.
+//! Conversely, follow pairwise edge-disjoint arcs around the cycle: a
+//! closed walk whose signed length is `w·n` for a winding number `w`.
+//! Disjoint arcs have total length at most `n`, so `|w| ≤ 1`. A walk with
+//! `w = 0` crosses every ring edge it uses equally often in both
+//! directions, so it uses that edge twice — impossible for disjoint arcs.
+//! So `|w| = 1`: the signed lengths sum to `±n` while their absolute
+//! values sum to at most `n`, hence every arc runs the same way and the
+//! walk goes round the ring once, visiting the vertices in ring order.
 //!
 //! `tests` cross-validate the two on *every* cycle of length 3–5 of rings
 //! `n ≤ 9`, and property tests in `cyclecover-core` extend the evidence; the

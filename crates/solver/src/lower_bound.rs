@@ -66,7 +66,8 @@ pub fn diameter_lower_bound(n: u32) -> u64 {
 /// derives it at the root of the capacity-tight probe (a one-node
 /// refutation under `SymmetryMode::Root`/`Full`), and
 /// [`SymmetryMode::Off`](crate::bnb::SymmetryMode) still proves it by
-/// plain exhaustion (see `EXPERIMENTS.md` E4).
+/// plain exhaustion (the `certify_optimal` bench binary, and the `off`
+/// rows of `BENCH_10.json`).
 pub fn combinatorial_lower_bound(n: u32) -> u64 {
     capacity_lower_bound(n).max(diameter_lower_bound(n))
 }

@@ -88,6 +88,20 @@
 //! whichever entries have the *larger* `rem` (the stronger pruners).
 //! Lost entries only lose pruning, never correctness.
 //!
+//! A store's slot table does not depend on its universe, so each thread
+//! recycles one. Every slot is stamped with its shard's **epoch**, and a
+//! slot whose epoch differs from its shard's reads as empty. Dropping a
+//! store retires its shards into the dropping thread's **spare**: a
+//! shard that grew is truncated back to its seed size and shrunk, its
+//! epoch is bumped (only a wrap to 0 refills the slots) and lock poison
+//! is cleared. [`MemoStore::new`] takes the spare when there is one and
+//! resets it in O(1), so a small request no longer pays to fill
+//! 0.75 MiB of slots before its first node. A recycled store is
+//! indistinguishable from a freshly allocated one — same seed size, same
+//! cap, empty, same Zobrist keys — so node counts do not depend on which
+//! one a search gets. One spare per thread holds the one table a
+//! per-request store held anyway.
+//!
 //! Lock traffic is one uncontended `Mutex` acquisition per probe or
 //! record. Acquisitions first `try_lock` and only fall back to a
 //! blocking lock — counted in [`MemoStore::contention`] — when another
@@ -103,14 +117,16 @@
 
 use crate::TileUniverse;
 use rand::prelude::*;
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 
-/// Bytes one [`MemoStore`] slot occupies (key + rem + generation).
+/// Bytes one [`MemoStore`] slot occupies (key + rem + generation +
+/// epoch + width).
 const SLOT_BYTES: usize = std::mem::size_of::<Slot>();
 
-/// Smallest slot count a shard starts from (and the floor its byte
-/// budget is clamped to).
+/// Slot count every shard starts from (and the floor its byte budget is
+/// clamped to); a retired shard is cut back to it.
 const MIN_SLOTS: usize = 1 << 10;
 
 /// Shard count: a power of two small enough that the per-shard byte
@@ -167,20 +183,30 @@ pub(crate) const KEY_WORDS: usize = 4;
 
 /// One table slot: the exact residual state (up to [`KEY_WORDS`] words
 /// of the uncovered set or residual lane vector), its lane width, the
-/// largest slack the state was refuted under, and the generation that
-/// recorded it. `rem == u32::MAX` marks an empty slot (real slacks are
-/// bounded by the search budget).
+/// largest slack the state was refuted under, the generation that
+/// recorded it, and the shard epoch it was written in. A slot is
+/// occupied iff its epoch is its shard's.
 #[derive(Clone, Copy)]
 struct Slot {
     key: [u64; KEY_WORDS],
     rem: u32,
     gen: u32,
+    /// The shard epoch that wrote this slot (in the padding after
+    /// `gen`, so a slot stays 48 bytes).
+    epoch: u32,
     /// Lane-width/semantics tag of `key` (1 = unit bitset, 2 = λ-fold
     /// lanes under tile slack, 3 = λ-fold lanes under waste slack).
     bits: u8,
 }
 
-const EMPTY: u32 = u32::MAX;
+/// A slot no epoch owns: shard epochs start at 1 and skip 0 on wrap.
+const VACANT: Slot = Slot {
+    key: [0; KEY_WORDS],
+    rem: 0,
+    gen: 0,
+    epoch: 0,
+    bits: 0,
+};
 
 /// One independently locked segment of the store.
 struct Shard {
@@ -191,6 +217,50 @@ struct Shard {
     len: usize,
     /// Largest slot count this shard's byte share allows.
     cap_slots: usize,
+    /// The epoch occupied slots carry; never 0.
+    epoch: u32,
+}
+
+impl Shard {
+    /// An empty seed-size shard.
+    fn fresh() -> Shard {
+        Shard {
+            slots: vec![VACANT; MIN_SLOTS],
+            mask: MIN_SLOTS - 1,
+            len: 0,
+            cap_slots: MIN_SLOTS,
+            epoch: 1,
+        }
+    }
+
+    /// Whether `slot` holds an entry of this shard's current epoch.
+    #[inline]
+    fn occupied(&self, slot: &Slot) -> bool {
+        slot.epoch == self.epoch
+    }
+
+    /// Empties the shard for reuse without touching its slots: cuts a
+    /// grown table back to the seed size and moves to the next epoch.
+    /// Only an epoch wrap refills, so stale stamps can never come back.
+    fn retire(&mut self) {
+        if self.slots.len() > MIN_SLOTS {
+            self.slots.truncate(MIN_SLOTS);
+            self.slots.shrink_to_fit();
+            self.mask = MIN_SLOTS - 1;
+        }
+        self.len = 0;
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            self.slots.fill(VACANT);
+            self.epoch = 1;
+        }
+    }
+}
+
+thread_local! {
+    /// The retired shards of the last store this thread dropped, for
+    /// the next [`MemoStore::new`] on this thread to take.
+    static SPARE: Cell<Option<Vec<Mutex<Shard>>>> = const { Cell::new(None) };
 }
 
 /// The shared refutation store. See the module docs for the pruning
@@ -232,6 +302,12 @@ impl MemoStore {
     /// bound on exact search: ρ(17) certifies on the default route and the
     /// partition route certifies ρ(18), both with the memo off and nothing
     /// in the answer saying so. Wider keys are ROADMAP open item 3.
+    ///
+    /// The slot table is this thread's spare (the retired shards of the
+    /// last store the thread dropped) when it has one, and a freshly
+    /// allocated one otherwise; either way the store starts empty at the
+    /// seed size of 1,024 slots per shard, so the two are
+    /// indistinguishable to a search.
     pub fn new(u: &TileUniverse, budget_bytes: usize) -> Option<MemoStore> {
         let num_chords = u.num_chords();
         if num_chords > 128 {
@@ -240,30 +316,22 @@ impl MemoStore {
         let budget_slots = (budget_bytes / SLOT_BYTES / SHARDS).max(MIN_SLOTS);
         // Floor to a power of two so `hash & mask` indexes uniformly.
         let cap_slots = 1usize << (usize::BITS - 1 - budget_slots.leading_zeros());
-        let start = MIN_SLOTS.min(cap_slots);
         let mut rng = StdRng::seed_from_u64(ZOBRIST_SEED);
         // Level-1 keys first: the prefix of the seeded stream is exactly
         // the historical per-chord key set, so unit-search hashes (and
         // hence node counts) are bit-identical to earlier revisions.
         let zobrist: Vec<u64> = (0..3 * num_chords).map(|_| rng.next_u64()).collect();
-        let shards = (0..SHARDS)
-            .map(|_| {
-                Mutex::new(Shard {
-                    slots: vec![
-                        Slot {
-                            key: [0; KEY_WORDS],
-                            rem: EMPTY,
-                            gen: 0,
-                            bits: 0,
-                        };
-                        start
-                    ],
-                    mask: start - 1,
-                    len: 0,
-                    cap_slots,
-                })
-            })
-            .collect();
+        let mut shards = SPARE
+            .try_with(Cell::take)
+            .ok()
+            .flatten()
+            .unwrap_or_else(|| (0..SHARDS).map(|_| Mutex::new(Shard::fresh())).collect());
+        for shard in &mut shards {
+            shard
+                .get_mut()
+                .unwrap_or_else(PoisonError::into_inner)
+                .cap_slots = cap_slots;
+        }
         Some(MemoStore {
             shards,
             zobrist,
@@ -362,7 +430,7 @@ impl MemoStore {
         let base = hash as usize;
         for i in 0..Self::WAYS {
             let slot = &shard.slots[(base + i) & shard.mask];
-            if slot.rem != EMPTY && slot.bits == bits && slot.key == key {
+            if shard.occupied(slot) && slot.bits == bits && slot.key == key {
                 return (slot.rem >= slack).then_some(slot.gen);
             }
         }
@@ -375,26 +443,32 @@ impl MemoStore {
     /// with the window full at capacity, evicts the weakest resident
     /// (smallest rem) if the newcomer prunes more.
     pub(crate) fn record(&self, hash: u64, key: [u64; KEY_WORDS], bits: u8, rem: u32, gen: u32) {
-        debug_assert_ne!(rem, EMPTY);
         let mut shard = self.lock_shard(hash);
         if shard.len * 4 > shard.slots.len() * 3 && shard.slots.len() < shard.cap_slots {
             self.grow(&mut shard);
         }
+        let entry = Slot {
+            key,
+            rem,
+            gen,
+            epoch: shard.epoch,
+            bits,
+        };
         let base = hash as usize;
         let mut weakest = 0usize;
-        let mut weakest_rem = EMPTY;
+        let mut weakest_rem = u32::MAX;
         for i in 0..Self::WAYS {
             let idx = (base + i) & shard.mask;
             let slot = shard.slots[idx];
-            if slot.rem == EMPTY {
+            if !shard.occupied(&slot) {
                 shard.len += 1;
-                shard.slots[idx] = Slot { key, rem, gen, bits };
+                shard.slots[idx] = entry;
                 self.len.fetch_add(1, Ordering::Relaxed);
                 return;
             }
             if slot.bits == bits && slot.key == key {
                 if rem > slot.rem {
-                    shard.slots[idx] = Slot { key, rem, gen, bits };
+                    shard.slots[idx] = entry;
                 }
                 return;
             }
@@ -404,7 +478,7 @@ impl MemoStore {
             }
         }
         if rem > weakest_rem {
-            shard.slots[weakest] = Slot { key, rem, gen, bits };
+            shard.slots[weakest] = entry;
         }
     }
 
@@ -412,32 +486,21 @@ impl MemoStore {
     fn grow(&self, shard: &mut Shard) {
         let prev_len = shard.len;
         let new_len = shard.slots.len() * 2;
-        let old = std::mem::replace(
-            &mut shard.slots,
-            vec![
-                Slot {
-                    key: [0; KEY_WORDS],
-                    rem: EMPTY,
-                    gen: 0,
-                    bits: 0,
-                };
-                new_len
-            ],
-        );
+        let old = std::mem::replace(&mut shard.slots, vec![VACANT; new_len]);
         shard.mask = new_len - 1;
         shard.len = 0;
         for moved in old {
-            if moved.rem != EMPTY {
+            if shard.occupied(&moved) {
                 let hash = self.hash_of_state(moved.key, moved.bits);
                 // Re-seat inline (the shard lock is already held).
                 let base = hash as usize;
                 let mut weakest = 0usize;
-                let mut weakest_rem = EMPTY;
+                let mut weakest_rem = u32::MAX;
                 let mut seated = false;
                 for i in 0..Self::WAYS {
                     let idx = (base + i) & shard.mask;
                     let slot = shard.slots[idx];
-                    if slot.rem == EMPTY {
+                    if !shard.occupied(&slot) {
                         shard.len += 1;
                         shard.slots[idx] = moved;
                         seated = true;
@@ -495,6 +558,26 @@ impl MemoStore {
             other => unreachable!("unknown lane width {other}"),
         }
         hash
+    }
+}
+
+impl Drop for MemoStore {
+    /// Retires the shards into this thread's spare (see the module
+    /// docs). Never panics: a store can be dropped while a search's
+    /// panic unwinds. During thread teardown the shards are freed.
+    fn drop(&mut self) {
+        let mut shards = std::mem::take(&mut self.shards);
+        for shard in &mut shards {
+            // A poisoned shard is safe to reuse: `retire` discards every
+            // entry, and `slots.len() == mask + 1` holds at every step
+            // of `record` and `grow`.
+            shard.clear_poison();
+            shard
+                .get_mut()
+                .unwrap_or_else(PoisonError::into_inner)
+                .retire();
+        }
+        let _ = SPARE.try_with(move |spare| spare.set(Some(shards)));
     }
 }
 
@@ -717,5 +800,179 @@ mod tests {
             memo.dominated(memo.hash_of_state(key, 1), key, 1, 1);
         }
         assert_eq!(memo.contention(), 0);
+    }
+
+    /// Runs `f` on a thread of its own, so it starts with no spare and
+    /// leaves none behind for other tests.
+    fn on_fresh_thread(f: impl FnOnce() + Send + 'static) {
+        std::thread::spawn(f).join().expect("the scenario passed");
+    }
+
+    /// Random states at widths 1, 2 and 3 that fit n = 10's 45 chords
+    /// (unit: 45 bits; lanes: 90 bits over words 0 and 1).
+    fn n10_states(seed: u64, count: usize) -> Vec<([u64; KEY_WORDS], u8)> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        (0..count)
+            .map(|i| match i % 3 {
+                0 => ([rng.next_u64() & ((1 << 45) - 1), 0, 0, 0], 1),
+                w => (
+                    [rng.next_u64(), rng.next_u64() & ((1 << 26) - 1), 0, 0],
+                    w as u8 + 1,
+                ),
+            })
+            .collect()
+    }
+
+    /// Records `states` with varying slack, then asks about each at
+    /// three slacks: the store's whole observable behaviour on them.
+    fn exercise(memo: &MemoStore, states: &[([u64; KEY_WORDS], u8)]) -> (Vec<Option<u32>>, u64) {
+        let gen = memo.attach();
+        for (i, &(key, bits)) in states.iter().enumerate() {
+            let hash = memo.hash_of_state(key, bits);
+            memo.record(hash, key, bits, (i % 7) as u32, gen);
+        }
+        let answers = states
+            .iter()
+            .flat_map(|&(key, bits)| {
+                let hash = memo.hash_of_state(key, bits);
+                (0..3).map(move |slack| memo.dominated(hash, key, bits, slack * 3))
+            })
+            .collect();
+        (answers, memo.len())
+    }
+
+    fn slot_table(memo: &MemoStore, shard: usize) -> *const Slot {
+        memo.shards[shard].lock().unwrap().slots.as_ptr()
+    }
+
+    fn assert_seed_size(memo: &MemoStore, cap_slots: usize) {
+        for shard in &memo.shards {
+            let shard = shard.lock().unwrap();
+            assert_eq!(shard.slots.len(), MIN_SLOTS);
+            assert_eq!(shard.slots.capacity(), MIN_SLOTS, "a grown table is shrunk");
+            assert_eq!(shard.mask, MIN_SLOTS - 1);
+            assert_eq!(shard.len, 0);
+            assert_eq!(shard.cap_slots, cap_slots);
+        }
+    }
+
+    #[test]
+    fn recycled_store_is_indistinguishable_from_a_fresh_one() {
+        on_fresh_thread(|| {
+            let first = MemoStore::new(&universe(12), 1 << 20).unwrap();
+            let gen = first.attach();
+            let old: Vec<_> = (0..300u64)
+                .map(|i| {
+                    let bits = (i % 3) as u8 + 1;
+                    let key = [i * 0x9E37_79B9 + 1, i, 0, 0];
+                    let hash = first.hash_of_state(key, bits);
+                    first.record(hash, key, bits, 9, gen);
+                    (hash, key, bits)
+                })
+                .collect();
+            assert!(!first.is_empty());
+            let table = slot_table(&first, 0);
+            drop(first);
+
+            // Another universe and budget on the same thread.
+            let recycled = MemoStore::new(&universe(10), 4 << 20).unwrap();
+            assert_eq!(slot_table(&recycled, 0), table, "the spare was taken");
+            assert_eq!(recycled.len(), 0);
+            let fresh = MemoStore::new(&universe(10), 4 << 20).unwrap();
+            assert_ne!(slot_table(&fresh, 0), table, "the spare is taken once");
+            assert_seed_size(&recycled, fresh.shards[0].lock().unwrap().cap_slots);
+            assert_eq!(recycled.zobrist, fresh.zobrist);
+            for shard in &recycled.shards {
+                let shard = shard.lock().unwrap();
+                assert!(shard.slots.iter().all(|s| !shard.occupied(s)));
+            }
+            for &(hash, key, bits) in &old {
+                // The old entries still sit in the slots they were
+                // written to, under a stale epoch.
+                assert!(recycled.dominated(hash, key, bits, 0).is_none());
+            }
+            let states = n10_states(5, 3_000);
+            assert_eq!(exercise(&recycled, &states), exercise(&fresh, &states));
+        });
+    }
+
+    #[test]
+    fn grown_shards_come_back_at_the_seed_size() {
+        on_fresh_thread(|| {
+            let u = universe(16);
+            let grown = MemoStore::new(&u, 8 << 20).unwrap();
+            let gen = grown.attach();
+            let mut rng = StdRng::seed_from_u64(3);
+            let hi_mask = (1u64 << (u.num_chords() - 64)) - 1;
+            for i in 0..20_000u32 {
+                let key = [rng.next_u64(), rng.next_u64() & hi_mask, 0, 0];
+                grown.record(grown.hash_of_state(key, 1), key, 1, i % 11, gen);
+            }
+            assert!(
+                grown
+                    .shards
+                    .iter()
+                    .all(|s| s.lock().unwrap().slots.len() > MIN_SLOTS),
+                "every shard grew"
+            );
+            drop(grown);
+            let recycled = MemoStore::new(&universe(10), 1 << 20).unwrap();
+            let fresh = MemoStore::new(&universe(10), 1 << 20).unwrap();
+            assert_seed_size(&recycled, fresh.shards[0].lock().unwrap().cap_slots);
+            let states = n10_states(6, 3_000);
+            assert_eq!(exercise(&recycled, &states), exercise(&fresh, &states));
+        });
+    }
+
+    #[test]
+    fn an_epoch_wrap_refills_the_slots() {
+        on_fresh_thread(|| {
+            let states = n10_states(8, 600);
+            let first = MemoStore::new(&universe(10), 1 << 20).unwrap();
+            assert!(exercise(&first, &states).1 > 0);
+            // The hook: jump to the last epoch without touching the slots,
+            // so the drop's bump wraps. Without the refill, the entries
+            // stamped with epoch 1 above would come back to life.
+            for shard in &first.shards {
+                shard.lock().unwrap().epoch = u32::MAX;
+            }
+            drop(first);
+            let recycled = MemoStore::new(&universe(10), 1 << 20).unwrap();
+            for shard in &recycled.shards {
+                let shard = shard.lock().unwrap();
+                assert_eq!(shard.epoch, 1);
+                assert!(
+                    shard.slots.iter().all(|s| s.epoch == 0),
+                    "every slot refilled"
+                );
+            }
+            let fresh = MemoStore::new(&universe(10), 1 << 20).unwrap();
+            assert_eq!(exercise(&recycled, &states), exercise(&fresh, &states));
+        });
+    }
+
+    #[test]
+    fn a_store_dropped_with_a_poisoned_lock_is_reused() {
+        on_fresh_thread(|| {
+            let first = MemoStore::new(&universe(10), 1 << 20).unwrap();
+            let poisoned = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let _guard = first.shards[3].lock().unwrap();
+                panic!("a search panicked while holding shard 3");
+            }));
+            assert!(poisoned.is_err() && first.shards[3].is_poisoned());
+            let table = slot_table(&first, 0);
+            drop(first);
+            let recycled = MemoStore::new(&universe(10), 1 << 20).unwrap();
+            assert_eq!(slot_table(&recycled, 0), table);
+            assert!(recycled.shards.iter().all(|s| !s.is_poisoned()));
+            let fresh = MemoStore::new(&universe(10), 1 << 20).unwrap();
+            let states = n10_states(9, 3_000);
+            assert_eq!(exercise(&recycled, &states), exercise(&fresh, &states));
+        });
+    }
+
+    #[test]
+    fn the_epoch_fits_in_the_slot_padding() {
+        assert_eq!(std::mem::size_of::<Slot>(), 48);
     }
 }

@@ -5,7 +5,7 @@
 //! investigation). This module contributes *constructive upper bounds*
 //! with machine-verified routings, in the same spirit as the paper's
 //! constructions, plus the matching capacity lower bounds for calibration
-//! (experiment E9 of `DESIGN.md`).
+//! (experiment E9: the `table_torus` bench binary tabulates both).
 //!
 //! ## Torus construction ([`cover_torus`])
 //!
