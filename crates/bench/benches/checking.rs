@@ -26,20 +26,28 @@ fn bench_winding_vs_oracle(c: &mut Criterion) {
     for (n, k) in [(32u32, 4usize), (64, 6), (128, 8)] {
         let ring = Ring::new(n);
         let cycles = random_cycles(n, k, 256, 7);
-        g.bench_with_input(BenchmarkId::new("winding", format!("n{n}_k{k}")), &cycles, |b, cs| {
-            b.iter(|| {
-                cs.iter()
-                    .filter(|cy| routing::winding_routing(ring, cy).is_some())
-                    .count()
-            })
-        });
-        g.bench_with_input(BenchmarkId::new("oracle", format!("n{n}_k{k}")), &cycles, |b, cs| {
-            b.iter(|| {
-                cs.iter()
-                    .filter(|cy| routing::route_cycle(ring, cy).is_some())
-                    .count()
-            })
-        });
+        g.bench_with_input(
+            BenchmarkId::new("winding", format!("n{n}_k{k}")),
+            &cycles,
+            |b, cs| {
+                b.iter(|| {
+                    cs.iter()
+                        .filter(|cy| routing::winding_routing(ring, cy).is_some())
+                        .count()
+                })
+            },
+        );
+        g.bench_with_input(
+            BenchmarkId::new("oracle", format!("n{n}_k{k}")),
+            &cycles,
+            |b, cs| {
+                b.iter(|| {
+                    cs.iter()
+                        .filter(|cy| routing::route_cycle(ring, cy).is_some())
+                        .count()
+                })
+            },
+        );
     }
     g.finish();
 }

@@ -30,7 +30,8 @@ fn bench_drc_oracle(c: &mut Criterion) {
             &(&topo, &cyc),
             |b, (topo, cyc)| {
                 b.iter(|| {
-                    let out = route_cycle(black_box(topo.graph()), cyc, 2 * (r + cols), DEFAULT_BUDGET);
+                    let out =
+                        route_cycle(black_box(topo.graph()), cyc, 2 * (r + cols), DEFAULT_BUDGET);
                     assert!(out.is_routed());
                 })
             },
@@ -125,7 +126,9 @@ fn bench_ring_loading(c: &mut Criterion) {
         g.bench_with_input(
             BenchmarkId::new("local_search", n),
             &(ring, &demands),
-            |b, (ring, demands)| b.iter(|| local_search_loading(*ring, black_box(demands)).max_load),
+            |b, (ring, demands)| {
+                b.iter(|| local_search_loading(*ring, black_box(demands)).max_load)
+            },
         );
     }
     g.finish();

@@ -22,7 +22,9 @@ fn bench_failure_sweep(c: &mut Criterion) {
     for n in [20u32, 40, 60] {
         let cover = construct_optimal(n);
         let net = WdmNetwork::from_covering(&cover);
-        g.throughput(Throughput::Elements(n as u64 * net.subnetworks().len() as u64));
+        g.throughput(Throughput::Elements(
+            n as u64 * net.subnetworks().len() as u64,
+        ));
         g.bench_with_input(BenchmarkId::from_parameter(n), &net, |b, net| {
             b.iter(|| audit_all_failures(net).total_reroutes)
         });

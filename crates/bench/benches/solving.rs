@@ -64,13 +64,8 @@ fn bench_recursive_vs_iterative(c: &mut Criterion) {
     let spec = CoverSpec::complete(8);
     g.bench_function("recursive", |b| {
         b.iter(|| {
-            let (outcome, stats) = budget_search_reference(
-                problem.universe(),
-                &spec,
-                8,
-                u64::MAX,
-                SymmetryMode::Off,
-            );
+            let (outcome, stats) =
+                budget_search_reference(problem.universe(), &spec, 8, u64::MAX, SymmetryMode::Off);
             assert_eq!(outcome, Outcome::Infeasible);
             stats.nodes
         })

@@ -14,7 +14,15 @@ fn main() {
     println!();
     let widths = [5, 12, 9, 12, 9, 8, 10];
     header(
-        &["n", "unprot", "nines", "protected", "nines", "gain", "residual"],
+        &[
+            "n",
+            "unprot",
+            "nines",
+            "protected",
+            "nines",
+            "gain",
+            "residual",
+        ],
         &widths,
     );
     for n in [6u32, 8, 10, 13, 16, 20, 24, 32] {

@@ -20,8 +20,8 @@
 //! but not gated (hardware differs between calibration and CI hosts;
 //! admission already absorbs that with its safety factor).
 
-use cyclecover_service::{CalibrationRow, CostModel, SAFETY_FACTOR};
 use cyclecover_io::json::SolveJob;
+use cyclecover_service::{CalibrationRow, CostModel, SAFETY_FACTOR};
 use cyclecover_solver::api::{engine_by_name, Problem, SolveRequest, SymmetryMode};
 
 const MODES: [(SymmetryMode, &str); 3] = [

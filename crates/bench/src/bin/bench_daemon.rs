@@ -131,9 +131,10 @@ fn main() {
     let (answers3, wall3) = wave(addr, &queue[..mid]);
 
     // Graceful drain; the final stats document is the daemon's answer.
-    let (drain, _) = wave(addr, &[
-        r#"{"format": "cyclecover-control", "version": 1, "op": "shutdown"}"#.to_string(),
-    ]);
+    let (drain, _) = wave(
+        addr,
+        &[r#"{"format": "cyclecover-control", "version": 1, "op": "shutdown"}"#.to_string()],
+    );
     let final_doc = drain.last().expect("final stats document");
     let reported = DaemonStats::from_json(final_doc).expect("final stats parse");
     let stats = server.join().expect("daemon thread");
@@ -145,25 +146,48 @@ fn main() {
     assert_eq!(answers3.len(), mid, "wave 3 answers");
     assert_eq!(stats.rejected_parse, 1, "the malformed line");
     assert_eq!(stats.rejected_predicted, 1, "only the doomed deadline");
-    assert_eq!(stats.jobs_received, total_jobs, "all well-formed jobs admitted");
-    assert_eq!(stats.jobs_answered, total_jobs, "every admitted job answered");
+    assert_eq!(
+        stats.jobs_received, total_jobs,
+        "all well-formed jobs admitted"
+    );
+    assert_eq!(
+        stats.jobs_answered, total_jobs,
+        "every admitted job answered"
+    );
     assert_eq!(stats.unstarted, 0, "graceful drain left nothing behind");
-    assert_eq!(stats.rejected_overload, 0, "clean run hit the global queue bound");
+    assert_eq!(
+        stats.rejected_overload, 0,
+        "clean run hit the global queue bound"
+    );
     assert_eq!(stats.stalls, 0, "clean run tripped backpressure");
-    assert_eq!(reported.jobs_answered, stats.jobs_answered, "wire stats agree");
-    assert!(stats.generations >= 3, "three waves, three generations minimum");
-    assert!(stats.warm_universe_hits > 0, "wave 2 never reused a universe");
+    assert_eq!(
+        reported.jobs_answered, stats.jobs_answered,
+        "wire stats agree"
+    );
+    assert!(
+        stats.generations >= 3,
+        "three waves, three generations minimum"
+    );
+    assert!(
+        stats.warm_universe_hits > 0,
+        "wave 2 never reused a universe"
+    );
     assert!(
         stats.cert_cache_hits > 0,
         "wave 3's replayed certifications never hit the certificate cache"
     );
-    assert!(stats.cert_cache_entries > 0, "wave 1 recorded no certificates");
-    assert_eq!(stats.shared_hits, 0, "sharing is opt-in; the daemon default is off");
+    assert!(
+        stats.cert_cache_entries > 0,
+        "wave 1 recorded no certificates"
+    );
+    assert_eq!(
+        stats.shared_hits, 0,
+        "sharing is opt-in; the daemon default is off"
+    );
 
     let serving = (wall1 + wall2 + wall3).as_secs_f64();
     let jobs_per_s = stats.jobs_answered as f64 / serving.max(1e-9);
-    let warm_rate = stats.warm_universe_hits as f64
-        / (stats.warm_universe_lookups.max(1)) as f64;
+    let warm_rate = stats.warm_universe_hits as f64 / (stats.warm_universe_lookups.max(1)) as f64;
     // Signed relative node error of the admission model over the jobs it
     // was confident about (exact calibration points).
     let rel_err = if stats.actual_nodes > 0 {

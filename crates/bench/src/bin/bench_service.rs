@@ -118,7 +118,10 @@ fn main() {
             "--jobs" => jobs = it.next().and_then(|v| v.parse().ok()).expect("--jobs N"),
             "--workers" => workers = it.next().and_then(|v| v.parse().ok()).expect("--workers N"),
             "--cache-mb" => {
-                cache_mb = it.next().and_then(|v| v.parse().ok()).expect("--cache-mb M")
+                cache_mb = it
+                    .next()
+                    .and_then(|v| v.parse().ok())
+                    .expect("--cache-mb M")
             }
             "--quick" => jobs = 20,
             "--json" => as_json = true,
@@ -238,9 +241,15 @@ fn main() {
         "the replayed queue never hit the certificate cache"
     );
     if shared_memo {
-        assert!(st.shared_hits > 0, "--shared-memo engaged no cross-job reuse");
+        assert!(
+            st.shared_hits > 0,
+            "--shared-memo engaged no cross-job reuse"
+        );
     } else {
-        assert_eq!(st.shared_hits, 0, "sharing is opt-in; the default must not engage it");
+        assert_eq!(
+            st.shared_hits, 0,
+            "sharing is opt-in; the default must not engage it"
+        );
     }
     if faulted {
         assert!(

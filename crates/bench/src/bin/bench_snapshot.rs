@@ -77,9 +77,7 @@
 //!   (`--quick --check`)
 
 use cyclecover_ring::Ring;
-use cyclecover_solver::api::{
-    engine_by_name, Optimality, Problem, SolveRequest, SymmetryMode,
-};
+use cyclecover_solver::api::{engine_by_name, Optimality, Problem, SolveRequest, SymmetryMode};
 use cyclecover_solver::bnb::{
     budget_search_packed, CoverSpec, MemoStore, Outcome, DEFAULT_MEMO_BYTES,
 };
@@ -256,9 +254,8 @@ fn certify_shared(
 ) -> Row {
     let n = problem.ring().n();
     let eng = engine_by_name(engine).expect("registered engine");
-    let store = Arc::new(
-        MemoStore::new(problem.universe(), DEFAULT_MEMO_BYTES).expect("store fits"),
-    );
+    let store =
+        Arc::new(MemoStore::new(problem.universe(), DEFAULT_MEMO_BYTES).expect("store fits"));
     let below_req = SolveRequest::prove_infeasible(rho - 1)
         .with_symmetry(symmetry)
         .with_memo(true)
@@ -424,14 +421,8 @@ fn certify_rho2_8_lanes_forced() -> Row {
         Some(&below_store),
     );
     let at_store = MemoStore::new(&u, DEFAULT_MEMO_BYTES).expect("n = 8 fits");
-    let (at, at_stats) = budget_search_packed(
-        &u,
-        &spec,
-        16,
-        u64::MAX,
-        SymmetryMode::Full,
-        Some(&at_store),
-    );
+    let (at, at_stats) =
+        budget_search_packed(&u, &spec, 16, u64::MAX, SymmetryMode::Full, Some(&at_store));
     let wall = t0.elapsed().as_secs_f64() * 1e3;
     Row {
         n: 8,
@@ -464,7 +455,9 @@ fn main() {
         .and_then(|i| args.get(i + 1))
         .and_then(|v| v.parse().ok())
         .unwrap_or(10);
-    let threads = std::thread::available_parallelism().map(|t| t.get()).unwrap_or(4);
+    let threads = std::thread::available_parallelism()
+        .map(|t| t.get())
+        .unwrap_or(4);
 
     let mut rows: Vec<Row> = Vec::new();
     let mut run = |row: Row| {
@@ -512,9 +505,30 @@ fn main() {
         if !quick {
             // Parallel corners: the exactness corner (off, memo-off) and
             // the engine-default corner (root, memo-on).
-            run(certify("bitset-parallel", &problem, rho, SymmetryMode::Off, false, u64::MAX));
-            run(certify("bitset-parallel", &problem, rho, SymmetryMode::Root, true, u64::MAX));
-            run(certify("legacy", &problem, rho, SymmetryMode::Off, false, u64::MAX));
+            run(certify(
+                "bitset-parallel",
+                &problem,
+                rho,
+                SymmetryMode::Off,
+                false,
+                u64::MAX,
+            ));
+            run(certify(
+                "bitset-parallel",
+                &problem,
+                rho,
+                SymmetryMode::Root,
+                true,
+                u64::MAX,
+            ));
+            run(certify(
+                "legacy",
+                &problem,
+                rho,
+                SymmetryMode::Off,
+                false,
+                u64::MAX,
+            ));
         }
     }
 
@@ -525,7 +539,12 @@ fn main() {
     for (n, sym) in [(8u32, SymmetryMode::Off), (10u32, SymmetryMode::Root)] {
         if n <= max_n {
             let problem = Problem::complete(n);
-            run(certify_shared("bitset", &problem, rho_formula(n) as u32, sym));
+            run(certify_shared(
+                "bitset",
+                &problem,
+                rho_formula(n) as u32,
+                sym,
+            ));
         }
     }
 
@@ -558,9 +577,23 @@ fn main() {
     // ignores symmetry and the memo — it predates both.
     for (n, lambda, opt, _, _, _) in LAMBDA_CHECKS {
         for memo in [true, false] {
-            run(certify_lambda("bitset", n, lambda, opt, SymmetryMode::Full, memo));
+            run(certify_lambda(
+                "bitset",
+                n,
+                lambda,
+                opt,
+                SymmetryMode::Full,
+                memo,
+            ));
         }
-        run(certify_lambda("legacy", n, lambda, opt, SymmetryMode::Off, false));
+        run(certify_lambda(
+            "legacy",
+            n,
+            lambda,
+            opt,
+            SymmetryMode::Off,
+            false,
+        ));
     }
 
     // The PR-10 partition-kernel rows (all `--quick` rows — they carry
@@ -650,8 +683,12 @@ fn main() {
         let mut failures = Vec::new();
         for (n, sym, memo, exact, proof, witness) in CHECK_BASELINES {
             let Some(row) = rows.iter().find(|r| {
-                r.n == n && r.lambda == 1 && r.engine == "bitset" && r.symmetry == sym
-                    && r.memo == memo && !r.shared
+                r.n == n
+                    && r.lambda == 1
+                    && r.engine == "bitset"
+                    && r.symmetry == sym
+                    && r.memo == memo
+                    && !r.shared
             }) else {
                 failures.push(format!(
                     "missing row n={n} bitset {} memo={memo}",
@@ -685,9 +722,10 @@ fn main() {
         // pass's refutations, and sharing may only *prune* — no more
         // nodes than the private memo-on row of the same shape.
         for (n, sym, floor, ceiling) in SHARED_CHECKS {
-            let Some(shared) = rows.iter().find(|r| {
-                r.n == n && r.engine == "bitset" && r.symmetry == sym && r.shared
-            }) else {
+            let Some(shared) = rows
+                .iter()
+                .find(|r| r.n == n && r.engine == "bitset" && r.symmetry == sym && r.shared)
+            else {
                 failures.push(format!("missing shared row n={n} {}", mode_name(sym)));
                 continue;
             };
@@ -724,9 +762,9 @@ fn main() {
         // legacy witness counts, packed ceilings, and the strict
         // packed < legacy win on every row.
         for (n, lambda, _, legacy_wit, packed_on, packed_off) in LAMBDA_CHECKS {
-            let legacy = rows.iter().find(|r| {
-                r.n == n && r.lambda == lambda && r.engine == "legacy"
-            });
+            let legacy = rows
+                .iter()
+                .find(|r| r.n == n && r.lambda == lambda && r.engine == "legacy");
             match legacy {
                 None => failures.push(format!("missing row n={n} lambda={lambda} legacy")),
                 Some(row) => {

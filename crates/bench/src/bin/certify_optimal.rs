@@ -16,7 +16,15 @@ fn main() {
     println!();
     let widths = [4, 8, 8, 13, 14, 10, 16];
     header(
-        &["n", "cap.LB", "rho(n)", "rho-1 feas?", "rho feas?", "certified", "nodes"],
+        &[
+            "n",
+            "cap.LB",
+            "rho(n)",
+            "rho-1 feas?",
+            "rho feas?",
+            "certified",
+            "nodes",
+        ],
         &widths,
     );
     let parallel = engine_by_name("bitset-parallel").expect("registered engine");

@@ -26,11 +26,7 @@ fn main() {
     for n in [8u32, 12, 16] {
         let covering = cyclecover_core::construct_optimal(n);
         // Footprints on the ring: every winding tile uses all n edges.
-        let footprints: Vec<Vec<u32>> = covering
-            .tiles()
-            .iter()
-            .map(|_| (0..n).collect())
-            .collect();
+        let footprints: Vec<Vec<u32>> = covering.tiles().iter().map(|_| (0..n).collect()).collect();
         let g = conflict_graph(&footprints);
         let k = covering.len();
         assert_eq!(g.edge_count(), k * (k - 1) / 2, "complete conflict graph");
@@ -39,7 +35,12 @@ fn main() {
         println!(
             "{}",
             row(
-                &[n.to_string(), k.to_string(), g.edge_count().to_string(), c.count.to_string()],
+                &[
+                    n.to_string(),
+                    k.to_string(),
+                    g.edge_count().to_string(),
+                    c.count.to_string()
+                ],
                 &widths0
             )
         );
@@ -49,7 +50,9 @@ fn main() {
     println!("torus coverings (partial footprints => real coloring problem):");
     let widths = [7, 8, 7, 7, 7, 7, 7, 8];
     header(
-        &["torus", "cycles", "cliqLB", "LF", "SL", "DSAT", "exact", "reuse"],
+        &[
+            "torus", "cycles", "cliqLB", "LF", "SL", "DSAT", "exact", "reuse",
+        ],
         &widths,
     );
     for (r, c) in [(3u32, 3u32), (3, 4), (4, 4), (3, 5), (4, 5)] {

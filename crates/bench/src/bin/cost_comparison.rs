@@ -29,7 +29,9 @@ fn main() {
     println!();
     let widths = [5, 10, 10, 10, 10, 12, 12];
     header(
-        &["n", "cycles", "cyclesT", "ADMs", "ADMsT", "blended", "blendedT"],
+        &[
+            "n", "cycles", "cyclesT", "ADMs", "ADMsT", "blended", "blendedT",
+        ],
         &widths,
     );
     for n in [8u32, 12, 16, 20, 30, 40, 50, 70, 100] {

@@ -219,8 +219,16 @@ impl ResidualSolver {
                 continue;
             }
             gaps.push(g);
-            if self.extend_chain(start, v, gaps, remaining, left, budget, overlap_budget, chosen)
-            {
+            if self.extend_chain(
+                start,
+                v,
+                gaps,
+                remaining,
+                left,
+                budget,
+                overlap_budget,
+                chosen,
+            ) {
                 gaps.pop();
                 return true;
             }
@@ -230,7 +238,12 @@ impl ResidualSolver {
     }
 }
 
-fn try_residual(big: Ring, residual: &[(u32, u32)], budget: usize, overlap_budget: usize) -> Option<Vec<Tile>> {
+fn try_residual(
+    big: Ring,
+    residual: &[(u32, u32)],
+    budget: usize,
+    overlap_budget: usize,
+) -> Option<Vec<Tile>> {
     let n = big.n() as usize;
     let mut flags = vec![false; n * (n - 1) / 2];
     for &(u, v) in residual {

@@ -132,7 +132,22 @@ fn enumerate_candidates(
             }
             gaps.push(g);
             covered.push(rid);
-            dfs(ring, adj, is_res, res_id, start, v, used + g, gaps, covered, ov, max_len, max_ov, seen, out);
+            dfs(
+                ring,
+                adj,
+                is_res,
+                res_id,
+                start,
+                v,
+                used + g,
+                gaps,
+                covered,
+                ov,
+                max_len,
+                max_ov,
+                seen,
+                out,
+            );
             covered.pop();
             gaps.pop();
         }
@@ -147,7 +162,22 @@ fn enumerate_candidates(
                     continue;
                 }
                 gaps.push(g);
-                dfs(ring, adj, is_res, res_id, start, v, used + g, gaps, covered, ov + 1, max_len, max_ov, seen, out);
+                dfs(
+                    ring,
+                    adj,
+                    is_res,
+                    res_id,
+                    start,
+                    v,
+                    used + g,
+                    gaps,
+                    covered,
+                    ov + 1,
+                    max_len,
+                    max_ov,
+                    seen,
+                    out,
+                );
                 gaps.pop();
             }
         }
@@ -161,8 +191,20 @@ fn enumerate_candidates(
             let mut gaps = vec![g];
             let mut covered = vec![res_id[i]];
             dfs(
-                ring, &adj, &wrapped, &res_id, s, t, g, &mut gaps, &mut covered, 0, max_len,
-                max_ov, &mut seen, &mut out,
+                ring,
+                &adj,
+                &wrapped,
+                &res_id,
+                s,
+                t,
+                g,
+                &mut gaps,
+                &mut covered,
+                0,
+                max_len,
+                max_ov,
+                &mut seen,
+                &mut out,
             );
         }
     }
@@ -231,7 +273,11 @@ fn cover_residual(
             let mut cands: Vec<u32> = self.by_chord[k].to_vec();
             cands.sort_by_key(|&c| {
                 std::cmp::Reverse(
-                    self.cands[c as usize].1.iter().filter(|&&x| !self.covered[x]).count(),
+                    self.cands[c as usize]
+                        .1
+                        .iter()
+                        .filter(|&&x| !self.covered[x])
+                        .count(),
                 )
             });
             for c in cands {
@@ -276,7 +322,12 @@ fn cover_residual(
         nodes: 0,
     };
     if s.dfs(budget) {
-        Some(s.chosen.iter().map(|&c| candidates[c as usize].0.clone()).collect())
+        Some(
+            s.chosen
+                .iter()
+                .map(|&c| candidates[c as usize].0.clone())
+                .collect(),
+        )
     } else {
         None
     }

@@ -95,7 +95,10 @@ fn main() {
             let ring = Ring::new(n);
             for t in tiles {
                 let gaps = t.gaps(ring);
-                let parities: Vec<&str> = gaps.iter().map(|g| if g % 2 == 0 { "e" } else { "o" }).collect();
+                let parities: Vec<&str> = gaps
+                    .iter()
+                    .map(|g| if g % 2 == 0 { "e" } else { "o" })
+                    .collect();
                 println!("  {:?} gaps={gaps:?} {}", t.vertices(), parities.join(""));
             }
         } else {

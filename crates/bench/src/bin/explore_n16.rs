@@ -26,10 +26,9 @@ fn main() {
     let lambda: u32 = flag("--lambda").map_or(1, |v| v.parse().expect("bad --lambda"));
     // λ = 1 probes budget 33 (capacity 32 + Theorem 2's parity +1);
     // λ = 2 probes the zero-slack capacity budget 64.
-    let budget: u32 =
-        flag("--budget").map_or(if lambda == 1 { 33 } else { 32 * lambda }, |v| {
-            v.parse().expect("bad --budget")
-        });
+    let budget: u32 = flag("--budget").map_or(if lambda == 1 { 33 } else { 32 * lambda }, |v| {
+        v.parse().expect("bad --budget")
+    });
     let max_nodes: u64 =
         flag("--max-nodes").map_or(2_000_000_000, |v| v.parse().expect("bad --max-nodes"));
     // The unit probe defaults to the branch-and-bound engine (its 33
@@ -38,8 +37,8 @@ fn main() {
     // built for.
     let engine_name =
         flag("--engine").unwrap_or_else(|| if lambda == 1 { "bitset" } else { "partition" }.into());
-    let engine = engine_by_name(&engine_name)
-        .unwrap_or_else(|| panic!("unknown engine '{engine_name}'"));
+    let engine =
+        engine_by_name(&engine_name).unwrap_or_else(|| panic!("unknown engine '{engine_name}'"));
     // Restricted universe (C3/C4, shortest-gap) first. Runs the full
     // PR-8 configuration — dihedral symmetry + the residual-state memo —
     // so every node the cap buys is a reduced one.

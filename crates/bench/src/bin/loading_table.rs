@@ -18,7 +18,10 @@ fn main() {
     println!("E13 — ring loading (min max link load) for all-to-all demands on C_n");
     println!();
     let widths = [5, 9, 7, 9, 10, 7];
-    header(&["n", "demands", "LB", "shortest", "localsrch", "exact"], &widths);
+    header(
+        &["n", "demands", "LB", "shortest", "localsrch", "exact"],
+        &widths,
+    );
     for n in [4u32, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14] {
         let ring = Ring::new(n);
         let demands = all_to_all_demands(ring);
@@ -39,7 +42,10 @@ fn main() {
             None => "-".to_string(),
         };
         if let Some(o) = &exact {
-            assert!(o.max_load <= ls.max_load && ls.max_load <= s.max_load, "n={n}");
+            assert!(
+                o.max_load <= ls.max_load && ls.max_load <= s.max_load,
+                "n={n}"
+            );
             assert!(o.max_load >= lb, "n={n}");
         }
         println!(

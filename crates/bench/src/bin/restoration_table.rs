@@ -18,7 +18,15 @@ fn main() {
     println!();
     let widths = [5, 11, 9, 8, 8, 12, 7];
     header(
-        &["n", "protection", "working", "loadLB", "loadLS", "restoration", "ratio"],
+        &[
+            "n",
+            "protection",
+            "working",
+            "loadLB",
+            "loadLS",
+            "restoration",
+            "ratio",
+        ],
         &widths,
     );
     for n in [6u32, 8, 10, 12, 14, 16, 20, 24, 28, 32, 40, 48] {
@@ -28,7 +36,10 @@ fn main() {
         let ls = local_search_loading(ring, &demands);
         let lb = loading_lower_bound(ring, &demands);
         // Consistency: the working capacity equals the shortest loading.
-        assert_eq!(cmp.working_capacity, shortest_loading(ring, &demands).max_load);
+        assert_eq!(
+            cmp.working_capacity,
+            shortest_loading(ring, &demands).max_load
+        );
         println!(
             "{}",
             row(

@@ -14,7 +14,9 @@ fn main() {
     println!();
     let widths = [5, 8, 8, 10, 10, 12, 10];
     header(
-        &["n", "cycles", "ADMs", "failures", "reroutes", "restored", "stretch"],
+        &[
+            "n", "cycles", "ADMs", "failures", "reroutes", "restored", "stretch",
+        ],
         &widths,
     );
     let mut all = true;
@@ -32,7 +34,12 @@ fn main() {
                     net.total_adms().to_string(),
                     n.to_string(),
                     audit.total_reroutes.to_string(),
-                    if audit.fully_survivable { "100%" } else { "FAIL" }.to_string(),
+                    if audit.fully_survivable {
+                        "100%"
+                    } else {
+                        "FAIL"
+                    }
+                    .to_string(),
                     format!("{:.2}", audit.max_stretch),
                 ],
                 &widths,
@@ -42,7 +49,11 @@ fn main() {
     println!();
     println!(
         "all single-link failures recovered inside their cycle: {}",
-        if all { "yes — the paper's survivability scheme holds" } else { "NO" }
+        if all {
+            "yes — the paper's survivability scheme holds"
+        } else {
+            "NO"
+        }
     );
     assert!(all);
 }

@@ -15,7 +15,9 @@ fn main() {
     println!();
     let widths = [5, 4, 8, 8, 8, 6, 6, 7, 9, 7];
     header(
-        &["n", "p", "formula", "built", "cap.LB", "C3", "C4", "exact?", "solver", "valid"],
+        &[
+            "n", "p", "formula", "built", "cap.LB", "C3", "C4", "exact?", "solver", "valid",
+        ],
         &widths,
     );
     let mut all_ok = true;
@@ -27,12 +29,14 @@ fn main() {
         let exact = cover.is_exact_decomposition(1);
         let (want_c3, want_c4) = odd::expected_composition(n);
         let solver_opt = if n <= 11 {
-            let sol = engine_by_name("bitset-parallel").expect("registered").solve(
-                &Problem::complete(n),
-                &SolveRequest::find_optimal()
-                    .with_max_nodes(100_000_000)
-                    .with_policy(ExecPolicy::parallel()),
-            );
+            let sol = engine_by_name("bitset-parallel")
+                .expect("registered")
+                .solve(
+                    &Problem::complete(n),
+                    &SolveRequest::find_optimal()
+                        .with_max_nodes(100_000_000)
+                        .with_policy(ExecPolicy::parallel()),
+                );
             match sol.optimality() {
                 Optimality::Optimal { .. } => sol.size().expect("covering").to_string(),
                 _ => "limit".into(),
@@ -71,7 +75,11 @@ fn main() {
     println!();
     println!(
         "Checked all odd n in 3..=201: {}",
-        if all_ok { "every row matches Theorem 1 exactly" } else { "MISMATCH FOUND" }
+        if all_ok {
+            "every row matches Theorem 1 exactly"
+        } else {
+            "MISMATCH FOUND"
+        }
     );
     assert!(all_ok);
 }

@@ -33,7 +33,17 @@ fn main() {
     println!();
     let widths = [5, 4, 8, 8, 8, 10, 12, 9, 8];
     header(
-        &["n", "p", "formula", "built", "cap.LB", "ours", "paper-comp", "solver", "status"],
+        &[
+            "n",
+            "p",
+            "formula",
+            "built",
+            "cap.LB",
+            "ours",
+            "paper-comp",
+            "solver",
+            "status",
+        ],
         &widths,
     );
     let mut optimal_rows = 0;
@@ -46,12 +56,14 @@ fn main() {
         let (pc3, pc4) = paper_composition(n);
         // The bitset kernel certifies n = 10 in seconds now; include it.
         let solver_opt = if n <= 10 {
-            let sol = engine_by_name("bitset-parallel").expect("registered").solve(
-                &Problem::complete(n),
-                &SolveRequest::find_optimal()
-                    .with_max_nodes(300_000_000)
-                    .with_policy(ExecPolicy::parallel()),
-            );
+            let sol = engine_by_name("bitset-parallel")
+                .expect("registered")
+                .solve(
+                    &Problem::complete(n),
+                    &SolveRequest::find_optimal()
+                        .with_max_nodes(300_000_000)
+                        .with_policy(ExecPolicy::parallel()),
+                );
             match sol.optimality() {
                 SolveOptimality::Optimal { .. } => sol.size().expect("covering").to_string(),
                 _ => "limit".into(),

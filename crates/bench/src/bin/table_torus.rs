@@ -16,11 +16,24 @@ fn main() {
     println!();
     let widths = [7, 5, 8, 9, 8, 7, 7, 7, 6, 7, 7];
     header(
-        &["torus", "n", "cycles", "triAbla", "greedy", "capLB", "degLB", "valid", "surv", "waves", "cliqLB"],
+        &[
+            "torus", "n", "cycles", "triAbla", "greedy", "capLB", "degLB", "valid", "surv",
+            "waves", "cliqLB",
+        ],
         &widths,
     );
     let mut all_ok = true;
-    for (r, c) in [(3u32, 3u32), (3, 4), (4, 4), (3, 5), (4, 5), (5, 5), (4, 6), (5, 6), (6, 6)] {
+    for (r, c) in [
+        (3u32, 3u32),
+        (3, 4),
+        (4, 4),
+        (3, 5),
+        (4, 5),
+        (5, 5),
+        (4, 6),
+        (5, 6),
+        (6, 6),
+    ] {
         let topo = GridTopology::torus(r, c);
         let n = topo.vertex_count();
         let inst = builders::complete(n);
@@ -77,9 +90,14 @@ fn main() {
         );
     }
     println!();
-    println!("grid (no wraparound) comparison — crossed quads infeasible, corner triangles instead:");
+    println!(
+        "grid (no wraparound) comparison — crossed quads infeasible, corner triangles instead:"
+    );
     let widths2 = [7, 5, 12, 13, 7];
-    header(&["grid", "n", "grid cycles", "torus cycles", "valid"], &widths2);
+    header(
+        &["grid", "n", "grid cycles", "torus cycles", "valid"],
+        &widths2,
+    );
     for (r, c) in [(3u32, 3u32), (3, 4), (4, 4), (4, 5)] {
         let grid = GridTopology::grid(r, c);
         let torus = GridTopology::torus(r, c);

@@ -15,7 +15,9 @@ fn main() {
     println!();
     let widths = [16, 6, 6, 9, 8, 7, 7, 7];
     header(
-        &["topology", "nodes", "links", "segments", "cycles", "LB", "valid", "surv"],
+        &[
+            "topology", "nodes", "links", "segments", "cycles", "LB", "valid", "surv",
+        ],
         &widths,
     );
     let mut all_ok = true;

@@ -47,8 +47,8 @@ use cyclecover_service::{
     ServiceConfig, SolveService,
 };
 use cyclecover_solver::api::{
-    engine_by_name, engines, LowerBoundProof, Optimality as SolveOptimality, Problem,
-    SolveRequest, SymmetryMode,
+    engine_by_name, engines, LowerBoundProof, Optimality as SolveOptimality, Problem, SolveRequest,
+    SymmetryMode,
 };
 use std::fmt::Write as _;
 use std::io::{Read as _, Write as _};
@@ -182,9 +182,7 @@ fn run_solve(args: &[String]) -> Result<String, String> {
                     "off" => SymmetryMode::Off,
                     "root" => SymmetryMode::Root,
                     "full" => SymmetryMode::Full,
-                    other => {
-                        return Err(format!("bad --symmetry '{other}' (want off|root|full)"))
-                    }
+                    other => return Err(format!("bad --symmetry '{other}' (want off|root|full)")),
                 })
             }
             "--lambda" => {
@@ -226,7 +224,10 @@ fn run_solve(args: &[String]) -> Result<String, String> {
     }
     let engine = engine_by_name(&engine_name).ok_or_else(|| {
         let names: Vec<&str> = engines().iter().map(|e| e.name()).collect();
-        format!("unknown engine '{engine_name}' (have: {})", names.join(", "))
+        format!(
+            "unknown engine '{engine_name}' (have: {})",
+            names.join(", ")
+        )
     })?;
     let problem = if lambda > 1 {
         Problem::new(
@@ -331,7 +332,6 @@ fn run_solve(args: &[String]) -> Result<String, String> {
     }
     Ok(out)
 }
-
 
 /// Loads a persisted certificate cache for `serve --cert-cache`. A
 /// missing file is an empty cache (first run creates it); an unreadable
@@ -462,7 +462,9 @@ fn run_serve(args: &[String]) -> Result<String, String> {
                 Some(std::path::PathBuf::from(&path)),
             );
         }
-        let bound = daemon.local_addr().map_err(|e| format!("local addr: {e}"))?;
+        let bound = daemon
+            .local_addr()
+            .map_err(|e| format!("local addr: {e}"))?;
         // Announce the port before blocking — `--listen 127.0.0.1:0`
         // binds an ephemeral port and scripts scrape this line.
         println!("listening on {bound}");
@@ -587,11 +589,13 @@ fn run_client(args: &[String]) -> Result<String, String> {
         }
     }
     if stats {
-        payload.push_str("{\"format\": \"cyclecover-control\", \"version\": 1, \"op\": \"stats\"}\n");
+        payload
+            .push_str("{\"format\": \"cyclecover-control\", \"version\": 1, \"op\": \"stats\"}\n");
     }
     if shutdown {
-        payload
-            .push_str("{\"format\": \"cyclecover-control\", \"version\": 1, \"op\": \"shutdown\"}\n");
+        payload.push_str(
+            "{\"format\": \"cyclecover-control\", \"version\": 1, \"op\": \"shutdown\"}\n",
+        );
     }
     if payload.is_empty() {
         return Err("client needs --jobs <file>, --stats, or --shutdown".into());
@@ -632,7 +636,11 @@ fn engines_json() -> String {
     for (i, e) in all.iter().enumerate() {
         let _ = writeln!(out, "    {{");
         let _ = writeln!(out, "      \"name\": {},", json::quote(e.name()));
-        let _ = writeln!(out, "      \"description\": {},", json::quote(e.description()));
+        let _ = writeln!(
+            out,
+            "      \"description\": {},",
+            json::quote(e.description())
+        );
         let caps: Vec<String> = probes
             .iter()
             .map(|(name, req)| format!("\"{name}\": {}", e.supports(&problem, req)))
@@ -707,7 +715,12 @@ pub fn run(args: &[String]) -> Result<String, String> {
             let net = WdmNetwork::from_covering(&cover);
             let audit = audit_all_failures(&net);
             let mut out = String::new();
-            let _ = writeln!(out, "ring C_{n}: {} subnetworks, {} wavelengths", audit.subnets, 2 * audit.subnets);
+            let _ = writeln!(
+                out,
+                "ring C_{n}: {} subnetworks, {} wavelengths",
+                audit.subnets,
+                2 * audit.subnets
+            );
             let _ = writeln!(out, "failures simulated: {n} (every link)");
             let _ = writeln!(out, "reroutes executed:  {}", audit.total_reroutes);
             let _ = writeln!(out, "fully survivable:   {}", audit.fully_survivable);
@@ -729,10 +742,26 @@ pub fn run(args: &[String]) -> Result<String, String> {
             let cmp = compare_schemes(n);
             let mut out = String::new();
             let _ = writeln!(out, "n = {n}");
-            let _ = writeln!(out, "protection (2·rho(n)) wavelengths: {}", cmp.protection_wavelengths);
-            let _ = writeln!(out, "working capacity (no failures):    {}", cmp.working_capacity);
-            let _ = writeln!(out, "restoration capacity (any link):   {}", cmp.restoration_capacity);
-            let _ = writeln!(out, "protection / restoration:          {:.2}", cmp.protection_over_restoration);
+            let _ = writeln!(
+                out,
+                "protection (2·rho(n)) wavelengths: {}",
+                cmp.protection_wavelengths
+            );
+            let _ = writeln!(
+                out,
+                "working capacity (no failures):    {}",
+                cmp.working_capacity
+            );
+            let _ = writeln!(
+                out,
+                "restoration capacity (any link):   {}",
+                cmp.restoration_capacity
+            );
+            let _ = writeln!(
+                out,
+                "protection / restoration:          {:.2}",
+                cmp.protection_over_restoration
+            );
             Ok(out)
         }
         Some("loading") => {
@@ -745,7 +774,11 @@ pub fn run(args: &[String]) -> Result<String, String> {
             let ls = rl::local_search_loading(ring, &demands);
             let mut out = String::new();
             let _ = writeln!(out, "C_{n}, all-to-all ({} demands)", demands.len());
-            let _ = writeln!(out, "capacity lower bound: {}", rl::loading_lower_bound(ring, &demands));
+            let _ = writeln!(
+                out,
+                "capacity lower bound: {}",
+                rl::loading_lower_bound(ring, &demands)
+            );
             let _ = writeln!(out, "shortest-arc routing: {}", s.max_load);
             let _ = writeln!(out, "local search:         {}", ls.max_load);
             if n <= 10 {
@@ -768,7 +801,11 @@ pub fn run(args: &[String]) -> Result<String, String> {
             let cmp = availability_comparison(&net, LinkModel::typical_fiber());
             let mut out = String::new();
             let _ = writeln!(out, "C_{n}, typical fiber (MTBF 4 months, MTTR 12 h)");
-            let _ = writeln!(out, "per-link unavailability:   {:.3e}", cmp.link_unavailability);
+            let _ = writeln!(
+                out,
+                "per-link unavailability:   {:.3e}",
+                cmp.link_unavailability
+            );
             let _ = writeln!(
                 out,
                 "unprotected demand:        {:.3e} mean ({:.2} nines)",
@@ -862,7 +899,10 @@ mod tests {
         // and the human output names ρ₂ explicitly.
         let out = runv(&["solve", "6", "--lambda", "2"]).unwrap();
         assert!(out.contains("lambda = 2"), "{out}");
-        assert!(out.contains("OPTIMAL: 9 cycles (rho_2(6) certified)"), "{out}");
+        assert!(
+            out.contains("OPTIMAL: 9 cycles (rho_2(6) certified)"),
+            "{out}"
+        );
         assert_eq!(out.matches("cycle ").count(), 9, "{out}");
         // The λ-fold solution document passes `cyclecover validate`
         // (every request covered ≥ 2 ≥ 1 times).
@@ -886,8 +926,14 @@ mod tests {
         // dispatch hands it to the partition kernel; the route is
         // visible provenance in both the human and JSON renderings.
         let out = runv(&["solve", "8", "--lambda", "2"]).unwrap();
-        assert!(out.contains("OPTIMAL: 16 cycles (rho_2(8) certified)"), "{out}");
-        assert!(out.contains("route: partition kernel served 1 of 1 budget probe(s)"), "{out}");
+        assert!(
+            out.contains("OPTIMAL: 16 cycles (rho_2(8) certified)"),
+            "{out}"
+        );
+        assert!(
+            out.contains("route: partition kernel served 1 of 1 budget probe(s)"),
+            "{out}"
+        );
         let json = runv(&["solve", "8", "--lambda", "2", "--json"]).unwrap();
         assert!(json.contains("\"partition_probes\": 1"), "{json}");
         // A roomy budget keeps the λ-fold lane kernel in charge: no
@@ -915,7 +961,15 @@ mod tests {
         assert!(out.contains("OPTIMAL: 10 cycles"), "{out}");
         // The registry listing names every engine.
         let listing = runv(&["engines"]).unwrap();
-        for name in ["bitset", "bitset-parallel", "legacy", "dlx", "partition", "greedy", "anneal"] {
+        for name in [
+            "bitset",
+            "bitset-parallel",
+            "legacy",
+            "dlx",
+            "partition",
+            "greedy",
+            "anneal",
+        ] {
             assert!(listing.contains(name), "{listing}");
         }
     }
@@ -942,7 +996,10 @@ mod tests {
         // The JSON wire format carries the factor in the stats block.
         let json = runv(&["solve", "8", "--json"]).unwrap();
         assert!(json.contains("\"symmetry_factor\": 4"), "{json}");
-        assert!(json.contains("\"symmetry_factor\": 1"), "proof block: {json}");
+        assert!(
+            json.contains("\"symmetry_factor\": 1"),
+            "proof block: {json}"
+        );
         // Bad values are rejected helpfully.
         let err = runv(&["solve", "8", "--symmetry", "sideways"]).unwrap_err();
         assert!(err.contains("off|root|full"), "{err}");
@@ -968,7 +1025,14 @@ mod tests {
         // Symmetry off: under the default root mode the parity bound
         // finishes this refutation in one node, under any cap.
         let out = runv(&[
-            "solve", "8", "--budget", "8", "--max-nodes", "10", "--symmetry", "off",
+            "solve",
+            "8",
+            "--budget",
+            "8",
+            "--max-nodes",
+            "10",
+            "--symmetry",
+            "off",
         ])
         .unwrap();
         assert!(out.contains("INCONCLUSIVE"), "{out}");
@@ -1023,7 +1087,10 @@ mod tests {
             out.to_str().unwrap(),
         ])
         .unwrap();
-        assert!(summary.contains("\"cyclecover-batch-summary\""), "{summary}");
+        assert!(
+            summary.contains("\"cyclecover-batch-summary\""),
+            "{summary}"
+        );
         assert!(summary.contains("\"expired\": 1"), "{summary}");
         assert!(summary.contains("\"coalesced\": 1"), "{summary}");
         assert!(
@@ -1155,12 +1222,16 @@ this line is not json at all
         assert!(runv(&["serve", "--batch", "x", "--queue-depth", "2"])
             .unwrap_err()
             .contains("--listen mode only"));
-        assert!(runv(&["serve", "--listen", "127.0.0.1:0", "--retries", "1"])
-            .unwrap_err()
-            .contains("--batch mode only"));
-        assert!(runv(&["serve", "--listen", "127.0.0.1:0", "--queue-depth", "0"])
-            .unwrap_err()
-            .contains(">= 1"));
+        assert!(
+            runv(&["serve", "--listen", "127.0.0.1:0", "--retries", "1"])
+                .unwrap_err()
+                .contains("--batch mode only")
+        );
+        assert!(
+            runv(&["serve", "--listen", "127.0.0.1:0", "--queue-depth", "0"])
+                .unwrap_err()
+                .contains(">= 1")
+        );
         assert!(runv(&["client"]).unwrap_err().contains("--connect"));
         assert!(runv(&["client", "--connect", "127.0.0.1:1"])
             .unwrap_err()
@@ -1173,8 +1244,7 @@ this line is not json at all
     #[test]
     fn client_streams_jobs_to_a_live_daemon_and_drains_it() {
         use cyclecover_service::{Daemon, DaemonConfig};
-        let daemon =
-            Daemon::bind("127.0.0.1:0".parse().unwrap(), DaemonConfig::default()).unwrap();
+        let daemon = Daemon::bind("127.0.0.1:0".parse().unwrap(), DaemonConfig::default()).unwrap();
         let addr = daemon.local_addr().unwrap().to_string();
         let server = std::thread::spawn(move || daemon.run());
 
@@ -1191,8 +1261,14 @@ this line is not json at all
             ),
         )
         .unwrap();
-        let out = runv(&["client", "--connect", &addr, "--jobs", jobs.to_str().unwrap()])
-            .unwrap();
+        let out = runv(&[
+            "client",
+            "--connect",
+            &addr,
+            "--jobs",
+            jobs.to_str().unwrap(),
+        ])
+        .unwrap();
         assert_eq!(out.lines().count(), 2, "{out}");
         for needle in ["\"id\": \"c6\"", "\"id\": \"c7\""] {
             assert!(out.contains(needle), "{out}");
@@ -1219,7 +1295,8 @@ this line is not json at all
         let out = runv(&["engines", "--json"]).unwrap();
         let doc = cyclecover_io::json::Json::parse(&out).unwrap();
         assert_eq!(
-            doc.get("format").and_then(cyclecover_io::json::Json::as_str),
+            doc.get("format")
+                .and_then(cyclecover_io::json::Json::as_str),
             Some("cyclecover-engines")
         );
         let listed = doc
@@ -1252,8 +1329,11 @@ this line is not json at all
         assert!(err.contains("no request documents"), "{err}");
         std::fs::remove_file(&empty).ok();
         let bad = dir.join("cyclecover_cli_test_bad.jsonl");
-        std::fs::write(&bad, "{\"format\": \"cyclecover-request\", \"version\": 1, \"n\": 2}\n")
-            .unwrap();
+        std::fs::write(
+            &bad,
+            "{\"format\": \"cyclecover-request\", \"version\": 1, \"n\": 2}\n",
+        )
+        .unwrap();
         let err = runv(&["serve", "--batch", bad.to_str().unwrap()]).unwrap_err();
         assert!(err.contains(":1:"), "line number missing: {err}");
         std::fs::remove_file(&bad).ok();
@@ -1363,7 +1443,9 @@ this line is not json at all
         assert!(runv(&["rho"]).unwrap_err().contains("missing <n>"));
         assert!(runv(&["rho", "two"]).unwrap_err().contains("bad n"));
         assert!(runv(&["rho", "2"]).unwrap_err().contains(">= 3"));
-        assert!(runv(&["frobnicate"]).unwrap_err().contains("unknown command"));
+        assert!(runv(&["frobnicate"])
+            .unwrap_err()
+            .contains("unknown command"));
         assert!(runv(&["table", "weird", "9"]).unwrap_err().contains("odd"));
         assert!(runv(&[]).unwrap().contains("USAGE"));
         assert!(runv(&["help"]).unwrap().contains("USAGE"));

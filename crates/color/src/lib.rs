@@ -340,7 +340,10 @@ mod tests {
             assert!(verify_coloring(&g, &ex));
             let ds = dsatur(&g);
             assert!(ds.count >= ex.count);
-            assert!(ds.count <= ex.count + 2, "DSATUR should be near-optimal here");
+            assert!(
+                ds.count <= ex.count + 2,
+                "DSATUR should be near-optimal here"
+            );
         }
     }
 

@@ -43,7 +43,10 @@ impl Certificate {
         let claimed_rho = rho(n);
         let capacity_bound = capacity_lower_bound(n);
         let combinatorial_bound = combinatorial_lower_bound(n);
-        assert!(capacity_bound <= claimed_rho, "bound exceeds claim at n={n}");
+        assert!(
+            capacity_bound <= claimed_rho,
+            "bound exceeds claim at n={n}"
+        );
         match status {
             Optimality::Optimal => {
                 assert_eq!(covering.len() as u64, claimed_rho, "size mismatch at n={n}")

@@ -189,7 +189,12 @@ impl DrcCovering {
 
 impl fmt::Debug for DrcCovering {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "DrcCovering(n={}, cycles={})", self.ring.n(), self.tiles.len())
+        write!(
+            f,
+            "DrcCovering(n={}, cycles={})",
+            self.ring.n(),
+            self.tiles.len()
+        )
     }
 }
 
@@ -232,10 +237,7 @@ mod tests {
     #[test]
     fn incomplete_covering_detected() {
         let ring = Ring::new(5);
-        let cover = DrcCovering::from_tiles(
-            ring,
-            vec![Tile::from_vertices(ring, vec![0, 1, 2])],
-        );
+        let cover = DrcCovering::from_tiles(ring, vec![Tile::from_vertices(ring, vec![0, 1, 2])]);
         match cover.validate() {
             Err(CoverError::Uncovered { missing, .. }) => assert_eq!(missing, 7),
             other => panic!("expected Uncovered, got {other:?}"),

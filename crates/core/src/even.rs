@@ -84,7 +84,10 @@ pub fn construct(n: u32) -> DrcCovering {
 
 /// As [`construct`], also reporting the optimality status.
 pub fn construct_with_status(n: u32) -> (DrcCovering, Optimality) {
-    assert!(n >= 8 && n.is_multiple_of(2), "even construction needs even n >= 8, got {n}");
+    assert!(
+        n >= 8 && n.is_multiple_of(2),
+        "even construction needs even n >= 8, got {n}"
+    );
     let p = n / 2;
     if p % 2 == 1 {
         (construct_2mod4(n), Optimality::Optimal)
@@ -113,9 +116,7 @@ fn lift(inner: &DrcCovering, big: Ring, parity: u32) -> Vec<Tile> {
     inner
         .tiles()
         .iter()
-        .map(|t| {
-            Tile::from_vertices(big, t.vertices().iter().map(|&v| 2 * v + parity).collect())
-        })
+        .map(|t| Tile::from_vertices(big, t.vertices().iter().map(|&v| 2 * v + parity).collect()))
         .collect()
 }
 
@@ -221,7 +222,10 @@ fn construct_0mod8(n: u32) -> (DrcCovering, Optimality) {
     }
     let rho = cyclecover_solver::lower_bound::rho_formula(n);
     let excess = (tiles.len() as u64 - rho) as u32;
-    (DrcCovering::from_tiles(big, tiles), Optimality::Excess(excess))
+    (
+        DrcCovering::from_tiles(big, tiles),
+        Optimality::Excess(excess),
+    )
 }
 
 #[cfg(test)]

@@ -73,7 +73,10 @@ pub fn rho(n: u32) -> u64 {
 /// [`DrcCovering::validate`]; construction is deterministic.
 pub fn construct_optimal(n: u32) -> DrcCovering {
     let (covering, status) = construct_with_status(n);
-    debug_assert!(covering.validate().is_ok(), "construction invalid for n={n}");
+    debug_assert!(
+        covering.validate().is_ok(),
+        "construction invalid for n={n}"
+    );
     match status {
         Optimality::Optimal => debug_assert_eq!(covering.len() as u64, rho(n)),
         Optimality::Excess(x) => debug_assert_eq!(covering.len() as u64, rho(n) + x as u64),

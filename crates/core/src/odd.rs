@@ -59,7 +59,10 @@ use cyclecover_ring::{Ring, Tile};
 /// # Panics
 /// Panics if `n` is even or `< 3`.
 pub fn construct(n: u32) -> DrcCovering {
-    assert!(n >= 3 && n % 2 == 1, "odd construction needs odd n >= 3, got {n}");
+    assert!(
+        n >= 3 && n % 2 == 1,
+        "odd construction needs odd n >= 3, got {n}"
+    );
     let ring = Ring::new(n);
     let p = (n - 1) / 2;
     let mut tiles = Vec::with_capacity((p as usize * (p as usize + 1)) / 2);
@@ -192,7 +195,10 @@ mod tests {
                     used[((a.len() - 1) * n + a.start()) as usize] += 1;
                 }
             }
-            assert!(used.iter().all(|&c| c == 1), "n={n}: interval multiplicity != 1");
+            assert!(
+                used.iter().all(|&c| c == 1),
+                "n={n}: interval multiplicity != 1"
+            );
         }
     }
 }

@@ -76,7 +76,10 @@ mod tests {
                 for b in (a + 1)..n {
                     for c in (b + 1)..n {
                         let t = CycleSubgraph::new(vec![a, b, c]);
-                        assert!(!route_cycle_on_path(n, &t), "triangle {t:?} routed on P_{n}?!");
+                        assert!(
+                            !route_cycle_on_path(n, &t),
+                            "triangle {t:?} routed on P_{n}?!"
+                        );
                         for d in (c + 1)..n {
                             for order in [[a, b, c, d], [a, c, b, d], [a, b, d, c]] {
                                 let q = CycleSubgraph::new(order.to_vec());

@@ -73,7 +73,10 @@ pub fn schonheim_bound(n: u64, lambda: u64) -> u64 {
 /// # Panics
 /// Panics if `n % 6 != 3`.
 pub fn bose_steiner_triple_system(n: usize) -> Vec<[Vertex; 3]> {
-    assert!(n >= 3 && n % 6 == 3, "Bose construction needs n ≡ 3 (mod 6), got {n}");
+    assert!(
+        n >= 3 && n % 6 == 3,
+        "Bose construction needs n ≡ 3 (mod 6), got {n}"
+    );
     let t = n / 3; // odd
     let half = |x: usize| -> usize {
         // unique solution of 2y ≡ x (mod t), t odd
@@ -99,7 +102,6 @@ pub fn bose_steiner_triple_system(n: usize) -> Vec<[Vertex; 3]> {
     triples
 }
 
-
 /// Solves Heffter's difference problem for order `t` by backtracking:
 /// partition `{1, …, 3t}` into `t` triples `(a, b, c)` with `a + b = c` or
 /// `a + b + c = 6t + 1`. A solution yields a *cyclic* Steiner triple
@@ -112,12 +114,7 @@ pub fn heffter_difference_triples(t: usize) -> Option<Vec<[u32; 3]>> {
     let v = 6 * t + 1;
     let mut used = vec![false; m + 1];
     let mut triples = Vec::with_capacity(t);
-    fn rec(
-        used: &mut Vec<bool>,
-        triples: &mut Vec<[u32; 3]>,
-        m: usize,
-        v: usize,
-    ) -> bool {
+    fn rec(used: &mut Vec<bool>, triples: &mut Vec<[u32; 3]>, m: usize, v: usize) -> bool {
         // first unused difference
         let a = match (1..=m).find(|&x| !used[x]) {
             None => return true,
@@ -161,10 +158,13 @@ pub fn heffter_difference_triples(t: usize) -> Option<Vec<[u32; 3]>> {
 /// # Panics
 /// Panics if `n % 6 != 1` or `n < 7`.
 pub fn cyclic_steiner_triple_system(n: usize) -> Vec<[Vertex; 3]> {
-    assert!(n >= 7 && n % 6 == 1, "cyclic STS needs n ≡ 1 (mod 6), n ≥ 7, got {n}");
+    assert!(
+        n >= 7 && n % 6 == 1,
+        "cyclic STS needs n ≡ 1 (mod 6), n ≥ 7, got {n}"
+    );
     let t = n / 6;
-    let triples = heffter_difference_triples(t)
-        .expect("Heffter solutions exist for every t (Peltesohn)");
+    let triples =
+        heffter_difference_triples(t).expect("Heffter solutions exist for every t (Peltesohn)");
     let mut blocks = Vec::with_capacity(n * t);
     for &[a, b, _c] in &triples {
         for r in 0..n as u32 {
@@ -264,7 +264,10 @@ mod tests {
             let triples = bose_steiner_triple_system(n);
             assert_eq!(triples.len(), n * (n - 1) / 6, "triple count at n={n}");
             let cov = verify_triple_cover(n, &triples, 1).expect("covers");
-            assert!(cov.is_exact(1), "n={n}: STS must cover each edge exactly once");
+            assert!(
+                cov.is_exact(1),
+                "n={n}: STS must cover each edge exactly once"
+            );
         }
     }
 
@@ -273,7 +276,6 @@ mod tests {
     fn bose_rejects_wrong_residue() {
         let _ = bose_steiner_triple_system(13);
     }
-
 
     #[test]
     fn heffter_triples_exist_and_partition() {
@@ -328,6 +330,10 @@ mod tests {
     fn greedy_matches_bose_count_on_n9() {
         let greedy = greedy_triangle_cover(9);
         assert!(greedy.len() >= 12);
-        assert!(greedy.len() <= 14, "greedy on K9 should be near 12, got {}", greedy.len());
+        assert!(
+            greedy.len() <= 14,
+            "greedy on K9 should be near 12, got {}",
+            greedy.len()
+        );
     }
 }

@@ -157,7 +157,16 @@ mod tests {
     fn formula_small_values() {
         // Known values: D(3)=1, D(4)=1, D(5)=2, D(6)=4, D(7)=7, D(9)=12,
         // D(11)=17 (n ≡ 5 mod 6), D(13)=26.
-        let expect = [(3, 1), (4, 1), (5, 2), (6, 4), (7, 7), (9, 12), (11, 17), (13, 26)];
+        let expect = [
+            (3, 1),
+            (4, 1),
+            (5, 2),
+            (6, 4),
+            (7, 7),
+            (9, 12),
+            (11, 17),
+            (13, 26),
+        ];
         for (n, d) in expect {
             assert_eq!(triangle_packing_number(n), d, "D({n})");
         }

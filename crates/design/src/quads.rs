@@ -77,7 +77,8 @@ pub fn greedy_four_cycle_cover(n: usize) -> Vec<Quad> {
     assert!(n >= 4, "need n >= 4 for 4-cycles, got {n}");
     let mut cov = EdgeMultiset::new(n);
     let mut quads = Vec::new();
-    let fresh = |cov: &EdgeMultiset, a: Vertex, b: Vertex| u32::from(cov.count(Edge::new(a, b)) == 0);
+    let fresh =
+        |cov: &EdgeMultiset, a: Vertex, b: Vertex| u32::from(cov.count(Edge::new(a, b)) == 0);
     for u in 0..n as Vertex {
         for v in (u + 1)..n as Vertex {
             if cov.count(Edge::new(u, v)) > 0 {

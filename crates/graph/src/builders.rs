@@ -20,7 +20,11 @@ pub fn complete(n: usize) -> Graph {
 
 /// The λ-fold complete multigraph `λK_n`: every pair joined `lambda` times.
 pub fn lambda_complete(n: usize, lambda: u32) -> Graph {
-    let m = if n < 2 { 0 } else { n * (n - 1) / 2 * lambda as usize };
+    let m = if n < 2 {
+        0
+    } else {
+        n * (n - 1) / 2 * lambda as usize
+    };
     let mut g = Graph::with_capacity(n, m);
     for _ in 0..lambda {
         for u in 0..n as Vertex {
@@ -67,7 +71,10 @@ pub fn circulant(n: usize, chords: &[usize]) -> Graph {
     let mut seen = vec![false; n / 2 + 1];
     let mut g = Graph::new(n);
     for &d in chords {
-        assert!(d >= 1 && d <= n / 2, "chord length {d} out of range for n={n}");
+        assert!(
+            d >= 1 && d <= n / 2,
+            "chord length {d} out of range for n={n}"
+        );
         assert!(!seen[d], "duplicate chord length {d}");
         seen[d] = true;
         if d < n - d {

@@ -24,7 +24,11 @@ impl CycleSubgraph {
     /// # Panics
     /// Panics if `verts.len() < 3` or vertices repeat.
     pub fn new(verts: Vec<Vertex>) -> Self {
-        assert!(verts.len() >= 3, "cycle needs >= 3 vertices, got {}", verts.len());
+        assert!(
+            verts.len() >= 3,
+            "cycle needs >= 3 vertices, got {}",
+            verts.len()
+        );
         let mut sorted = verts.clone();
         sorted.sort_unstable();
         assert!(
@@ -110,7 +114,11 @@ impl CycleSubgraph {
     /// remaining part of the cycle".
     pub fn detour(&self, from: Vertex, to: Vertex, via_neighbor: Vertex) -> Vec<Vertex> {
         let k = self.verts.len();
-        let i = self.verts.iter().position(|&x| x == from).expect("from on cycle");
+        let i = self
+            .verts
+            .iter()
+            .position(|&x| x == from)
+            .expect("from on cycle");
         // Decide direction: the neighbor we must avoid.
         let fwd = self.verts[(i + 1) % k];
         let step_back = fwd == via_neighbor;
@@ -121,7 +129,11 @@ impl CycleSubgraph {
             if self.verts[pos] == to {
                 return out;
             }
-            pos = if step_back { (pos + k - 1) % k } else { (pos + 1) % k };
+            pos = if step_back {
+                (pos + k - 1) % k
+            } else {
+                (pos + 1) % k
+            };
             assert!(out.len() <= k, "detour did not reach {to}");
         }
     }

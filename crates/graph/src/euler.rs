@@ -189,7 +189,10 @@ mod tests {
             }
         }
         assert_eq!(count.len(), 21);
-        assert!(count.values().all(|&c| c == 1), "decomposition must partition");
+        assert!(
+            count.values().all(|&c| c == 1),
+            "decomposition must partition"
+        );
     }
 
     #[test]

@@ -88,7 +88,9 @@ impl Graph {
 
     /// Iterator over the neighbors of `v` (with multiplicity).
     pub fn neighbors(&self, v: Vertex) -> impl Iterator<Item = Vertex> + '_ {
-        self.adj[v as usize].iter().map(move |&i| self.edges[i as usize].other(v))
+        self.adj[v as usize]
+            .iter()
+            .map(move |&i| self.edges[i as usize].other(v))
     }
 
     /// Iterator over `(edge index, neighbor)` pairs at `v`.
@@ -105,7 +107,11 @@ impl Graph {
         }
         let e = Edge::new(u, v);
         // Scan the smaller adjacency list.
-        let w = if self.degree(u) <= self.degree(v) { u } else { v };
+        let w = if self.degree(u) <= self.degree(v) {
+            u
+        } else {
+            v
+        };
         self.adj[w as usize]
             .iter()
             .filter(|&&i| self.edges[i as usize] == e)

@@ -196,7 +196,9 @@ mod tests {
         assert!(err("ring five").message.contains("bad ring size"));
         assert!(err("ring 5 7").message.contains("trailing"));
         assert!(err("ring 5\nring 6").message.contains("duplicate"));
-        assert!(err("ring 5\nwavelength 3").message.contains("unknown directive"));
+        assert!(err("ring 5\nwavelength 3")
+            .message
+            .contains("unknown directive"));
         assert!(err("ring 5\ncycle 0 1").message.contains(">= 3"));
         assert!(err("ring 5\ncycle 0 1 9").message.contains("out of range"));
         assert!(err("ring 5\ncycle 0 1 1").message.contains("repeated"));

@@ -175,11 +175,7 @@ pub fn solution_to_json(sol: &Solution) -> String {
 /// consumers that don't know them ignore them (the compatibility rule
 /// in the module docs), so a streamed document still validates through
 /// [`covering_from_solution_json`].
-pub fn solution_to_json_with_id(
-    sol: &Solution,
-    id: &str,
-    predicted_nodes: Option<u64>,
-) -> String {
+pub fn solution_to_json_with_id(sol: &Solution, id: &str, predicted_nodes: Option<u64>) -> String {
     solution_json_inner(sol, Some(id), predicted_nodes)
 }
 
@@ -210,7 +206,11 @@ fn solution_json_inner(sol: &Solution, id: Option<&str>, predicted_nodes: Option
     let _ = writeln!(s, "  \"n\": {},", sol.ring().n());
     let _ = writeln!(s, "  \"engine\": {},", quote(sol.stats().engine));
     let _ = writeln!(s, "  \"cached\": {},", sol.cached());
-    let _ = writeln!(s, "  \"optimality\": {},", optimality_json(sol.optimality()));
+    let _ = writeln!(
+        s,
+        "  \"optimality\": {},",
+        optimality_json(sol.optimality())
+    );
     match sol.degraded() {
         Some(d) => {
             let reason = match d.reason {
@@ -696,10 +696,7 @@ pub fn certificate_from_solution_json(text: &str) -> Result<ParsedCertificate, S
                     proof_bound
                 ));
             }
-            (
-                Optimality::Optimal { lower_bound_proof },
-                Some(covering),
-            )
+            (Optimality::Optimal { lower_bound_proof }, Some(covering))
         }
         Some("infeasible") => {
             if doc.get("cycles").is_some_and(|c| *c != Json::Null) {
@@ -936,7 +933,9 @@ fn opt_uint(doc: &Json, key: &str, max: u64) -> Result<Option<u64>, String> {
     match doc.get(key) {
         None | Some(Json::Null) => Ok(None),
         Some(v) => {
-            let x = v.as_num().ok_or_else(|| format!("'{key}' must be a number"))?;
+            let x = v
+                .as_num()
+                .ok_or_else(|| format!("'{key}' must be a number"))?;
             if x.fract() != 0.0 || !(0.0..=max as f64).contains(&x) {
                 return Err(format!("'{key}' = {x} out of range"));
             }
@@ -958,7 +957,11 @@ pub fn request_from_json(text: &str) -> Result<SolveJob, String> {
     }
     match opt_uint(&doc, "version", u64::MAX)? {
         Some(1) => {}
-        Some(v) => return Err(format!("unsupported request version {v} (this parser speaks 1)")),
+        Some(v) => {
+            return Err(format!(
+                "unsupported request version {v} (this parser speaks 1)"
+            ))
+        }
         None => return Err("missing 'version'".into()),
     }
     let n = opt_uint(&doc, "n", u32::MAX as u64)?.ok_or("missing ring size 'n'")? as u32;
@@ -1050,10 +1053,11 @@ pub fn request_from_json(text: &str) -> Result<SolveJob, String> {
     match doc.get("objective") {
         None | Some(Json::Null) => {}
         Some(obj) => {
-            let budget = || -> Result<u32, String> {
-                Ok(opt_uint(obj, "budget", u32::MAX as u64)?
-                    .ok_or("objective needs a 'budget'")? as u32)
-            };
+            let budget =
+                || -> Result<u32, String> {
+                    Ok(opt_uint(obj, "budget", u32::MAX as u64)?
+                        .ok_or("objective needs a 'budget'")? as u32)
+                };
             job.objective = match obj.get("kind").and_then(Json::as_str) {
                 Some("find_optimal") => Objective::FindOptimal,
                 Some("within_budget") => Objective::WithinBudget(budget()?),
@@ -1129,7 +1133,9 @@ mod tests {
         assert_eq!(doc.get("n").and_then(Json::as_num), Some(6.0));
         assert_eq!(doc.get("engine").and_then(Json::as_str), Some("bitset"));
         assert_eq!(
-            doc.get("optimality").and_then(|o| o.get("kind")).and_then(Json::as_str),
+            doc.get("optimality")
+                .and_then(|o| o.get("kind"))
+                .and_then(Json::as_str),
             Some("optimal")
         );
         let cover = covering_from_solution_json(&text).expect("covering validates");
@@ -1155,7 +1161,11 @@ mod tests {
             proof.get("kind").and_then(Json::as_str),
             Some("exhaustive_search")
         );
-        assert_eq!(proof.get("nodes").and_then(Json::as_num), Some(1.0), "{text}");
+        assert_eq!(
+            proof.get("nodes").and_then(Json::as_num),
+            Some(1.0),
+            "{text}"
+        );
         assert_eq!(
             proof.get("symmetry_factor").and_then(Json::as_num),
             Some(1.0),
@@ -1176,7 +1186,9 @@ mod tests {
         let doc = Json::parse(&text).unwrap();
         assert_eq!(doc.get("cycles"), Some(&Json::Null));
         assert_eq!(
-            doc.get("optimality").and_then(|o| o.get("kind")).and_then(Json::as_str),
+            doc.get("optimality")
+                .and_then(|o| o.get("kind"))
+                .and_then(Json::as_str),
             Some("infeasible")
         );
         let err = covering_from_solution_json(&text).unwrap_err();
@@ -1190,7 +1202,10 @@ mod tests {
                 "s": "q\"\\\nA"}"#,
         )
         .unwrap();
-        assert_eq!(doc.get("a").unwrap().as_arr().unwrap()[2].as_num(), Some(1000.0));
+        assert_eq!(
+            doc.get("a").unwrap().as_arr().unwrap()[2].as_num(),
+            Some(1000.0)
+        );
         assert_eq!(doc.get("b").unwrap().get("c"), Some(&Json::Null));
         assert_eq!(doc.get("s").and_then(Json::as_str), Some("q\"\\\nA"));
     }
@@ -1238,7 +1253,10 @@ mod tests {
         // cert-cache keys derived from them) stay byte-identical.
         let plain = SolveJob::new("", 6);
         let text = request_to_json(&plain);
-        assert!(!text.contains("lambda"), "default λ must stay off the wire: {text}");
+        assert!(
+            !text.contains("lambda"),
+            "default λ must stay off the wire: {text}"
+        );
         assert_eq!(request_from_json(&text).unwrap(), plain);
         // A λ-fold job emits and round-trips its multiplicity.
         let mut double = SolveJob::new("cdc", 6);
@@ -1283,10 +1301,8 @@ mod tests {
 
     #[test]
     fn request_defaults_fill_in() {
-        let job = request_from_json(
-            r#"{"format": "cyclecover-request", "version": 1, "n": 8}"#,
-        )
-        .unwrap();
+        let job =
+            request_from_json(r#"{"format": "cyclecover-request", "version": 1, "n": 8}"#).unwrap();
         assert_eq!(job, SolveJob::new("", 8));
         assert_eq!(job.universe_key(), (8, 8, 8));
         assert!(job.spec().is_unit());
@@ -1299,10 +1315,8 @@ mod tests {
         .unwrap();
         assert_eq!(job.n, 8);
         // …but a future version is rejected.
-        let err = request_from_json(
-            r#"{"format": "cyclecover-request", "version": 2, "n": 8}"#,
-        )
-        .unwrap_err();
+        let err = request_from_json(r#"{"format": "cyclecover-request", "version": 2, "n": 8}"#)
+            .unwrap_err();
         assert!(err.contains("version 2"), "{err}");
     }
 
@@ -1316,20 +1330,62 @@ mod tests {
         assert_eq!(job.requests, Some(vec![(0, 2), (1, 4)]));
         assert!(!job.spec().is_unit() || job.spec().demand.iter().sum::<u32>() == 2);
         for (bad, want) in [
-            (r#"{"format": "cyclecover-request", "version": 1}"#, "missing ring size"),
-            (r#"{"format": "cyclecover-solution", "version": 1, "n": 6}"#, "not a cyclecover-request"),
-            (r#"{"format": "cyclecover-request", "version": 1, "n": 2}"#, ">= 3"),
-            (r#"{"format": "cyclecover-request", "version": 1, "n": 6, "max_len": 2}"#, "max_len"),
-            (r#"{"format": "cyclecover-request", "version": 1, "n": 6, "max_gap": 0}"#, "max_gap"),
-            (r#"{"format": "cyclecover-request", "version": 1, "n": 6, "requests": [[1, 1]]}"#, "self-loop"),
-            (r#"{"format": "cyclecover-request", "version": 1, "n": 6, "requests": [[0, 6]]}"#, "out of range"),
-            (r#"{"format": "cyclecover-request", "version": 1, "n": 6, "id": "a/b"}"#, "bad id"),
-            (r#"{"format": "cyclecover-request", "version": 1, "n": 6, "objective": {"kind": "levitate"}}"#, "objective kind"),
-            (r#"{"format": "cyclecover-request", "version": 1, "n": 6, "objective": {"kind": "within_budget"}}"#, "budget"),
-            (r#"{"format": "cyclecover-request", "version": 1, "n": 6, "symmetry": "sideways"}"#, "symmetry"),
-            (r#"{"format": "cyclecover-request", "version": 1, "n": 6, "deadline_ms": -1}"#, "out of range"),
-            (r#"{"format": "cyclecover-request", "version": 1, "n": 6, "fallback": "greedy"}"#, "fallback"),
-            (r#"{"format": "cyclecover-request", "version": 1, "n": 6, "fallback": [""]}"#, "fallback 0"),
+            (
+                r#"{"format": "cyclecover-request", "version": 1}"#,
+                "missing ring size",
+            ),
+            (
+                r#"{"format": "cyclecover-solution", "version": 1, "n": 6}"#,
+                "not a cyclecover-request",
+            ),
+            (
+                r#"{"format": "cyclecover-request", "version": 1, "n": 2}"#,
+                ">= 3",
+            ),
+            (
+                r#"{"format": "cyclecover-request", "version": 1, "n": 6, "max_len": 2}"#,
+                "max_len",
+            ),
+            (
+                r#"{"format": "cyclecover-request", "version": 1, "n": 6, "max_gap": 0}"#,
+                "max_gap",
+            ),
+            (
+                r#"{"format": "cyclecover-request", "version": 1, "n": 6, "requests": [[1, 1]]}"#,
+                "self-loop",
+            ),
+            (
+                r#"{"format": "cyclecover-request", "version": 1, "n": 6, "requests": [[0, 6]]}"#,
+                "out of range",
+            ),
+            (
+                r#"{"format": "cyclecover-request", "version": 1, "n": 6, "id": "a/b"}"#,
+                "bad id",
+            ),
+            (
+                r#"{"format": "cyclecover-request", "version": 1, "n": 6, "objective": {"kind": "levitate"}}"#,
+                "objective kind",
+            ),
+            (
+                r#"{"format": "cyclecover-request", "version": 1, "n": 6, "objective": {"kind": "within_budget"}}"#,
+                "budget",
+            ),
+            (
+                r#"{"format": "cyclecover-request", "version": 1, "n": 6, "symmetry": "sideways"}"#,
+                "symmetry",
+            ),
+            (
+                r#"{"format": "cyclecover-request", "version": 1, "n": 6, "deadline_ms": -1}"#,
+                "out of range",
+            ),
+            (
+                r#"{"format": "cyclecover-request", "version": 1, "n": 6, "fallback": "greedy"}"#,
+                "fallback",
+            ),
+            (
+                r#"{"format": "cyclecover-request", "version": 1, "n": 6, "fallback": [""]}"#,
+                "fallback 0",
+            ),
         ] {
             let err = request_from_json(bad).unwrap_err();
             assert!(err.contains(want), "{bad}: {err}");
@@ -1371,7 +1427,9 @@ mod tests {
         assert_eq!(doc.get("cycles"), Some(&Json::Null));
         assert_eq!(doc.get("degraded"), Some(&Json::Null));
         assert_eq!(
-            doc.get("stats").and_then(|s| s.get("attempts")).and_then(Json::as_num),
+            doc.get("stats")
+                .and_then(|s| s.get("attempts"))
+                .and_then(Json::as_num),
             Some(3.0)
         );
         let err = covering_from_solution_json(&text).unwrap_err();
@@ -1397,7 +1455,9 @@ mod tests {
         assert_eq!(deg.get("to").and_then(Json::as_str), Some("greedy"));
         assert_eq!(deg.get("reason").and_then(Json::as_str), Some("deadline"));
         assert_eq!(
-            doc.get("stats").and_then(|s| s.get("attempts")).and_then(Json::as_num),
+            doc.get("stats")
+                .and_then(|s| s.get("attempts"))
+                .and_then(Json::as_num),
             Some(2.0)
         );
         // Degradation never weakens the trust boundary: the covering

@@ -4,9 +4,7 @@
 //! same job; solutions with coverings: DRC re-validation; solutions
 //! without: the documented "no covering" rejection).
 
-use cyclecover_io::json::{
-    covering_from_solution_json, request_from_json, request_to_json, Json,
-};
+use cyclecover_io::json::{covering_from_solution_json, request_from_json, request_to_json, Json};
 
 const DOC: &str = include_str!("../../../docs/wire-format.md");
 
@@ -84,8 +82,14 @@ fn every_example_parses_and_round_trips() {
                 assert_eq!(version, Some(1.0), "reject example version:\n{block}");
                 let reason = doc.get("reason").and_then(Json::as_str).expect("reason");
                 assert!(
-                    ["parse", "oversized", "overload", "admission", "predicted_unmeetable"]
-                        .contains(&reason),
+                    [
+                        "parse",
+                        "oversized",
+                        "overload",
+                        "admission",
+                        "predicted_unmeetable"
+                    ]
+                    .contains(&reason),
                     "undocumented reject reason {reason:?}"
                 );
                 assert!(doc.get("detail").and_then(Json::as_str).is_some());

@@ -103,9 +103,11 @@ pub fn availability_comparison(net: &WdmNetwork, model: LinkModel) -> Availabili
 
     // Unprotected: P(down) = P(any working link down) ≈ exact closed form
     // (independent links): 1 − (1−u)^len.
-    let unprot = summarize(unprotected_paths.iter().map(|p| {
-        1.0 - (1.0 - u).powi(p.len() as i32)
-    }));
+    let unprot = summarize(
+        unprotected_paths
+            .iter()
+            .map(|p| 1.0 - (1.0 - u).powi(p.len() as i32)),
+    );
 
     // Protected: up unless (some working link down) AND (some protection
     // link down). Working and protection arcs are edge-disjoint, so
@@ -155,7 +157,11 @@ mod tests {
         // Unprotected demand ~ u·len_short; protected ~ u²·w·p with
         // w + p = n — the gain is ≈ len_short / (w·p·u), an order of
         // magnitude-plus for typical fiber at metro sizes.
-        assert!(cmp.improvement > 20.0, "improvement only {}", cmp.improvement);
+        assert!(
+            cmp.improvement > 20.0,
+            "improvement only {}",
+            cmp.improvement
+        );
         assert!(cmp.protected.nines() > cmp.unprotected.nines() + 1.0);
         assert!(cmp.protected.mean_unavailability > 0.0);
     }
@@ -167,8 +173,10 @@ mod tests {
             assert!(cmp.protected.mean_unavailability < cmp.unprotected.mean_unavailability);
             assert!(cmp.protected.worst_unavailability >= cmp.protected.mean_unavailability);
             assert!(cmp.unprotected.worst_unavailability >= cmp.unprotected.mean_unavailability);
-            assert!(cmp.truncation_residual < cmp.protected.mean_unavailability,
-                "n={n}: truncation must be below the signal");
+            assert!(
+                cmp.truncation_residual < cmp.protected.mean_unavailability,
+                "n={n}: truncation must be below the signal"
+            );
         }
     }
 
@@ -187,11 +195,17 @@ mod tests {
     fn nines_are_monotone_in_link_quality() {
         let good = availability_comparison(
             &net(9),
-            LinkModel { mtbf_hours: 10_000.0, mttr_hours: 1.0 },
+            LinkModel {
+                mtbf_hours: 10_000.0,
+                mttr_hours: 1.0,
+            },
         );
         let bad = availability_comparison(
             &net(9),
-            LinkModel { mtbf_hours: 100.0, mttr_hours: 10.0 },
+            LinkModel {
+                mtbf_hours: 100.0,
+                mttr_hours: 10.0,
+            },
         );
         assert!(good.protected.nines() > bad.protected.nines());
         assert!(good.unprotected.nines() > bad.unprotected.nines());

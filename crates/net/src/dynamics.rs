@@ -134,7 +134,7 @@ pub fn simulate_timeline(net: &WdmNetwork, events: &[Event]) -> TimelineReport {
         down_now = 0;
         on_prot_now = 0;
         for d in demands.iter_mut() {
-            let working_ok = !d.working.iter().zip(&failed) .any(|(&w, &f)| w && f);
+            let working_ok = !d.working.iter().zip(&failed).any(|(&w, &f)| w && f);
             let protection_ok = !d.protection.iter().zip(&failed).any(|(&p, &f)| p && f);
             let (was_on_protection, was_down) = (d.on_protection, d.down);
             // Revertive policy: prefer working whenever it is intact.
@@ -216,10 +216,26 @@ mod tests {
         // Fail edges 0 and 4 simultaneously: each demand whose working
         // and protection arcs are cut goes down for the overlap window.
         let events = vec![
-            Event { time: 0, kind: EventKind::Fail, edge: 0 },
-            Event { time: 10, kind: EventKind::Fail, edge: 4 },
-            Event { time: 30, kind: EventKind::Repair, edge: 0 },
-            Event { time: 60, kind: EventKind::Repair, edge: 4 },
+            Event {
+                time: 0,
+                kind: EventKind::Fail,
+                edge: 0,
+            },
+            Event {
+                time: 10,
+                kind: EventKind::Fail,
+                edge: 4,
+            },
+            Event {
+                time: 30,
+                kind: EventKind::Repair,
+                edge: 0,
+            },
+            Event {
+                time: 60,
+                kind: EventKind::Repair,
+                edge: 4,
+            },
         ];
         let rep = simulate_timeline(&net, &events);
         assert!(rep.demand_downtime > 0, "dual failure must hurt someone");
@@ -265,8 +281,16 @@ mod tests {
     fn unsorted_events_rejected() {
         let net = net(6);
         let events = vec![
-            Event { time: 10, kind: EventKind::Fail, edge: 0 },
-            Event { time: 5, kind: EventKind::Repair, edge: 0 },
+            Event {
+                time: 10,
+                kind: EventKind::Fail,
+                edge: 0,
+            },
+            Event {
+                time: 5,
+                kind: EventKind::Repair,
+                edge: 0,
+            },
         ];
         simulate_timeline(&net, &events);
     }
@@ -276,8 +300,16 @@ mod tests {
     fn double_failure_rejected() {
         let net = net(6);
         let events = vec![
-            Event { time: 0, kind: EventKind::Fail, edge: 1 },
-            Event { time: 1, kind: EventKind::Fail, edge: 1 },
+            Event {
+                time: 0,
+                kind: EventKind::Fail,
+                edge: 1,
+            },
+            Event {
+                time: 1,
+                kind: EventKind::Fail,
+                edge: 1,
+            },
         ];
         simulate_timeline(&net, &events);
     }

@@ -9,8 +9,15 @@ pub fn design_report(net: &WdmNetwork) -> String {
     let mut s = String::new();
     let n = net.ring().n();
     let _ = writeln!(s, "=== WDM ring design report ===");
-    let _ = writeln!(s, "physical topology : C_{n} ({n} switches, {n} fiber links)");
-    let _ = writeln!(s, "logical instance  : K_{n} ({} requests)", n * (n - 1) / 2);
+    let _ = writeln!(
+        s,
+        "physical topology : C_{n} ({n} switches, {n} fiber links)"
+    );
+    let _ = writeln!(
+        s,
+        "logical instance  : K_{n} ({} requests)",
+        n * (n - 1) / 2
+    );
     let _ = writeln!(s, "subnetworks       : {}", net.subnetworks().len());
     let _ = writeln!(
         s,
@@ -39,7 +46,11 @@ pub fn design_report(net: &WdmNetwork) -> String {
     let _ = writeln!(
         s,
         "survivability     : {} ({} reroutes over {} failure scenarios, max stretch {:.1})",
-        if audit.fully_survivable { "100%" } else { "FAILED" },
+        if audit.fully_survivable {
+            "100%"
+        } else {
+            "FAILED"
+        },
         audit.total_reroutes,
         n,
         audit.max_stretch

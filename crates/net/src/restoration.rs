@@ -200,8 +200,7 @@ pub fn compare_schemes(n: u32) -> SchemeComparison {
         protection_wavelengths,
         working_capacity,
         restoration_capacity,
-        protection_over_restoration: protection_wavelengths as f64
-            / restoration_capacity as f64,
+        protection_over_restoration: protection_wavelengths as f64 / restoration_capacity as f64,
     }
 }
 

@@ -133,7 +133,10 @@ mod tests {
             }
             let lb = max_link_load(ring, &routing) as usize;
             assert!(used >= lb, "n={n}");
-            assert!(used <= 2 * lb + 2, "n={n}: first-fit used {used} vs LB {lb}");
+            assert!(
+                used <= 2 * lb + 2,
+                "n={n}: first-fit used {used} vs LB {lb}"
+            );
         }
     }
 

@@ -77,7 +77,11 @@ impl RingArc {
     /// Whether two arcs share a ring edge.
     pub fn overlaps(&self, ring: Ring, other: &RingArc) -> bool {
         // The cheaper direction: iterate the shorter arc.
-        let (a, b) = if self.len <= other.len { (self, other) } else { (other, self) };
+        let (a, b) = if self.len <= other.len {
+            (self, other)
+        } else {
+            (other, self)
+        };
         a.edges(ring).any(|e| b.covers_edge(ring, e))
     }
 
@@ -96,10 +100,7 @@ impl RingArc {
     /// The complementary arc: from this arc's end, clockwise back to its
     /// start, covering exactly the ring edges this arc does not.
     pub fn complement(&self, ring: Ring) -> RingArc {
-        assert!(
-            self.len < ring.n(),
-            "full-ring arc has an empty complement"
-        );
+        assert!(self.len < ring.n(), "full-ring arc has an empty complement");
         RingArc {
             start: self.end(ring),
             len: ring.n() - self.len,
@@ -138,7 +139,11 @@ mod tests {
                 let a = RingArc::new(ring, start, len);
                 let covered: Vec<u32> = a.edges(ring).collect();
                 for e in 0..10 {
-                    assert_eq!(a.covers_edge(ring, e), covered.contains(&e), "{a:?} edge {e}");
+                    assert_eq!(
+                        a.covers_edge(ring, e),
+                        covered.contains(&e),
+                        "{a:?} edge {e}"
+                    );
                 }
             }
         }

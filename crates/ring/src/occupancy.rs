@@ -78,8 +78,17 @@ impl ArcOccupancy {
         }
         let base = (1u128 << len) - 1; // len < n <= 128
         let rot = base << start;
-        let wrap = if start + len > n { base >> (n - start) } else { 0 };
-        (rot | wrap) & if n == 128 { u128::MAX } else { (1u128 << n) - 1 }
+        let wrap = if start + len > n {
+            base >> (n - start)
+        } else {
+            0
+        };
+        (rot | wrap)
+            & if n == 128 {
+                u128::MAX
+            } else {
+                (1u128 << n) - 1
+            }
     }
 
     /// Attempts to place `arc`; returns `false` (leaving the set unchanged)
@@ -95,7 +104,10 @@ impl ArcOccupancy {
                 true
             }
             ArcOccupancy::Large { words, .. } => {
-                if arc.edges(ring).any(|e| words[e as usize / 64] >> (e % 64) & 1 == 1) {
+                if arc
+                    .edges(ring)
+                    .any(|e| words[e as usize / 64] >> (e % 64) & 1 == 1)
+                {
                     return false;
                 }
                 for e in arc.edges(ring) {
@@ -199,7 +211,13 @@ mod tests {
 
     #[test]
     fn boundary_128_vs_129() {
-        assert!(matches!(ArcOccupancy::new(Ring::new(128)), ArcOccupancy::Small { .. }));
-        assert!(matches!(ArcOccupancy::new(Ring::new(129)), ArcOccupancy::Large { .. }));
+        assert!(matches!(
+            ArcOccupancy::new(Ring::new(128)),
+            ArcOccupancy::Small { .. }
+        ));
+        assert!(matches!(
+            ArcOccupancy::new(Ring::new(129)),
+            ArcOccupancy::Large { .. }
+        ));
     }
 }

@@ -89,7 +89,10 @@ impl Ring {
     /// `n` per class except the diameter class of an even ring, which has
     /// `n/2`.
     pub fn chords_in_class(&self, d: u32) -> u32 {
-        assert!(d >= 1 && d <= self.diameter(), "distance class {d} out of range");
+        assert!(
+            d >= 1 && d <= self.diameter(),
+            "distance class {d} out of range"
+        );
         if self.is_diameter_class(d) {
             self.n / 2
         } else {

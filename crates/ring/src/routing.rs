@@ -193,7 +193,10 @@ mod tests {
         let t2 = CycleSubgraph::new(vec![0, 2, 3]);
 
         assert!(route_cycle(ring, &straight).is_some());
-        assert!(route_cycle(ring, &crossed).is_none(), "crossed C4 must fail DRC");
+        assert!(
+            route_cycle(ring, &crossed).is_none(),
+            "crossed C4 must fail DRC"
+        );
         assert!(route_cycle(ring, &t1).is_some());
         assert!(route_cycle(ring, &t2).is_some());
 

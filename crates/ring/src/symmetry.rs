@@ -12,7 +12,10 @@ use crate::{Ring, Tile};
 pub fn rotate_tile(ring: Ring, tile: &Tile, r: u32) -> Tile {
     Tile::from_vertices(
         ring,
-        tile.vertices().iter().map(|&v| ring.add(v, r % ring.n())).collect(),
+        tile.vertices()
+            .iter()
+            .map(|&v| ring.add(v, r % ring.n()))
+            .collect(),
     )
 }
 
@@ -29,7 +32,11 @@ pub fn reflect_tile(ring: Ring, tile: &Tile) -> Tile {
 pub fn canonical_tile(ring: Ring, tile: &Tile) -> Tile {
     let mut best = tile.clone();
     for reflected in [false, true] {
-        let base = if reflected { reflect_tile(ring, tile) } else { tile.clone() };
+        let base = if reflected {
+            reflect_tile(ring, tile)
+        } else {
+            tile.clone()
+        };
         for r in 0..ring.n() {
             let cand = rotate_tile(ring, &base, r);
             if cand.vertices() < best.vertices() {
@@ -44,7 +51,11 @@ pub fn canonical_tile(ring: Ring, tile: &Tile) -> Tile {
 pub fn orbit_size(ring: Ring, tile: &Tile) -> usize {
     let mut orbit = std::collections::BTreeSet::new();
     for reflected in [false, true] {
-        let base = if reflected { reflect_tile(ring, tile) } else { tile.clone() };
+        let base = if reflected {
+            reflect_tile(ring, tile)
+        } else {
+            tile.clone()
+        };
         for r in 0..ring.n() {
             orbit.insert(rotate_tile(ring, &base, r));
         }
@@ -112,10 +123,10 @@ mod tests {
     fn orbit_sizes_divide_group_order() {
         let ring = Ring::new(12);
         for t in [
-            Tile::from_vertices(ring, vec![0, 4, 8]),     // high symmetry
-            Tile::from_vertices(ring, vec![0, 1, 2]),     // reflective symmetry
-            Tile::from_vertices(ring, vec![0, 1, 3, 7]),  // low symmetry
-            Tile::from_vertices(ring, vec![0, 3, 6, 9]),  // square
+            Tile::from_vertices(ring, vec![0, 4, 8]),    // high symmetry
+            Tile::from_vertices(ring, vec![0, 1, 2]),    // reflective symmetry
+            Tile::from_vertices(ring, vec![0, 1, 3, 7]), // low symmetry
+            Tile::from_vertices(ring, vec![0, 3, 6, 9]), // square
         ] {
             let s = orbit_size(ring, &t);
             assert_eq!(24 % s, 0, "orbit {s} must divide 2n = 24 for {t:?}");

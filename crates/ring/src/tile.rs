@@ -27,13 +27,19 @@ impl Tile {
     /// Panics if fewer than 3 vertices, repeats, or out of range.
     pub fn from_vertices(ring: Ring, mut verts: Vec<u32>) -> Self {
         assert!(verts.len() >= 3, "tile needs >= 3 vertices");
-        assert!(verts.len() <= ring.n() as usize, "more vertices than ring positions");
+        assert!(
+            verts.len() <= ring.n() as usize,
+            "more vertices than ring positions"
+        );
         verts.sort_unstable();
         assert!(
             verts.windows(2).all(|w| w[0] != w[1]),
             "tile has repeated vertices: {verts:?}"
         );
-        assert!(*verts.last().unwrap() < ring.n(), "tile vertex out of range");
+        assert!(
+            *verts.last().unwrap() < ring.n(),
+            "tile vertex out of range"
+        );
         Tile { verts }
     }
 

@@ -198,7 +198,10 @@ mod tests {
         cache.get_or_build((8, 8, 8));
         assert_eq!(cache.stats().evictions, 1);
         let keys: Vec<UniverseKey> = cache.entries.iter().map(|e| e.key).collect();
-        assert!(keys.contains(&(6, 6, 6)), "recently-used entry evicted: {keys:?}");
+        assert!(
+            keys.contains(&(6, 6, 6)),
+            "recently-used entry evicted: {keys:?}"
+        );
         assert!(keys.contains(&(8, 8, 8)), "fresh entry evicted: {keys:?}");
         assert!(!keys.contains(&(7, 7, 7)), "LRU entry survived: {keys:?}");
         assert!(cache.stats().bytes <= cache.budget());

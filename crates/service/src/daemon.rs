@@ -804,7 +804,15 @@ impl Daemon {
                 loop {
                     let mut stalled = false;
                     while let Some(framed) = conn.lines.pop_front() {
-                        handle_line(framed, conn, &ingest, &shared, cfg.queue_depth, draining, started);
+                        handle_line(
+                            framed,
+                            conn,
+                            &ingest,
+                            &shared,
+                            cfg.queue_depth,
+                            draining,
+                            started,
+                        );
                         if !draining && lock(&shared).draining {
                             // A shutdown control arrived on this
                             // connection: close admission globally and
@@ -845,8 +853,7 @@ impl Daemon {
             let gone: Vec<usize> = conns
                 .iter()
                 .filter(|(_, c)| {
-                    c.dead
-                        || (c.eof && c.flushed() && c.lines.is_empty() && c.outstanding == 0)
+                    c.dead || (c.eof && c.flushed() && c.lines.is_empty() && c.outstanding == 0)
                 })
                 .map(|(&slot, _)| slot)
                 .collect();
@@ -1174,7 +1181,10 @@ mod tests {
         assert!(matches!(ingest.admit("# comment", 0), IngestAction::Ignore));
         assert!(matches!(
             ingest.admit("{not json", 0),
-            IngestAction::Reject { reason: "parse", .. }
+            IngestAction::Reject {
+                reason: "parse",
+                ..
+            }
         ));
         assert!(matches!(
             ingest.admit(

@@ -153,9 +153,13 @@ fn parse_fault(f: &Json) -> Result<Fault, String> {
         match f.get(key) {
             None | Some(Json::Null) => Ok(None),
             Some(v) => {
-                let x = v.as_num().ok_or_else(|| format!("'{key}' must be a number"))?;
+                let x = v
+                    .as_num()
+                    .ok_or_else(|| format!("'{key}' must be a number"))?;
                 if x.fract() != 0.0 || x < 1.0 {
-                    return Err(format!("'{key}' = {x} must be a positive integer (1-based)"));
+                    return Err(format!(
+                        "'{key}' = {x} must be a positive integer (1-based)"
+                    ));
                 }
                 Ok(Some(x as u64))
             }
@@ -317,20 +321,44 @@ mod tests {
     #[test]
     fn parser_rejects_malformed_plans() {
         for (bad, want) in [
-            (r#"{"format": "cyclecover-request", "version": 1}"#, "not a cyclecover-fault-plan"),
-            (r#"{"format": "cyclecover-fault-plan", "version": 2}"#, "version 2"),
-            (r#"{"format": "cyclecover-fault-plan", "version": 1,
-                 "faults": [{"kind": "panic"}]}"#, "exactly one trigger"),
-            (r#"{"format": "cyclecover-fault-plan", "version": 1,
-                 "faults": [{"on_solve": 1, "job": "x", "kind": "panic"}]}"#, "exactly one trigger"),
-            (r#"{"format": "cyclecover-fault-plan", "version": 1,
-                 "faults": [{"on_solve": 0, "kind": "panic"}]}"#, "positive integer"),
-            (r#"{"format": "cyclecover-fault-plan", "version": 1,
-                 "faults": [{"on_solve": 1, "kind": "levitate"}]}"#, "fault kind"),
-            (r#"{"format": "cyclecover-fault-plan", "version": 1,
-                 "faults": [{"on_solve": 1, "kind": "build_fail"}]}"#, "on_build"),
-            (r#"{"format": "cyclecover-fault-plan", "version": 1,
-                 "faults": [{"on_build": 1, "kind": "panic"}]}"#, "on_build"),
+            (
+                r#"{"format": "cyclecover-request", "version": 1}"#,
+                "not a cyclecover-fault-plan",
+            ),
+            (
+                r#"{"format": "cyclecover-fault-plan", "version": 2}"#,
+                "version 2",
+            ),
+            (
+                r#"{"format": "cyclecover-fault-plan", "version": 1,
+                 "faults": [{"kind": "panic"}]}"#,
+                "exactly one trigger",
+            ),
+            (
+                r#"{"format": "cyclecover-fault-plan", "version": 1,
+                 "faults": [{"on_solve": 1, "job": "x", "kind": "panic"}]}"#,
+                "exactly one trigger",
+            ),
+            (
+                r#"{"format": "cyclecover-fault-plan", "version": 1,
+                 "faults": [{"on_solve": 0, "kind": "panic"}]}"#,
+                "positive integer",
+            ),
+            (
+                r#"{"format": "cyclecover-fault-plan", "version": 1,
+                 "faults": [{"on_solve": 1, "kind": "levitate"}]}"#,
+                "fault kind",
+            ),
+            (
+                r#"{"format": "cyclecover-fault-plan", "version": 1,
+                 "faults": [{"on_solve": 1, "kind": "build_fail"}]}"#,
+                "on_build",
+            ),
+            (
+                r#"{"format": "cyclecover-fault-plan", "version": 1,
+                 "faults": [{"on_build": 1, "kind": "panic"}]}"#,
+                "on_build",
+            ),
         ] {
             let err = FaultPlan::from_json(bad).unwrap_err();
             assert!(err.contains(want), "{bad}: {err}");

@@ -274,7 +274,14 @@ impl CostModel {
 mod tests {
     use super::*;
 
-    fn row(n: u32, objective: &str, symmetry: &str, memo: bool, nodes: u64, wall_ms: f64) -> CalibrationRow {
+    fn row(
+        n: u32,
+        objective: &str,
+        symmetry: &str,
+        memo: bool,
+        nodes: u64,
+        wall_ms: f64,
+    ) -> CalibrationRow {
         CalibrationRow {
             n,
             objective: objective.to_string(),

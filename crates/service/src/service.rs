@@ -667,7 +667,10 @@ fn process_group(admit_order: usize, group: &Group, ctx: &DrainCtx) -> Vec<JobRe
         solution: None,
     };
     for p in members {
-        let abs = p.job.deadline_ms.map(|ms| ctx.epoch + Duration::from_millis(ms));
+        let abs = p
+            .job
+            .deadline_ms
+            .map(|ms| ctx.epoch + Duration::from_millis(ms));
         if let Some(abs) = abs {
             if now >= abs {
                 out.push(JobReport {
@@ -872,7 +875,12 @@ fn process_group(admit_order: usize, group: &Group, ctx: &DrainCtx) -> Vec<JobRe
                 Err(payload) => {
                     failure_msg = Some(panic_message(payload));
                     if rung_attempts < ctx.max_attempts {
-                        backoff(ctx.retry_seed, primary.seq, rung_attempts, ctx.backoff_base_ms);
+                        backoff(
+                            ctx.retry_seed,
+                            primary.seq,
+                            rung_attempts,
+                            ctx.backoff_base_ms,
+                        );
                         continue;
                     }
                     first_descent.get_or_insert(DegradeReason::Panicked);
@@ -1011,21 +1019,21 @@ pub fn batch_summary_json_with_rejects(
     s.push_str("  \"jobs\": [\n");
     for (i, r) in report.jobs.iter().enumerate() {
         let (status, reason) = status_of(r);
-        let degraded = r
-            .solution
-            .as_ref()
-            .and_then(Solution::degraded)
-            .map_or("null".to_string(), |d| {
-                let reason = match d.reason {
-                    DegradeReason::Panicked => "panicked",
-                    DegradeReason::Exhausted(e) => json::exhaustion_str(&e),
-                };
-                format!(
-                    "{{\"from\": {}, \"to\": {}, \"reason\": \"{reason}\"}}",
-                    json_escape(&d.from),
-                    json_escape(&d.to)
-                )
-            });
+        let degraded =
+            r.solution
+                .as_ref()
+                .and_then(Solution::degraded)
+                .map_or("null".to_string(), |d| {
+                    let reason = match d.reason {
+                        DegradeReason::Panicked => "panicked",
+                        DegradeReason::Exhausted(e) => json::exhaustion_str(&e),
+                    };
+                    format!(
+                        "{{\"from\": {}, \"to\": {}, \"reason\": \"{reason}\"}}",
+                        json_escape(&d.from),
+                        json_escape(&d.to)
+                    )
+                });
         let _ = write!(
             s,
             "    {{\"id\": {}, \"engine\": {}, \"status\": {}, \"reason\": {}, \
@@ -1042,10 +1050,12 @@ pub fn batch_summary_json_with_rejects(
                 .and_then(Solution::size)
                 .map_or("null".to_string(), |n| n.to_string()),
             r.solution.as_ref().map_or(0, |sol| sol.stats().nodes),
-            r.solution.as_ref().map_or("null".to_string(), |sol| format!(
-                "{:.3}",
-                sol.stats().wall.as_secs_f64() * 1e3
-            )),
+            r.solution
+                .as_ref()
+                .map_or("null".to_string(), |sol| format!(
+                    "{:.3}",
+                    sol.stats().wall.as_secs_f64() * 1e3
+                )),
             r.admit_order,
             r.cache_hit,
             r.solution.as_ref().is_some_and(Solution::cached),
@@ -1059,7 +1069,11 @@ pub fn batch_summary_json_with_rejects(
                 .map_or("null".to_string(), |p| p.nodes.to_string()),
             r.predicted_reject,
         );
-        s.push_str(if i + 1 < report.jobs.len() { ",\n" } else { "\n" });
+        s.push_str(if i + 1 < report.jobs.len() {
+            ",\n"
+        } else {
+            "\n"
+        });
     }
     s.push_str("  ],\n");
     s.push_str("  \"rejected\": [");

@@ -41,10 +41,7 @@ fn make_line((kind, salt, n): (u8, u32, u32)) -> Line {
 }
 
 fn lines_strategy() -> impl Strategy<Value = Vec<Line>> {
-    prop::collection::vec(
-        (0u8..5, 0u32..1000, 6u32..=10).prop_map(make_line),
-        0..24,
-    )
+    prop::collection::vec((0u8..5, 0u32..1000, 6u32..=10).prop_map(make_line), 0..24)
 }
 
 /// Splits `bytes` at the (wrapped) cut points and feeds the fragments to

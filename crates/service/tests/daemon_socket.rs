@@ -124,16 +124,22 @@ fn daemon_round_trips_streams_predicts_and_drains() {
     assert!(warm.contains("\"format\": \"cyclecover-solution\""));
     assert!(warm.contains("\"id\": \"c\""));
 
-    writeln!(w2, r#"{{"format": "cyclecover-control", "version": 1, "op": "stats"}}"#)
-        .expect("write stats control");
+    writeln!(
+        w2,
+        r#"{{"format": "cyclecover-control", "version": 1, "op": "stats"}}"#
+    )
+    .expect("write stats control");
     let live = read_line(&mut r2);
     let live_stats = DaemonStats::from_json(&live).expect("live stats parse");
     assert_eq!(live_stats.jobs_received, 3);
     assert_eq!(live_stats.rejected_parse, 1);
     assert_eq!(live_stats.rejected_predicted, 1);
 
-    writeln!(w2, r#"{{"format": "cyclecover-control", "version": 1, "op": "shutdown"}}"#)
-        .expect("write shutdown control");
+    writeln!(
+        w2,
+        r#"{{"format": "cyclecover-control", "version": 1, "op": "shutdown"}}"#
+    )
+    .expect("write shutdown control");
     let last = read_line(&mut r2);
     let final_doc = DaemonStats::from_json(&last).expect("final stats parse");
     let mut eof = String::new();
@@ -146,7 +152,10 @@ fn daemon_round_trips_streams_predicts_and_drains() {
     assert_eq!(stats.unstarted, 0, "nothing was abandoned by the drain");
     assert_eq!(stats.rejected_parse, 1);
     assert_eq!(stats.rejected_predicted, 1);
-    assert!(stats.generations >= 2, "two separate micro-batch generations");
+    assert!(
+        stats.generations >= 2,
+        "two separate micro-batch generations"
+    );
     assert!(
         stats.warm_universe_hits >= 1,
         "connection 2 reused the universe built for connection 1: {stats:?}"
@@ -175,7 +184,10 @@ fn cert_cache_serves_repeats_and_persists_across_generations() {
     // job arrives in a new one — against the now-warm certificate cache.
     let cold = read_line(&mut r);
     assert!(cold.contains("\"id\": \"first\""));
-    assert!(cold.contains("\"cached\": false"), "cold answer ran the kernel: {cold}");
+    assert!(
+        cold.contains("\"cached\": false"),
+        "cold answer ran the kernel: {cold}"
+    );
 
     writeln!(
         w,
@@ -193,8 +205,11 @@ fn cert_cache_serves_repeats_and_persists_across_generations() {
         "a cached answer burns zero kernel nodes: {warm}"
     );
 
-    writeln!(w, r#"{{"format": "cyclecover-control", "version": 1, "op": "shutdown"}}"#)
-        .expect("write shutdown control");
+    writeln!(
+        w,
+        r#"{{"format": "cyclecover-control", "version": 1, "op": "shutdown"}}"#
+    )
+    .expect("write shutdown control");
     let last = read_line(&mut r);
     let final_stats = DaemonStats::from_json(&last).expect("final stats parse");
     assert_eq!(final_stats.cert_cache_hits, 1);

@@ -94,7 +94,10 @@ fn expired_jobs_are_rejected_without_running() {
     assert_eq!(sol.stats().budgets_tried, 0);
     assert_eq!(sol.stats().engine, "service");
     // The survivor is untouched.
-    assert_eq!(by_id(&report, "fine").solution.as_ref().unwrap().size(), Some(5));
+    assert_eq!(
+        by_id(&report, "fine").solution.as_ref().unwrap().size(),
+        Some(5)
+    );
 }
 
 #[test]
@@ -147,8 +150,14 @@ fn deadlines_do_not_fragment_coalescing_groups() {
     let report = svc.drain();
     assert_eq!(report.stats.coalesced, 1);
     assert_eq!(report.stats.engines[0].solves, 1);
-    assert_eq!(by_id(&report, "tight").solution.as_ref().unwrap().size(), Some(5));
-    assert_eq!(by_id(&report, "loose").solution.as_ref().unwrap().size(), Some(5));
+    assert_eq!(
+        by_id(&report, "tight").solution.as_ref().unwrap().size(),
+        Some(5)
+    );
+    assert_eq!(
+        by_id(&report, "loose").solution.as_ref().unwrap().size(),
+        Some(5)
+    );
 }
 
 #[test]
@@ -322,7 +331,10 @@ fn lambda_fold_jobs_bypass_predictive_admission_and_solve() {
 
     let double = by_id(&report, "double");
     assert!(!double.predicted_reject, "λ-fold jobs are always admitted");
-    assert!(double.predicted.is_none(), "no unit-table prediction applies");
+    assert!(
+        double.predicted.is_none(),
+        "no unit-table prediction applies"
+    );
     let sol = double.solution.as_ref().unwrap();
     assert!(
         matches!(sol.optimality(), Optimality::Optimal { .. }),
@@ -357,9 +369,18 @@ fn lambda_is_part_of_the_coalescing_key() {
 
     let report = svc.drain();
     assert_eq!(report.stats.solved, 3);
-    assert_eq!(report.stats.coalesced, 1, "only the two λ = 2 jobs coalesce");
-    assert_eq!(by_id(&report, "unit").solution.as_ref().unwrap().size(), Some(5));
-    assert_eq!(by_id(&report, "double").solution.as_ref().unwrap().size(), Some(9));
+    assert_eq!(
+        report.stats.coalesced, 1,
+        "only the two λ = 2 jobs coalesce"
+    );
+    assert_eq!(
+        by_id(&report, "unit").solution.as_ref().unwrap().size(),
+        Some(5)
+    );
+    assert_eq!(
+        by_id(&report, "double").solution.as_ref().unwrap().size(),
+        Some(9)
+    );
     assert!(by_id(&report, "double2").coalesced);
 }
 
@@ -419,7 +440,15 @@ fn mixed_batch_meets_the_acceptance_shape() {
     );
     let stats = doc.get("stats").unwrap();
     assert_eq!(stats.get("expired").and_then(json::Json::as_num), Some(1.0));
-    assert!(stats.get("cache").unwrap().get("hits").and_then(json::Json::as_num).unwrap() > 0.0);
+    assert!(
+        stats
+            .get("cache")
+            .unwrap()
+            .get("hits")
+            .and_then(json::Json::as_num)
+            .unwrap()
+            > 0.0
+    );
 }
 
 #[test]
@@ -459,7 +488,10 @@ fn panic_is_isolated_and_fanned_to_coalesced_waiters() {
         );
     }
     assert!(by_id(&report, "boom-twin").coalesced);
-    assert_eq!(by_id(&report, "fine").solution.as_ref().unwrap().size(), Some(6));
+    assert_eq!(
+        by_id(&report, "fine").solution.as_ref().unwrap().size(),
+        Some(6)
+    );
 
     // Resubmitting the poison request (any id) is refused from quarantine
     // without a dispatch — the batch cannot be re-panicked.
@@ -472,9 +504,16 @@ fn panic_is_isolated_and_fanned_to_coalesced_waiters() {
             kind: FailureKind::Panic
         }
     ));
-    assert!(r.failure.as_ref().unwrap().contains("quarantined"), "{:?}", r.failure);
+    assert!(
+        r.failure.as_ref().unwrap().contains("quarantined"),
+        "{:?}",
+        r.failure
+    );
     assert_eq!(r.solution.as_ref().unwrap().stats().attempts, 0);
-    assert_eq!(report.stats.faults_injected, 0, "no dispatch reached the injector");
+    assert_eq!(
+        report.stats.faults_injected, 0,
+        "no dispatch reached the injector"
+    );
 }
 
 #[test]
@@ -496,7 +535,10 @@ fn transient_panic_recovers_on_retry() {
     assert_eq!(sol.size(), Some(5));
     assert_eq!(sol.stats().attempts, 2);
     assert!(sol.degraded().is_none());
-    assert!(by_id(&report, "flaky").failure.is_none(), "a recovered job carries no failure");
+    assert!(
+        by_id(&report, "flaky").failure.is_none(),
+        "a recovered job carries no failure"
+    );
 }
 
 #[test]
@@ -515,7 +557,11 @@ fn forced_deadline_exhaustion_retries_while_slack_remains() {
     svc.submit(job).unwrap();
     let report = svc.drain();
     let sol = by_id(&report, "slow-start").solution.as_ref().unwrap();
-    assert!(matches!(sol.optimality(), Optimality::Infeasible), "{:?}", sol.optimality());
+    assert!(
+        matches!(sol.optimality(), Optimality::Infeasible),
+        "{:?}",
+        sol.optimality()
+    );
     assert_eq!(sol.stats().attempts, 2);
     assert_eq!(report.stats.retries, 1);
     assert_eq!(report.stats.degraded, 0);
@@ -547,9 +593,16 @@ fn degradation_ladder_reports_honest_provenance() {
     // The fallback's covering is a real covering.
     let doc = json::solution_to_json(sol);
     assert!(doc.contains("\"degraded\": {\"from\": \"bitset\""), "{doc}");
-    json::covering_from_solution_json(&doc).unwrap().validate().unwrap();
+    json::covering_from_solution_json(&doc)
+        .unwrap()
+        .validate()
+        .unwrap();
     // The engine totals charge the rung that answered.
-    assert!(report.stats.engines.iter().any(|e| e.name == "greedy" && e.jobs == 1));
+    assert!(report
+        .stats
+        .engines
+        .iter()
+        .any(|e| e.name == "greedy" && e.jobs == 1));
 }
 
 #[test]
@@ -569,7 +622,14 @@ fn injected_build_failure_is_a_terminal_internal_failure() {
             kind: FailureKind::Internal
         }
     );
-    assert!(r.failure.as_ref().unwrap().contains("universe construction"), "{:?}", r.failure);
+    assert!(
+        r.failure
+            .as_ref()
+            .unwrap()
+            .contains("universe construction"),
+        "{:?}",
+        r.failure
+    );
     // A failed build is not a panic: the key is NOT quarantined, and the
     // second universe build (for "fine") went through.
     assert_eq!(report.stats.quarantined, 0);
@@ -647,8 +707,18 @@ fn shared_memo_spreads_refutations_across_a_generation() {
         assert_eq!(a.size(), b.size(), "{id}");
     }
     assert!(
-        by_id(&warm, "certify").solution.as_ref().unwrap().stats().nodes
-            <= by_id(&cold, "certify").solution.as_ref().unwrap().stats().nodes,
+        by_id(&warm, "certify")
+            .solution
+            .as_ref()
+            .unwrap()
+            .stats()
+            .nodes
+            <= by_id(&cold, "certify")
+                .solution
+                .as_ref()
+                .unwrap()
+                .stats()
+                .nodes,
         "sharing must not expand the certification"
     );
 }

@@ -7,7 +7,9 @@
 //! the documented predictive reject must agree with the committed table.
 
 use cyclecover_io::json::{Json, SolveJob};
-use cyclecover_service::{daemon_stats_json, CertCache, CostModel, DaemonStats, Ingest, IngestAction};
+use cyclecover_service::{
+    daemon_stats_json, CertCache, CostModel, DaemonStats, Ingest, IngestAction,
+};
 
 const DOC: &str = include_str!("../../../docs/wire-format.md");
 
@@ -72,14 +74,21 @@ fn calibration_examples_round_trip() {
             .unwrap_or_else(|e| panic!("calibration example rejected: {e}\n{block}"));
         assert!(!model.rows().is_empty());
         let back = CostModel::from_json(&model.to_json()).expect("emitted calibration parse");
-        assert_eq!(back.rows(), model.rows(), "round trip drifted for:\n{block}");
+        assert_eq!(
+            back.rows(),
+            model.rows(),
+            "round trip drifted for:\n{block}"
+        );
     }
 }
 
 #[test]
 fn certificate_cache_examples_load_with_every_entry_accepted() {
     let blocks = blocks_of("cyclecover-certificate-cache");
-    assert!(!blocks.is_empty(), "no certificate-cache example in the doc");
+    assert!(
+        !blocks.is_empty(),
+        "no certificate-cache example in the doc"
+    );
     for block in blocks {
         let cache = CertCache::from_json(&block)
             .unwrap_or_else(|e| panic!("cache example rejected: {e}\n{block}"));
@@ -115,7 +124,10 @@ fn control_examples_classify_through_admission() {
         }
     }
     assert!(stats >= 1, "the documented stats control went missing");
-    assert!(shutdown >= 1, "the documented shutdown control went missing");
+    assert!(
+        shutdown >= 1,
+        "the documented shutdown control went missing"
+    );
 }
 
 #[test]
@@ -154,7 +166,10 @@ fn request_examples_pass_predictive_admission() {
     // wire doc is admitted (Submit) by the real admission layer with the
     // committed model installed — none trips a predictive refusal.
     let blocks = blocks_of("cyclecover-request");
-    assert!(blocks.len() >= 3, "documented request examples went missing");
+    assert!(
+        blocks.len() >= 3,
+        "documented request examples went missing"
+    );
     let ingest = Ingest::new(Some(CostModel::builtin().clone()), 64);
     for block in &blocks {
         match ingest.admit(block, 0) {

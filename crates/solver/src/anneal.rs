@@ -68,7 +68,11 @@ pub fn anneal_covering(u: &TileUniverse, tiles: Vec<Tile>, params: AnnealParams)
         // Remove one or two random tiles (two enables direct 2→1
         // merges), then repair coverage greedily with candidate tiles.
         let mut trial = current.clone();
-        let kicks = if trial.len() >= 2 && rng.gen_bool(0.5) { 2 } else { 1 };
+        let kicks = if trial.len() >= 2 && rng.gen_bool(0.5) {
+            2
+        } else {
+            1
+        };
         for _ in 0..kicks {
             let victim = rng.gen_range(0..trial.len());
             trial.swap_remove(victim);
@@ -87,12 +91,7 @@ pub fn anneal_covering(u: &TileUniverse, tiles: Vec<Tile>, params: AnnealParams)
             let cand = u
                 .candidates(e)
                 .iter()
-                .max_by_key(|&&i| {
-                    dense(u.tile(i))
-                        .iter()
-                        .filter(|&&c| cov[c] == 0)
-                        .count()
-                })
+                .max_by_key(|&&i| dense(u.tile(i)).iter().filter(|&&c| cov[c] == 0).count())
                 .copied()
                 .expect("every chord lies on some tile");
             for c in dense(u.tile(cand)) {

@@ -42,8 +42,8 @@
 //! ```
 
 use crate::anneal::{anneal_covering, AnnealParams};
-use crate::bnb::{self, CoverSpec, MemoStore, Outcome, RunLimits, DEFAULT_MEMO_BYTES};
 pub use crate::bnb::SymmetryMode;
+use crate::bnb::{self, CoverSpec, MemoStore, Outcome, RunLimits, DEFAULT_MEMO_BYTES};
 use crate::greedy::greedy_cover;
 use crate::improve::improve_covering;
 use crate::TileUniverse;
@@ -282,12 +282,9 @@ impl CancelInner {
         // First writer wins: a token cancelled twice keeps its original
         // motive. Reason is published before the flag so `flag == true`
         // implies a readable reason.
-        let _ = self.reason.compare_exchange(
-            0,
-            reason.encode(),
-            Ordering::Relaxed,
-            Ordering::Relaxed,
-        );
+        let _ =
+            self.reason
+                .compare_exchange(0, reason.encode(), Ordering::Relaxed, Ordering::Relaxed);
         self.flag.store(true, Ordering::Relaxed);
         // Detach the children before recursing: once cancelled, they can
         // never be "un-cancelled", so the edges carry no more information.
@@ -1317,8 +1314,7 @@ impl Engine for HeuristicEngine {
     }
 
     fn supports(&self, problem: &Problem, request: &SolveRequest) -> bool {
-        problem.is_complete_unit()
-            && !matches!(request.objective(), Objective::ProveInfeasible(_))
+        problem.is_complete_unit() && !matches!(request.objective(), Objective::ProveInfeasible(_))
     }
 
     fn solve(&self, problem: &Problem, request: &SolveRequest) -> Solution {
@@ -1339,8 +1335,7 @@ impl Engine for HeuristicEngine {
             }
             _ => Optimality::Feasible,
         };
-        let covering =
-            (!matches!(optimality, Optimality::BudgetExhausted { .. })).then_some(tiles);
+        let covering = (!matches!(optimality, Optimality::BudgetExhausted { .. })).then_some(tiles);
         Solution {
             ring: problem.ring(),
             covering,
@@ -1394,7 +1389,10 @@ mod tests {
             .solve(&problem, &SolveRequest::find_optimal());
         assert_eq!(sol.size(), Some(3));
         let Optimality::Optimal { lower_bound_proof } = sol.optimality() else {
-            panic!("expected an optimality certificate, got {:?}", sol.optimality());
+            panic!(
+                "expected an optimality certificate, got {:?}",
+                sol.optimality()
+            );
         };
         // The capacity bound says only 2 — rho(4) = 3 needs the exhaustive
         // budget-2 refutation (the paper's worked example).
@@ -1641,7 +1639,9 @@ mod tests {
         assert!(Arc::ptr_eq(complete.universe_arc(), pair.universe_arc()));
         let engine = engine_by_name("bitset").unwrap();
         assert_eq!(
-            engine.solve(&complete, &SolveRequest::find_optimal()).size(),
+            engine
+                .solve(&complete, &SolveRequest::find_optimal())
+                .size(),
             Some(5)
         );
         assert_eq!(

@@ -156,7 +156,10 @@ impl ChordSet {
     #[inline]
     pub fn is_subset_of(&self, other: &ChordSet) -> bool {
         debug_assert_eq!(self.nbits, other.nbits);
-        self.words.iter().zip(&other.words).all(|(a, b)| a & !b == 0)
+        self.words
+            .iter()
+            .zip(&other.words)
+            .all(|(a, b)| a & !b == 0)
     }
 
     /// Clears all bits (width unchanged).

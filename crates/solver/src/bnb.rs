@@ -607,7 +607,9 @@ impl Kernel for MultiKernel {
     fn remaining_lb(&self, u: &TileUniverse) -> u64 {
         // Capacity and diameter bounds only — this is the pre-bitset
         // reference path, kept algorithmically identical to the seed.
-        self.rem_dist.div_ceil(u.ring().n() as u64).max(self.rem_diam)
+        self.rem_dist
+            .div_ceil(u.ring().n() as u64)
+            .max(self.rem_diam)
     }
 }
 
@@ -929,7 +931,10 @@ impl<'a, K: Kernel> SearchCtx<'a, K> {
                 return false;
             }
         }
-        let branch = self.kernel.branch_chord().expect("unsatisfied demand exists");
+        let branch = self
+            .kernel
+            .branch_chord()
+            .expect("unsatisfied demand exists");
         if K::sorts_at(self.chosen.len()) {
             for t in self.sorted_candidates(branch) {
                 self.place(t);
@@ -1508,8 +1513,7 @@ mod tests {
                 assert_eq!(fast_ok, slow_ok, "n={n} budget={budget}");
                 if fast_ok {
                     if let Outcome::Feasible(idx) = &fast {
-                        let tiles: Vec<Tile> =
-                            idx.iter().map(|&i| u.tile(i).clone()).collect();
+                        let tiles: Vec<Tile> = idx.iter().map(|&i| u.tile(i).clone()).collect();
                         assert_valid_cover(&u, &tiles, 1);
                     }
                 } else {

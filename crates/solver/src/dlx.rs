@@ -567,9 +567,7 @@ mod tests {
         for n in [5u32, 7, 9] {
             let u = universe(n);
             let spec = CoverSpec::complete(n);
-            let wsum: u64 = (0..u.num_chords())
-                .map(|c| u.dist_of_pri(c) as u64)
-                .sum();
+            let wsum: u64 = (0..u.num_chords()).map(|c| u.dist_of_pri(c) as u64).sum();
             assert_eq!(wsum % n as u64, 0, "odd complete rings have zero slack");
             let budget = (wsum / n as u64) as u32;
             let (o, s) = run_partition(&u, &spec, budget, SymmetryMode::Root, None);
@@ -579,10 +577,7 @@ mod tests {
             assert_eq!(tiles.len() as u32, budget);
             assert_meets_spec(&u, &spec, &tiles);
             // Zero slack: every chord covered exactly once.
-            let total: u64 = tiles
-                .iter()
-                .map(|&t| u.tile_chords(t).len() as u64)
-                .sum();
+            let total: u64 = tiles.iter().map(|&t| u.tile_chords(t).len() as u64).sum();
             assert_eq!(total, u.num_chords() as u64, "partition, not a cover");
             assert_eq!(s.partition_probes, 1);
         }

@@ -159,7 +159,10 @@ mod tests {
             assert!(covers_all(&u, &tiles), "greedy covers, n={n}");
             let before = tiles.len();
             let improved = improve_covering(&u, tiles);
-            assert!(covers_all(&u, &improved), "n={n}: improvement broke coverage");
+            assert!(
+                covers_all(&u, &improved),
+                "n={n}: improvement broke coverage"
+            );
             assert!(improved.len() <= before, "n={n}");
         }
     }

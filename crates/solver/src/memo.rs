@@ -663,16 +663,22 @@ mod tests {
         let key = [0b0101_0101u64, 0, 0, 0];
         memo.record(memo.hash_of_state(key, 1), key, 1, 4, gen);
         assert!(
-            memo.dominated(memo.hash_of_state(key, 2), key, 2, 1).is_none(),
+            memo.dominated(memo.hash_of_state(key, 2), key, 2, 1)
+                .is_none(),
             "a unit entry must never prune a lane state"
         );
         memo.record(memo.hash_of_state(key, 2), key, 2, 6, gen);
-        assert!(memo.dominated(memo.hash_of_state(key, 2), key, 2, 6).is_some());
+        assert!(memo
+            .dominated(memo.hash_of_state(key, 2), key, 2, 6)
+            .is_some());
         assert!(
-            memo.dominated(memo.hash_of_state(key, 1), key, 1, 6).is_none(),
+            memo.dominated(memo.hash_of_state(key, 1), key, 1, 6)
+                .is_none(),
             "the lane write must not strengthen the unit entry"
         );
-        assert!(memo.dominated(memo.hash_of_state(key, 1), key, 1, 4).is_some());
+        assert!(memo
+            .dominated(memo.hash_of_state(key, 1), key, 1, 4)
+            .is_some());
         assert_eq!(memo.len(), 2, "the two widths occupy distinct slots");
         // Width 3 (partition waste slack) shares the lane encoding —
         // identical raw words AND identical hash — but must match only
@@ -684,13 +690,17 @@ mod tests {
             "widths 2 and 3 share the packed-lane hash"
         );
         assert!(
-            memo.dominated(memo.hash_of_state(key, 3), key, 3, 1).is_none(),
+            memo.dominated(memo.hash_of_state(key, 3), key, 3, 1)
+                .is_none(),
             "a tile-slack entry must never prune a waste-slack state"
         );
         memo.record(memo.hash_of_state(key, 3), key, 3, 9, gen);
-        assert!(memo.dominated(memo.hash_of_state(key, 3), key, 3, 9).is_some());
+        assert!(memo
+            .dominated(memo.hash_of_state(key, 3), key, 3, 9)
+            .is_some());
         assert!(
-            memo.dominated(memo.hash_of_state(key, 2), key, 2, 7).is_none(),
+            memo.dominated(memo.hash_of_state(key, 2), key, 2, 7)
+                .is_none(),
             "the waste-slack write must not strengthen the tile-slack entry"
         );
         assert_eq!(memo.len(), 3, "all three widths occupy distinct slots");

@@ -440,11 +440,7 @@ impl TileUniverse {
                 tile_diam += (pri < diam_chords) as u32;
             }
             chord_off.push(chord_idx.len() as u32);
-            let lo = mask
-                .words()
-                .iter()
-                .position(|&w| w != 0)
-                .unwrap_or(0) as u32;
+            let lo = mask.words().iter().position(|&w| w != 0).unwrap_or(0) as u32;
             let hi = mask
                 .words()
                 .iter()
@@ -671,7 +667,11 @@ mod tests {
         }
         for n in [5u32, 6, 8, 9] {
             let u = TileUniverse::new(Ring::new(n), 4);
-            assert_eq!(u.len() as u64, binom(n as u64, 3) + binom(n as u64, 4), "n={n}");
+            assert_eq!(
+                u.len() as u64,
+                binom(n as u64, 3) + binom(n as u64, 4),
+                "n={n}"
+            );
             let full = TileUniverse::new(Ring::new(n), n as usize);
             let expect: u64 = (3..=n as u64).map(|k| binom(n as u64, k)).sum();
             assert_eq!(full.len() as u64, expect, "n={n} full");
@@ -684,10 +684,7 @@ mod tests {
         let u = TileUniverse::with_max_gap(ring, 4, 4);
         assert!(u.tiles().iter().all(|t| t.max_gap(ring) <= 4));
         // {0, 1, 2} has closing gap 7 > 4: excluded.
-        assert!(!u
-            .tiles()
-            .iter()
-            .any(|t| t.vertices() == [0, 1, 2]));
+        assert!(!u.tiles().iter().any(|t| t.vertices() == [0, 1, 2]));
         // {0, 3, 6} has gaps 3,3,3: included.
         assert!(u.tiles().iter().any(|t| t.vertices() == [0, 3, 6]));
     }
@@ -702,12 +699,12 @@ mod tests {
                 let cands = u.candidates(e);
                 assert!(!cands.is_empty());
                 for &i in cands {
-                    let covers = u
-                        .tile(i)
-                        .chords(ring)
-                        .iter()
-                        .any(|c| c.to_edge() == e);
-                    assert!(covers, "tile {:?} listed for {e} but does not cover it", u.tile(i));
+                    let covers = u.tile(i).chords(ring).iter().any(|c| c.to_edge() == e);
+                    assert!(
+                        covers,
+                        "tile {:?} listed for {e} but does not cover it",
+                        u.tile(i)
+                    );
                 }
             }
         }
@@ -799,8 +796,11 @@ mod tests {
                         "n={n} g={g} t={t}"
                     );
                     // The tile's chord mask maps chord-wise.
-                    let mut mapped: Vec<u32> =
-                        u.tile_chords(t).iter().map(|&c| d.chord_image(g, c)).collect();
+                    let mut mapped: Vec<u32> = u
+                        .tile_chords(t)
+                        .iter()
+                        .map(|&c| d.chord_image(g, c))
+                        .collect();
                     mapped.sort_unstable();
                     let img_chords: Vec<u32> = u.tile_mask(img).iter().collect();
                     assert_eq!(mapped, img_chords, "n={n} g={g} t={t}");

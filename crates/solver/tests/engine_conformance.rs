@@ -7,8 +7,8 @@
 use cyclecover_graph::{Edge, EdgeMultiset};
 use cyclecover_ring::{symmetry as ring_symmetry, Ring};
 use cyclecover_solver::api::{
-    engine_by_name, engines, CancelToken, ExecPolicy, Objective, Optimality, Problem,
-    SolveRequest, SymmetryMode,
+    engine_by_name, engines, CancelToken, ExecPolicy, Objective, Optimality, Problem, SolveRequest,
+    SymmetryMode,
 };
 use cyclecover_solver::bnb::CoverSpec;
 use cyclecover_solver::lower_bound::rho_formula;
@@ -36,7 +36,10 @@ fn assert_covers_complete(n: u32, tiles: &[cyclecover_ring::Tile]) {
     let cov = coverage_of(n, tiles);
     for u in 0..n {
         for v in (u + 1)..n {
-            assert!(cov.count(Edge::new(u, v)) >= 1, "request ({u},{v}) uncovered");
+            assert!(
+                cov.count(Edge::new(u, v)) >= 1,
+                "request ({u},{v}) uncovered"
+            );
         }
     }
 }
@@ -99,7 +102,11 @@ fn infeasibility_verdicts_match_across_exact_engines() {
                 &problem,
                 &SolveRequest::prove_infeasible(rho).with_max_nodes(200_000_000),
             );
-            assert_eq!(*at.optimality(), Optimality::Feasible, "{name} n={n} at rho");
+            assert_eq!(
+                *at.optimality(),
+                Optimality::Feasible,
+                "{name} n={n} at rho"
+            );
             assert_covers_complete(n, at.covering().expect("refutation witness"));
         }
     }
@@ -117,7 +124,13 @@ fn exact_engines_agree_on_lambda_fold_optima() {
     // (n, λ, ρ_λ(n)) over the full tile universe — every one sits at
     // the scaled capacity bound ⌈λ·Σd(e)/n⌉ (see the λ-fold table test
     // in tests/paper_claims.rs for the bound-side pinning).
-    for (n, lambda, expected) in [(5u32, 2u32, 6usize), (6, 2, 9), (7, 2, 12), (5, 3, 9), (6, 3, 14)] {
+    for (n, lambda, expected) in [
+        (5u32, 2u32, 6usize),
+        (6, 2, 9),
+        (7, 2, 12),
+        (5, 3, 9),
+        (6, 3, 14),
+    ] {
         let problem = Problem::lambda_fold(n, lambda);
         let request = SolveRequest::find_optimal().with_max_nodes(200_000_000);
         for engine in engines() {
@@ -145,8 +158,7 @@ fn exact_engines_agree_on_lambda_fold_optima() {
             // The decisive refutation below the optimum.
             let below = engine.solve(
                 &problem,
-                &SolveRequest::prove_infeasible(expected as u32 - 1)
-                    .with_max_nodes(200_000_000),
+                &SolveRequest::prove_infeasible(expected as u32 - 1).with_max_nodes(200_000_000),
             );
             assert_eq!(
                 *below.optimality(),
@@ -170,12 +182,27 @@ fn dlx_scope_is_zero_slack() {
     for n in [3u32, 5, 7, 9] {
         assert!(dlx.supports(&Problem::complete(n), &req), "odd n = {n}");
     }
-    assert!(dlx.supports(&Problem::complete(4), &req), "Σd(4) = 8 divides");
-    assert!(dlx.supports(&Problem::complete(8), &req), "Σd(8) = 64 divides");
+    assert!(
+        dlx.supports(&Problem::complete(4), &req),
+        "Σd(4) = 8 divides"
+    );
+    assert!(
+        dlx.supports(&Problem::complete(8), &req),
+        "Σd(8) = 64 divides"
+    );
     assert!(!dlx.supports(&Problem::complete(6), &req), "27 mod 6 = 3");
-    assert!(dlx.supports(&Problem::lambda_fold(7, 2), &req), "2·84 mod 7 = 0");
-    assert!(dlx.supports(&Problem::lambda_fold(6, 2), &req), "2·27 mod 6 = 0");
-    assert!(!dlx.supports(&Problem::lambda_fold(6, 3), &req), "3·27 mod 6 = 3");
+    assert!(
+        dlx.supports(&Problem::lambda_fold(7, 2), &req),
+        "2·84 mod 7 = 0"
+    );
+    assert!(
+        dlx.supports(&Problem::lambda_fold(6, 2), &req),
+        "2·27 mod 6 = 0"
+    );
+    assert!(
+        !dlx.supports(&Problem::lambda_fold(6, 3), &req),
+        "3·27 mod 6 = 3"
+    );
 }
 
 /// The partition engine's declared scope: any spec with demands in

@@ -10,9 +10,7 @@
 
 use cyclecover_graph::{Edge, EdgeMultiset};
 use cyclecover_ring::{Ring, Tile};
-use cyclecover_solver::api::{
-    engine_by_name, Optimality, Problem, SolveRequest, SymmetryMode,
-};
+use cyclecover_solver::api::{engine_by_name, Optimality, Problem, SolveRequest, SymmetryMode};
 use cyclecover_solver::bnb::CoverSpec;
 use cyclecover_solver::TileUniverse;
 use proptest::prelude::*;

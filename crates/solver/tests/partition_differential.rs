@@ -15,8 +15,8 @@ use cyclecover_graph::{Edge, EdgeMultiset};
 use cyclecover_ring::Ring;
 use cyclecover_solver::api::SymmetryMode;
 use cyclecover_solver::bnb::{
-    budget_search_packed, budget_search_partition, budget_search_reference, CoverSpec,
-    MemoStore, Outcome,
+    budget_search_packed, budget_search_partition, budget_search_reference, CoverSpec, MemoStore,
+    Outcome,
 };
 use cyclecover_solver::TileUniverse;
 use proptest::prelude::*;
@@ -56,7 +56,10 @@ fn sparse_spec(n: u32, picks: &[(u32, u32, u32)]) -> Option<CoverSpec> {
             demand[d] = demand[d].max(1 + mult % 3);
         }
     }
-    demand.iter().any(|&d| d >= 1).then_some(CoverSpec { demand })
+    demand
+        .iter()
+        .any(|&d| d >= 1)
+        .then_some(CoverSpec { demand })
 }
 
 /// The budget at which the waste slack `budget·n − λ·Σd(e)` first lands
@@ -218,17 +221,27 @@ proptest! {
 /// with the memo on — the exact configuration the benches measure.
 #[test]
 fn full_lambda_rows_agree_through_the_partition_kernel() {
-    for (n, lambda, opt) in [(5u32, 2u32, 6u32), (6, 2, 9), (7, 2, 12), (5, 3, 9), (6, 3, 14)] {
+    for (n, lambda, opt) in [
+        (5u32, 2u32, 6u32),
+        (6, 2, 9),
+        (7, 2, 12),
+        (5, 3, 9),
+        (6, 3, 14),
+    ] {
         let u = TileUniverse::new(Ring::new(n), n as usize);
         let spec = CoverSpec::lambda_fold(n, lambda);
         let store = MemoStore::new(&u, 4 << 20).unwrap();
         let (below, _) = budget_search_partition(
-            &u, &spec, opt - 1, MAX_NODES, SymmetryMode::Full, Some(&store),
+            &u,
+            &spec,
+            opt - 1,
+            MAX_NODES,
+            SymmetryMode::Full,
+            Some(&store),
         );
         assert_eq!(below, Outcome::Infeasible, "ρ_{lambda}({n}) > {}", opt - 1);
-        let (at, _) = budget_search_partition(
-            &u, &spec, opt, MAX_NODES, SymmetryMode::Full, Some(&store),
-        );
+        let (at, _) =
+            budget_search_partition(&u, &spec, opt, MAX_NODES, SymmetryMode::Full, Some(&store));
         match at {
             Outcome::Feasible(tiles) => assert_meets_spec(&u, &tiles, &spec),
             other => panic!("ρ_{lambda}({n}) = {opt} witness missing: {other:?}"),

@@ -28,7 +28,10 @@ fn assert_covers_complete(n: u32, tiles: &[cyclecover_ring::Tile]) {
     }
     for u in 0..n {
         for v in (u + 1)..n {
-            assert!(cov.count(Edge::new(u, v)) >= 1, "request ({u},{v}) uncovered");
+            assert!(
+                cov.count(Edge::new(u, v)) >= 1,
+                "request ({u},{v}) uncovered"
+            );
         }
     }
 }

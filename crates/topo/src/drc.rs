@@ -79,7 +79,10 @@ impl CycleRouting {
     /// remaining part of the cycle".
     pub fn protection_walk(&self, i: usize) -> Vec<Vertex> {
         let k = self.paths.len();
-        assert!(i < k, "path index {i} out of range for cycle of {k} requests");
+        assert!(
+            i < k,
+            "path index {i} out of range for cycle of {k} requests"
+        );
         // Walk i+1, i+2, …, i+k−1; request i runs from cycle vertex i to
         // i+1, so the detour starts at vertex i+1's path and ends back at
         // vertex i. Reverse the whole walk to run `to → from` of request i
@@ -155,10 +158,7 @@ pub fn route_cycle(g: &Graph, cycle: &CycleSubgraph, slack: u32, budget: u64) ->
     // pruning: a partial path of length L at vertex w can only finish
     // within bound B if L + dist[w] ≤ B; distances on the full graph are
     // admissible because deleting used edges never shortens paths).
-    let dist_to: Vec<Vec<usize>> = requests
-        .iter()
-        .map(|&(_, t)| bfs_distances(g, t))
-        .collect();
+    let dist_to: Vec<Vec<usize>> = requests.iter().map(|&(_, t)| bfs_distances(g, t)).collect();
 
     let mut order: Vec<usize> = (0..k).collect();
     order.sort_by_key(|&i| std::cmp::Reverse(dist_to[i][requests[i].0 as usize]));
@@ -413,8 +413,16 @@ mod tests {
     fn paper_k4_example_on_c4() {
         let g = builders::cycle(4);
         // Winding quad routes; crossed quad does not (paper's example).
-        assert!(is_drc_routable(&g, &CycleSubgraph::new(vec![0, 1, 2, 3]), 4));
-        assert!(!is_drc_routable(&g, &CycleSubgraph::new(vec![0, 2, 3, 1]), 4));
+        assert!(is_drc_routable(
+            &g,
+            &CycleSubgraph::new(vec![0, 1, 2, 3]),
+            4
+        ));
+        assert!(!is_drc_routable(
+            &g,
+            &CycleSubgraph::new(vec![0, 2, 3, 1]),
+            4
+        ));
     }
 
     #[test]
@@ -437,7 +445,11 @@ mod tests {
         for i in 0..3 {
             let walk = routing.protection_walk(i);
             let (from, to) = routing.paths[i].endpoints();
-            assert_eq!(*walk.first().unwrap(), to, "detour starts at the request's far end");
+            assert_eq!(
+                *walk.first().unwrap(),
+                to,
+                "detour starts at the request's far end"
+            );
             assert_eq!(*walk.last().unwrap(), from);
             // The detour uses none of the failed path's edges (paths are
             // edge-disjoint, so the detour avoids the whole failed path).

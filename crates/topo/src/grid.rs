@@ -109,7 +109,10 @@ impl GridTopology {
 
     /// Coordinates `(r, c)` of a vertex id.
     pub fn coords(&self, v: Vertex) -> (u32, u32) {
-        assert!((v as usize) < self.vertex_count(), "vertex {v} out of range");
+        assert!(
+            (v as usize) < self.vertex_count(),
+            "vertex {v} out of range"
+        );
         (v / self.cols, v % self.cols)
     }
 
@@ -338,8 +341,7 @@ mod tests {
         assert_eq!(*long.last().unwrap(), t.vertex(1, 5));
         // Interiors are disjoint and lengths sum to the full ring.
         assert_eq!(short.len() - 1 + long.len() - 1, 7);
-        let interior =
-            |p: &[Vertex]| p[1..p.len() - 1].to_vec();
+        let interior = |p: &[Vertex]| p[1..p.len() - 1].to_vec();
         for v in interior(&short) {
             assert!(!interior(&long).contains(&v));
         }

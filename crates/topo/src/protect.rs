@@ -245,7 +245,10 @@ mod tests {
         // Every winding cycle uses every ring edge: all 3 cycles affected
         // by any failure.
         assert_eq!(audit.max_affected, 3);
-        assert!(audit.reports.iter().all(|r| r.restored == r.affected_cycles));
+        assert!(audit
+            .reports
+            .iter()
+            .all(|r| r.restored == r.affected_cycles));
     }
 
     #[test]
@@ -341,11 +344,7 @@ mod tests {
         for v in 0..topo.vertex_count() as u32 {
             let rep = audit_node_failure(topo.graph(), &cover, v);
             // Nothing negative, nothing impossible.
-            let total_paths: usize = cover
-                .cycles()
-                .iter()
-                .map(|rc| rc.routing.paths.len())
-                .sum();
+            let total_paths: usize = cover.cycles().iter().map(|rc| rc.routing.paths.len()).sum();
             assert!(rep.terminating + rep.restored + rep.unprotected <= total_paths);
         }
     }

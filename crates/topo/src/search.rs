@@ -144,7 +144,11 @@ pub fn greedy_cover_graph(
         }
         remaining -= gain;
         cover
-            .push(g, candidates[i].cycle.clone(), candidates[i].routing.clone())
+            .push(
+                g,
+                candidates[i].cycle.clone(),
+                candidates[i].routing.clone(),
+            )
             .expect("candidate routings are oracle-verified");
     }
     Some(cover)
@@ -205,7 +209,11 @@ mod tests {
         let topo = GridTopology::grid(3, 3);
         let cands = enumerate_routable_cycles(topo.graph(), 3, 3, 100_000);
         for c in &cands {
-            assert!(crate::drc::verify_routing(topo.graph(), &c.cycle, &c.routing));
+            assert!(crate::drc::verify_routing(
+                topo.graph(),
+                &c.cycle,
+                &c.routing
+            ));
         }
         // A grid has no routable cycles within rows (path theorem), but
         // plenty of rectangles.

@@ -23,7 +23,5 @@ fn main() {
     println!("\nunprotected-routing comparison (the paper's 'half capacity' premise):");
     let ring = cert.covering.ring();
     let premium = cyclecover::net::wavelength::protection_premium(ring, cert.covering.len());
-    println!(
-        "  protected wavelengths / unprotected wavelengths = {premium:.2} (≈ 2 by design)"
-    );
+    println!("  protected wavelengths / unprotected wavelengths = {premium:.2} (≈ 2 by design)");
 }

@@ -11,7 +11,10 @@ fn main() {
     let n = 13;
 
     // The paper's Theorem 1: rho(13) = p(p+1)/2 with p = 6.
-    println!("minimum number of protected subnetworks rho({n}) = {}", rho(n));
+    println!(
+        "minimum number of protected subnetworks rho({n}) = {}",
+        rho(n)
+    );
 
     // Build the covering: every request of K_13 lies in some cycle, and
     // every cycle routes edge-disjointly on the ring C_13.
@@ -31,6 +34,10 @@ fn main() {
 
     println!("\nthe cycles (vertices in ring order):");
     for (i, tile) in covering.tiles().iter().enumerate() {
-        println!("  #{i:2}: {:?} gaps {:?}", tile.vertices(), tile.gaps(covering.ring()));
+        println!(
+            "  #{i:2}: {:?} gaps {:?}",
+            tile.vertices(),
+            tile.gaps(covering.ring())
+        );
     }
 }

@@ -14,7 +14,10 @@ use cyclecover::net::{compare_schemes, RestorationNetwork};
 use cyclecover::ring::Ring;
 
 fn main() {
-    println!("{:>4} {:>12} {:>10} {:>12} {:>8}", "n", "protection", "working", "restoration", "ratio");
+    println!(
+        "{:>4} {:>12} {:>10} {:>12} {:>8}",
+        "n", "protection", "working", "restoration", "ratio"
+    );
     println!("{}", "-".repeat(52));
     for n in [6u32, 8, 10, 12, 16, 20, 24, 32] {
         let cmp = compare_schemes(n);

@@ -18,8 +18,14 @@ fn main() {
     let straight = CycleSubgraph::new(vec![0, 1, 2, 3]);
     let crossed = CycleSubgraph::new(vec![0, 2, 3, 1]);
 
-    println!("cycle (1,2,3,4): routable = {}", routing::is_drc_routable(ring, &straight));
-    println!("cycle (1,3,4,2): routable = {}", routing::is_drc_routable(ring, &crossed));
+    println!(
+        "cycle (1,2,3,4): routable = {}",
+        routing::is_drc_routable(ring, &straight)
+    );
+    println!(
+        "cycle (1,3,4,2): routable = {}",
+        routing::is_drc_routable(ring, &crossed)
+    );
     println!("  -> requests (1,3) and (2,4) both need two of C4's four links;");
     println!("     no edge-disjoint assignment exists (the oracle proves it).");
 

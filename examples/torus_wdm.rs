@@ -17,7 +17,10 @@ use cyclecover::topo::{mesh_cover, protect, GridTopology};
 fn main() {
     let torus = GridTopology::torus(4, 5);
     let n = torus.vertex_count();
-    println!("physical topology: 4x5 torus, {n} switches, {} links", torus.graph().edge_count());
+    println!(
+        "physical topology: 4x5 torus, {n} switches, {} links",
+        torus.graph().edge_count()
+    );
 
     // Structured covering: lifted ring coverings along rows/columns +
     // one crossed quad per combinatorial rectangle for the mixed traffic.

@@ -22,12 +22,18 @@ fn main() {
     // Each covering cycle becomes a subnetwork with a wavelength pair.
     let net = WdmNetwork::from_covering(&covering);
     println!("subnetworks : {}", net.subnetworks().len());
-    println!("wavelengths : {} (working + spare per subnetwork)", net.wavelength_count());
+    println!(
+        "wavelengths : {} (working + spare per subnetwork)",
+        net.wavelength_count()
+    );
     println!("ADMs        : {}", net.total_adms());
 
     // The paper's §2 cost discussion, quantified.
     for (name, model) in [
-        ("paper (min cycles)", CostModel::subnetwork_count_objective()),
+        (
+            "paper (min cycles)",
+            CostModel::subnetwork_count_objective(),
+        ),
         ("refs [3,4] (min ADMs)", CostModel::adm_objective()),
         ("blended", CostModel::blended()),
     ] {
@@ -37,7 +43,10 @@ fn main() {
     // Cut one fiber and watch the automatic protection switching.
     let failed = 5;
     let report = net.fail_link(failed);
-    println!("\nfiber cut on link {failed}: {} demands rerouted", report.reroutes.len());
+    println!(
+        "\nfiber cut on link {failed}: {} demands rerouted",
+        report.reroutes.len()
+    );
     for r in report.reroutes.iter().take(5) {
         println!(
             "  subnet {:2}: demand {:?} moved to spare wavelength, {} -> {} links (stretch {:.1})",

@@ -23,7 +23,10 @@ fn main() {
         ("all-to-all", workload::all_to_all(n)),
         ("uniform p=0.3", workload::uniform_random(n, 0.3, &mut rng)),
         ("permutation", workload::permutation(n, &mut rng)),
-        ("hotspot 2 hubs", workload::hotspot(n, 2, 0.9, 0.05, &mut rng)),
+        (
+            "hotspot 2 hubs",
+            workload::hotspot(n, 2, 0.9, 0.05, &mut rng),
+        ),
         ("locality d<=3", workload::locality(n, 3)),
     ];
 
