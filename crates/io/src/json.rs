@@ -372,11 +372,13 @@ pub enum Json {
 }
 
 impl Json {
-    /// Parses one JSON document (trailing garbage is an error).
+    /// Parses one JSON document (trailing garbage is an error). Arrays
+    /// and objects may nest at most 64 deep; a deeper document is an
+    /// error, not a stack overflow.
     pub fn parse(text: &str) -> Result<Json, String> {
         let bytes = text.as_bytes();
         let mut pos = 0;
-        let v = parse_value(bytes, &mut pos)?;
+        let v = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing content at byte {pos}"));
@@ -440,8 +442,19 @@ fn expect(b: &[u8], pos: &mut usize, lit: &str) -> Result<(), String> {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// How deep arrays and objects may nest. The parser recurses once per
+/// level; the documents of the wire format nest less than 10 deep.
+const MAX_NESTING: usize = 64;
+
+/// Parses the value at `pos`, inside `depth` enclosing containers.
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(b, pos);
+    if matches!(b.get(*pos), Some(b'[' | b'{')) && depth == MAX_NESTING {
+        return Err(format!(
+            "nesting deeper than {MAX_NESTING} at byte {pos}",
+            pos = *pos
+        ));
+    }
     match b.get(*pos) {
         None => Err("unexpected end of input".into()),
         Some(b'n') => expect(b, pos, "null").map(|()| Json::Null),
@@ -457,7 +470,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(b, pos)?);
+                items.push(parse_value(b, pos, depth + 1)?);
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -482,7 +495,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
                 let key = parse_string(b, pos)?;
                 skip_ws(b, pos);
                 expect(b, pos, ":")?;
-                let value = parse_value(b, pos)?;
+                let value = parse_value(b, pos, depth + 1)?;
                 fields.push((key, value));
                 skip_ws(b, pos);
                 match b.get(*pos) {
@@ -1223,6 +1236,35 @@ mod tests {
         ] {
             assert!(Json::parse(bad).is_err(), "accepted: {bad:?}");
         }
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        for open in ["[", "{\"a\":"] {
+            let err = Json::parse(&open.repeat(100_000)).unwrap_err();
+            assert!(err.contains("nesting deeper than 64"), "{open}: {err}");
+        }
+    }
+
+    #[test]
+    fn nesting_limit_is_exact() {
+        let arrays = |k: usize| format!("{}{}", "[".repeat(k), "]".repeat(k));
+        let objects = |k: usize| format!("{}1{}", "{\"a\":".repeat(k), "}".repeat(k));
+        fn depth(v: &Json) -> usize {
+            match v {
+                Json::Arr(items) => 1 + items.iter().map(depth).max().unwrap_or(0),
+                Json::Obj(fields) => 1 + fields.iter().map(|(_, v)| depth(v)).max().unwrap_or(0),
+                _ => 0,
+            }
+        }
+        for nest in [arrays, objects] {
+            let at_limit = Json::parse(&nest(MAX_NESTING)).unwrap();
+            assert_eq!(depth(&at_limit), MAX_NESTING);
+            assert!(Json::parse(&nest(MAX_NESTING + 1)).is_err());
+        }
+        // Width is not depth: a long flat array stays one level deep.
+        let flat = format!("[{}]", vec!["[]"; 10_000].join(","));
+        assert_eq!(Json::parse(&flat).unwrap().as_arr().unwrap().len(), 10_000);
     }
 
     #[test]

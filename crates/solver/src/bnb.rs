@@ -348,7 +348,7 @@ trait Kernel {
     /// survive [`Kernel::remaining_lb`] and only when the search runs with
     /// [`SymmetryMode::Root`]/[`SymmetryMode::Full`]; may return early
     /// once the bound exceeds `stop_above`. Kernels without one return 0.
-    fn strong_lb(&self, _u: &TileUniverse, _stop_above: u64) -> u64 {
+    fn strong_lb(&mut self, _u: &TileUniverse, _stop_above: u64) -> u64 {
         0
     }
 
@@ -378,6 +378,8 @@ struct BitsetKernel {
     depth: usize,
     rem_dist: u64,
     rem_diam: u64,
+    /// The diameter-slack bound's per-diameter witness tiles.
+    witness: Vec<u32>,
 }
 
 impl Kernel for BitsetKernel {
@@ -402,6 +404,7 @@ impl Kernel for BitsetKernel {
             depth: 0,
             rem_dist,
             rem_diam,
+            witness: vec![u32::MAX; u.diam_chords() as usize],
         }
     }
 
@@ -490,7 +493,7 @@ impl Kernel for BitsetKernel {
         lb
     }
 
-    fn strong_lb(&self, u: &TileUniverse, stop_above: u64) -> u64 {
+    fn strong_lb(&mut self, u: &TileUniverse, stop_above: u64) -> u64 {
         // Cheap parity (T-join) term first — it alone settles the
         // capacity-tight even refutations — then the pricier
         // diameter-slack dual ascent only if the node is still alive.
@@ -498,7 +501,8 @@ impl Kernel for BitsetKernel {
         if parity > stop_above {
             return parity;
         }
-        diameter_slack_bound(u, &self.uncovered, self.rem_dist, stop_above).max(parity)
+        let witness = &mut self.witness;
+        diameter_slack_bound(u, &self.uncovered, self.rem_dist, stop_above, witness).max(parity)
     }
 }
 
@@ -1005,7 +1009,7 @@ impl<K: Kernel> SearchCore for SearchCtx<'_, K> {
         SearchCtx::unplace(self, t);
     }
 
-    fn refuted(&self) -> bool {
+    fn refuted(&mut self) -> bool {
         let used = self.chosen.len() as u64;
         let slack = (self.budget as u64).saturating_sub(used);
         used + self.kernel.remaining_lb(self.u) > self.budget as u64

@@ -378,8 +378,8 @@ impl SearchCore for PartitionCore<'_> {
     /// The lane core's bounds. The capacity term is the waste budget
     /// seen from the other side: `used + ⌈rem_dist/n⌉ > budget ⟺
     /// waste_used > slack − (future minimum waste)`.
-    fn refuted(&self) -> bool {
-        self.s.refutes(&self.r.d)
+    fn refuted(&mut self) -> bool {
+        self.s.refutes(&mut self.r.d)
     }
 
     fn children(&mut self) -> Vec<u32> {

@@ -150,42 +150,40 @@ pub fn parity_join_bound_from_odd(n: u32, rem_dist: u64, odd: u64) -> u64 {
 /// returns early once the bound exceeds `stop_above` (the caller's
 /// remaining budget), and returns `u64::MAX / 2` if some uncovered
 /// diameter has no covering tile at all.
+///
+/// `witness` carries one tile per diameter chord (indexed by priority,
+/// `u32::MAX` = none yet) from one call to the next. A tile through a
+/// diameter has load exactly `n` (its other arcs sum to `n/2`, so each
+/// is its chord's distance), so it wastes nothing while all its chords
+/// are uncovered. A chord whose witness passes that subset test has
+/// minimum waste 0, the floor for any tile, and its scan is skipped; any
+/// other chord's scan stores its argmin there. The bound does not depend
+/// on what the witnesses hold, so a stale entry only costs the scan it
+/// fails to save. Chords past the slice's end keep no witness: `&mut []`
+/// scans every chord. Each entry, when set, must be a tile through its
+/// chord.
 pub fn diameter_slack_bound(
     u: &TileUniverse,
     uncovered: &ChordSet,
     rem_dist: u64,
     stop_above: u64,
+    witness: &mut [u32],
 ) -> u64 {
     let n = u.ring().n() as u64;
     let diam = u.diam_chords();
     let mut extra = 0u64;
     let mut bound = rem_dist.div_ceil(n);
     for d in uncovered.iter().take_while(|&d| d < diam) {
-        let mut minwaste = u64::MAX;
-        for &t in u.candidates_pri(d) {
-            let mut useful = 0u64;
-            for (wi, (a, b)) in u
-                .tile_mask(t)
-                .words()
-                .iter()
-                .zip(uncovered.words())
-                .enumerate()
-            {
-                let mut w = a & b;
-                while w != 0 {
-                    let c = (wi as u32) * 64 + w.trailing_zeros();
-                    useful += u.dist_of_pri(c) as u64;
-                    w &= w - 1;
+        let minwaste = match witness.get_mut(d as usize) {
+            Some(&mut w) if w != u32::MAX && within(u, w, uncovered) => 0,
+            slot => {
+                let (minwaste, argmin) = min_waste(u, d, uncovered);
+                if let Some(w) = slot {
+                    *w = argmin;
                 }
+                minwaste
             }
-            let waste = n.saturating_sub(useful);
-            if waste < minwaste {
-                minwaste = waste;
-                if minwaste == 0 {
-                    break;
-                }
-            }
-        }
+        };
         if minwaste == u64::MAX {
             return u64::MAX / 2;
         }
@@ -196,6 +194,50 @@ pub fn diameter_slack_bound(
         }
     }
     bound
+}
+
+/// The least waste `n − useful` of a tile through chord `d` against
+/// `uncovered`, and the first tile attaining it (`(u64::MAX, u32::MAX)`
+/// when no tile passes through `d`). Stops at the first zero-waste tile.
+fn min_waste(u: &TileUniverse, d: u32, uncovered: &ChordSet) -> (u64, u32) {
+    let n = u.ring().n() as u64;
+    let mut best = (u64::MAX, u32::MAX);
+    for &t in u.candidates_pri(d) {
+        let (lo, hi) = u.tile_mask_span(t);
+        let (lo, hi) = (lo as usize, hi as usize);
+        let mut useful = 0u64;
+        for (wi, (a, b)) in u.tile_mask(t).words()[lo..hi]
+            .iter()
+            .zip(&uncovered.words()[lo..hi])
+            .enumerate()
+        {
+            let mut w = a & b;
+            while w != 0 {
+                let c = ((lo + wi) as u32) * 64 + w.trailing_zeros();
+                useful += u.dist_of_pri(c) as u64;
+                w &= w - 1;
+            }
+        }
+        let waste = n.saturating_sub(useful);
+        if waste < best.0 {
+            best = (waste, t);
+            if waste == 0 {
+                break;
+            }
+        }
+    }
+    best
+}
+
+/// Whether every chord of tile `t` is in `live`, read over the words its
+/// mask spans.
+fn within(u: &TileUniverse, t: u32, live: &ChordSet) -> bool {
+    let (lo, hi) = u.tile_mask_span(t);
+    let (lo, hi) = (lo as usize, hi as usize);
+    u.tile_mask(t).words()[lo..hi]
+        .iter()
+        .zip(&live.words()[lo..hi])
+        .all(|(a, b)| a & !b == 0)
 }
 
 /// The paper's claimed optimal value `ρ(n)`:
@@ -318,7 +360,7 @@ mod tests {
             let uncovered = ChordSet::full(u.num_chords());
             let rem = ring.total_pair_distance();
             assert_eq!(
-                diameter_slack_bound(&u, &uncovered, rem, u64::MAX),
+                diameter_slack_bound(&u, &uncovered, rem, u64::MAX, &mut []),
                 capacity_lower_bound(n),
                 "n={n}"
             );
@@ -339,7 +381,7 @@ mod tests {
         let rem = (u.diam_chords() * (n / 2)) as u64;
         assert_eq!(rem.div_ceil(n as u64), 2, "raw capacity sees only 2");
         assert_eq!(
-            diameter_slack_bound(&u, &uncovered, rem, u64::MAX),
+            diameter_slack_bound(&u, &uncovered, rem, u64::MAX, &mut []),
             u.diam_chords() as u64,
             "dual ascent recovers one tile per leftover diameter"
         );
@@ -355,6 +397,70 @@ mod tests {
         }
         let rem = (u.diam_chords() * (n / 2)) as u64;
         // Early exit still reports a value strictly above the cap.
-        assert!(diameter_slack_bound(&u, &uncovered, rem, 2) > 2);
+        assert!(diameter_slack_bound(&u, &uncovered, rem, 2, &mut []) > 2);
+    }
+
+    /// Witnesses carried across a random walk of placements and
+    /// reversals (so many go stale) give the bound it gives with no
+    /// witnesses, early exits included; both the answered and the stale
+    /// witness paths are taken.
+    #[test]
+    fn carried_witnesses_never_change_the_bound() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(18);
+        let (mut answered, mut stale) = (0u32, 0u32);
+        for (n, max_len) in [(8u32, 8), (10, 10), (12, 6), (18, 4), (22, 4)] {
+            let u = TileUniverse::new(Ring::new(n), max_len);
+            // The subset test stands for "wastes nothing" because every
+            // tile through a diameter has load n.
+            for d in 0..u.diam_chords() {
+                assert!(u.candidates_pri(d).iter().all(|&t| u.tile_waste(t) == 0));
+            }
+            let m = u.num_chords();
+            let mut uncovered = ChordSet::full(m);
+            let mut rem: u64 = (0..m).map(|c| u.dist_of_pri(c) as u64).sum();
+            let mut placed: Vec<ChordSet> = Vec::new();
+            let mut witness = vec![u32::MAX; u.diam_chords() as usize];
+            for _ in 0..1500 {
+                let live: Vec<u32> = uncovered.iter().collect();
+                if !live.is_empty() && (placed.is_empty() || rng.gen_range(0..5u32) < 3) {
+                    let c = live[rng.gen_range(0..live.len())];
+                    let cands = u.candidates_pri(c);
+                    let t = cands[rng.gen_range(0..cands.len())];
+                    let mut newly = ChordSet::empty(m);
+                    u.tile_mask(t).intersection_into(&uncovered, &mut newly);
+                    uncovered.subtract(&newly);
+                    rem -= newly.iter().map(|c| u.dist_of_pri(c) as u64).sum::<u64>();
+                    placed.push(newly);
+                } else if let Some(newly) = placed.pop() {
+                    uncovered.union_with(&newly);
+                    rem += newly.iter().map(|c| u.dist_of_pri(c) as u64).sum::<u64>();
+                }
+                for d in uncovered.iter().take_while(|&d| d < u.diam_chords()) {
+                    let w = witness[d as usize];
+                    if w == u32::MAX {
+                        continue;
+                    }
+                    if within(&u, w, &uncovered) {
+                        answered += 1;
+                    } else {
+                        stale += 1;
+                    }
+                }
+                let stop_above = match rng.gen_range(0..4u64) {
+                    0 => u64::MAX,
+                    k => (rem.div_ceil(n as u64) + k).saturating_sub(2),
+                };
+                assert_eq!(
+                    diameter_slack_bound(&u, &uncovered, rem, stop_above, &mut witness),
+                    diameter_slack_bound(&u, &uncovered, rem, stop_above, &mut []),
+                    "n = {n}, stop_above = {stop_above}"
+                );
+            }
+        }
+        assert!(
+            answered > 0 && stale > 0,
+            "{answered} answered, {stale} stale"
+        );
     }
 }

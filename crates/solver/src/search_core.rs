@@ -89,8 +89,9 @@ pub(crate) trait SearchCore {
 
     /// Whether the prefix bounds (the cheap capacity/diameter/degree
     /// trio, then the strong bound when symmetry is on) refute every
-    /// completion within the budget.
-    fn refuted(&self) -> bool;
+    /// completion within the budget. Mutable so the strong bound can
+    /// keep its diameter witnesses up to date.
+    fn refuted(&mut self) -> bool;
 
     /// The current node's branch candidates after every filter, in
     /// search order: the children a frontier expansion enqueues.
@@ -587,13 +588,17 @@ impl<'a> Orbits<'a> {
 /// support), and the incrementally maintained bound ingredients, all
 /// weighted by residual multiplicity: demanded distance, demanded
 /// diameter units, per-vertex residual degree, and the number of odd
-/// degrees (`|T|` of the parity bound).
+/// degrees (`|T|` of the parity bound). `witness` holds one tile per
+/// diameter chord for the diameter-slack bound: the last tile its scan
+/// found cheapest, which answers the chord without a scan while it still
+/// wastes nothing against the live set.
 pub(crate) struct Demand {
     pub(crate) live: ChordSet,
     pub(crate) rem_dist: u64,
     rem_diam: u64,
     deg: Vec<u32>,
     odd: u64,
+    witness: Vec<u32>,
 }
 
 impl Demand {
@@ -606,6 +611,7 @@ impl Demand {
             rem_diam: 0,
             deg: vec![0; u.ring().n() as usize],
             odd: 0,
+            witness: vec![u32::MAX; diam as usize],
         };
         for pri in 0..m {
             let need = spec.demand[u.dense_of_pri(pri) as usize];
@@ -673,14 +679,18 @@ impl Demand {
     /// capacity-tight even refutations — then the pricier diameter-slack
     /// dual over the live set, only if the node is still alive. The dual
     /// is valid under multiplicities because every live chord carries at
-    /// least one unit of demand; deep in a witness search its loop body
-    /// rarely runs, since diameter chords carry top branch priority.
-    fn strong_lb(&self, u: &TileUniverse, stop_above: u64) -> u64 {
+    /// least one unit of demand. The unit and lane cores branch on
+    /// diameter chords first, so their live sets lose the diameters
+    /// early; the partition kernel's MRV branching leaves them live deep
+    /// into the tree (about one diameter evaluation per node at n = 18 and
+    /// 22), which is where the witnesses save the scans.
+    fn strong_lb(&mut self, u: &TileUniverse, stop_above: u64) -> u64 {
         let parity = parity_join_bound_from_odd(u.ring().n(), self.rem_dist, self.odd);
         if parity > stop_above {
             return parity;
         }
-        diameter_slack_bound(u, &self.live, self.rem_dist, stop_above).max(parity)
+        let witness = &mut self.witness;
+        diameter_slack_bound(u, &self.live, self.rem_dist, stop_above, witness).max(parity)
     }
 }
 
@@ -694,6 +704,9 @@ pub(crate) struct Stack<'a> {
     chosen: Vec<u32>,
     frames: Vec<Frame>,
     dom: DomArena,
+    /// Staging scratch, one word per 64 chords: the live set without the
+    /// branch chord.
+    rest: Vec<u64>,
     pub(crate) stats: Stats,
     gov: Governor<'a>,
     /// Whether the strong prefix bound is consulted (the requested
@@ -736,6 +749,7 @@ impl<'a> Stack<'a> {
             chosen: Vec::new(),
             frames: Vec::new(),
             dom: DomArena::new(u),
+            rest: vec![0; u.num_chords().div_ceil(64) as usize],
             stats: Stats {
                 sym_factor: 1,
                 ..Stats::default()
@@ -771,7 +785,7 @@ impl<'a> Stack<'a> {
     }
 
     /// The prefix bound test over the residual `d`.
-    pub(crate) fn refutes(&self, d: &Demand) -> bool {
+    pub(crate) fn refutes(&self, d: &mut Demand) -> bool {
         let used = self.depth() as u64;
         let budget = self.budget as u64;
         used + d.remaining_lb(self.u.ring().n()) > budget
@@ -796,11 +810,19 @@ impl<'a> Stack<'a> {
 
     /// Stages the current node's children into its frame: scores
     /// `branch`'s candidates against the `live` chords over the words
-    /// each tile's mask spans, drops those covering nothing new and those
-    /// whose waste exceeds `max_waste`, sorts by coverage (descending)
-    /// then waste, dominance-filters, and orbit-filters (under `setwise`
-    /// when given). `entry` is the memo entry the node records if it
-    /// exhausts.
+    /// each tile's mask spans, drops those whose waste exceeds
+    /// `max_waste`, sorts by coverage (descending) then waste,
+    /// dominance-filters, and orbit-filters (under `setwise` when given).
+    /// `entry` is the memo entry the node records if it exhausts.
+    ///
+    /// Every candidate passes through the live branch chord, so one that
+    /// covers no other live chord has live coverage `{branch}` and waste
+    /// `n − dist(branch)`, shared by all such *single* candidates. They
+    /// are counted, not scored: all are overdrawn together, or all are
+    /// dominated by any candidate covering more (whose larger useful load
+    /// keeps it within the waste budget whenever they are), or, alone,
+    /// the first in list order survives and dominates the rest. That is
+    /// the outcome the sort and the dominance filter would reach.
     pub(crate) fn stage(
         &mut self,
         live: &ChordSet,
@@ -809,6 +831,7 @@ impl<'a> Stack<'a> {
         setwise: Option<u64>,
         entry: Option<MemoEntry>,
     ) {
+        debug_assert!(live.contains(branch), "the branch chord is live");
         let depth = self.depth();
         // Frontier workers enter at their prefix depth, so the arena may
         // need to leap several levels at once.
@@ -824,7 +847,13 @@ impl<'a> Stack<'a> {
         let mut cands = std::mem::take(&mut self.frames[depth].cands);
         scored.clear();
         cands.clear();
+        let rest = &mut self.rest;
+        rest.copy_from_slice(live.words());
+        rest[(branch / 64) as usize] &= !(1u64 << (branch % 64));
+        let bdist = u.dist_of_pri(branch);
         let mut overdrawn = 0;
+        let mut singles = 0;
+        let mut first_single = u32::MAX;
         for &t in u.candidates_pri(branch) {
             let (lo, hi) = u.tile_mask_span(t);
             let (lo, hi) = (lo as usize, hi as usize);
@@ -832,7 +861,7 @@ impl<'a> Stack<'a> {
             let mut useful = 0u32;
             for (wi, (a, b)) in u.tile_mask(t).words()[lo..hi]
                 .iter()
-                .zip(&live.words()[lo..hi])
+                .zip(&rest[lo..hi])
                 .enumerate()
             {
                 let mut w = a & b;
@@ -843,14 +872,29 @@ impl<'a> Stack<'a> {
                 }
             }
             if cov == 0 {
+                if singles == 0 {
+                    first_single = t;
+                }
+                singles += 1;
                 continue;
             }
-            let waste = n - useful.min(n);
+            let waste = n - (useful + bdist).min(n);
             if waste as u64 > max_waste {
                 overdrawn += 1;
                 continue;
             }
-            scored.push((t, cov, waste));
+            scored.push((t, cov + 1, waste));
+        }
+        if singles > 0 {
+            let waste = n - bdist.min(n);
+            if waste as u64 > max_waste {
+                overdrawn += singles;
+            } else if scored.is_empty() {
+                scored.push((first_single, 1, waste));
+                self.stats.dominated += singles - 1;
+            } else {
+                self.stats.dominated += singles;
+            }
         }
         // A child that would overdraw the waste budget is the capacity
         // prune it would hit as a node, applied without spawning one.
@@ -1142,8 +1186,8 @@ impl SearchCore for IterCore<'_> {
         }
     }
 
-    fn refuted(&self) -> bool {
-        self.s.refutes(&self.d)
+    fn refuted(&mut self) -> bool {
+        self.s.refutes(&mut self.d)
     }
 
     fn children(&mut self) -> Vec<u32> {
@@ -1496,8 +1540,8 @@ impl SearchCore for LaneCore<'_> {
         self.r.unplace(t, self.s.depth());
     }
 
-    fn refuted(&self) -> bool {
-        self.s.refutes(&self.r.d)
+    fn refuted(&mut self) -> bool {
+        self.s.refutes(&mut self.r.d)
     }
 
     fn children(&mut self) -> Vec<u32> {
@@ -1551,8 +1595,120 @@ impl<'a> FrameCore<'a> for LaneCore<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bnb::RunLimits;
     use cyclecover_ring::Ring;
     use rand::{rngs::StdRng, Rng, SeedableRng};
+
+    /// The plain definition of a node's candidate list before the orbit
+    /// filter: score every candidate of `branch` against `live`, drop the
+    /// overdrawn ones (counted as pruned), stable-sort by coverage
+    /// (descending) then waste, and drop each candidate whose live
+    /// coverage is a subset of an earlier one's (counted as dominated).
+    fn plain_stage(
+        u: &TileUniverse,
+        live: &ChordSet,
+        branch: u32,
+        max_waste: u64,
+    ) -> (Vec<u32>, u64, u64) {
+        let n = u.ring().n();
+        let mut scored = Vec::new();
+        let mut pruned = 0;
+        for &t in u.candidates_pri(branch) {
+            let mut mask = ChordSet::empty(u.num_chords());
+            u.tile_mask(t).intersection_into(live, &mut mask);
+            let useful: u32 = mask.iter().map(|c| u.dist_of_pri(c)).sum();
+            let waste = n - useful.min(n);
+            if waste as u64 > max_waste {
+                pruned += 1;
+            } else {
+                scored.push((t, mask.count(), waste, mask));
+            }
+        }
+        scored.sort_by_key(|s| (std::cmp::Reverse(s.1), s.2));
+        let mut kept = Vec::new();
+        let mut dominated = 0;
+        for (i, (t, _, _, mask)) in scored.iter().enumerate() {
+            if scored[..i].iter().any(|prior| mask.is_subset_of(&prior.3)) {
+                dominated += 1;
+            } else {
+                kept.push(*t);
+            }
+        }
+        (kept, pruned, dominated)
+    }
+
+    /// `Stack::stage` (with its single-coverage shortcut) against
+    /// [`plain_stage`] followed by the orbit filter, on random live sets,
+    /// branch chords, waste budgets and placed prefixes: the same ordered
+    /// list and the same counter increments. A third of the live sets
+    /// leave the branch chord as the only chord its candidates can cover,
+    /// and the finite waste budgets straddle that single candidate waste
+    /// `n − dist(branch)`, so the shortcut's overdrawn, dominated and
+    /// sole-survivor outcomes all occur.
+    #[test]
+    fn stage_matches_plain_scoring_sort_and_dominance() {
+        let mut rng = StdRng::seed_from_u64(17);
+        let lim = RunLimits::nodes_only(u64::MAX);
+        let (mut singles_only, mut overdrawn_singles) = (0, 0);
+        for (n, max_len, rounds) in [
+            (8, 8, 300),
+            (10, 10, 300),
+            (12, 12, 150),
+            (14, 4, 300),
+            (17, 4, 300),
+        ] {
+            let u = TileUniverse::new(Ring::new(n), max_len);
+            let m = u.num_chords();
+            let spec = CoverSpec::complete(n);
+            for round in 0..rounds {
+                let mode = [SymmetryMode::Off, SymmetryMode::Root, SymmetryMode::Full][round % 3];
+                let mut fast = Stack::new(&u, &spec, 64, Governor::new(&lim), mode, None, 1);
+                let mut plain = Stack::new(&u, &spec, 64, Governor::new(&lim), mode, None, 1);
+                for _ in 0..rng.gen_range(0..3u32) {
+                    let t = rng.gen_range(0..u.len() as u32);
+                    fast.push(t);
+                    plain.push(t);
+                }
+                let density = rng.gen_range(1..=9u32);
+                let mut live = ChordSet::empty(m);
+                for c in 0..m {
+                    if rng.gen_range(0..10u32) < density {
+                        live.insert(c);
+                    }
+                }
+                let branch = rng.gen_range(0..m);
+                if rng.gen_range(0..3u32) == 0 {
+                    for &t in u.candidates_pri(branch) {
+                        live.subtract(u.tile_mask(t));
+                    }
+                    singles_only += 1;
+                }
+                live.insert(branch);
+                let single_waste = (n - u.dist_of_pri(branch)) as u64;
+                let max_waste = match rng.gen_range(0..3u32) {
+                    0 => u64::MAX,
+                    1 => single_waste - 1,
+                    _ => rng.gen_range(0..n as u64),
+                };
+                overdrawn_singles += (max_waste < single_waste) as u32;
+
+                fast.stage(&live, branch, max_waste, None, None);
+                let (mut expected, pruned, dominated) = plain_stage(&u, &live, branch, max_waste);
+                let depth = plain.depth();
+                plain
+                    .orbits
+                    .filter(depth, branch, None, &mut expected, &mut plain.stats);
+                let ctx = format!("n = {n}, round {round}");
+                assert_eq!(fast.children(), expected, "{ctx}");
+                assert_eq!(fast.stats.pruned, pruned, "{ctx}");
+                assert_eq!(fast.stats.dominated, dominated, "{ctx}");
+                assert_eq!(fast.stats.sym_pruned, plain.stats.sym_pruned, "{ctx}");
+                assert_eq!(fast.stats.canon_pruned, plain.stats.canon_pruned, "{ctx}");
+                assert_eq!(fast.stats.sym_factor, plain.stats.sym_factor, "{ctx}");
+            }
+        }
+        assert!(singles_only > 0 && overdrawn_singles > 0);
+    }
 
     /// The arena against the plain definition: a candidate is dropped
     /// when its live coverage is a subset of an earlier candidate's. One
