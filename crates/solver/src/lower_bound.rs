@@ -175,7 +175,7 @@ pub fn diameter_slack_bound(
     let mut bound = rem_dist.div_ceil(n);
     for d in uncovered.iter().take_while(|&d| d < diam) {
         let minwaste = match witness.get_mut(d as usize) {
-            Some(&mut w) if w != u32::MAX && within(u, w, uncovered) => 0,
+            Some(&mut w) if w != u32::MAX && u.tile_mask(w).is_subset_of(uncovered) => 0,
             slot => {
                 let (minwaste, argmin) = min_waste(u, d, uncovered);
                 if let Some(w) = slot {
@@ -227,17 +227,6 @@ fn min_waste(u: &TileUniverse, d: u32, uncovered: &ChordSet) -> (u64, u32) {
         }
     }
     best
-}
-
-/// Whether every chord of tile `t` is in `live`, read over the words its
-/// mask spans.
-fn within(u: &TileUniverse, t: u32, live: &ChordSet) -> bool {
-    let (lo, hi) = u.tile_mask_span(t);
-    let (lo, hi) = (lo as usize, hi as usize);
-    u.tile_mask(t).words()[lo..hi]
-        .iter()
-        .zip(&live.words()[lo..hi])
-        .all(|(a, b)| a & !b == 0)
 }
 
 /// The paper's claimed optimal value `ρ(n)`:
@@ -441,7 +430,7 @@ mod tests {
                     if w == u32::MAX {
                         continue;
                     }
-                    if within(&u, w, &uncovered) {
+                    if u.tile_mask(w).is_subset_of(&uncovered) {
                         answered += 1;
                     } else {
                         stale += 1;
