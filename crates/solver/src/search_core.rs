@@ -402,9 +402,9 @@ enum Enter {
     Ready,
 }
 
-/// Dominance-filter arena: one slot of `stride` words per candidate of
-/// the node being filtered, in one flat word arena grown to the longest
-/// candidate list seen. Staging hands it only the candidates covering at
+/// Dominance-filter arena: one slot of `stride` words per kept candidate
+/// of the node being filtered, in one flat word arena grown to the
+/// longest candidate list seen. Staging hands it only the candidates covering at
 /// least two live chords, 13–134 a node on average over the certify-unit
 /// instances, far fewer than [`TileUniverse::max_candidates`].
 struct DomArena {
@@ -424,8 +424,12 @@ impl DomArena {
     /// Appends the sorted `scored` candidates to `cands`, dropping each
     /// whose live coverage (its tile mask ∩ `live`) is a subset of an
     /// earlier candidate's — sorting put dominators first, so ties keep
-    /// the first occurrence. Returns how many were dropped. A slot holds
-    /// zeros outside its tile's word span
+    /// the first occurrence. Returns how many were dropped.
+    ///
+    /// Only kept candidates hold a slot, and each candidate is tested
+    /// against those alone: by transitivity an earlier dropped dominator
+    /// has a kept one of its own, so the verdicts are the pairwise ones.
+    /// A slot holds zeros outside its tile's word span
     /// ([`TileUniverse::tile_mask_span`]), so each subset test reads only
     /// that span.
     ///
@@ -447,7 +451,10 @@ impl DomArena {
         if self.words.len() < scored.len() * stride {
             self.words.resize(scored.len() * stride, 0);
         }
-        for (slot, &(t, _, _)) in self.words.chunks_exact_mut(stride).zip(scored) {
+        let mut kept = 0;
+        for &(t, _, _) in scored {
+            let (earlier, rest) = self.words.split_at_mut(kept * stride);
+            let slot = &mut rest[..stride];
             for ((w, a), b) in slot
                 .iter_mut()
                 .zip(u.tile_mask(t).words())
@@ -455,23 +462,18 @@ impl DomArena {
             {
                 *w = a & b;
             }
-        }
-        let mut dominated = 0;
-        for (i, &(t, _, _)) in scored.iter().enumerate() {
             let (lo, hi) = u.tile_mask_span(t);
-            let (lo, hi) = (lo as usize, hi as usize);
-            let (earlier, rest) = self.words.split_at(i * stride);
-            let mine = &rest[lo..hi];
-            if earlier
-                .chunks_exact(stride)
-                .any(|prior| mine.iter().zip(&prior[lo..hi]).all(|(a, b)| a & !b == 0))
-            {
-                dominated += 1;
-            } else {
+            let mine = &slot[lo as usize..hi as usize];
+            if !earlier.chunks_exact(stride).any(|prior| {
+                mine.iter()
+                    .zip(&prior[lo as usize..hi as usize])
+                    .all(|(a, b)| a & !b == 0)
+            }) {
                 cands.push(t);
+                kept += 1;
             }
         }
-        dominated
+        (scored.len() - kept) as u64
     }
 }
 
