@@ -404,9 +404,10 @@ enum Enter {
 
 /// Dominance-filter arena: one slot of `stride` words per kept candidate
 /// of the node being filtered, in one flat word arena grown to the
-/// longest candidate list seen. Staging hands it only the candidates covering at
-/// least two live chords, 13–134 a node on average over the certify-unit
-/// instances, far fewer than [`TileUniverse::max_candidates`].
+/// longest candidate list seen. Staging hands it only the candidates
+/// covering at least two live chords, 13–134 a node on average over the
+/// certify-unit instances, far fewer than
+/// [`TileUniverse::max_candidates`].
 struct DomArena {
     words: Vec<u64>,
     /// Words per slot: the universe's chord-set width.
