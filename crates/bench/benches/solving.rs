@@ -87,23 +87,20 @@ fn bench_recursive_vs_iterative(c: &mut Criterion) {
 }
 
 /// The acceptance workload: certify `ρ(10)` (prove 12 infeasible, find a
-/// 13-covering) — the sequential bitset engine and the rayon frontier
-/// engine.
+/// 13-covering) on the bitset engine.
 fn bench_rho10_certification(c: &mut Criterion) {
     let mut g = c.benchmark_group("solver/rho10_certify");
     g.sample_size(10);
     let problem = Problem::complete(10);
-    for (label, engine) in [("sequential", "bitset"), ("parallel", "bitset-parallel")] {
-        let engine = engine_by_name(engine).unwrap();
-        g.bench_function(label, |b| {
-            b.iter(|| {
-                let below = engine.solve(&problem, &SolveRequest::prove_infeasible(12));
-                assert!(matches!(below.optimality(), Optimality::Infeasible));
-                let at = engine.solve(&problem, &SolveRequest::within_budget(13));
-                assert!(matches!(at.optimality(), Optimality::Feasible));
-            })
-        });
-    }
+    let engine = engine_by_name("bitset").unwrap();
+    g.bench_function("sequential", |b| {
+        b.iter(|| {
+            let below = engine.solve(&problem, &SolveRequest::prove_infeasible(12));
+            assert!(matches!(below.optimality(), Optimality::Infeasible));
+            let at = engine.solve(&problem, &SolveRequest::within_budget(13));
+            assert!(matches!(at.optimality(), Optimality::Feasible));
+        })
+    });
     g.finish();
 }
 

@@ -4,10 +4,10 @@
 //! over the full tile universe — through the [`cyclecover_solver::api`]
 //! engine registry, across the symmetry dimension (`Off`/`Root`/`Full`)
 //! **and the residual-state memo dimension** (off/on): `bitset` sweeps
-//! both, `bitset-parallel` covers the corners, `legacy` is the pre-bitset
-//! reference. Writes `BENCH_10.json` with node counts and memo hit counts
-//! per (n, λ, engine, symmetry, memo) so both reduction levers — and the
-//! λ-fold lane kernel — are tracked in-trajectory:
+//! both, `legacy` is the pre-bitset reference. Writes `BENCH_10.json`
+//! with node counts and memo hit counts per (n, λ, engine, symmetry,
+//! memo) so both reduction levers — and the λ-fold lane kernel — are
+//! tracked in-trajectory:
 //!
 //! * the `Off` + memo-off rows must reproduce BENCH_1.json *exactly*
 //!   (±0 nodes) — the iterative core and the memo machinery are
@@ -62,7 +62,7 @@
 //! * `--skip-n12`: drop the n = 12 certification rows
 //! * `--quick`: regression subset only — n ∈ {8, 10}, engine `bitset`,
 //!   `Off`/`Root` × memo off/on, plus the λ-fold rows and the n = 16
-//!   probe (no n = 12, no unit legacy, no parallel)
+//!   probe (no n = 12, no unit legacy)
 //!
 //! Only the full matrix (no `--quick`, `--skip-n12`, or `--max-n` below
 //! 10) writes `BENCH_10.json`; a subset run prints its rows and leaves
@@ -455,9 +455,6 @@ fn main() {
         .and_then(|i| args.get(i + 1))
         .and_then(|v| v.parse().ok())
         .unwrap_or(10);
-    let threads = std::thread::available_parallelism()
-        .map(|t| t.get())
-        .unwrap_or(4);
 
     let mut rows: Vec<Row> = Vec::new();
     let mut run = |row: Row| {
@@ -503,24 +500,6 @@ fn main() {
             }
         }
         if !quick {
-            // Parallel corners: the exactness corner (off, memo-off) and
-            // the engine-default corner (root, memo-on).
-            run(certify(
-                "bitset-parallel",
-                &problem,
-                rho,
-                SymmetryMode::Off,
-                false,
-                u64::MAX,
-            ));
-            run(certify(
-                "bitset-parallel",
-                &problem,
-                rho,
-                SymmetryMode::Root,
-                true,
-                u64::MAX,
-            ));
             run(certify(
                 "legacy",
                 &problem,
@@ -623,7 +602,6 @@ fn main() {
          certifies rho(16)=33, closing the mod-8 construction gap) plus the \
          capped zero-slack lambda_2 budget-64 probe\",\n",
     );
-    let _ = writeln!(json, "  \"threads\": {threads},");
     let _ = writeln!(json, "  \"n12_proof_cap\": {N12_PROOF_CAP},");
     let _ = writeln!(json, "  \"n16_probe_cap\": {N16_PROBE_CAP},");
     json.push_str("  \"instances\": [\n");

@@ -27,14 +27,13 @@ fn main() {
         ],
         &widths,
     );
-    let parallel = engine_by_name("bitset-parallel").expect("registered engine");
-    let sequential = engine_by_name("bitset").expect("registered engine");
+    let engine = engine_by_name("bitset").expect("registered engine");
     for n in 4u32..=12 {
         let target = rho(n) as u32;
         let problem = Problem::complete(n);
         let t0 = Instant::now();
         let node_cap = if n >= 12 { 60_000_000 } else { 2_000_000_000 };
-        let proof = parallel.solve(
+        let proof = engine.solve(
             &problem,
             &SolveRequest::prove_infeasible(target - 1).with_max_nodes(node_cap),
         );
@@ -52,7 +51,7 @@ fn main() {
             cover.validate().expect("constructive witness valid");
             true
         } else {
-            let at = sequential.solve(
+            let at = engine.solve(
                 &problem,
                 &SolveRequest::within_budget(target).with_max_nodes(2_000_000_000),
             );

@@ -7,7 +7,7 @@
 
 use cyclecover_bench::{header, row};
 use cyclecover_core::{construct_optimal, odd, rho};
-use cyclecover_solver::api::{engine_by_name, ExecPolicy, Optimality, Problem, SolveRequest};
+use cyclecover_solver::api::{engine_by_name, Optimality, Problem, SolveRequest};
 use cyclecover_solver::lower_bound::capacity_lower_bound;
 
 fn main() {
@@ -29,14 +29,10 @@ fn main() {
         let exact = cover.is_exact_decomposition(1);
         let (want_c3, want_c4) = odd::expected_composition(n);
         let solver_opt = if n <= 11 {
-            let sol = engine_by_name("bitset-parallel")
-                .expect("registered")
-                .solve(
-                    &Problem::complete(n),
-                    &SolveRequest::find_optimal()
-                        .with_max_nodes(100_000_000)
-                        .with_policy(ExecPolicy::parallel()),
-                );
+            let sol = engine_by_name("bitset").expect("registered").solve(
+                &Problem::complete(n),
+                &SolveRequest::find_optimal().with_max_nodes(100_000_000),
+            );
             match sol.optimality() {
                 Optimality::Optimal { .. } => sol.size().expect("covering").to_string(),
                 _ => "limit".into(),

@@ -13,7 +13,7 @@
 use cyclecover_bench::{header, row};
 use cyclecover_core::{construct_with_status, rho, Optimality};
 use cyclecover_solver::api::{
-    engine_by_name, ExecPolicy, Optimality as SolveOptimality, Problem, SolveRequest,
+    engine_by_name, Optimality as SolveOptimality, Problem, SolveRequest,
 };
 use cyclecover_solver::lower_bound::capacity_lower_bound;
 
@@ -56,14 +56,10 @@ fn main() {
         let (pc3, pc4) = paper_composition(n);
         // The bitset kernel certifies n = 10 in seconds now; include it.
         let solver_opt = if n <= 10 {
-            let sol = engine_by_name("bitset-parallel")
-                .expect("registered")
-                .solve(
-                    &Problem::complete(n),
-                    &SolveRequest::find_optimal()
-                        .with_max_nodes(300_000_000)
-                        .with_policy(ExecPolicy::parallel()),
-                );
+            let sol = engine_by_name("bitset").expect("registered").solve(
+                &Problem::complete(n),
+                &SolveRequest::find_optimal().with_max_nodes(300_000_000),
+            );
             match sol.optimality() {
                 SolveOptimality::Optimal { .. } => sol.size().expect("covering").to_string(),
                 _ => "limit".into(),

@@ -961,15 +961,7 @@ mod tests {
         assert!(out.contains("OPTIMAL: 10 cycles"), "{out}");
         // The registry listing names every engine.
         let listing = runv(&["engines"]).unwrap();
-        for name in [
-            "bitset",
-            "bitset-parallel",
-            "legacy",
-            "dlx",
-            "partition",
-            "greedy",
-            "anneal",
-        ] {
+        for name in ["bitset", "legacy", "dlx", "partition", "greedy", "anneal"] {
             assert!(listing.contains(name), "{listing}");
         }
     }
@@ -1386,6 +1378,18 @@ this line is not json at all
         std::fs::write(&path, &text).unwrap();
         let out = runv(&["validate", path.to_str().unwrap()]).unwrap();
         assert!(out.starts_with("OK: 10 cycles"), "{out}");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn validate_rejects_an_oversized_ring() {
+        let text = runv(&["solve", "6", "--json"]).unwrap();
+        let huge = text.replace("\"n\": 6", "\"n\": 4000000000");
+        assert_ne!(text, huge);
+        let path = std::env::temp_dir().join("cyclecover_cli_test_huge_ring.json");
+        std::fs::write(&path, &huge).unwrap();
+        let err = runv(&["validate", path.to_str().unwrap()]).unwrap_err();
+        assert!(err.contains("3..=1024"), "{err}");
         std::fs::remove_file(&path).ok();
     }
 

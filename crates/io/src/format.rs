@@ -74,7 +74,7 @@ pub fn from_text(text: &str) -> Result<DrcCovering, ParseError> {
                         message: "duplicate ring declaration".into(),
                     });
                 }
-                let n: u32 = words
+                let n: u64 = words
                     .next()
                     .ok_or_else(|| ParseError {
                         line,
@@ -85,19 +85,14 @@ pub fn from_text(text: &str) -> Result<DrcCovering, ParseError> {
                         line,
                         message: format!("bad ring size: {e}"),
                     })?;
-                if n < 3 {
-                    return Err(ParseError {
-                        line,
-                        message: format!("ring size {n} < 3"),
-                    });
-                }
+                let r = Ring::try_new(n).map_err(|message| ParseError { line, message })?;
                 if words.next().is_some() {
                     return Err(ParseError {
                         line,
                         message: "trailing tokens after ring size".into(),
                     });
                 }
-                ring = Some(Ring::new(n));
+                ring = Some(r);
             }
             Some("cycle") => {
                 let ring = ring.ok_or_else(|| ParseError {
@@ -164,7 +159,7 @@ mod tests {
 
     #[test]
     fn round_trips_constructed_coverings() {
-        for n in [5u32, 8, 9, 12, 13, 16, 21] {
+        for n in [3u32, 5, 8, 9, 12, 13, 16, 21] {
             let cover = construct_optimal(n);
             let text = to_text(&cover);
             let back = from_text(&text).expect("round trip parses");
@@ -192,7 +187,10 @@ mod tests {
         assert!(err("").message.contains("missing ring"));
         assert!(err("cycle 0 1 2").message.contains("before ring"));
         assert!(err("ring").message.contains("needs a size"));
-        assert!(err("ring 2").message.contains("< 3"));
+        for size in ["2", "1025", "4000000000"] {
+            let message = err(&format!("ring {size}\ncycle 0 1 2")).message;
+            assert!(message.contains("3..=1024"), "{size}: {message}");
+        }
         assert!(err("ring five").message.contains("bad ring size"));
         assert!(err("ring 5 7").message.contains("trailing"));
         assert!(err("ring 5\nring 6").message.contains("duplicate"));

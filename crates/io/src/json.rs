@@ -33,7 +33,7 @@
 //! | `format` | yes | the string `"cyclecover-request"` |
 //! | `version` | yes | `1` |
 //! | `id` | no | job identifier: 1–64 chars from `[A-Za-z0-9._-]`; defaults to `""` (the service assigns `job-<seq>`) |
-//! | `n` | yes | ring size, `≥ 3` |
+//! | `n` | yes | ring size, `3 ≤ n ≤ 1024` ([`Ring::MAX_N`]); any other size is rejected at parse time |
 //! | `max_len` | no | max tile vertex count, `3 ≤ max_len ≤ n`; default `n` |
 //! | `max_gap` | no | max ring gap between consecutive tile vertices, `1 ≤ max_gap ≤ n`; default `n` (unconstrained) |
 //! | `requests` | no | array of `[u, v]` vertex pairs (`u ≠ v`, both `< n`): the demand is *exactly these requests, each `lambda` times*; absent or `null` = all of `K_n` |
@@ -71,7 +71,7 @@
 //! | `degraded` | `null` for a direct engine answer; otherwise `{"from": E1, "to": E2, "reason": R}` — a scheduler walked the request's `fallback` ladder and engine `E2` answered instead of the requested `E1`. `R` is `"panicked"` or one of the `budget_exhausted` reason strings (why `E1` was abandoned) |
 //! | `size` | number of cycles, or `null` when no covering is carried |
 //! | `cycles` | array of cycles (each an array of ring vertices), or `null` |
-//! | `stats` | `{nodes, pruned, dominated, sym_pruned, canon_pruned, memo_hits, shared_hits, memo_entries, partition_probes, symmetry_factor, budgets_tried, attempts, wall_ms}`; `wall_ms` is a float; `attempts` counts engine dispatches (1 = direct solve, more under a retrying/degrading scheduler, 0 = never started); `shared_hits` is the subset of `memo_hits` landing on refutations another searcher recorded (an earlier deepening probe, a parallel worker, or — under a shared store — another request); `partition_probes` is the certificate's route provenance — how many budget probes ran on the slack-budgeted partition kernel rather than branch & bound (0 = none did) |
+//! | `stats` | `{nodes, pruned, dominated, sym_pruned, canon_pruned, memo_hits, shared_hits, memo_entries, partition_probes, symmetry_factor, budgets_tried, attempts, wall_ms}`; `wall_ms` is a float; `attempts` counts engine dispatches (1 = direct solve, more under a retrying/degrading scheduler, 0 = never started); `shared_hits` is the subset of `memo_hits` landing on refutations another searcher recorded (an earlier deepening probe or, under a shared store, another request); `partition_probes` is the certificate's route provenance — how many budget probes ran on the slack-budgeted partition kernel rather than branch & bound (0 = none did) |
 //!
 //! `optimality.kind` is one of:
 //!
@@ -590,11 +590,11 @@ pub fn covering_from_solution_json(text: &str) -> Result<DrcCovering, String> {
         .get("n")
         .and_then(Json::as_num)
         .ok_or("missing ring size 'n'")?;
-    if n_raw.fract() != 0.0 || !(3.0..=u32::MAX as f64).contains(&n_raw) {
+    if n_raw.fract() != 0.0 || !(0.0..=u64::MAX as f64).contains(&n_raw) {
         return Err(format!("ring size {n_raw} out of range"));
     }
-    let n = n_raw as i64;
-    let ring = Ring::new(n as u32);
+    let ring = Ring::try_new(n_raw as u64)?;
+    let n = ring.n();
     let cycles = match doc.get("cycles") {
         Some(Json::Arr(cycles)) => cycles,
         Some(Json::Null) => return Err("solution carries no covering".into()),
@@ -658,10 +658,8 @@ pub fn certificate_from_solution_json(text: &str) -> Result<ParsedCertificate, S
         Some("cyclecover-solution") => {}
         other => return Err(format!("not a cyclecover-solution document: {other:?}")),
     }
-    let n = opt_uint(&doc, "n", u32::MAX as u64)?.ok_or("missing ring size 'n'")? as u32;
-    if n < 3 {
-        return Err(format!("ring size n = {n} must be >= 3"));
-    }
+    let n = opt_uint(&doc, "n", u64::MAX)?.ok_or("missing ring size 'n'")?;
+    let n = Ring::try_new(n)?.n();
     let engine = doc
         .get("engine")
         .and_then(Json::as_str)
@@ -977,10 +975,8 @@ pub fn request_from_json(text: &str) -> Result<SolveJob, String> {
         }
         None => return Err("missing 'version'".into()),
     }
-    let n = opt_uint(&doc, "n", u32::MAX as u64)?.ok_or("missing ring size 'n'")? as u32;
-    if n < 3 {
-        return Err(format!("ring size n = {n} must be >= 3"));
-    }
+    let n = opt_uint(&doc, "n", u64::MAX)?.ok_or("missing ring size 'n'")?;
+    let n = Ring::try_new(n)?.n();
     let mut job = SolveJob::new("", n);
 
     if let Some(id) = doc.get("id") {
@@ -1275,13 +1271,37 @@ mod tests {
         assert!(err.contains("ring size"), "{err}");
     }
 
+    /// The request, covering and certificate parsers share one ring-size
+    /// bound: `Ring::MAX_N + 1` and 4·10⁹ are errors naming the range,
+    /// `n = 3` still parses.
+    #[test]
+    fn every_document_bounds_its_ring_size() {
+        let request =
+            |n: u64| format!(r#"{{"format": "cyclecover-request", "version": 1, "n": {n}}}"#);
+        let doc = solution_to_json(&solve(3, &SolveRequest::find_optimal()));
+        let solution = |n: u64| doc.replace("\"n\": 3", &format!("\"n\": {n}"));
+        for n in [u64::from(Ring::MAX_N) + 1, 4_000_000_000] {
+            for err in [
+                request_from_json(&request(n)).unwrap_err(),
+                covering_from_solution_json(&solution(n)).unwrap_err(),
+                certificate_from_solution_json(&solution(n)).unwrap_err(),
+            ] {
+                assert!(err.contains("3..=1024"), "n = {n}: {err}");
+            }
+        }
+        assert_eq!(request_from_json(&request(3)).unwrap().n, 3);
+        let covering = covering_from_solution_json(&solution(3)).unwrap();
+        assert_eq!(covering.ring().n(), 3);
+        assert_eq!(certificate_from_solution_json(&solution(3)).unwrap().n, 3);
+    }
+
     #[test]
     fn request_round_trips_through_emit_and_parse() {
         let mut job = SolveJob::new("mixed-42", 10);
         job.max_len = 6;
         job.max_gap = 4;
         job.requests = Some(vec![(0, 3), (1, 5), (2, 7)]);
-        job.engine = "bitset-parallel".to_string();
+        job.engine = "partition".to_string();
         job.objective = Objective::WithinBudget(9);
         job.max_nodes = Some(1_000_000);
         job.deadline_ms = Some(250);
@@ -1382,7 +1402,7 @@ mod tests {
             ),
             (
                 r#"{"format": "cyclecover-request", "version": 1, "n": 2}"#,
-                ">= 3",
+                "3..=1024",
             ),
             (
                 r#"{"format": "cyclecover-request", "version": 1, "n": 6, "max_len": 2}"#,

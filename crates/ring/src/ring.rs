@@ -14,6 +14,11 @@ pub struct Ring {
 }
 
 impl Ring {
+    /// The largest ring size a parsed document may name: five times the
+    /// largest ring the repository tabulates (n = 200), and far below
+    /// sizes whose per-ring tables no longer fit in memory.
+    pub const MAX_N: u32 = 1024;
+
     /// Ring on `n ≥ 3` vertices.
     ///
     /// # Panics
@@ -21,6 +26,21 @@ impl Ring {
     pub fn new(n: u32) -> Self {
         assert!(n >= 3, "ring C_n needs n >= 3, got {n}");
         Ring { n }
+    }
+
+    /// The ring a document asks for: `n` must lie in `3..=`[`Ring::MAX_N`],
+    /// and the error names that range. Every parser of a ring size goes
+    /// through here, so an oversized ring is a parse error instead of an
+    /// allocation the process cannot survive.
+    pub fn try_new(n: u64) -> Result<Ring, String> {
+        if (3..=u64::from(Ring::MAX_N)).contains(&n) {
+            Ok(Ring { n: n as u32 })
+        } else {
+            Err(format!(
+                "ring size n = {n} out of range 3..={}",
+                Ring::MAX_N
+            ))
+        }
     }
 
     /// Number of vertices (= number of ring edges).
@@ -144,6 +164,16 @@ impl fmt::Display for Ring {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn try_new_accepts_exactly_the_documented_range() {
+        assert_eq!(Ring::try_new(3).unwrap().n(), 3);
+        assert_eq!(Ring::try_new(1024).unwrap().n(), Ring::MAX_N);
+        for bad in [0, 2, 1025, 4_000_000_000, u64::MAX] {
+            let err = Ring::try_new(bad).unwrap_err();
+            assert!(err.contains("3..=1024"), "{bad}: {err}");
+        }
+    }
 
     #[test]
     fn modular_helpers() {

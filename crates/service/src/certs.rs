@@ -320,6 +320,25 @@ mod tests {
         assert_eq!(reloaded.rejected_on_load(), 1);
     }
 
+    /// An entry for a ring past `Ring::MAX_N` is dropped at load like any
+    /// other invalid entry, before anything is sized for that ring.
+    #[test]
+    fn an_oversized_ring_loads_as_a_miss() {
+        let (job, key, sol) = solved(7);
+        let mut cache = CertCache::new();
+        cache.record(&job, &key, &sol);
+        let doc = cache.to_json();
+        let valid = &doc[doc.find('[').unwrap() + 1..doc.rfind(']').unwrap()];
+        let huge = valid.replace(r#"\"n\": 7"#, r#"\"n\": 4000000000"#);
+        assert_ne!(valid, huge, "ring size present in key and solution");
+        let both = format!(
+            r#"{{"format": "cyclecover-certificate-cache", "version": 1, "entries": [{valid}, {huge}]}}"#
+        );
+        let reloaded = CertCache::from_json(&both).expect("document parses");
+        assert_eq!(reloaded.len(), 1);
+        assert_eq!(reloaded.rejected_on_load(), 1);
+    }
+
     #[test]
     fn malformed_documents_are_errors_but_entries_fail_soft() {
         assert!(CertCache::from_json("{").is_err());

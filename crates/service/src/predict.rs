@@ -21,10 +21,8 @@
 //!   daemon stats (`predicted_nodes` vs `nodes`), so drift between the
 //!   committed table and the live engine is observable, not silent.
 //!
-//! Calibration points are measured on the `bitset` engine; the model
-//! treats `bitset-parallel` as the same curve (its sequential fallback
-//! *is* `bitset`, and a parallel run is never slower by more than the
-//! safety factor on calibrated sizes).
+//! Calibration points are measured on the `bitset` engine, and the
+//! model predicts only jobs that name it.
 
 use cyclecover_io::json::{Json, SolveJob};
 use cyclecover_solver::api::{Objective, SymmetryMode};
@@ -193,7 +191,7 @@ impl CostModel {
 
     /// The model's cost estimate for `job`, or `None` when the model
     /// has nothing defensible to say: partial or λ-fold demand specs,
-    /// engines outside the calibrated `bitset` family, or ring sizes
+    /// engines other than the calibrated `bitset`, or ring sizes
     /// below every calibration point. The lookup keys on the job's wire
     /// `memo` knob (defaulting to on, the engine default), so a
     /// memo-off job is matched against memo-off calibration points.
@@ -207,7 +205,7 @@ impl CostModel {
         if job.lambda > 1 {
             return None;
         }
-        if !matches!(job.engine.as_str(), "bitset" | "bitset-parallel") {
+        if job.engine != "bitset" {
             return None;
         }
         let memo = job.memo.unwrap_or(true);

@@ -213,8 +213,8 @@ pub struct BatchStats {
     /// (coalesced waiters share their primary's run and don't re-count).
     pub memo_hits: u64,
     /// The subset of `memo_hits` landing on refutations another searcher
-    /// recorded — an earlier deepening probe, a parallel worker, or
-    /// (with [`ServiceConfig::shared_memo`]) another request.
+    /// recorded — an earlier deepening probe, or (with
+    /// [`ServiceConfig::shared_memo`]) another request.
     pub shared_hits: u64,
     /// Jobs answered from the persisted certificate cache with zero
     /// kernel nodes (coalesced waiters of a cached group count too —

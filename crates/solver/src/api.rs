@@ -10,9 +10,9 @@
 //!   precomputed [`TileUniverse`] the search runs on;
 //! * [`SolveRequest`] — what kind of answer is wanted (an [`Objective`]),
 //!   under which resource limits (node budget, wall-clock deadline, a
-//!   shareable [`CancelToken`]), [`ExecPolicy`], and [`SymmetryMode`]
-//!   (dihedral orbit reduction, default `Root`; certificates record the
-//!   applied symmetry factor);
+//!   shareable [`CancelToken`]), and [`SymmetryMode`] (dihedral orbit
+//!   reduction, default `Root`; certificates record the applied
+//!   symmetry factor);
 //! * [`Solution`] — the covering (if any), an [`Optimality`] certificate
 //!   saying exactly what was proved, and unified [`Stats`].
 //!
@@ -21,14 +21,17 @@
 //!
 //! | name | substrate |
 //! |------|-----------|
-//! | `bitset` | branch & bound on the routed core (sequential; honors `ExecPolicy::Parallel`) |
-//! | `bitset-parallel` | the same engine, always on the frontier driver |
+//! | `bitset` | branch & bound on the routed core |
 //! | `legacy` | the multiplicity-counter reference search |
 //! | `dlx` | the partition kernel, restricted to zero-slack specs |
 //! | `partition` | the slack-budgeted partition kernel, any spec with demands ≤ 3 |
 //! | `greedy` | max-coverage greedy |
 //! | `greedy-improve` | greedy + drop/merge local search |
 //! | `anneal` | greedy + simulated annealing + local search |
+//!
+//! Every exact engine searches on the calling thread. Parallelism is
+//! across requests: the solve service runs several at once
+//! (`cyclecover serve --workers N`).
 //!
 //! ```
 //! use cyclecover_solver::api::{engine_by_name, Optimality, Problem, SolveRequest};
@@ -155,35 +158,6 @@ pub enum Objective {
     ProveInfeasible(u32),
 }
 
-/// How an engine may spend its CPU.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ExecPolicy {
-    /// Single-threaded depth-first search.
-    Sequential,
-    /// Frontier-parallel search: the tree is expanded breadth-first into
-    /// `threads × 2^prefix_depth` independent prefixes, drained on a
-    /// work-sharing rayon scope. `threads = 0` uses the available
-    /// parallelism.
-    Parallel {
-        /// Worker threads (`0` = available parallelism).
-        threads: usize,
-        /// log₂ of the frontier prefixes expanded per thread.
-        prefix_depth: u32,
-    },
-    /// Let the engine pick (engines default to their natural mode).
-    Auto,
-}
-
-impl ExecPolicy {
-    /// The default parallel policy: all cores, 8 prefixes per thread.
-    pub fn parallel() -> Self {
-        ExecPolicy::Parallel {
-            threads: 0,
-            prefix_depth: 3,
-        }
-    }
-}
-
 /// Why a [`CancelToken`] was cancelled — carried down the token tree so
 /// a kernel stopped through an inherited cancellation can report the
 /// ancestor's motive on the wire instead of a generic "cancelled".
@@ -231,7 +205,7 @@ impl CancelReason {
 ///
 /// Clones share one flag: hand a clone to a request (or several), keep
 /// one, and [`CancelToken::cancel`] stops every search holding it within
-/// ~4096 expanded nodes per worker.
+/// 4096 expanded nodes.
 ///
 /// [`CancelToken::child`] derives a *subordinate* token: cancelling the
 /// parent cancels every descendant (transitively), while cancelling a
@@ -369,8 +343,8 @@ impl CancelToken {
     }
 }
 
-/// A builder-style solve request: objective, resource limits, execution
-/// policy, symmetry reduction level. All limits default to "unlimited";
+/// A builder-style solve request: objective, resource limits, symmetry
+/// reduction level. All limits default to "unlimited";
 /// symmetry defaults to [`SymmetryMode::Root`] (exact engines explore one
 /// root candidate per dihedral orbit and use the strengthened prefix
 /// bound — set [`SymmetryMode::Off`] to reproduce pre-symmetry node
@@ -396,7 +370,6 @@ pub struct SolveRequest {
     max_nodes: u64,
     deadline: Option<Duration>,
     cancel: CancelToken,
-    policy: ExecPolicy,
     symmetry: SymmetryMode,
     memo: bool,
     memo_bytes: usize,
@@ -405,14 +378,13 @@ pub struct SolveRequest {
 }
 
 impl SolveRequest {
-    /// A request with the given objective and default limits/policy.
+    /// A request with the given objective and default limits.
     pub fn new(objective: Objective) -> Self {
         SolveRequest {
             objective,
             max_nodes: u64::MAX,
             deadline: None,
             cancel: CancelToken::new(),
-            policy: ExecPolicy::Auto,
             symmetry: SymmetryMode::default(),
             memo: true,
             memo_bytes: DEFAULT_MEMO_BYTES,
@@ -437,15 +409,14 @@ impl SolveRequest {
     }
 
     /// Caps the number of search-tree nodes expanded by the whole
-    /// request — across all workers and, for `FindOptimal`, across all
-    /// deepening budgets.
+    /// request — for `FindOptimal`, across all deepening budgets.
     pub fn with_max_nodes(mut self, max_nodes: u64) -> Self {
         self.max_nodes = max_nodes;
         self
     }
 
     /// Sets a wall-clock deadline, measured from the moment an engine
-    /// starts solving; every worker checks it about every 4096 nodes.
+    /// starts solving; the search checks it every 4096 nodes.
     pub fn with_deadline(mut self, deadline: Duration) -> Self {
         self.deadline = Some(deadline);
         self
@@ -457,14 +428,8 @@ impl SolveRequest {
         self
     }
 
-    /// Sets the execution policy.
-    pub fn with_policy(mut self, policy: ExecPolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
-    /// Sets the dihedral symmetry reduction level for exact engines
-    /// (`bitset`, `bitset-parallel`). The `legacy` reference engine and
+    /// Sets the dihedral symmetry reduction level for the exact engines
+    /// (`bitset`, `partition`, `dlx`). The `legacy` reference engine and
     /// the non-search engines ignore it.
     ///
     /// ```
@@ -594,11 +559,6 @@ impl SolveRequest {
         &self.cancel
     }
 
-    /// The execution policy.
-    pub fn policy(&self) -> ExecPolicy {
-        self.policy
-    }
-
     /// The symmetry reduction level.
     pub fn symmetry(&self) -> SymmetryMode {
         self.symmetry
@@ -636,8 +596,8 @@ impl SolveRequest {
     /// The refutation store this request's exact search runs with: the
     /// attached shared store when one is set and fits `u`, a fresh
     /// private store otherwise, `None` with the memo off. One store
-    /// serves the *whole* request — every deepening probe and every
-    /// parallel worker — which is the first two sharing rings.
+    /// serves the *whole* request — every deepening probe, which is the
+    /// first sharing ring.
     fn build_store(&self, u: &TileUniverse) -> Option<Arc<MemoStore>> {
         if !self.memo {
             return None;
@@ -781,12 +741,12 @@ pub struct Stats {
     /// Nodes (and candidate children) pruned by the refutation store.
     pub memo_hits: u64,
     /// The subset of `memo_hits` landing on refutations another
-    /// searcher recorded: an earlier deepening probe, another parallel
-    /// worker, or — with a shared store attached — another request.
+    /// searcher recorded: an earlier deepening probe or — with a shared
+    /// store attached — another request.
     pub shared_hits: u64,
     /// Residual states resident in the refutation store at the end of
-    /// the solve (a store shared across probes, workers, or requests
-    /// reports its total population).
+    /// the solve (a store shared across probes or requests reports its
+    /// total population).
     pub memo_entries: u64,
     /// Budget probes served by the slack-budgeted partition kernel —
     /// the certificate's provenance record of the low-slack route
@@ -957,9 +917,8 @@ pub trait Engine: Sync {
 
 /// All registered engines, exact first.
 pub fn engines() -> &'static [&'static dyn Engine] {
-    static ENGINES: [&dyn Engine; 8] = [
-        &BitsetEngine::BITSET,
-        &BitsetEngine::PARALLEL,
+    static ENGINES: [&dyn Engine; 7] = [
+        &BitsetEngine,
         &LegacyEngine,
         &PartitionEngine::DLX,
         &PartitionEngine::PARTITION,
@@ -1084,46 +1043,21 @@ fn drive_exact(
     }
 }
 
-/// The branch & bound engines (`"bitset"`, `"bitset-parallel"`): every
-/// budget probe runs on the context the route rule picks — the bitset
-/// core for unit demands, the lane core for demands ≤ 3, the partition
-/// kernel when a λ ≤ 3 probe's waste slack `budget·n − λ·Σd(e)` is below
-/// `n` (recorded in the certificate's `partition_probes` stat), the
-/// recursive multiplicity kernel beyond — sequentially or on the
-/// frontier-parallel driver, whose workers share the request's
-/// refutation store.
-pub struct BitsetEngine {
-    name: &'static str,
-    description: &'static str,
-    /// Whether `ExecPolicy::Sequential`/`Auto` run the frontier driver too.
-    always_parallel: bool,
-}
-
-impl BitsetEngine {
-    /// The default exact engine: `ExecPolicy::Sequential`/`Auto` search
-    /// depth-first in-thread; `ExecPolicy::Parallel` drains a frontier.
-    pub const BITSET: BitsetEngine = BitsetEngine {
-        name: "bitset",
-        description: "word-packed branch & bound (dominance pruning; honors ExecPolicy::Parallel)",
-        always_parallel: false,
-    };
-    /// Always frontier-parallel, even under `ExecPolicy::Auto` (all
-    /// cores, 8 prefixes per thread unless `ExecPolicy::Parallel` says
-    /// otherwise).
-    pub const PARALLEL: BitsetEngine = BitsetEngine {
-        name: "bitset-parallel",
-        description: "breadth-first frontier of search prefixes drained on a rayon scope",
-        always_parallel: true,
-    };
-}
+/// The default exact engine (`"bitset"`): every budget probe runs on the
+/// context the route rule picks — the bitset core for unit demands, the
+/// lane core for demands ≤ 3, the partition kernel when a λ ≤ 3 probe's
+/// waste slack `budget·n − λ·Σd(e)` is below `n` (recorded in the
+/// certificate's `partition_probes` stat), the recursive multiplicity
+/// kernel beyond.
+pub struct BitsetEngine;
 
 impl Engine for BitsetEngine {
     fn name(&self) -> &'static str {
-        self.name
+        "bitset"
     }
 
     fn description(&self) -> &'static str {
-        self.description
+        "word-packed branch & bound (dominance pruning)"
     }
 
     fn supports(&self, _problem: &Problem, _request: &SolveRequest) -> bool {
@@ -1132,19 +1066,9 @@ impl Engine for BitsetEngine {
 
     fn solve(&self, problem: &Problem, request: &SolveRequest) -> Solution {
         let start = Instant::now();
-        let par = match request.policy() {
-            ExecPolicy::Parallel {
-                threads,
-                prefix_depth,
-            } => Some((threads, 1usize << prefix_depth.min(16))),
-            ExecPolicy::Sequential | ExecPolicy::Auto => self
-                .always_parallel
-                .then_some((0, bnb::DEFAULT_PREFIX_PER_THREAD)),
-        };
-        // One store for the whole request: every deepening probe (and
-        // every frontier worker) shares it.
+        // One store for the whole request: every deepening probe shares it.
         let store = request.build_store(problem.universe());
-        drive_exact(self.name, start, problem, request, |budget, lim| {
+        drive_exact("bitset", start, problem, request, |budget, lim| {
             bnb::budget_search(
                 problem.universe(),
                 problem.spec(),
@@ -1152,7 +1076,6 @@ impl Engine for BitsetEngine {
                 lim,
                 request.symmetry(),
                 store.as_deref(),
-                par,
             )
         })
     }
@@ -1160,9 +1083,8 @@ impl Engine for BitsetEngine {
 
 /// The multiplicity-counter reference search (`"legacy"`): the faithful
 /// pre-bitset path, kept for differential testing and before/after
-/// benchmarking. Always sequential, and always [`SymmetryMode::Off`] —
-/// this engine *is* the measured baseline the symmetry machinery is
-/// compared against.
+/// benchmarking. Always [`SymmetryMode::Off`] — this engine *is* the
+/// measured baseline the symmetry machinery is compared against.
 pub struct LegacyEngine;
 
 impl Engine for LegacyEngine {
@@ -1259,7 +1181,6 @@ impl Engine for PartitionEngine {
                 lim,
                 request.symmetry(),
                 store.as_deref(),
-                None,
             )
         })
     }
@@ -1650,50 +1571,48 @@ mod tests {
         );
     }
 
+    /// A pre-cancelled token and an already-expired deadline each stop
+    /// the search within 8,192 nodes on every route: the unit core, the
+    /// lane core, the partition kernel, and the recursive multiplicity
+    /// kernel behind both `bitset` and `legacy`. Every instance needs far
+    /// more nodes than that to finish.
     #[test]
-    fn cancel_token_stops_sequential_and_parallel() {
-        // A pre-cancelled token must stop the n = 8 budget-8 proof almost
-        // immediately (it needs ~100k nodes when allowed to finish).
-        for policy in [ExecPolicy::Sequential, ExecPolicy::parallel()] {
-            let problem = Problem::complete(8);
+    fn cancel_and_deadline_stop_every_route() {
+        let unit = Problem::complete(8);
+        // Budget 26 on the double cover of K_10 leaves waste slack n, so
+        // the probe stays on the lane core.
+        let lanes = Problem::lambda_fold(10, 2);
+        let partition = Problem::lambda_fold(8, 2);
+        let recursive = Problem::lambda_fold(6, 4);
+        let unit_off = SolveRequest::within_budget(8).with_symmetry(SymmetryMode::Off);
+        let cases = [
+            ("bitset", &unit, unit_off, 0),
+            ("bitset", &lanes, SolveRequest::within_budget(26), 0),
+            ("partition", &partition, SolveRequest::find_optimal(), 1),
+            ("bitset", &recursive, SolveRequest::find_optimal(), 0),
+            ("legacy", &recursive, SolveRequest::find_optimal(), 0),
+        ];
+        for (engine, problem, request, partition_probes) in cases {
             let token = CancelToken::new();
             token.cancel();
-            let sol = engine_by_name("bitset").unwrap().solve(
-                &problem,
-                &SolveRequest::within_budget(8)
-                    .with_symmetry(SymmetryMode::Off)
-                    .with_cancel_token(token)
-                    .with_policy(policy),
-            );
-            assert_eq!(
-                *sol.optimality(),
-                Optimality::BudgetExhausted {
-                    reason: Exhaustion::Cancelled
-                },
-                "policy {policy:?}"
-            );
-            assert!(sol.stats().nodes <= 8192, "stopped late: {:?}", sol.stats());
-        }
-    }
-
-    #[test]
-    fn deadline_stops_parallel_workers() {
-        // The satellite fix: an already-expired deadline must stop the
-        // frontier workers (pre-PR they honored only node budgets).
-        let problem = Problem::complete(8);
-        let sol = engine_by_name("bitset-parallel").unwrap().solve(
-            &problem,
-            &SolveRequest::within_budget(8)
-                .with_symmetry(SymmetryMode::Off)
-                .with_deadline(Duration::ZERO),
-        );
-        assert_eq!(
-            *sol.optimality(),
-            Optimality::BudgetExhausted {
-                reason: Exhaustion::Deadline
+            for (request, reason) in [
+                (
+                    request.clone().with_cancel_token(token),
+                    Exhaustion::Cancelled,
+                ),
+                (request.with_deadline(Duration::ZERO), Exhaustion::Deadline),
+            ] {
+                let sol = engine_by_name(engine).unwrap().solve(problem, &request);
+                let ctx = format!("{engine}, n = {}: {:?}", problem.ring().n(), sol.stats());
+                assert_eq!(
+                    *sol.optimality(),
+                    Optimality::BudgetExhausted { reason },
+                    "{ctx}"
+                );
+                assert!(sol.stats().nodes <= 8192, "stopped late: {ctx}");
+                assert_eq!(sol.stats().partition_probes, partition_probes, "{ctx}");
             }
-        );
-        assert!(sol.stats().nodes <= 8192, "stopped late: {:?}", sol.stats());
+        }
     }
 
     #[test]

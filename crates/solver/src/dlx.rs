@@ -39,16 +39,15 @@
 //!     larger and it survives the filter whenever the dominated tile
 //!     does), pointwise dihedral orbit reduction, the capacity,
 //!     diameter, vertex-degree and parity/T-join bounds, the in-kernel
-//!     limit checks, the search-core drivers (sequential and
-//!     frontier-parallel), and the refutation memo — keyed by the packed
-//!     residual lanes under a **waste-slack** `rem` (lane width tag 3 in
-//!     `crate::memo`): "no completion of this residual state wastes ≤
-//!     `rem`". Since a `k`-tile completion of a state `R` wastes exactly
-//!     `k·n − Σ residual-dist(R)`, the statement is budget-free and
-//!     monotone in `rem`, so the store's dominated/record rules apply
-//!     unchanged.
+//!     limit checks, the sequential probe, and the refutation memo —
+//!     keyed by the packed residual lanes under a **waste-slack** `rem`
+//!     (lane width tag 3 in `crate::memo`): "no completion of this
+//!     residual state wastes ≤ `rem`". Since a `k`-tile completion of
+//!     a state `R` wastes exactly `k·n − Σ residual-dist(R)`, the
+//!     statement is budget-free and monotone in `rem`, so the store's
+//!     dominated/record rules apply unchanged.
 
-use crate::bnb::{CoverSpec, Stats, SymmetryMode};
+use crate::bnb::{CoverSpec, SymmetryMode};
 use crate::memo::{MemoStore, KEY_WORDS};
 use crate::search_core::{
     run_frames, FrameCore, Governor, LaneResidual, LaneTables, MemoEntry, Probe, SearchCore, Stack,
@@ -359,6 +358,20 @@ impl<'a> PartitionCore<'a> {
 }
 
 impl SearchCore for PartitionCore<'_> {
+    fn run(&mut self) -> bool {
+        run_frames(self)
+    }
+
+    fn finish(self, found: bool) -> Probe {
+        self.s.finish(found)
+    }
+}
+
+impl<'a> FrameCore<'a> for PartitionCore<'a> {
+    fn stack(&mut self) -> &mut Stack<'a> {
+        &mut self.s
+    }
+
     fn satisfied(&self) -> bool {
         self.r.d.live.is_empty()
     }
@@ -380,29 +393,6 @@ impl SearchCore for PartitionCore<'_> {
     /// waste_used > slack − (future minimum waste)`.
     fn refuted(&mut self) -> bool {
         self.s.refutes(&mut self.r.d)
-    }
-
-    fn children(&mut self) -> Vec<u32> {
-        self.stage(None);
-        self.s.children()
-    }
-
-    fn run(&mut self) -> bool {
-        run_frames(self)
-    }
-
-    fn stats(&mut self) -> &mut Stats {
-        &mut self.s.stats
-    }
-
-    fn finish(self, found: bool) -> Probe {
-        self.s.finish(found)
-    }
-}
-
-impl<'a> FrameCore<'a> for PartitionCore<'a> {
-    fn stack(&mut self) -> &mut Stack<'a> {
-        &mut self.s
     }
 
     fn memo_state(&self) -> ([u64; KEY_WORDS], u64, bool) {
@@ -527,7 +517,7 @@ mod tests {
 
     // ---- the slack-budgeted partition kernel ----
 
-    use crate::bnb::Outcome;
+    use crate::bnb::{Outcome, Stats};
     use cyclecover_ring::Ring;
 
     fn universe(n: u32) -> TileUniverse {

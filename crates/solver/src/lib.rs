@@ -14,14 +14,14 @@
 //!   [`TileUniverse`];
 //! * [`api::SolveRequest`] — objective (`FindOptimal` /
 //!   `WithinBudget(k)` / `ProveInfeasible(k)`), resource limits (node
-//!   budget, wall-clock deadline, shareable [`api::CancelToken`]), and an
-//!   execution policy (sequential / frontier-parallel / auto);
+//!   budget, wall-clock deadline, shareable [`api::CancelToken`]), and a
+//!   symmetry reduction level;
 //! * [`api::Solution`] — the covering plus an [`api::Optimality`]
 //!   certificate stating exactly what was proved, with unified stats;
 //! * [`api::Engine`] — the trait every solver implements, with a
 //!   name-keyed registry ([`api::engines`] / [`api::engine_by_name`]):
-//!   `bitset`, `bitset-parallel`, `legacy`, `dlx`, `partition`,
-//!   `greedy`, `greedy-improve`, `anneal`.
+//!   `bitset`, `legacy`, `dlx`, `partition`, `greedy`,
+//!   `greedy-improve`, `anneal`.
 //!
 //! ```
 //! use cyclecover_solver::api::{engine_by_name, Optimality, Problem, SolveRequest};
@@ -65,9 +65,9 @@
 //!   the residual-state dominance memo — Zobrist-keyed, byte-budgeted via
 //!   [`bnb::MemoConfig`], with canonical dihedral state keying under
 //!   `SymmetryMode::Full`), demands ≤ 3 the packed-lane core, and
-//!   demands above 3 the recursive multiplicity kernel, sequentially or
-//!   on one frontier-parallel driver; the recursive bitset path survives
-//!   as the differential reference ([`bnb::budget_search_reference`]);
+//!   demands above 3 the recursive multiplicity kernel, each probe one
+//!   sequential search; the recursive bitset path survives as the
+//!   differential reference ([`bnb::budget_search_reference`]);
 //! * [`dlx`] — the slack-budgeted exact-cover kernel behind the
 //!   `partition` and `dlx` engines (MRV chord selection, exact-waste
 //!   candidate filtering against the budget's slack

@@ -1,6 +1,7 @@
 //! The shared refutation store: a concurrent transposition table over
 //! the exact search's uncovered [`ChordSet`]s, reused across budget
-//! probes, parallel workers, and (via the service layer) whole requests.
+//! probes and (via the service layer) whole requests, which the
+//! service's workers may search at once.
 //!
 //! Distinct search prefixes frequently reach the *same* residual state —
 //! two tiles placed in either order, or different tile pairs covering the
@@ -22,19 +23,17 @@
 //! used`), but `used` is only meaningful relative to the probe's budget,
 //! so the table had to be rebuilt for every probe. `rem` makes each
 //! entry a budget-free statement about the state itself, which is what
-//! lets one store serve three concentric sharing rings:
+//! lets one store serve two concentric sharing rings:
 //!
 //! 1. **Cross-budget**: a `FindOptimal` deepening sweep threads one
 //!    store through its probes; a refutation recorded at budget `k`
 //!    ("no covering within `rem` tiles") prunes identically at `k ± 1`
 //!    wherever the new probe's slack is `≤ rem`.
-//! 2. **Cross-worker**: the parallel frontier's workers share one
-//!    store; a subtree one worker exhausts prunes its mirror images in
-//!    every other worker's prefix.
-//! 3. **Cross-request**: the service keys stores by tile universe and
+//! 2. **Cross-request**: the service keys stores by tile universe and
 //!    threads them through a batch's coalesced traffic — entries carry
 //!    no spec state (unit demands mean the uncovered set *is* the
-//!    subproblem), so any same-universe request may reuse them.
+//!    subproblem), so any same-universe request may reuse them, also
+//!    while another worker searches against the same store.
 //!
 //! Soundness: an entry `(state, rem)` is written only after the search
 //! exhaustively explored the node (under the sound dominance, bound,
@@ -42,7 +41,7 @@
 //! tiles. The statement quantifies over tile subsets of the universe
 //! only — not the spec, the budget, or the symmetry mode of the search
 //! that recorded it — so a later visit with slack `≤ rem` may prune
-//! regardless of which probe, worker, or request wrote the entry.
+//! regardless of which probe or request wrote the entry.
 //! Aborted subtrees (node/deadline/cancel limits) record nothing.
 //! Entries are never shared across *universes*: the store carries a
 //! fingerprint of the universe it was built for and attachment is
@@ -105,15 +104,15 @@
 //! Lock traffic is one uncontended `Mutex` acquisition per probe or
 //! record. Acquisitions first `try_lock` and only fall back to a
 //! blocking lock — counted in [`MemoStore::contention`] — when another
-//! worker holds the shard, so the single-threaded search pays one
-//! atomic compare-exchange per table access and the contention counter
-//! is deterministically zero.
+//! worker's search holds the shard, so a search alone on its store pays
+//! one atomic compare-exchange per table access and the contention
+//! counter is deterministically zero.
 //!
 //! Every searcher that attaches to the store draws a *generation* tag;
 //! entries remember the generation that recorded (or last strengthened)
 //! them, so a searcher can tell hits on its own work from hits on
-//! another probe's, worker's, or request's — the `shared_hits`
-//! statistic CI gates on.
+//! another probe's or request's — the `shared_hits` statistic CI gates
+//! on.
 
 use crate::TileUniverse;
 use rand::prelude::*;
@@ -264,7 +263,7 @@ thread_local! {
 }
 
 /// The shared refutation store. See the module docs for the pruning
-/// rule, its soundness, and the three sharing rings.
+/// rule, its soundness, and the two sharing rings.
 pub struct MemoStore {
     shards: Vec<Mutex<Shard>>,
     /// Zobrist keys per (priority chord, multiplicity level): the first
@@ -353,8 +352,8 @@ impl MemoStore {
             && self.num_tiles == u.len() as u32
     }
 
-    /// Registers a searcher (one budget probe, parallel worker, or
-    /// request) and returns its generation tag. Hits on entries with a
+    /// Registers a searcher (one budget probe) and returns its
+    /// generation tag. Hits on entries with a
     /// different tag are cross-searcher reuse (`shared_hits`).
     pub(crate) fn attach(&self) -> u32 {
         self.next_gen.fetch_add(1, Ordering::Relaxed)

@@ -1,4 +1,4 @@
-//! The search contract, its two drivers, and the frame-based cores.
+//! The search contract and the frame-based cores.
 //!
 //! Every exact budget probe — cover the spec with at most `budget`
 //! tiles, or prove that no such covering exists — runs on one of four
@@ -6,11 +6,9 @@
 //! [`IterCore`] for unit demands, [`LaneCore`] for demands ≤ 3,
 //! `crate::dlx::PartitionCore` for demands ≤ 3 whose waste slack is
 //! below `n`, and the recursive `bnb::SearchCtx<MultiKernel>` beyond.
-//! All four implement [`SearchCore`], and one driver ([`drive`]) runs any
-//! of them: sequentially ([`SearchCore::probe`]), or by expanding a
-//! breadth-first frontier of prefixes and draining it on a rayon scope.
-//! The drivers are generic over the context, so every instantiation is
-//! monomorphized and no per-node path goes through `dyn`.
+//! All four implement [`SearchCore`], and a probe is one sequential
+//! search ([`SearchCore::probe`]). Each probe's node counts are the same
+//! on every run, which is what the CI node-count gates pin.
 //!
 //! The three frame-based cores share the per-node machinery, so each
 //! piece of it exists once:
@@ -65,9 +63,7 @@ use crate::lower_bound::{diameter_slack_bound, parity_join_bound_from_odd};
 use crate::memo::{MemoStore, KEY_WORDS};
 use crate::tiles::DihedralTables;
 use crate::TileUniverse;
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
 /// One budget probe's answer: the outcome, its statistics, and why an
@@ -78,42 +74,19 @@ pub(crate) type Probe = (Outcome, Stats, Option<Exhaustion>);
 pub(crate) type MemoEntry = (u64, [u64; KEY_WORDS], u32);
 
 // ---------------------------------------------------------------------------
-// The search contract and its drivers
+// The search contract and its limits
 // ---------------------------------------------------------------------------
 
-/// What the drivers need from a search context.
+/// What a budget probe needs from a search context.
 pub(crate) trait SearchCore {
-    /// Whether the placed prefix meets every demand.
-    fn satisfied(&self) -> bool;
-
-    /// Places tile `t` on top of the prefix.
-    fn place(&mut self, t: u32);
-
-    /// Reverts the most recent placement.
-    fn unplace(&mut self);
-
-    /// Whether the prefix bounds (the cheap capacity/diameter/degree
-    /// trio, then the strong bound when symmetry is on) refute every
-    /// completion within the budget. Mutable so the strong bound can
-    /// keep its diameter witnesses up to date.
-    fn refuted(&mut self) -> bool;
-
-    /// The current node's branch candidates after every filter, in
-    /// search order: the children a frontier expansion enqueues.
-    fn children(&mut self) -> Vec<u32>;
-
-    /// Searches from the current prefix, never retreating past it.
-    /// `true` = a covering extending the prefix is now placed.
+    /// Searches from the root; `true` = a covering is now placed.
     fn run(&mut self) -> bool;
 
-    /// The running statistics.
-    fn stats(&mut self) -> &mut Stats;
-
-    /// Settles the search: flushes a frontier worker's node count and
-    /// reads the verdict (`found` is what [`SearchCore::run`] returned).
+    /// Settles the search and reads the verdict (`found` is what
+    /// [`SearchCore::run`] returned).
     fn finish(self, found: bool) -> Probe;
 
-    /// One sequential search from the current prefix.
+    /// One sequential search: the budget probe.
     fn probe(mut self) -> Probe
     where
         Self: Sized,
@@ -123,59 +96,22 @@ pub(crate) trait SearchCore {
     }
 }
 
-/// What the workers of one frontier-parallel probe share: the early-exit
-/// flag a worker raises on finding a covering, and the probe-wide node
-/// counter the node budget is enforced on.
-#[derive(Default)]
-pub(crate) struct Frontier {
-    pub(crate) found: AtomicBool,
-    pub(crate) nodes: AtomicU64,
-}
-
 /// One searcher's side of its [`RunLimits`]: the node budget checked at
-/// every node, a frontier worker's early-exit flag and shared node
-/// counter every 1024 nodes, and cancellation and the deadline every
-/// 4096 nodes.
+/// every node, and cancellation and the deadline every 4096 nodes.
 pub(crate) struct Governor<'a> {
-    pub(crate) max_nodes: u64,
-    pub(crate) deadline: Option<Instant>,
-    pub(crate) cancel: Option<&'a AtomicBool>,
-    /// A frontier worker's shared state and the probe-wide node cap.
-    pub(crate) frontier: Option<(&'a Frontier, u64)>,
-    /// Local nodes already flushed into the frontier counter.
-    synced: u64,
-    /// Whether a limit stopped the search early.
-    hit_limit: bool,
-    /// Which one (`None` with `hit_limit`: another worker found a covering).
+    max_nodes: u64,
+    deadline: Option<Instant>,
+    cancel: Option<&'a AtomicBool>,
+    /// Which limit stopped the search, once one has.
     stop_cause: Option<Exhaustion>,
 }
 
 impl<'a> Governor<'a> {
-    /// A sequential searcher's limits.
     pub(crate) fn new(lim: &'a RunLimits) -> Self {
-        Governor::with(lim, None)
-    }
-
-    /// A frontier worker's limits. The per-worker cap is lifted in favour
-    /// of the shared counter, which every worker syncs each 1024 nodes,
-    /// so total work overshoots the budget by at most `threads × 1024`
-    /// nodes; the deadline and cancellation flag are inherited.
-    fn worker(lim: &'a RunLimits, frontier: &'a Frontier) -> Self {
-        Governor::with(lim, Some(frontier))
-    }
-
-    fn with(lim: &'a RunLimits, frontier: Option<&'a Frontier>) -> Self {
         Governor {
-            max_nodes: if frontier.is_some() {
-                u64::MAX
-            } else {
-                lim.max_nodes
-            },
+            max_nodes: lim.max_nodes,
             deadline: lim.deadline,
             cancel: lim.cancel.as_ref().map(|c| c.flag()),
-            frontier: frontier.map(|f| (f, lim.max_nodes)),
-            synced: 0,
-            hit_limit: false,
             stop_cause: None,
         }
     }
@@ -183,190 +119,39 @@ impl<'a> Governor<'a> {
     /// Checks the node numbered `nodes` against the limits; `true` = stop
     /// the search.
     #[inline]
-    fn exhausted(&mut self, nodes: u64) -> bool {
+    pub(crate) fn exhausted(&mut self, nodes: u64) -> bool {
         let cause = if nodes > self.max_nodes {
-            Some(Exhaustion::NodeBudget)
-        } else if !nodes.is_multiple_of(1024) {
-            return false;
-        } else if self
-            .frontier
-            .is_some_and(|(f, _)| f.found.load(Ordering::Relaxed))
-        {
-            None
-        } else if self.sync(nodes) {
-            Some(Exhaustion::NodeBudget)
+            Exhaustion::NodeBudget
         } else if !nodes.is_multiple_of(4096) {
             return false;
         } else if self.cancel.is_some_and(|c| c.load(Ordering::Relaxed)) {
-            Some(Exhaustion::Cancelled)
+            Exhaustion::Cancelled
         } else if self.deadline.is_some_and(|d| Instant::now() >= d) {
-            Some(Exhaustion::Deadline)
+            Exhaustion::Deadline
         } else {
             return false;
         };
-        self.hit_limit = true;
-        self.stop_cause = cause;
+        self.stop_cause = Some(cause);
         true
     }
 
-    /// Flushes the unsynced node count into the frontier counter; `true`
-    /// once the probe-wide budget is spent.
-    fn sync(&mut self, nodes: u64) -> bool {
-        let Some((frontier, cap)) = self.frontier else {
-            return false;
-        };
-        let delta = nodes - self.synced;
-        self.synced = nodes;
-        frontier.nodes.fetch_add(delta, Ordering::Relaxed) + delta > cap
-    }
-}
-
-/// Ranks stop causes when frontier workers disagree: an explicit
-/// cancellation or deadline is more informative than "ran out of nodes".
-fn rank(cause: Exhaustion) -> u8 {
-    match cause {
-        Exhaustion::EngineLimit => 1,
-        Exhaustion::NodeBudget => 2,
-        Exhaustion::Deadline => 3,
-        Exhaustion::Cancelled => 4,
-        Exhaustion::Shutdown => 5,
-    }
-}
-
-/// How a probe spends its CPU: `None` = one sequential search;
-/// `Some((threads, prefixes_per_thread))` = the frontier driver
-/// (`threads = 0` uses the available parallelism).
-pub(crate) type Parallelism = Option<(usize, usize)>;
-
-/// Runs one probe on the context `make` builds from a [`Governor`]:
-/// sequentially, or on the frontier driver. The frontier driver expands
-/// the tree breadth-first into several independent prefixes per thread
-/// (counting each expanded prefix as a node, as the sequential search
-/// would), then drains them on a work-sharing rayon scope: a worker that
-/// exhausts its subtree pulls the next pending prefix, every worker
-/// watches the shared early-exit flag and node budget, and workers of a
-/// memo-backed core share `store`, so refutations one records prune the
-/// others (visible as `shared_hits`).
-pub(crate) fn drive<'s, C: SearchCore>(
-    frontier: &'s Frontier,
-    lim: &'s RunLimits,
-    par: Parallelism,
-    store: Option<&MemoStore>,
-    make: impl Fn(Governor<'s>) -> C + Sync,
-) -> Probe {
-    let Some((threads, prefix_per_thread)) = par else {
-        return make(Governor::new(lim)).probe();
-    };
-    // `num_threads(0)` = available parallelism, as in rayon.
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(threads)
-        .build()
-        .expect("thread pool");
-    let mut root = make(Governor::new(lim));
-    if root.satisfied() {
-        return root.finish(true);
-    }
-    if root.refuted() {
-        // Count the root node, as the sequential search does.
-        let stats = Stats {
-            nodes: 1,
-            pruned: 1,
-            sym_factor: 1,
-            ..Stats::default()
-        };
-        return (Outcome::Infeasible, stats, None);
+    /// Whether a limit stopped the search.
+    pub(crate) fn stopped(&self) -> bool {
+        self.stop_cause.is_some()
     }
 
-    // Keep splitting the shallowest prefix until there are enough
-    // independent tasks to keep every thread busy through subtree-size
-    // imbalance.
-    let target = pool.current_num_threads() * prefix_per_thread.max(1);
-    let mut prefixes = VecDeque::from([Vec::new()]);
-    while prefixes.len() < target {
-        let Some(prefix) = prefixes.pop_front() else {
-            break;
-        };
-        if let Some(cause) = lim.stop_requested() {
-            return (Outcome::NodeLimit, root.finish(false).1, Some(cause));
-        }
-        for &t in &prefix {
-            root.place(t);
-        }
-        if root.satisfied() {
-            return root.finish(true);
-        }
-        root.stats().nodes += 1;
-        if root.stats().nodes > lim.max_nodes {
-            let stats = root.finish(false).1;
-            return (Outcome::NodeLimit, stats, Some(Exhaustion::NodeBudget));
-        }
-        if root.refuted() {
-            // The prefix dies here; nothing gets enqueued.
-            root.stats().pruned += 1;
+    /// The probe's answer: the placed `chosen` tiles when the search
+    /// `found` a covering, else inconclusive if a limit stopped it, else
+    /// exhaustive.
+    pub(crate) fn settle(&self, found: bool, chosen: Vec<u32>, stats: Stats) -> Probe {
+        let outcome = if found {
+            Outcome::Feasible(chosen)
+        } else if self.stopped() {
+            Outcome::NodeLimit
         } else {
-            for t in root.children() {
-                let mut child = prefix.clone();
-                child.push(t);
-                prefixes.push_back(child);
-            }
-        }
-        for _ in &prefix {
-            root.unplace();
-        }
-    }
-    let (_, expanded, _) = root.finish(false);
-    if prefixes.is_empty() {
-        // Every prefix was pruned or expanded away: exhaustive.
-        return (Outcome::Infeasible, expanded, None);
-    }
-
-    frontier.nodes.store(expanded.nodes, Ordering::Relaxed);
-    // The merged statistics, a covering if any worker found one, and the
-    // highest-ranked reason a worker stopped early.
-    let merged = Mutex::new((expanded, None::<Vec<u32>>, None::<Exhaustion>));
-    pool.scope(|scope| {
-        for prefix in &prefixes {
-            let (make, merged) = (&make, &merged);
-            scope.spawn(move |_| {
-                if frontier.found.load(Ordering::Relaxed) {
-                    return;
-                }
-                let (outcome, stats, cause) =
-                    if frontier.nodes.load(Ordering::Relaxed) >= lim.max_nodes {
-                        let none = Stats::default();
-                        (Outcome::NodeLimit, none, Some(Exhaustion::NodeBudget))
-                    } else {
-                        let mut core = make(Governor::worker(lim, frontier));
-                        for &t in prefix {
-                            core.place(t);
-                        }
-                        core.probe()
-                    };
-                let mut m = merged.lock().expect("poison-free");
-                m.0.absorb(stats);
-                match outcome {
-                    Outcome::Feasible(tiles) => {
-                        frontier.found.store(true, Ordering::Relaxed);
-                        m.1 = Some(tiles);
-                    }
-                    Outcome::NodeLimit if !frontier.found.load(Ordering::Relaxed) => {
-                        let cause = cause.unwrap_or(Exhaustion::NodeBudget);
-                        m.2 = m.2.into_iter().chain([cause]).max_by_key(|&c| rank(c));
-                    }
-                    _ => {}
-                }
-            });
-        }
-    });
-
-    let (mut stats, solution, stopped) = merged.into_inner().expect("poison-free");
-    stats.nodes = frontier.nodes.load(Ordering::Relaxed);
-    // One store serves every worker: report its population.
-    stats.memo_entries = store.map_or(0, |s| s.len());
-    match (solution, stopped) {
-        (Some(tiles), _) => (Outcome::Feasible(tiles), stats, None),
-        (None, Some(cause)) => (Outcome::NodeLimit, stats, Some(cause)),
-        (None, None) => (Outcome::Infeasible, stats, None),
+            Outcome::Infeasible
+        };
+        (outcome, stats, self.stop_cause)
     }
 }
 
@@ -716,7 +501,7 @@ pub(crate) struct Stack<'a> {
     /// Staging scratch, one word per 64 chords: the live set without the
     /// branch chord.
     rest: Vec<u64>,
-    pub(crate) stats: Stats,
+    stats: Stats,
     gov: Governor<'a>,
     /// Whether the strong prefix bound is consulted (the requested
     /// symmetry was not `Off`, whatever the tables allow).
@@ -842,8 +627,6 @@ impl<'a> Stack<'a> {
     ) {
         debug_assert!(live.contains(branch), "the branch chord is live");
         let depth = self.depth();
-        // Frontier workers enter at their prefix depth, so the arena may
-        // need to leap several levels at once.
         if self.frames.len() <= depth {
             self.frames.resize_with(depth + 1, Frame::default);
         }
@@ -920,24 +703,12 @@ impl<'a> Stack<'a> {
         };
     }
 
-    /// The staged children of the current node.
-    pub(crate) fn children(&self) -> Vec<u32> {
-        self.frames[self.depth()].cands.clone()
-    }
-
     /// Settles the search (see [`SearchCore::finish`]), stamping the
     /// store's resident entry count — a shared store reports its total
     /// population, not this searcher's contribution.
     pub(crate) fn finish(mut self, found: bool) -> Probe {
-        self.gov.sync(self.stats.nodes);
         self.stats.memo_entries = self.store.map_or(0, |s| s.len());
-        if found {
-            (Outcome::Feasible(self.chosen), self.stats, None)
-        } else if self.gov.hit_limit {
-            (Outcome::NodeLimit, self.stats, self.gov.stop_cause)
-        } else {
-            (Outcome::Infeasible, self.stats, None)
-        }
+        self.gov.settle(found, self.chosen, self.stats)
     }
 }
 
@@ -945,6 +716,21 @@ impl<'a> Stack<'a> {
 pub(crate) trait FrameCore<'a>: SearchCore {
     /// The state shared with the other frame-based cores.
     fn stack(&mut self) -> &mut Stack<'a>;
+
+    /// Whether the placed prefix meets every demand.
+    fn satisfied(&self) -> bool;
+
+    /// Places tile `t` on top of the prefix.
+    fn place(&mut self, t: u32);
+
+    /// Reverts the most recent placement.
+    fn unplace(&mut self);
+
+    /// Whether the prefix bounds (the cheap capacity/diameter/degree
+    /// trio, then the strong bound when symmetry is on) refute every
+    /// completion within the budget. Mutable so the strong bound can
+    /// keep its diameter witnesses up to date.
+    fn refuted(&mut self) -> bool;
 
     /// The current residual state's memo key and hash, and whether the
     /// key is the raw state (not a canonical image). Called with a store.
@@ -1017,15 +803,12 @@ fn skip<'a, C: FrameCore<'a>>(c: &mut C, t: u32) -> bool {
     }
 }
 
-/// Drives a frame-based core to a conclusion from the current placement
-/// depth (the root for a sequential probe, the assigned prefix for a
-/// frontier worker, whose siblings belong to other workers). `true` =
-/// covering found; `false` = subtree exhausted or a limit hit.
+/// Drives a frame-based core from the root to a conclusion. `true` =
+/// covering found; `false` = tree exhausted or a limit hit.
 pub(crate) fn run_frames<'a, C: FrameCore<'a>>(c: &mut C) -> bool {
-    let base = c.stack().depth();
     let mut entering = true;
-    // Only the subtree root needs the node-entry store probe: deeper
-    // nodes were already probed as candidate children.
+    // Only the root needs the node-entry store probe: deeper nodes were
+    // already probed as candidate children.
     let mut check_memo = true;
     loop {
         if entering {
@@ -1033,7 +816,7 @@ pub(crate) fn run_frames<'a, C: FrameCore<'a>>(c: &mut C) -> bool {
                 Enter::Solved => return true,
                 Enter::Abort => return false,
                 Enter::Dead => {
-                    if c.stack().depth() == base {
+                    if c.stack().depth() == 0 {
                         return false;
                     }
                     c.unplace();
@@ -1058,7 +841,7 @@ pub(crate) fn run_frames<'a, C: FrameCore<'a>>(c: &mut C) -> bool {
                 let store = s.store.expect("a memo entry implies a store");
                 store.record(hash, key, s.width, rem, s.gen);
             }
-            if depth == base {
+            if depth == 0 {
                 return false;
             }
             c.unplace();
@@ -1151,6 +934,20 @@ impl<'a> IterCore<'a> {
 }
 
 impl SearchCore for IterCore<'_> {
+    fn run(&mut self) -> bool {
+        run_frames(self)
+    }
+
+    fn finish(self, found: bool) -> Probe {
+        self.s.finish(found)
+    }
+}
+
+impl<'a> FrameCore<'a> for IterCore<'a> {
+    fn stack(&mut self) -> &mut Stack<'a> {
+        &mut self.s
+    }
+
     fn satisfied(&self) -> bool {
         self.d.live.is_empty()
     }
@@ -1197,29 +994,6 @@ impl SearchCore for IterCore<'_> {
 
     fn refuted(&mut self) -> bool {
         self.s.refutes(&mut self.d)
-    }
-
-    fn children(&mut self) -> Vec<u32> {
-        self.stage(None);
-        self.s.children()
-    }
-
-    fn run(&mut self) -> bool {
-        run_frames(self)
-    }
-
-    fn stats(&mut self) -> &mut Stats {
-        &mut self.s.stats
-    }
-
-    fn finish(self, found: bool) -> Probe {
-        self.s.finish(found)
-    }
-}
-
-impl<'a> FrameCore<'a> for IterCore<'a> {
-    fn stack(&mut self) -> &mut Stack<'a> {
-        &mut self.s
     }
 
     /// The raw uncovered words, or (canonical mode) the lexicographically
@@ -1299,9 +1073,8 @@ impl<'a> FrameCore<'a> for IterCore<'a> {
 
 /// Per-tile lane-space masks: each tile's chord set re-expressed with one
 /// [`LANE_LOW`] bit per chord in the 2-bit-lane layout of [`LaneSet`],
-/// plus the lane-word span the mask occupies. Built once per probe and
-/// shared by every frontier worker, so a λ-fold placement is a handful of
-/// masked word subtracts.
+/// plus the lane-word span the mask occupies. Built once per probe, so a
+/// λ-fold placement is a handful of masked word subtracts.
 pub(crate) struct LaneTables {
     lane_words: usize,
     /// `masks[t * lane_words .. (t + 1) * lane_words]` = tile `t`'s mask.
@@ -1535,6 +1308,20 @@ impl<'a> LaneCore<'a> {
 }
 
 impl SearchCore for LaneCore<'_> {
+    fn run(&mut self) -> bool {
+        run_frames(self)
+    }
+
+    fn finish(self, found: bool) -> Probe {
+        self.s.finish(found)
+    }
+}
+
+impl<'a> FrameCore<'a> for LaneCore<'a> {
+    fn stack(&mut self) -> &mut Stack<'a> {
+        &mut self.s
+    }
+
     fn satisfied(&self) -> bool {
         self.r.d.live.is_empty()
     }
@@ -1551,29 +1338,6 @@ impl SearchCore for LaneCore<'_> {
 
     fn refuted(&mut self) -> bool {
         self.s.refutes(&mut self.r.d)
-    }
-
-    fn children(&mut self) -> Vec<u32> {
-        self.stage(None);
-        self.s.children()
-    }
-
-    fn run(&mut self) -> bool {
-        run_frames(self)
-    }
-
-    fn stats(&mut self) -> &mut Stats {
-        &mut self.s.stats
-    }
-
-    fn finish(self, found: bool) -> Probe {
-        self.s.finish(found)
-    }
-}
-
-impl<'a> FrameCore<'a> for LaneCore<'a> {
-    fn stack(&mut self) -> &mut Stack<'a> {
-        &mut self.s
     }
 
     fn memo_state(&self) -> ([u64; KEY_WORDS], u64, bool) {
@@ -1708,7 +1472,7 @@ mod tests {
                     .orbits
                     .filter(depth, branch, None, &mut expected, &mut plain.stats);
                 let ctx = format!("n = {n}, round {round}");
-                assert_eq!(fast.children(), expected, "{ctx}");
+                assert_eq!(fast.frames[fast.depth()].cands, expected, "{ctx}");
                 assert_eq!(fast.stats.pruned, pruned, "{ctx}");
                 assert_eq!(fast.stats.dominated, dominated, "{ctx}");
                 assert_eq!(fast.stats.sym_pruned, plain.stats.sym_pruned, "{ctx}");

@@ -7,7 +7,7 @@
 use cyclecover_graph::{Edge, EdgeMultiset};
 use cyclecover_ring::{symmetry as ring_symmetry, Ring};
 use cyclecover_solver::api::{
-    engine_by_name, engines, CancelToken, ExecPolicy, Objective, Optimality, Problem, SolveRequest,
+    engine_by_name, engines, CancelToken, Objective, Optimality, Problem, SolveRequest,
     SymmetryMode,
 };
 use cyclecover_solver::bnb::CoverSpec;
@@ -17,7 +17,7 @@ use proptest::prelude::*;
 use std::time::Duration;
 
 const NS: std::ops::RangeInclusive<u32> = 4..=8;
-const EXACT: [&str; 5] = ["bitset", "bitset-parallel", "legacy", "dlx", "partition"];
+const EXACT: [&str; 4] = ["bitset", "legacy", "dlx", "partition"];
 
 /// The multiset of edges `tiles` covers.
 fn coverage_of(n: u32, tiles: &[cyclecover_ring::Tile]) -> EdgeMultiset {
@@ -79,7 +79,7 @@ fn all_engines_return_valid_coverings_and_exact_engines_agree() {
 }
 
 /// `ProveInfeasible(ρ(n) − 1)` verdicts match across the exact engines
-/// (bitset, bitset-parallel, legacy, and DLX where it applies): all must
+/// (bitset, legacy, partition, and DLX where it applies): all must
 /// return `Infeasible`, and at `ρ(n)` all must refute with a witness.
 #[test]
 fn infeasibility_verdicts_match_across_exact_engines() {
@@ -378,7 +378,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Request-builder round-trip: every combination of objective,
-    /// limits, and policy reads back exactly as it was written.
+    /// limits, and symmetry reads back exactly as it was written.
     #[test]
     fn request_builder_round_trips(
         kind in 0u8..3,
@@ -386,20 +386,12 @@ proptest! {
         max_nodes in 1u64..=u64::MAX,
         deadline_on in any::<bool>(),
         deadline_raw in 0u64..100_000,
-        threads in 0usize..16,
-        prefix_depth in 0u32..8,
-        policy_kind in 0u8..3,
         sym_kind in 0u8..3,
     ) {
         let objective = match kind {
             0 => Objective::FindOptimal,
             1 => Objective::WithinBudget(budget),
             _ => Objective::ProveInfeasible(budget),
-        };
-        let policy = match policy_kind {
-            0 => ExecPolicy::Sequential,
-            1 => ExecPolicy::Parallel { threads, prefix_depth },
-            _ => ExecPolicy::Auto,
         };
         let symmetry = match sym_kind {
             0 => SymmetryMode::Off,
@@ -413,7 +405,6 @@ proptest! {
         let mut request = SolveRequest::new(objective)
             .with_max_nodes(max_nodes)
             .with_cancel_token(token.clone())
-            .with_policy(policy)
             .with_symmetry(symmetry);
         if let Some(ms) = deadline_ms {
             request = request.with_deadline(Duration::from_millis(ms));
@@ -421,7 +412,6 @@ proptest! {
         prop_assert_eq!(request.objective(), objective);
         prop_assert_eq!(request.max_nodes(), max_nodes);
         prop_assert_eq!(request.deadline(), deadline_ms.map(Duration::from_millis));
-        prop_assert_eq!(request.policy(), policy);
         prop_assert_eq!(request.symmetry(), symmetry);
         // The token is shared, not copied: cancelling the caller's clone
         // must be visible through the request's handle.

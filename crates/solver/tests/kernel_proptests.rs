@@ -3,14 +3,11 @@
 //! the legacy multiplicity kernel (engine `legacy`) — same
 //! feasible/infeasible verdicts, same optimum — on every instance shape
 //! the solver supports (`n ≤ 9`, complete and random subset specs, full
-//! and restricted universes), and the frontier-parallel policy must agree
-//! with both at the decisive budgets.
+//! and restricted universes).
 
 use cyclecover_graph::{Edge, EdgeMultiset};
 use cyclecover_ring::{Ring, Tile};
-use cyclecover_solver::api::{
-    engine_by_name, ExecPolicy, Optimality, Problem, SolveRequest, SymmetryMode,
-};
+use cyclecover_solver::api::{engine_by_name, Optimality, Problem, SolveRequest, SymmetryMode};
 use cyclecover_solver::bnb::{budget_search_reference, CoverSpec, Outcome};
 use cyclecover_solver::TileUniverse;
 use proptest::prelude::*;
@@ -78,9 +75,8 @@ proptest! {
         assert_meets_spec(n, &slow_tiles, problem.spec());
     }
 
-    /// Random subset specs: same optimum on both kernels, the bitset
-    /// witness covers the demanded requests, and the parallel policy
-    /// agrees at the decisive budgets.
+    /// Random subset specs: same optimum on both kernels, and the bitset
+    /// witness covers the demanded requests.
     #[test]
     fn subset_spec_kernels_agree(
         n in 5u32..=9,
@@ -101,31 +97,6 @@ proptest! {
         let (slow_opt, _) = optimum_via("legacy", &problem);
         prop_assert_eq!(fast_opt, slow_opt, "n={} requests={:?}", n, requests);
         assert_meets_spec(n, &fast_tiles, problem.spec());
-        // And the parallel frontier policy agrees at the decisive budgets.
-        let parallel = ExecPolicy::Parallel { threads: 3, prefix_depth: 3 };
-        let engine = engine_by_name("bitset").unwrap();
-        let at = engine.solve(
-            &problem,
-            &SolveRequest::within_budget(fast_opt)
-                .with_max_nodes(MAX_NODES)
-                .with_policy(parallel),
-        );
-        prop_assert!(
-            matches!(at.optimality(), Optimality::Feasible),
-            "parallel at opt: {:?}", at.optimality()
-        );
-        if fast_opt > 0 {
-            let below = engine.solve(
-                &problem,
-                &SolveRequest::prove_infeasible(fast_opt - 1)
-                    .with_max_nodes(MAX_NODES)
-                    .with_policy(parallel),
-            );
-            prop_assert!(
-                matches!(below.optimality(), Optimality::Infeasible),
-                "parallel below opt: {:?}", below.optimality()
-            );
-        }
     }
 
     /// The iterative core (engine path, memo off) must agree with the

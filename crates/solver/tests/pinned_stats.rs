@@ -3,13 +3,13 @@
 //! memo hits and the store's population — follows from the exact child
 //! lists and bound verdicts at every node, so a change to how a node
 //! stages its children or evaluates its bounds that keeps the search
-//! tree the same keeps every row here ±0. One row per core the
-//! sequential route rule serves below λ = 4: the unit core, the
-//! partition kernel on a restricted universe and at λ = 2, and the lane
-//! core.
+//! tree the same keeps every row here ±0. Rows cover every core the
+//! route rule serves: the unit core (memo off, root symmetry, canonical
+//! keys), the partition kernel on a restricted universe and at λ = 2,
+//! the lane core, and the recursive multiplicity kernel at λ = 4.
 
 use cyclecover_ring::Ring;
-use cyclecover_solver::api::{engine_by_name, Problem, SolveRequest, SymmetryMode};
+use cyclecover_solver::api::{engine_by_name, Optimality, Problem, SolveRequest, SymmetryMode};
 use cyclecover_solver::bnb::CoverSpec;
 use cyclecover_solver::TileUniverse;
 
@@ -32,6 +32,53 @@ fn solve(engine: &str, problem: &Problem, request: SolveRequest) -> Row {
         s.memo_hits,
         s.memo_entries,
     )
+}
+
+#[test]
+fn n8_refutation_without_memo_or_symmetry() {
+    let row = solve(
+        "bitset",
+        &Problem::complete(8),
+        SolveRequest::within_budget(8)
+            .with_symmetry(SymmetryMode::Off)
+            .with_memo(false),
+    );
+    assert_eq!(row, (None, 97_465, 79_421, 223_780, 0, 0, 0, 0));
+}
+
+#[test]
+fn rho_10_under_root_symmetry() {
+    let row = solve(
+        "bitset",
+        &Problem::complete(10),
+        SolveRequest::find_optimal(),
+    );
+    assert_eq!(
+        row,
+        (Some(13), 230_819, 194_444, 1_170_923, 21, 0, 20_036, 34_102)
+    );
+}
+
+#[test]
+fn rho_10_with_canonical_keys() {
+    let row = solve(
+        "bitset",
+        &Problem::complete(10),
+        SolveRequest::find_optimal().with_symmetry(SymmetryMode::Full),
+    );
+    assert_eq!(
+        row,
+        (
+            Some(13),
+            223_812,
+            172_797,
+            1_019_288,
+            21,
+            18_543,
+            19_047,
+            29_781
+        )
+    );
 }
 
 #[test]
@@ -74,4 +121,48 @@ fn lambda_2_of_8_within_17_on_the_lane_core() {
         SolveRequest::within_budget(17),
     );
     assert_eq!(row, (Some(17), 3_075, 2_047, 14_799, 9, 0, 549, 1_011));
+}
+
+/// ρ₂(8) = 16 and ρ₃(6) = 14 sit at the capacity bound: the decisive
+/// probe's waste slack is below `n`, so the route rule hands it to the
+/// partition kernel.
+#[test]
+fn capacity_tight_lambda_probes_take_the_partition_route() {
+    for (n, lambda, opt) in [(8u32, 2u32, 16usize), (6, 3, 14)] {
+        let sol = engine_by_name("bitset").expect("engine registered").solve(
+            &Problem::lambda_fold(n, lambda),
+            &SolveRequest::find_optimal(),
+        );
+        assert!(
+            matches!(sol.optimality(), Optimality::Optimal { .. }),
+            "rho_{lambda}({n}): {:?}",
+            sol.optimality()
+        );
+        assert_eq!(sol.size(), Some(opt), "rho_{lambda}({n})");
+        assert_eq!(sol.stats().partition_probes, 1, "rho_{lambda}({n})");
+    }
+}
+
+/// Demands above 3 run the recursive multiplicity kernel, whose limit
+/// checks are the frame cores' `Governor`.
+#[test]
+fn rho_4_of_5_on_the_recursive_kernel() {
+    let row = solve(
+        "bitset",
+        &Problem::lambda_fold(5, 4),
+        SolveRequest::find_optimal(),
+    );
+    assert_eq!(row, (Some(12), 23, 11, 0, 1, 0, 0, 0));
+}
+
+/// The ρ₄(6) witness search takes 4,296,928 nodes; capped at 100,000 it
+/// stops on the node one past the cap.
+#[test]
+fn rho_4_of_6_capped_on_the_recursive_kernel() {
+    let row = solve(
+        "bitset",
+        &Problem::lambda_fold(6, 4),
+        SolveRequest::find_optimal().with_max_nodes(100_000),
+    );
+    assert_eq!(row, (None, 100_001, 86_911, 0, 4, 0, 0, 0));
 }
