@@ -1571,13 +1571,15 @@ mod tests {
         );
     }
 
-    /// A pre-cancelled token and an already-expired deadline each stop
-    /// the search within 8,192 nodes on every route: the unit core, the
-    /// lane core, the partition kernel, and the recursive multiplicity
-    /// kernel behind both `bitset` and `legacy`. Every instance needs far
-    /// more nodes than that to finish.
-    #[test]
-    fn cancel_and_deadline_stop_every_route() {
+    /// Solves one instance per route with the stop `limit` applies and
+    /// checks that the search answers `BudgetExhausted { reason }` within
+    /// 8,192 nodes: the unit core, the lane core, the partition kernel,
+    /// and the recursive multiplicity kernel behind both `bitset` and
+    /// `legacy`. Every instance needs far more nodes than that to finish.
+    fn assert_stops_on_every_route(
+        limit: impl Fn(SolveRequest) -> SolveRequest,
+        reason: Exhaustion,
+    ) {
         let unit = Problem::complete(8);
         // Budget 26 on the double cover of K_10 leaves waste slack n, so
         // the probe stays on the lane core.
@@ -1593,26 +1595,41 @@ mod tests {
             ("legacy", &recursive, SolveRequest::find_optimal(), 0),
         ];
         for (engine, problem, request, partition_probes) in cases {
-            let token = CancelToken::new();
-            token.cancel();
-            for (request, reason) in [
-                (
-                    request.clone().with_cancel_token(token),
-                    Exhaustion::Cancelled,
-                ),
-                (request.with_deadline(Duration::ZERO), Exhaustion::Deadline),
-            ] {
-                let sol = engine_by_name(engine).unwrap().solve(problem, &request);
-                let ctx = format!("{engine}, n = {}: {:?}", problem.ring().n(), sol.stats());
-                assert_eq!(
-                    *sol.optimality(),
-                    Optimality::BudgetExhausted { reason },
-                    "{ctx}"
-                );
-                assert!(sol.stats().nodes <= 8192, "stopped late: {ctx}");
-                assert_eq!(sol.stats().partition_probes, partition_probes, "{ctx}");
-            }
+            let sol = engine_by_name(engine)
+                .unwrap()
+                .solve(problem, &limit(request));
+            let ctx = format!("{engine}, n = {}: {:?}", problem.ring().n(), sol.stats());
+            assert_eq!(
+                *sol.optimality(),
+                Optimality::BudgetExhausted { reason },
+                "{ctx}"
+            );
+            assert!(sol.stats().nodes <= 8192, "stopped late: {ctx}");
+            assert_eq!(sol.stats().partition_probes, partition_probes, "{ctx}");
         }
+    }
+
+    /// A pre-cancelled token stops the search on every route. (The name
+    /// dates from when a parallel engine also ran this check.)
+    #[test]
+    fn cancel_token_stops_sequential_and_parallel() {
+        let token = CancelToken::new();
+        token.cancel();
+        assert_stops_on_every_route(
+            |request| request.with_cancel_token(token.clone()),
+            Exhaustion::Cancelled,
+        );
+    }
+
+    /// An already-expired deadline stops the search on every route. (The
+    /// name dates from the frontier-parallel engine's workers, which once
+    /// honored only node budgets.)
+    #[test]
+    fn deadline_stops_parallel_workers() {
+        assert_stops_on_every_route(
+            |request| request.with_deadline(Duration::ZERO),
+            Exhaustion::Deadline,
+        );
     }
 
     #[test]
