@@ -512,26 +512,25 @@ pub struct DaemonConfig {
     /// Capacity of the global admission queue *and* of each
     /// connection's response outbox (the two backpressure bounds).
     pub queue_depth: usize,
-    /// Per-line byte bound; longer lines are rejected per-line.
-    pub max_line_bytes: usize,
-    /// Event-loop tick and dispatcher micro-batch gather window.
-    pub tick: Duration,
 }
 
 impl Default for DaemonConfig {
-    /// One worker, 64 MiB cache, 64 connections, depth-64 queues, 1 MiB
-    /// lines, 1 ms tick.
+    /// One worker, 64 MiB cache, 64 connections, depth-64 queues.
     fn default() -> Self {
         DaemonConfig {
             workers: 1,
             cache_bytes: 64 << 20,
             max_conns: 64,
             queue_depth: 64,
-            max_line_bytes: 1 << 20,
-            tick: Duration::from_millis(1),
         }
     }
 }
+
+/// Per-line byte bound; longer lines are rejected per-line.
+const MAX_LINE_BYTES: usize = 1 << 20;
+
+/// Event-loop tick and dispatcher micro-batch gather window.
+const TICK: Duration = Duration::from_millis(1);
 
 /// Shared state between the event loop and the dispatcher.
 #[derive(Default)]
@@ -689,7 +688,7 @@ impl Daemon {
 
         let dispatcher = {
             let shared = Arc::clone(&shared);
-            std::thread::spawn(move || dispatcher_loop(service, &shared, cfg, cert_save))
+            std::thread::spawn(move || dispatcher_loop(service, &shared, cert_save))
         };
 
         let mut poll = Poll::new().expect("poll creation");
@@ -707,7 +706,7 @@ impl Daemon {
         let mut drain_flush_started: Option<Instant> = None;
 
         loop {
-            poll.poll(&mut events, Some(cfg.tick)).expect("poll");
+            poll.poll(&mut events, Some(TICK)).expect("poll");
 
             // Accept — the shim reports the listener ready every tick;
             // WouldBlock settles the truth.
@@ -735,7 +734,7 @@ impl Daemon {
                             let mut conn = Conn {
                                 id: next_conn_id,
                                 stream,
-                                framer: LineFramer::new(cfg.max_line_bytes),
+                                framer: LineFramer::new(MAX_LINE_BYTES),
                                 lines: VecDeque::new(),
                                 outbox: VecDeque::new(),
                                 wbuf: Vec::new(),
@@ -998,12 +997,7 @@ fn handle_line(
 /// The dispatcher: owns the long-lived [`SolveService`], drains the
 /// admission queue in micro-batch generations, and routes one terminal
 /// document per job back to its connection.
-fn dispatcher_loop(
-    mut service: SolveService,
-    shared: &Shared,
-    cfg: DaemonConfig,
-    cert_save: Option<PathBuf>,
-) {
+fn dispatcher_loop(mut service: SolveService, shared: &Shared, cert_save: Option<PathBuf>) {
     let mut generation: u64 = 0;
     loop {
         // Gather a generation: wait for work, then one tick more so a
@@ -1021,13 +1015,10 @@ fn dispatcher_loop(
                     cv.notify_all();
                     return;
                 }
-                sh = cv
-                    .wait_timeout(sh, cfg.tick.max(Duration::from_millis(1)))
-                    .expect("daemon state poisoned")
-                    .0;
+                sh = cv.wait_timeout(sh, TICK).expect("daemon state poisoned").0;
             }
             drop(sh);
-            std::thread::sleep(cfg.tick);
+            std::thread::sleep(TICK);
             let mut sh = mutex.lock().expect("daemon state poisoned");
             sh.pending.drain(..).collect()
         };

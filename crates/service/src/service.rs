@@ -86,11 +86,9 @@ pub struct ServiceConfig {
     pub max_attempts: u32,
     /// Base backoff between retry attempts, in milliseconds (attempt `k`
     /// sleeps a jittered `backoff_base_ms · 2^(k-1)`; 0 disables the
-    /// sleep but not the retry).
+    /// sleep but not the retry). The jitter is seeded by the installed
+    /// [`FaultPlan`](crate::FaultPlan)'s `seed`, or 0 without one.
     pub backoff_base_ms: u64,
-    /// Seeds the backoff jitter (an installed
-    /// [`FaultPlan`](crate::FaultPlan)'s `seed` takes precedence).
-    pub retry_seed: u64,
     /// Share one refutation store per universe key across every group
     /// of a batch (and across batches, for a long-lived service):
     /// near-duplicate traffic then reuses exhausted-subtree proofs
@@ -109,7 +107,6 @@ impl Default for ServiceConfig {
             cache_bytes: 64 << 20,
             max_attempts: 2,
             backoff_base_ms: 25,
-            retry_seed: 0,
             shared_memo: false,
         }
     }
@@ -446,10 +443,9 @@ impl SolveService {
             model: self.model.as_ref(),
             max_attempts: self.config.max_attempts.max(1),
             backoff_base_ms: self.config.backoff_base_ms,
-            // An installed plan's seed pins the whole chaos run; the
-            // config seed drives production jitter otherwise.
+            // An installed plan's seed pins the whole chaos run.
             retry_seed: if self.fault.plan().is_empty() {
-                self.config.retry_seed
+                0
             } else {
                 self.fault.plan().seed
             },

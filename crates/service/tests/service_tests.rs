@@ -9,7 +9,9 @@ use cyclecover_service::{
     batch_summary_json, BatchReport, CertCache, FaultPlan, ServiceConfig, SolveService,
     UniverseCache,
 };
-use cyclecover_solver::api::{Exhaustion, FailureKind, Objective, Optimality, SymmetryMode};
+use cyclecover_solver::api::{
+    CancelReason, Exhaustion, FailureKind, Objective, Optimality, SymmetryMode,
+};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -662,6 +664,45 @@ fn shutdown_reports_queued_work_unstarted() {
     let summary = batch_summary_json(&report);
     assert!(summary.contains("\"reason\": \"shutdown\""), "{summary}");
     assert!(summary.contains("\"unstarted\": 3"), "{summary}");
+}
+
+/// A shutdown that lands while a kernel is mid-search stops it with the
+/// reason `shutdown`, not a plain `cancelled`: the job started, so it is
+/// not reported unstarted, and it is neither retried nor degraded. The
+/// n = 12 refutation at 18 with symmetry and memo off takes tens of
+/// millions of nodes, far longer than the second the drain runs before
+/// the shutdown.
+#[test]
+fn shutdown_stops_an_in_flight_kernel_with_reason_shutdown() {
+    let mut svc = service();
+    let mut job = SolveJob::new("in-flight", 12);
+    job.objective = Objective::WithinBudget(18);
+    job.symmetry = Some(SymmetryMode::Off);
+    job.memo = Some(false);
+    job.fallback = vec!["greedy".into()];
+    svc.submit(job).unwrap();
+    let token = svc.cancel_token().clone();
+    let stopper = std::thread::spawn(move || {
+        std::thread::sleep(std::time::Duration::from_secs(1));
+        token.cancel_with(CancelReason::Shutdown);
+    });
+    let report = svc.drain();
+    stopper.join().unwrap();
+    let r = by_id(&report, "in-flight");
+    assert!(!r.unstarted, "the kernel had started");
+    let sol = r.solution.as_ref().unwrap();
+    assert_eq!(
+        *sol.optimality(),
+        Optimality::BudgetExhausted {
+            reason: Exhaustion::Shutdown
+        }
+    );
+    assert!(sol.stats().nodes > 0, "{:?}", sol.stats());
+    assert!(sol.degraded().is_none());
+    assert_eq!(report.stats.retries, 0);
+    assert_eq!(report.stats.unstarted, 0);
+    let summary = batch_summary_json(&report);
+    assert!(summary.contains("\"reason\": \"shutdown\""), "{summary}");
 }
 
 #[test]

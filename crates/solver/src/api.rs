@@ -336,11 +336,6 @@ impl CancelToken {
         drop(children);
         child
     }
-
-    /// The raw flag, for the search hot loop.
-    pub(crate) fn flag(&self) -> &AtomicBool {
-        &self.inner.flag
-    }
 }
 
 /// A builder-style solve request: objective, resource limits, symmetry
@@ -720,8 +715,10 @@ pub enum Optimality {
     },
 }
 
-/// Unified per-solve statistics.
-#[derive(Clone, Copy, Debug)]
+/// Unified per-solve statistics: what every search core counts into,
+/// what a deepening sweep sums probe by probe, and what a [`Solution`]
+/// reports.
+#[derive(Clone, Copy, Debug, Default)]
 pub struct Stats {
     /// Name of the engine that produced the solution.
     pub engine: &'static str,
@@ -738,7 +735,9 @@ pub struct Stats {
     /// `SymmetryMode::Full` (canonical-state memo hits plus
     /// setwise-only sibling cuts).
     pub canon_pruned: u64,
-    /// Nodes (and candidate children) pruned by the refutation store.
+    /// Nodes (and candidate children) pruned by the refutation store,
+    /// including the canonical hits counted in `canon_pruned` and the
+    /// cross-searcher hits in `shared_hits`.
     pub memo_hits: u64,
     /// The subset of `memo_hits` landing on refutations another
     /// searcher recorded: an earlier deepening probe or — with a shared
@@ -763,6 +762,27 @@ pub struct Stats {
     pub attempts: u32,
     /// Wall-clock time spent inside the engine.
     pub wall: Duration,
+}
+
+impl Stats {
+    /// Adds one budget probe's counters to a sweep's running total.
+    pub(crate) fn absorb(&mut self, other: Stats) {
+        self.nodes += other.nodes;
+        self.pruned += other.pruned;
+        self.dominated += other.dominated;
+        self.sym_pruned += other.sym_pruned;
+        self.canon_pruned += other.canon_pruned;
+        self.memo_hits += other.memo_hits;
+        self.shared_hits += other.shared_hits;
+        // Deepening probes share one store, so later probes report a
+        // superset of earlier probes' entries: the maximum is the
+        // store's final population (and 0 + x = x keeps the memo-off
+        // and single-probe cases exact).
+        self.memo_entries = self.memo_entries.max(other.memo_entries);
+        self.sym_factor = self.sym_factor.max(other.sym_factor);
+        self.partition_probes += other.partition_probes;
+        self.budgets_tried += other.budgets_tried;
+    }
 }
 
 /// An engine's answer to a [`SolveRequest`].
@@ -831,19 +851,8 @@ impl Solution {
             cached: false,
             stats: Stats {
                 engine,
-                nodes: 0,
-                pruned: 0,
-                dominated: 0,
-                sym_pruned: 0,
-                canon_pruned: 0,
-                memo_hits: 0,
-                shared_hits: 0,
-                memo_entries: 0,
-                partition_probes: 0,
                 sym_factor: 1,
-                budgets_tried: 0,
-                attempts: 0,
-                wall: Duration::ZERO,
+                ..Stats::default()
             },
         }
     }
@@ -949,55 +958,41 @@ fn drive_exact(
     start: Instant,
     problem: &Problem,
     request: &SolveRequest,
-    run: impl Fn(u32, &RunLimits) -> (Outcome, bnb::Stats, Option<Exhaustion>),
+    run: impl Fn(u32, &RunLimits) -> (Outcome, Stats),
 ) -> Solution {
     let base_lim = request.run_limits(start);
     let u = problem.universe();
-    let mut total = bnb::Stats::default();
-    let mut budgets_tried = 0u32;
+    let tiles = |idx: Vec<u32>| Some(idx.iter().map(|&i| u.tile(i).clone()).collect());
+    let mut total = Stats::default();
     // The node budget caps the whole request, not each deepening probe:
     // every probe gets only what the earlier probes left over (the
     // deadline is an absolute instant, so it is cumulative by nature).
     let mut probe = |budget: u32| {
-        budgets_tried += 1;
         let lim = RunLimits {
             max_nodes: base_lim.max_nodes.saturating_sub(total.nodes),
             ..base_lim.clone()
         };
-        let (o, s, cause) = run(budget, &lim);
+        let (o, s) = run(budget, &lim);
         total.absorb(s);
-        (o, s, cause)
+        (o, s)
     };
 
     let (covering, optimality) = match request.objective() {
-        Objective::WithinBudget(k) | Objective::ProveInfeasible(k) => match probe(k) {
-            (Outcome::Feasible(idx), _, _) => {
-                let tiles: Vec<Tile> = idx.iter().map(|&i| u.tile(i).clone()).collect();
-                (Some(tiles), Optimality::Feasible)
-            }
-            (Outcome::Infeasible, _, _) => (None, Optimality::Infeasible),
-            (Outcome::NodeLimit, _, cause) => (
-                None,
-                Optimality::BudgetExhausted {
-                    reason: cause.unwrap_or(Exhaustion::NodeBudget),
-                },
-            ),
+        Objective::WithinBudget(k) | Objective::ProveInfeasible(k) => match probe(k).0 {
+            Outcome::Feasible(idx) => (tiles(idx), Optimality::Feasible),
+            Outcome::Infeasible => (None, Optimality::Infeasible),
+            Outcome::Exhausted(reason) => (None, Optimality::BudgetExhausted { reason }),
         },
         Objective::FindOptimal => {
             let mut budget = bnb::deepening_start(u, problem.spec());
             let mut proof = LowerBoundProof::CombinatorialBound { bound: budget };
             loop {
                 match probe(budget) {
-                    (Outcome::Feasible(idx), _, _) => {
-                        let tiles: Vec<Tile> = idx.iter().map(|&i| u.tile(i).clone()).collect();
-                        break (
-                            Some(tiles),
-                            Optimality::Optimal {
-                                lower_bound_proof: proof,
-                            },
-                        );
+                    (Outcome::Feasible(idx), _) => {
+                        let lower_bound_proof = proof;
+                        break (tiles(idx), Optimality::Optimal { lower_bound_proof });
                     }
-                    (Outcome::Infeasible, s, _) => {
+                    (Outcome::Infeasible, s) => {
                         proof = LowerBoundProof::ExhaustiveSearch {
                             infeasible_budget: budget,
                             nodes: s.nodes,
@@ -1005,13 +1000,8 @@ fn drive_exact(
                         };
                         budget += 1;
                     }
-                    (Outcome::NodeLimit, _, cause) => {
-                        break (
-                            None,
-                            Optimality::BudgetExhausted {
-                                reason: cause.unwrap_or(Exhaustion::NodeBudget),
-                            },
-                        );
+                    (Outcome::Exhausted(reason), _) => {
+                        break (None, Optimality::BudgetExhausted { reason });
                     }
                 }
             }
@@ -1026,19 +1016,10 @@ fn drive_exact(
         cached: false,
         stats: Stats {
             engine,
-            nodes: total.nodes,
-            pruned: total.pruned,
-            dominated: total.dominated,
-            sym_pruned: total.sym_pruned,
-            canon_pruned: total.canon_pruned,
-            memo_hits: total.memo_hits,
-            shared_hits: total.shared_hits,
-            memo_entries: total.memo_entries,
-            partition_probes: total.partition_probes,
             sym_factor: total.sym_factor.max(1),
-            budgets_tried,
             attempts: 1,
             wall: start.elapsed(),
+            ..total
         },
     }
 }
@@ -1265,19 +1246,11 @@ impl Engine for HeuristicEngine {
             cached: false,
             stats: Stats {
                 engine: self.name,
-                nodes: 0,
-                pruned: 0,
-                dominated: 0,
-                sym_pruned: 0,
-                canon_pruned: 0,
-                memo_hits: 0,
-                shared_hits: 0,
-                memo_entries: 0,
-                partition_probes: 0,
                 sym_factor: 1,
                 budgets_tried: 1,
                 attempts: 1,
                 wall: start.elapsed(),
+                ..Stats::default()
             },
         }
     }
@@ -1618,6 +1591,20 @@ mod tests {
         assert_stops_on_every_route(
             |request| request.with_cancel_token(token.clone()),
             Exhaustion::Cancelled,
+        );
+    }
+
+    /// A service shutting down cancels its root token with
+    /// `CancelReason::Shutdown`; a job's child token stops the search on
+    /// every route with that reason, not a plain `Cancelled`.
+    #[test]
+    fn shutdown_reason_stops_every_route() {
+        let service = CancelToken::new();
+        let job = service.child();
+        service.cancel_with(CancelReason::Shutdown);
+        assert_stops_on_every_route(
+            |request| request.with_cancel_token(job.clone()),
+            Exhaustion::Shutdown,
         );
     }
 

@@ -42,7 +42,8 @@
 //! The iterative cores (in `crate::search_core` and [`crate::dlx`]) run
 //! an explicit stack over reused arenas with incrementally maintained
 //! bound ingredients and the optional **residual-state dominance memo**
-//! ([`MemoConfig`], `crate::memo`), which prunes nodes reaching an
+//! ([`MemoStore`], [`DEFAULT_MEMO_BYTES`] unless the request sets a
+//! budget), which prunes nodes reaching an
 //! already-exhausted residual state with an equal-or-worse budget. The
 //! unit core keeps its coverage bookkeeping in word-packed [`ChordSet`]s
 //! in the universe's *priority* chord order: placing a tile is two
@@ -60,6 +61,11 @@
 //! coverage are cut. Dominance at full depth is the decisive pruning
 //! rule: the ρ(10) witness search needs 13.4M nodes with it vs 225M
 //! without.
+//!
+//! Every probe answers `(Outcome, Stats)`: the verdict, carrying the
+//! limit that stopped an inconclusive search, and the counters in the
+//! solver's one [`Stats`] type, which a deepening sweep sums probe by
+//! probe into its [`crate::api::Solution`].
 //!
 //! # The recursive reference
 //!
@@ -82,14 +88,14 @@
 //! pre-symmetry search node for node — `bench_snapshot` uses it to track
 //! the reduction factor.
 
-use crate::api::CancelToken;
+use crate::api::{CancelToken, Exhaustion, Stats};
 use crate::bitset::ChordSet;
 use crate::dlx::PartitionCore;
 use crate::lower_bound::{
     combinatorial_lower_bound, diameter_slack_bound, parity_join_bound, weighted_demand_bound,
 };
-pub use crate::memo::{MemoConfig, MemoStore, DEFAULT_MEMO_BYTES};
-use crate::search_core::{Governor, IterCore, LaneCore, LaneTables, Probe, SearchCore};
+pub use crate::memo::{MemoStore, DEFAULT_MEMO_BYTES};
+use crate::search_core::{self, Governor, IterCore, LaneCore, LaneTables};
 use crate::tiles::DihedralTables;
 use crate::TileUniverse;
 use cyclecover_graph::Edge;
@@ -223,66 +229,8 @@ pub enum Outcome {
     Feasible(Vec<u32>),
     /// Exhaustively proved: no covering within the budget exists.
     Infeasible,
-    /// Search aborted at the node limit — no conclusion.
-    NodeLimit,
-}
-
-/// Search statistics.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct Stats {
-    /// Search-tree nodes expanded.
-    pub nodes: u64,
-    /// Nodes cut by the lower bounds.
-    pub pruned: u64,
-    /// Candidate branches skipped by dominance pruning.
-    pub dominated: u64,
-    /// Candidate branches skipped by dihedral orbit filtering under the
-    /// pointwise prefix stabilizer.
-    pub sym_pruned: u64,
-    /// Prunes owed to the canonical/setwise symmetry machinery: memo
-    /// hits whose residual state matched only after canonicalization,
-    /// plus sibling candidates cut by setwise-but-not-pointwise
-    /// stabilizer elements (`SymmetryMode::Full` only).
-    pub canon_pruned: u64,
-    /// Nodes (and candidate children) pruned by the residual-state
-    /// refutation store (includes the canonical hits counted in
-    /// `canon_pruned` and the cross-searcher hits in `shared_hits`).
-    pub memo_hits: u64,
-    /// The subset of `memo_hits` landing on entries recorded by a
-    /// *different* searcher — another budget probe of the same
-    /// deepening sweep, or (with a service-shared store) another request
-    /// entirely.
-    pub shared_hits: u64,
-    /// Residual states resident in the refutation store when the search
-    /// finished. A store shared across probes reports its total
-    /// population (probes absorb by maximum, not sum).
-    pub memo_entries: u64,
-    /// Order of the symmetry subgroup the root branch was reduced by
-    /// (1 = no reduction; 0 = no search ran).
-    pub sym_factor: u32,
-    /// Budget probes served by the slack-budgeted partition kernel
-    /// (`crate::dlx`) — the certificate-provenance record of the
-    /// low-slack route. 0 = every probe ran branch-and-bound.
-    pub partition_probes: u64,
-}
-
-impl Stats {
-    pub(crate) fn absorb(&mut self, other: Stats) {
-        self.nodes += other.nodes;
-        self.pruned += other.pruned;
-        self.dominated += other.dominated;
-        self.sym_pruned += other.sym_pruned;
-        self.canon_pruned += other.canon_pruned;
-        self.memo_hits += other.memo_hits;
-        self.shared_hits += other.shared_hits;
-        // Deepening probes share one store, so later probes report a
-        // superset of earlier probes' entries: the maximum is the
-        // store's final population (and 0 + x = x keeps the memo-off
-        // and single-probe cases exact).
-        self.memo_entries = self.memo_entries.max(other.memo_entries);
-        self.sym_factor = self.sym_factor.max(other.sym_factor);
-        self.partition_probes += other.partition_probes;
-    }
+    /// A limit stopped the search first — no conclusion.
+    Exhausted(Exhaustion),
 }
 
 /// Coverage bookkeeping strategy: all chord indices are in the universe's
@@ -899,14 +847,10 @@ impl<'a, K: Kernel> SearchCtx<'a, K> {
         }
         false
     }
-}
 
-impl<K: Kernel> SearchCore for SearchCtx<'_, K> {
-    fn run(&mut self) -> bool {
-        self.dfs()
-    }
-
-    fn finish(self, found: bool) -> Probe {
+    /// One sequential search from the root: the budget probe.
+    fn probe(mut self) -> (Outcome, Stats) {
+        let found = self.dfs();
         self.gov.settle(found, self.chosen, self.stats)
     }
 }
@@ -956,7 +900,6 @@ pub(crate) fn route(u: &TileUniverse, spec: &CoverSpec, budget: u32) -> Route {
 /// refutation memo every memo-backed core probes and feeds — pass the
 /// same store across probes or requests to reuse recorded refutations,
 /// or `None` for the memo-free search; the recursive kernel ignores it.
-/// The third component reports why an inconclusive search stopped.
 pub(crate) fn budget_search(
     u: &TileUniverse,
     spec: &CoverSpec,
@@ -964,7 +907,7 @@ pub(crate) fn budget_search(
     lim: &RunLimits,
     sym: SymmetryMode,
     store: Option<&MemoStore>,
-) -> Probe {
+) -> (Outcome, Stats) {
     search_route(route(u, spec, budget), u, spec, budget, lim, sym, store)
 }
 
@@ -981,20 +924,23 @@ pub(crate) fn search_route(
     lim: &RunLimits,
     sym: SymmetryMode,
     store: Option<&MemoStore>,
-) -> Probe {
+) -> (Outcome, Stats) {
     let g = Governor::new(lim);
     match route {
-        Route::Unit => IterCore::new(u, spec, budget, g, sym, store).probe(),
+        Route::Unit => search_core::probe(IterCore::new(u, spec, budget, g, sym, store)),
         Route::Lanes => {
             let lanes = LaneTables::build(u);
-            LaneCore::new(u, spec, budget, g, sym, store, &lanes).probe()
+            search_core::probe(LaneCore::new(u, spec, budget, g, sym, store, &lanes))
         }
         Route::Partition => {
             let lanes = LaneTables::build(u);
-            let (outcome, mut stats, cause) =
-                PartitionCore::new(u, spec, budget, g, sym, store, &lanes).probe();
-            stats.partition_probes = 1;
-            (outcome, stats, cause)
+            let core = PartitionCore::new(u, spec, budget, g, sym, store, &lanes);
+            let (outcome, stats) = search_core::probe(core);
+            let stats = Stats {
+                partition_probes: 1,
+                ..stats
+            };
+            (outcome, stats)
         }
         Route::Multi => SearchCtx::<MultiKernel>::new(u, spec, budget, g, sym).probe(),
     }
@@ -1015,12 +961,11 @@ pub fn budget_search_reference(
 ) -> (Outcome, Stats) {
     let lim = RunLimits::nodes_only(max_nodes);
     let gov = Governor::new(&lim);
-    let (o, s, _) = if spec.is_unit() {
+    if spec.is_unit() {
         SearchCtx::<BitsetKernel>::new(u, spec, budget, gov, sym).probe()
     } else {
         SearchCtx::<MultiKernel>::new(u, spec, budget, gov, sym).probe()
-    };
-    (o, s)
+    }
 }
 
 /// `budget_search` forced onto the word-parallel **lane core** for a
@@ -1041,8 +986,7 @@ pub fn budget_search_packed(
 ) -> (Outcome, Stats) {
     assert!(spec.max_demand() <= 3, "lane core requires demands ≤ 3");
     let lim = RunLimits::nodes_only(max_nodes);
-    let (o, s, _) = search_route(Route::Lanes, u, spec, budget, &lim, sym, store);
-    (o, s)
+    search_route(Route::Lanes, u, spec, budget, &lim, sym, store)
 }
 
 /// `budget_search` forced onto the **slack-budgeted partition
@@ -1062,8 +1006,7 @@ pub fn budget_search_partition(
     store: Option<&MemoStore>,
 ) -> (Outcome, Stats) {
     let lim = RunLimits::nodes_only(max_nodes);
-    let (o, s, _) = search_route(Route::Partition, u, spec, budget, &lim, sym, store);
-    (o, s)
+    search_route(Route::Partition, u, spec, budget, &lim, sym, store)
 }
 
 /// [`budget_search`] forced onto the multiplicity (`Vec<u32>`) kernel —
@@ -1075,7 +1018,7 @@ pub(crate) fn budget_search_legacy(
     spec: &CoverSpec,
     budget: u32,
     lim: &RunLimits,
-) -> Probe {
+) -> (Outcome, Stats) {
     search_route(Route::Multi, u, spec, budget, lim, SymmetryMode::Off, None)
 }
 
@@ -1105,7 +1048,7 @@ mod tests {
         spec: &CoverSpec,
         budget: u32,
         lim: &RunLimits,
-    ) -> Probe {
+    ) -> (Outcome, Stats) {
         budget_search(u, spec, budget, lim, SymmetryMode::Off, None)
     }
 
@@ -1114,14 +1057,14 @@ mod tests {
     fn solve_optimal_spec_with(
         u: &TileUniverse,
         spec: &CoverSpec,
-        run: impl Fn(&TileUniverse, &CoverSpec, u32, &RunLimits) -> Probe,
+        run: impl Fn(&TileUniverse, &CoverSpec, u32, &RunLimits) -> (Outcome, Stats),
         max_nodes: u64,
     ) -> Option<(Vec<Tile>, u32, Stats)> {
         let lim = RunLimits::nodes_only(max_nodes);
         let mut budget = deepening_start(u, spec);
         let mut total = Stats::default();
         loop {
-            let (outcome, stats, _) = run(u, spec, budget, &lim);
+            let (outcome, stats) = run(u, spec, budget, &lim);
             total.absorb(stats);
             match outcome {
                 Outcome::Feasible(idx) => {
@@ -1129,14 +1072,13 @@ mod tests {
                     return Some((tiles, budget, total));
                 }
                 Outcome::Infeasible => budget += 1,
-                Outcome::NodeLimit => return None,
+                Outcome::Exhausted(_) => return None,
             }
         }
     }
 
     fn within(u: &TileUniverse, spec: &CoverSpec, budget: u32, max_nodes: u64) -> (Outcome, Stats) {
-        let (o, s, _) = budget_search_off(u, spec, budget, &RunLimits::nodes_only(max_nodes));
-        (o, s)
+        budget_search_off(u, spec, budget, &RunLimits::nodes_only(max_nodes))
     }
 
     fn within_sym(
@@ -1147,8 +1089,7 @@ mod tests {
         sym: SymmetryMode,
     ) -> (Outcome, Stats) {
         let lim = RunLimits::nodes_only(max_nodes);
-        let (o, s, _) = budget_search(u, spec, budget, &lim, sym, None);
-        (o, s)
+        budget_search(u, spec, budget, &lim, sym, None)
     }
 
     fn within_memo(
@@ -1160,8 +1101,7 @@ mod tests {
     ) -> (Outcome, Stats) {
         let store = MemoStore::new(u, DEFAULT_MEMO_BYTES);
         let lim = RunLimits::nodes_only(max_nodes);
-        let (o, s, _) = budget_search(u, spec, budget, &lim, sym, store.as_ref());
-        (o, s)
+        budget_search(u, spec, budget, &lim, sym, store.as_ref())
     }
 
     fn within_legacy(
@@ -1170,8 +1110,7 @@ mod tests {
         budget: u32,
         max_nodes: u64,
     ) -> (Outcome, Stats) {
-        let (o, s, _) = budget_search_legacy(u, spec, budget, &RunLimits::nodes_only(max_nodes));
-        (o, s)
+        budget_search_legacy(u, spec, budget, &RunLimits::nodes_only(max_nodes))
     }
 
     fn optimal_spec(
@@ -1190,7 +1129,7 @@ mod tests {
         match within(u, &CoverSpec::complete(u.ring().n()), budget, max_nodes).0 {
             Outcome::Infeasible => Some(true),
             Outcome::Feasible(_) => Some(false),
-            Outcome::NodeLimit => None,
+            Outcome::Exhausted(_) => None,
         }
     }
 
@@ -1284,7 +1223,7 @@ mod tests {
         // infeasibility needs real search — a 10-node limit must trip.
         let u = TileUniverse::new(Ring::new(8), 8);
         let (outcome, stats) = within(&u, &CoverSpec::complete(8), 8, 10);
-        assert_eq!(outcome, Outcome::NodeLimit);
+        assert_eq!(outcome, Outcome::Exhausted(Exhaustion::NodeBudget));
         assert!(stats.nodes >= 10);
     }
 
@@ -1394,7 +1333,7 @@ mod tests {
                 assert_eq!(off_stats.nodes, 97_465, "BENCH_1 baseline drifted");
             } else {
                 // n = 12: off exceeds any reasonable cap (> 30M nodes).
-                assert_eq!(off, Outcome::NodeLimit);
+                assert_eq!(off, Outcome::Exhausted(Exhaustion::NodeBudget));
             }
         }
     }
@@ -1485,7 +1424,7 @@ mod tests {
         let spec = CoverSpec::complete(8);
         let lim = RunLimits::nodes_only(50_000_000);
         let store = MemoStore::new(&u, 0);
-        let (o, s, _) = budget_search(&u, &spec, 8, &lim, SymmetryMode::Off, store.as_ref());
+        let (o, s) = budget_search(&u, &spec, 8, &lim, SymmetryMode::Off, store.as_ref());
         assert_eq!(o, Outcome::Infeasible);
         assert!(s.nodes <= 97_465, "worse than memo-free: {s:?}");
         assert!(s.memo_entries > 0, "{s:?}");

@@ -49,9 +49,7 @@
 
 use crate::bnb::{CoverSpec, SymmetryMode};
 use crate::memo::{MemoStore, KEY_WORDS};
-use crate::search_core::{
-    run_frames, FrameCore, Governor, LaneResidual, LaneTables, MemoEntry, Probe, SearchCore, Stack,
-};
+use crate::search_core::{FrameCore, Governor, LaneResidual, LaneTables, MemoEntry, Stack};
 use crate::TileUniverse;
 
 /// A (mutable) exact-cover problem instance.
@@ -357,16 +355,6 @@ impl<'a> PartitionCore<'a> {
     }
 }
 
-impl SearchCore for PartitionCore<'_> {
-    fn run(&mut self) -> bool {
-        run_frames(self)
-    }
-
-    fn finish(self, found: bool) -> Probe {
-        self.s.finish(found)
-    }
-}
-
 impl<'a> FrameCore<'a> for PartitionCore<'a> {
     fn stack(&mut self) -> &mut Stack<'a> {
         &mut self.s
@@ -517,7 +505,8 @@ mod tests {
 
     // ---- the slack-budgeted partition kernel ----
 
-    use crate::bnb::{Outcome, Stats};
+    use crate::api::Stats;
+    use crate::bnb::Outcome;
     use cyclecover_ring::Ring;
 
     fn universe(n: u32) -> TileUniverse {

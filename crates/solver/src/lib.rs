@@ -62,9 +62,10 @@
 //! * [`bnb`] — the branch & bound searches and their one route rule:
 //!   unit-demand specs run the iterative allocation-free core (explicit
 //!   search stack over reused arenas, incremental bound ingredients, and
-//!   the residual-state dominance memo — Zobrist-keyed, byte-budgeted via
-//!   [`bnb::MemoConfig`], with canonical dihedral state keying under
-//!   `SymmetryMode::Full`), demands ≤ 3 the packed-lane core, and
+//!   the residual-state dominance memo — Zobrist-keyed, byte-budgeted
+//!   ([`bnb::DEFAULT_MEMO_BYTES`] unless a request sets its own), with
+//!   canonical dihedral state keying under `SymmetryMode::Full`),
+//!   demands ≤ 3 the packed-lane core, and
 //!   demands above 3 the recursive multiplicity kernel, each probe one
 //!   sequential search; the recursive bitset path survives as the
 //!   differential reference ([`bnb::budget_search_reference`]);

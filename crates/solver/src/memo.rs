@@ -137,43 +137,11 @@ const SHARDS: usize = 16;
 /// counts are reproducible run to run and machine to machine.
 const ZOBRIST_SEED: u64 = 0xC0DE_C0FF_EE15_5EED;
 
-/// Whether the memo machinery is engaged for a search, and how much
-/// memory it may claim. Defaults to enabled with a 32 MiB budget —
-/// budgeted like the service layer's universe cache, and overridable
-/// from the CLI (`--no-memo` / `--memo-mb`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct MemoConfig {
-    /// Whether the memo (and, under `SymmetryMode::Full`, canonical
-    /// residual-state keying) runs at all. Disabled, the search
-    /// reproduces its memo-free node counts bit for bit.
-    pub enabled: bool,
-    /// Byte budget for the table (clamped to at least one minimal
-    /// table); each shard doubles up to its share of the budget, then
-    /// falls back to keep-the-stronger replacement.
-    pub budget_bytes: usize,
-}
-
-/// Default memo byte budget: 32 MiB (~1.3M resident states).
+/// Default memo byte budget: 32 MiB (~1.3M resident states), budgeted
+/// like the service layer's universe cache. A request overrides it with
+/// `SolveRequest::with_memo_budget_bytes` (the CLI's `--memo-mb`) and
+/// switches the memo off with `SolveRequest::with_memo` (`--no-memo`).
 pub const DEFAULT_MEMO_BYTES: usize = 32 << 20;
-
-impl Default for MemoConfig {
-    fn default() -> Self {
-        MemoConfig {
-            enabled: true,
-            budget_bytes: DEFAULT_MEMO_BYTES,
-        }
-    }
-}
-
-impl MemoConfig {
-    /// The memo switched off entirely — the historical search.
-    pub fn disabled() -> Self {
-        MemoConfig {
-            enabled: false,
-            budget_bytes: 0,
-        }
-    }
-}
 
 /// Words of one state key: four words hold either a unit uncovered set
 /// (`≤ 128` chords, upper two words zero) or a packed 2-bit residual

@@ -6,9 +6,12 @@
 //! [`IterCore`] for unit demands, [`LaneCore`] for demands ≤ 3,
 //! `crate::dlx::PartitionCore` for demands ≤ 3 whose waste slack is
 //! below `n`, and the recursive `bnb::SearchCtx<MultiKernel>` beyond.
-//! All four implement [`SearchCore`], and a probe is one sequential
-//! search ([`SearchCore::probe`]). Each probe's node counts are the same
-//! on every run, which is what the CI node-count gates pin.
+//! A probe is one sequential search from the root ([`probe`] here, an
+//! inherent `probe` on the recursive context), and it answers one
+//! `(Outcome, Stats)` pair: the verdict, with the limit that stopped an
+//! inconclusive search, and the counters in the solver's one [`Stats`]
+//! type. Each probe's node counts are the same on every run, which is
+//! what the CI node-count gates pin.
 //!
 //! The three frame-based cores share the per-node machinery, so each
 //! piece of it exists once:
@@ -56,52 +59,26 @@
 //! reference (`bnb::budget_search_reference`) node for node: identical
 //! branch order, candidate scoring, dominance and orbit filtering.
 
-use crate::api::Exhaustion;
+use crate::api::{CancelToken, Exhaustion, Stats};
 use crate::bitset::{ChordSet, LaneSet, LANES_PER_WORD, LANE_LOW};
-use crate::bnb::{resolve_symmetry, CoverSpec, Outcome, RunLimits, Stats, SymmetryMode};
+use crate::bnb::{resolve_symmetry, CoverSpec, Outcome, RunLimits, SymmetryMode};
 use crate::lower_bound::{diameter_slack_bound, parity_join_bound_from_odd};
 use crate::memo::{MemoStore, KEY_WORDS};
 use crate::tiles::DihedralTables;
 use crate::TileUniverse;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
-
-/// One budget probe's answer: the outcome, its statistics, and why an
-/// inconclusive search stopped.
-pub(crate) type Probe = (Outcome, Stats, Option<Exhaustion>);
 
 /// A residual state's memo entry: `(hash, key, slack)`.
 pub(crate) type MemoEntry = (u64, [u64; KEY_WORDS], u32);
 
 // ---------------------------------------------------------------------------
-// The search contract and its limits
+// The limits
 // ---------------------------------------------------------------------------
-
-/// What a budget probe needs from a search context.
-pub(crate) trait SearchCore {
-    /// Searches from the root; `true` = a covering is now placed.
-    fn run(&mut self) -> bool;
-
-    /// Settles the search and reads the verdict (`found` is what
-    /// [`SearchCore::run`] returned).
-    fn finish(self, found: bool) -> Probe;
-
-    /// One sequential search: the budget probe.
-    fn probe(mut self) -> Probe
-    where
-        Self: Sized,
-    {
-        let found = self.run();
-        self.finish(found)
-    }
-}
 
 /// One searcher's side of its [`RunLimits`]: the node budget checked at
 /// every node, and cancellation and the deadline every 4096 nodes.
 pub(crate) struct Governor<'a> {
-    max_nodes: u64,
-    deadline: Option<Instant>,
-    cancel: Option<&'a AtomicBool>,
+    lim: &'a RunLimits,
     /// Which limit stopped the search, once one has.
     stop_cause: Option<Exhaustion>,
 }
@@ -109,24 +86,24 @@ pub(crate) struct Governor<'a> {
 impl<'a> Governor<'a> {
     pub(crate) fn new(lim: &'a RunLimits) -> Self {
         Governor {
-            max_nodes: lim.max_nodes,
-            deadline: lim.deadline,
-            cancel: lim.cancel.as_ref().map(|c| c.flag()),
+            lim,
             stop_cause: None,
         }
     }
 
     /// Checks the node numbered `nodes` against the limits; `true` = stop
-    /// the search.
+    /// the search. A cancelled token stops it with the token's reason, so
+    /// a service shutting down reads as [`Exhaustion::Shutdown`].
     #[inline]
     pub(crate) fn exhausted(&mut self, nodes: u64) -> bool {
-        let cause = if nodes > self.max_nodes {
+        let lim = self.lim;
+        let cause = if nodes > lim.max_nodes {
             Exhaustion::NodeBudget
         } else if !nodes.is_multiple_of(4096) {
             return false;
-        } else if self.cancel.is_some_and(|c| c.load(Ordering::Relaxed)) {
-            Exhaustion::Cancelled
-        } else if self.deadline.is_some_and(|d| Instant::now() >= d) {
+        } else if let Some(reason) = lim.cancel.as_ref().and_then(CancelToken::cancel_reason) {
+            reason.as_exhaustion()
+        } else if lim.deadline.is_some_and(|d| Instant::now() >= d) {
             Exhaustion::Deadline
         } else {
             return false;
@@ -141,17 +118,20 @@ impl<'a> Governor<'a> {
     }
 
     /// The probe's answer: the placed `chosen` tiles when the search
-    /// `found` a covering, else inconclusive if a limit stopped it, else
-    /// exhaustive.
-    pub(crate) fn settle(&self, found: bool, chosen: Vec<u32>, stats: Stats) -> Probe {
+    /// `found` a covering, else the limit that stopped it, else
+    /// exhaustive. The stats count one budget tried.
+    pub(crate) fn settle(&self, found: bool, chosen: Vec<u32>, stats: Stats) -> (Outcome, Stats) {
         let outcome = if found {
             Outcome::Feasible(chosen)
-        } else if self.stopped() {
-            Outcome::NodeLimit
         } else {
-            Outcome::Infeasible
+            self.stop_cause
+                .map_or(Outcome::Infeasible, Outcome::Exhausted)
         };
-        (outcome, stats, self.stop_cause)
+        let stats = Stats {
+            budgets_tried: 1,
+            ..stats
+        };
+        (outcome, stats)
     }
 }
 
@@ -703,17 +683,18 @@ impl<'a> Stack<'a> {
         };
     }
 
-    /// Settles the search (see [`SearchCore::finish`]), stamping the
-    /// store's resident entry count — a shared store reports its total
-    /// population, not this searcher's contribution.
-    pub(crate) fn finish(mut self, found: bool) -> Probe {
+    /// Settles the search (`found` is what the search returned),
+    /// stamping the store's resident entry count — a shared store
+    /// reports its total population, not this searcher's contribution.
+    fn finish(&mut self, found: bool) -> (Outcome, Stats) {
         self.stats.memo_entries = self.store.map_or(0, |s| s.len());
-        self.gov.settle(found, self.chosen, self.stats)
+        self.gov
+            .settle(found, std::mem::take(&mut self.chosen), self.stats)
     }
 }
 
 /// The per-core hooks of the frame-based node protocol.
-pub(crate) trait FrameCore<'a>: SearchCore {
+pub(crate) trait FrameCore<'a> {
     /// The state shared with the other frame-based cores.
     fn stack(&mut self) -> &mut Stack<'a>;
 
@@ -803,9 +784,16 @@ fn skip<'a, C: FrameCore<'a>>(c: &mut C, t: u32) -> bool {
     }
 }
 
+/// One sequential search of a frame-based core from the root: the
+/// budget probe.
+pub(crate) fn probe<'a>(mut c: impl FrameCore<'a>) -> (Outcome, Stats) {
+    let found = run_frames(&mut c);
+    c.stack().finish(found)
+}
+
 /// Drives a frame-based core from the root to a conclusion. `true` =
 /// covering found; `false` = tree exhausted or a limit hit.
-pub(crate) fn run_frames<'a, C: FrameCore<'a>>(c: &mut C) -> bool {
+fn run_frames<'a, C: FrameCore<'a>>(c: &mut C) -> bool {
     let mut entering = true;
     // Only the root needs the node-entry store probe: deeper nodes were
     // already probed as candidate children.
@@ -930,16 +918,6 @@ impl<'a> IterCore<'a> {
     fn raw_key(&self) -> [u64; KEY_WORDS] {
         let words = self.d.live.words();
         [words[0], words.get(1).copied().unwrap_or(0), 0, 0]
-    }
-}
-
-impl SearchCore for IterCore<'_> {
-    fn run(&mut self) -> bool {
-        run_frames(self)
-    }
-
-    fn finish(self, found: bool) -> Probe {
-        self.s.finish(found)
     }
 }
 
@@ -1304,16 +1282,6 @@ impl<'a> LaneCore<'a> {
         let s = Stack::new(u, spec, budget, gov, requested, store, 2);
         let r = LaneResidual::new(&s, spec, tables);
         LaneCore { s, r }
-    }
-}
-
-impl SearchCore for LaneCore<'_> {
-    fn run(&mut self) -> bool {
-        run_frames(self)
-    }
-
-    fn finish(self, found: bool) -> Probe {
-        self.s.finish(found)
     }
 }
 

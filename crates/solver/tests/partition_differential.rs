@@ -107,7 +107,7 @@ proptest! {
                     true
                 }
                 Outcome::Infeasible => false,
-                Outcome::NodeLimit => panic!("reference hit the node cap"),
+                Outcome::Exhausted(_) => panic!("reference hit the node cap"),
             };
             for sym in [SymmetryMode::Off, SymmetryMode::Root, SymmetryMode::Full] {
                 for memo in [false, true] {
@@ -130,7 +130,7 @@ proptest! {
                             "partition refuted a feasible budget: \
                              n={} budget={} {:?} memo={}", n, budget, sym, memo
                         ),
-                        Outcome::NodeLimit => panic!("partition hit the node cap"),
+                        Outcome::Exhausted(_) => panic!("partition hit the node cap"),
                     }
                 }
             }

@@ -3,10 +3,13 @@
 //! memo hits and the store's population — follows from the exact child
 //! lists and bound verdicts at every node, so a change to how a node
 //! stages its children or evaluates its bounds that keeps the search
-//! tree the same keeps every row here ±0. Rows cover every core the
-//! route rule serves: the unit core (memo off, root symmetry, canonical
-//! keys), the partition kernel on a restricted universe and at λ = 2,
-//! the lane core, and the recursive multiplicity kernel at λ = 4.
+//! tree the same keeps every row here ±0. The sweep counters (shared
+//! hits, the symmetry factor, partition probes, budgets tried and
+//! attempts) follow from how the probes of a request add up. Rows cover
+//! every core the route rule serves: the unit core (memo off, root
+//! symmetry, canonical keys), the partition kernel on a restricted
+//! universe and at λ = 2, the lane core, the recursive multiplicity
+//! kernel at λ = 4, and a λ = 3 sweep whose probes change route.
 
 use cyclecover_ring::Ring;
 use cyclecover_solver::api::{engine_by_name, Optimality, Problem, SolveRequest, SymmetryMode};
@@ -15,7 +18,15 @@ use cyclecover_solver::TileUniverse;
 
 /// `(size, nodes, pruned, dominated, sym_pruned, canon_pruned,
 /// memo_hits, memo_entries)`.
-type Row = (Option<usize>, u64, u64, u64, u64, u64, u64, u64);
+type Search = (Option<usize>, u64, u64, u64, u64, u64, u64, u64);
+
+/// `(shared_hits, sym_factor, partition_probes, budgets_tried,
+/// attempts)`.
+type Sweep = (u64, u32, u64, u32, u32);
+
+/// Every counter of a solve's `Stats` (all but the engine name and the
+/// wall time), beside the covering size.
+type Row = (Search, Sweep);
 
 fn solve(engine: &str, problem: &Problem, request: SolveRequest) -> Row {
     let sol = engine_by_name(engine)
@@ -23,14 +34,23 @@ fn solve(engine: &str, problem: &Problem, request: SolveRequest) -> Row {
         .solve(problem, &request);
     let s = sol.stats();
     (
-        sol.size(),
-        s.nodes,
-        s.pruned,
-        s.dominated,
-        s.sym_pruned,
-        s.canon_pruned,
-        s.memo_hits,
-        s.memo_entries,
+        (
+            sol.size(),
+            s.nodes,
+            s.pruned,
+            s.dominated,
+            s.sym_pruned,
+            s.canon_pruned,
+            s.memo_hits,
+            s.memo_entries,
+        ),
+        (
+            s.shared_hits,
+            s.sym_factor,
+            s.partition_probes,
+            s.budgets_tried,
+            s.attempts,
+        ),
     )
 }
 
@@ -43,7 +63,10 @@ fn n8_refutation_without_memo_or_symmetry() {
             .with_symmetry(SymmetryMode::Off)
             .with_memo(false),
     );
-    assert_eq!(row, (None, 97_465, 79_421, 223_780, 0, 0, 0, 0));
+    assert_eq!(
+        row,
+        ((None, 97_465, 79_421, 223_780, 0, 0, 0, 0), (0, 1, 0, 1, 1))
+    );
 }
 
 #[test]
@@ -55,7 +78,10 @@ fn rho_10_under_root_symmetry() {
     );
     assert_eq!(
         row,
-        (Some(13), 230_819, 194_444, 1_170_923, 21, 0, 20_036, 34_102)
+        (
+            (Some(13), 230_819, 194_444, 1_170_923, 21, 0, 20_036, 34_102),
+            (0, 4, 0, 1, 1)
+        )
     );
 }
 
@@ -69,14 +95,17 @@ fn rho_10_with_canonical_keys() {
     assert_eq!(
         row,
         (
-            Some(13),
-            223_812,
-            172_797,
-            1_019_288,
-            21,
-            18_543,
-            19_047,
-            29_781
+            (
+                Some(13),
+                223_812,
+                172_797,
+                1_019_288,
+                21,
+                18_543,
+                19_047,
+                29_781
+            ),
+            (0, 4, 0, 1, 1)
         )
     );
 }
@@ -90,7 +119,10 @@ fn rho_12_on_the_default_route() {
     );
     assert_eq!(
         row,
-        (Some(19), 53_416, 43_693, 963_862, 43, 0, 6_037, 9_593)
+        (
+            (Some(19), 53_416, 43_693, 963_862, 43, 0, 6_037, 9_593),
+            (0, 4, 0, 2, 1)
+        )
     );
 }
 
@@ -100,7 +132,13 @@ fn partition_engine_on_the_restricted_n14_universe() {
     let problem = Problem::new(u, CoverSpec::complete(14));
     let request = SolveRequest::find_optimal().with_symmetry(SymmetryMode::Full);
     let row = solve("partition", &problem, request);
-    assert_eq!(row, (Some(25), 1_142, 5_875, 977, 12, 0, 1, 179));
+    assert_eq!(
+        row,
+        (
+            (Some(25), 1_142, 5_875, 977, 12, 0, 1, 179),
+            (0, 2, 1, 1, 1)
+        )
+    );
 }
 
 #[test]
@@ -110,7 +148,13 @@ fn rho_2_of_8_through_the_partition_route() {
         &Problem::lambda_fold(8, 2),
         SolveRequest::find_optimal(),
     );
-    assert_eq!(row, (Some(16), 16_919, 260_585, 0, 9, 0, 10_860, 15_272));
+    assert_eq!(
+        row,
+        (
+            (Some(16), 16_919, 260_585, 0, 9, 0, 10_860, 15_272),
+            (0, 4, 1, 1, 1)
+        )
+    );
 }
 
 #[test]
@@ -120,7 +164,13 @@ fn lambda_2_of_8_within_17_on_the_lane_core() {
         &Problem::lambda_fold(8, 2),
         SolveRequest::within_budget(17),
     );
-    assert_eq!(row, (Some(17), 3_075, 2_047, 14_799, 9, 0, 549, 1_011));
+    assert_eq!(
+        row,
+        (
+            (Some(17), 3_075, 2_047, 14_799, 9, 0, 549, 1_011),
+            (0, 4, 0, 1, 1)
+        )
+    );
 }
 
 /// ρ₂(8) = 16 and ρ₃(6) = 14 sit at the capacity bound: the decisive
@@ -152,7 +202,7 @@ fn rho_4_of_5_on_the_recursive_kernel() {
         &Problem::lambda_fold(5, 4),
         SolveRequest::find_optimal(),
     );
-    assert_eq!(row, (Some(12), 23, 11, 0, 1, 0, 0, 0));
+    assert_eq!(row, ((Some(12), 23, 11, 0, 1, 0, 0, 0), (0, 2, 0, 1, 1)));
 }
 
 /// The ρ₄(6) witness search takes 4,296,928 nodes; capped at 100,000 it
@@ -164,5 +214,28 @@ fn rho_4_of_6_capped_on_the_recursive_kernel() {
         &Problem::lambda_fold(6, 4),
         SolveRequest::find_optimal().with_max_nodes(100_000),
     );
-    assert_eq!(row, (None, 100_001, 86_911, 0, 4, 0, 0, 0));
+    assert_eq!(
+        row,
+        ((None, 100_001, 86_911, 0, 4, 0, 0, 0), (0, 4, 0, 1, 1))
+    );
+}
+
+/// ρ₃(8)'s deepening sweep, capped at 300,000 nodes: the capacity-tight
+/// first probe takes the partition route and refutes, the next budget
+/// leaves slack `n` and runs on the lane core until the cap. The row is
+/// the sum of two probes on two cores.
+#[test]
+fn lambda_3_of_8_sweep_changes_route() {
+    let row = solve(
+        "bitset",
+        &Problem::lambda_fold(8, 3),
+        SolveRequest::find_optimal().with_max_nodes(300_000),
+    );
+    assert_eq!(
+        row,
+        (
+            (None, 300_001, 226_520, 942_665, 9, 0, 79_890, 67_893),
+            (0, 4, 1, 2, 1)
+        )
+    );
 }
