@@ -71,7 +71,11 @@ USAGE:
                                       --lambda L asks for a λ-fold covering
                                       — every request covered L times, L=2
                                       is a cycle double cover — on the
-                                      packed multiplicity kernel;
+                                      packed lane and partition kernels
+                                      for L <= 15, the recursive
+                                      multiplicity kernel beyond; an L
+                                      whose capacity bound exceeds a u32
+                                      budget is refused;
                                       --no-memo disables the residual-state
                                       dominance memo, --memo-mb caps its
                                       memory like the service universe cache)
@@ -232,8 +236,10 @@ fn run_solve(args: &[String]) -> Result<String, String> {
         )
     })?;
     let problem = if lambda > 1 {
+        let ring = cyclecover_ring::Ring::new(n);
+        cyclecover_solver::lower_bound::lambda_budget(ring, ring.total_pair_distance(), lambda)?;
         Problem::new(
-            cyclecover_solver::TileUniverse::new(cyclecover_ring::Ring::new(n), n as usize),
+            cyclecover_solver::TileUniverse::new(ring, n as usize),
             cyclecover_solver::bnb::CoverSpec::lambda_fold(n, lambda),
         )
     } else {
@@ -939,6 +945,23 @@ mod tests {
         assert!(err.contains("--lambda must be >= 1"), "{err}");
         let err = runv(&["solve", "6", "--lambda", "many"]).unwrap_err();
         assert!(err.contains("bad --lambda"), "{err}");
+    }
+
+    /// A multiplicity whose capacity bound does not fit a `u32` budget
+    /// once sent the optimum sweep climbing through billions of
+    /// root-pruned probes; now it is refused before any universe is
+    /// built, with the request parser's message.
+    #[test]
+    fn solve_refuses_a_lambda_past_the_u32_budget() {
+        let err = runv(&["solve", "5", "--lambda", "4000000000"]).unwrap_err();
+        assert_eq!(
+            err,
+            "lambda = 4000000000 is too large: a covering needs at least 12000000000 cycles, \
+             more than a u32 budget counts"
+        );
+        let line =
+            r#"{"format": "cyclecover-request", "version": 1, "n": 5, "lambda": 4000000000}"#;
+        assert_eq!(json::request_from_json(line).unwrap_err(), err);
     }
 
     #[test]

@@ -37,7 +37,7 @@
 //! | `max_len` | no | max tile vertex count, `3 ≤ max_len ≤ n`; default `n` |
 //! | `max_gap` | no | max ring gap between consecutive tile vertices, `1 ≤ max_gap ≤ n`; default `n` (unconstrained) |
 //! | `requests` | no | array of `[u, v]` vertex pairs (`u ≠ v`, both `< n`): the demand is *exactly these requests, each `lambda` times*; absent or `null` = all of `K_n` |
-//! | `lambda` | no | covering multiplicity `λ ≥ 1`: every request must be covered `λ` times; default `1` (the classical cover). `λ ≤ 3` runs on the packed lane kernel; larger λ falls back to the recursive multiplicity kernel |
+//! | `lambda` | no | covering multiplicity `λ ≥ 1`: every request must be covered `λ` times; default `1` (the classical cover). `λ ≤ 15` runs on the packed lane and partition kernels (2-bit lanes up to 3, 4-bit lanes beyond); larger λ falls back to the recursive multiplicity kernel. A λ whose capacity bound `⌈λ·Σd(e)/n⌉` exceeds `2³² − 1` cycles is refused |
 //! | `engine` | no | engine registry name; default `"bitset"` (validated against the registry at admission, not parse, time) |
 //! | `objective` | no | `{"kind": "find_optimal"}` (default), `{"kind": "within_budget", "budget": K}`, or `{"kind": "prove_infeasible", "budget": K}` |
 //! | `max_nodes` | no | search-node budget for the whole request |
@@ -156,6 +156,7 @@ use cyclecover_solver::api::{
     SolveRequest, SymmetryMode,
 };
 use cyclecover_solver::bnb::CoverSpec;
+use cyclecover_solver::lower_bound::lambda_budget;
 use std::fmt::Write as _;
 
 // ---------------------------------------------------------------------------
@@ -1049,6 +1050,14 @@ pub fn request_from_json(text: &str) -> Result<SolveJob, String> {
         }
         job.lambda = lambda as u32;
     }
+    if job.lambda > 1 {
+        let ring = Ring::new(n);
+        let dist = match &job.requests {
+            None => ring.total_pair_distance(),
+            Some(pairs) => pairs.iter().map(|&(u, v)| ring.distance(u, v) as u64).sum(),
+        };
+        lambda_budget(ring, dist, job.lambda)?;
+    }
     if let Some(engine) = doc.get("engine") {
         if let Some(engine) = engine.as_str() {
             if engine.is_empty() {
@@ -1359,6 +1368,32 @@ mod tests {
         )
         .unwrap();
         assert_eq!(job, SolveJob::new("", 6));
+    }
+
+    /// The capacity bound of `K_5` is `⌈15·λ/5⌉ = 3λ`: λ = 1,431,655,765
+    /// reaches `u32::MAX` exactly and parses, one more does not fit a
+    /// budget and is refused. On a request subset only the listed pairs
+    /// count.
+    #[test]
+    fn lambda_past_the_u32_budget_is_a_reject() {
+        let line = |lambda: u64, requests: &str| {
+            format!(
+                r#"{{"format": "cyclecover-request", "version": 1, "n": 5,
+                     "lambda": {lambda}{requests}}}"#
+            )
+        };
+        let fits = request_from_json(&line(1_431_655_765, "")).unwrap();
+        assert_eq!(fits.lambda, 1_431_655_765);
+        let err = request_from_json(&line(1_431_655_766, "")).unwrap_err();
+        assert!(
+            err.contains("lambda = 1431655766 is too large") && err.contains("4294967298 cycles"),
+            "{err}"
+        );
+        let err = request_from_json(&line(4_000_000_000, "")).unwrap_err();
+        assert!(err.contains("12000000000 cycles"), "{err}");
+        // One distance-1 pair: the bound is ⌈λ/5⌉, which fits.
+        let one_pair = request_from_json(&line(4_000_000_000, r#", "requests": [[0, 1]]"#));
+        assert_eq!(one_pair.unwrap().lambda, 4_000_000_000);
     }
 
     #[test]

@@ -24,7 +24,7 @@
 //! | `bitset` | branch & bound on the routed core |
 //! | `legacy` | the multiplicity-counter reference search |
 //! | `dlx` | the partition kernel, restricted to zero-slack specs |
-//! | `partition` | the slack-budgeted partition kernel, any spec with demands ≤ 3 |
+//! | `partition` | the slack-budgeted partition kernel, any spec with demands ≤ 15 |
 //! | `greedy` | max-coverage greedy |
 //! | `greedy-improve` | greedy + drop/merge local search |
 //! | `anneal` | greedy + simulated annealing + local search |
@@ -45,6 +45,7 @@
 //! ```
 
 use crate::anneal::{anneal_covering, AnnealParams};
+use crate::bitset::LaneSet;
 pub use crate::bnb::SymmetryMode;
 use crate::bnb::{self, CoverSpec, MemoStore, Outcome, RunLimits, DEFAULT_MEMO_BYTES};
 use crate::greedy::greedy_cover;
@@ -168,9 +169,6 @@ pub enum CancelReason {
     /// The owning service is shutting down; in-flight work should stop
     /// and queued work will be reported unstarted.
     Shutdown,
-    /// An ancestor's wall-clock deadline was enforced by cancellation
-    /// (distinct from a kernel's *own* deadline check).
-    Deadline,
 }
 
 impl CancelReason {
@@ -179,7 +177,6 @@ impl CancelReason {
         match self {
             CancelReason::Explicit => Exhaustion::Cancelled,
             CancelReason::Shutdown => Exhaustion::Shutdown,
-            CancelReason::Deadline => Exhaustion::Deadline,
         }
     }
 
@@ -187,7 +184,6 @@ impl CancelReason {
         match self {
             CancelReason::Explicit => 1,
             CancelReason::Shutdown => 2,
-            CancelReason::Deadline => 3,
         }
     }
 
@@ -195,7 +191,6 @@ impl CancelReason {
         match code {
             1 => Some(CancelReason::Explicit),
             2 => Some(CancelReason::Shutdown),
-            3 => Some(CancelReason::Deadline),
             _ => None,
         }
     }
@@ -219,7 +214,8 @@ impl CancelReason {
 /// Cancellation carries a [`CancelReason`] down the tree: a child
 /// cancelled through its parent inherits the parent's reason, so the
 /// wire document can distinguish a batch shutdown from a job-level
-/// cancel or an ancestor-enforced deadline.
+/// cancel. A deadline is not a cancellation: a kernel's own deadline
+/// check answers `deadline`.
 ///
 /// ```
 /// use cyclecover_solver::api::{CancelReason, CancelToken};
@@ -625,7 +621,8 @@ pub enum Exhaustion {
     /// work.
     Shutdown,
     /// The engine's method has no further moves (a heuristic finished
-    /// above the requested budget, or DLX found no exact partition).
+    /// above the requested budget, DLX found no exact partition, or an
+    /// optimum sweep would pass the largest budget a `u32` counts).
     EngineLimit,
 }
 
@@ -984,24 +981,36 @@ fn drive_exact(
             Outcome::Exhausted(reason) => (None, Optimality::BudgetExhausted { reason }),
         },
         Objective::FindOptimal => {
-            let mut budget = bnb::deepening_start(u, problem.spec());
-            let mut proof = LowerBoundProof::CombinatorialBound { bound: budget };
-            loop {
-                match probe(budget) {
-                    (Outcome::Feasible(idx), _) => {
-                        let lower_bound_proof = proof;
-                        break (tiles(idx), Optimality::Optimal { lower_bound_proof });
-                    }
-                    (Outcome::Infeasible, s) => {
-                        proof = LowerBoundProof::ExhaustiveSearch {
-                            infeasible_budget: budget,
-                            nodes: s.nodes,
-                            symmetry_factor: s.sym_factor.max(1),
-                        };
-                        budget += 1;
-                    }
-                    (Outcome::Exhausted(reason), _) => {
-                        break (None, Optimality::BudgetExhausted { reason });
+            // A sweep past the largest budget a `u32` counts has no
+            // further moves: it answers instead of truncating or wrapping.
+            let beyond_budgets = Optimality::BudgetExhausted {
+                reason: Exhaustion::EngineLimit,
+            };
+            match bnb::deepening_start(u, problem.spec()) {
+                None => (None, beyond_budgets),
+                Some(mut budget) => {
+                    let mut proof = LowerBoundProof::CombinatorialBound { bound: budget };
+                    loop {
+                        match probe(budget) {
+                            (Outcome::Feasible(idx), _) => {
+                                let lower_bound_proof = proof;
+                                break (tiles(idx), Optimality::Optimal { lower_bound_proof });
+                            }
+                            (Outcome::Infeasible, s) => {
+                                proof = LowerBoundProof::ExhaustiveSearch {
+                                    infeasible_budget: budget,
+                                    nodes: s.nodes,
+                                    symmetry_factor: s.sym_factor.max(1),
+                                };
+                                match budget.checked_add(1) {
+                                    Some(next) => budget = next,
+                                    None => break (None, beyond_budgets),
+                                }
+                            }
+                            (Outcome::Exhausted(reason), _) => {
+                                break (None, Optimality::BudgetExhausted { reason });
+                            }
+                        }
                     }
                 }
             }
@@ -1026,8 +1035,8 @@ fn drive_exact(
 
 /// The default exact engine (`"bitset"`): every budget probe runs on the
 /// context the route rule picks — the bitset core for unit demands, the
-/// lane core for demands ≤ 3, the partition kernel when a λ ≤ 3 probe's
-/// waste slack `budget·n − λ·Σd(e)` is below `n` (recorded in the
+/// lane core for demands ≤ 15, the partition kernel when a λ ≤ 15
+/// probe's waste slack `budget·n − λ·Σd(e)` is below `n` (recorded in the
 /// certificate's `partition_probes` stat), the recursive multiplicity
 /// kernel beyond.
 pub struct BitsetEngine;
@@ -1104,11 +1113,11 @@ pub struct PartitionEngine {
 }
 
 impl PartitionEngine {
-    /// Any spec with demands in `1..=3`, at any budget. Most effective on
-    /// capacity-tight instances (where the route rule picks this kernel
-    /// automatically once slack < n); selectable explicitly to push *any*
-    /// λ ≤ 3 probe through the partition route, e.g. the n = 16 frontier
-    /// probes.
+    /// Any spec with demands in `1..=15`, at any budget. Most effective
+    /// on capacity-tight instances (where the route rule picks this
+    /// kernel automatically once slack < n); selectable explicitly to
+    /// push *any* λ ≤ 15 probe through the partition route, e.g. the
+    /// n = 16 frontier probes.
     pub const PARTITION: PartitionEngine = PartitionEngine {
         name: "partition",
         description: "slack-budgeted exact-cover kernel (MRV chords, waste budget = budget*n - lambda*total-dist)",
@@ -1128,7 +1137,7 @@ impl PartitionEngine {
     pub const DLX: PartitionEngine = PartitionEngine {
         name: "dlx",
         description:
-            "exact partition at zero slack (lambda*total-dist divisible by n, demands <= 3)",
+            "exact partition at zero slack (lambda*total-dist divisible by n, demands <= 15)",
         zero_slack: true,
     };
 }
@@ -1144,7 +1153,7 @@ impl Engine for PartitionEngine {
 
     fn supports(&self, problem: &Problem, _request: &SolveRequest) -> bool {
         let spec = problem.spec();
-        (1..=3).contains(&spec.max_demand())
+        (1..=LaneSet::<4>::MAX).contains(&spec.max_demand())
             && (!self.zero_slack
                 || bnb::demanded_distance(problem.universe(), spec)
                     .is_multiple_of(problem.ring().n() as u64))
@@ -1546,24 +1555,30 @@ mod tests {
 
     /// Solves one instance per route with the stop `limit` applies and
     /// checks that the search answers `BudgetExhausted { reason }` within
-    /// 8,192 nodes: the unit core, the lane core, the partition kernel,
-    /// and the recursive multiplicity kernel behind both `bitset` and
-    /// `legacy`. Every instance needs far more nodes than that to finish.
+    /// 8,192 nodes: the unit core, the lane core and the partition kernel
+    /// on 2-bit and on 4-bit lanes, and the recursive multiplicity kernel
+    /// behind both `bitset` and `legacy`. Every instance needs far more
+    /// nodes than that to finish.
     fn assert_stops_on_every_route(
         limit: impl Fn(SolveRequest) -> SolveRequest,
         reason: Exhaustion,
     ) {
         let unit = Problem::complete(8);
-        // Budget 26 on the double cover of K_10 leaves waste slack n, so
-        // the probe stays on the lane core.
+        // Budget 26 on the double cover of K_10 and budget 19 on the
+        // 4-fold cover of K_6 leave waste slack n, so those probes stay on
+        // the lane core.
         let lanes = Problem::lambda_fold(10, 2);
         let partition = Problem::lambda_fold(8, 2);
-        let recursive = Problem::lambda_fold(6, 4);
+        let wide_lanes = Problem::lambda_fold(6, 4);
+        let wide_partition = Problem::lambda_fold(6, 5);
+        let recursive = Problem::lambda_fold(6, 16);
         let unit_off = SolveRequest::within_budget(8).with_symmetry(SymmetryMode::Off);
         let cases = [
             ("bitset", &unit, unit_off, 0),
             ("bitset", &lanes, SolveRequest::within_budget(26), 0),
             ("partition", &partition, SolveRequest::find_optimal(), 1),
+            ("bitset", &wide_lanes, SolveRequest::within_budget(19), 0),
+            ("bitset", &wide_partition, SolveRequest::find_optimal(), 1),
             ("bitset", &recursive, SolveRequest::find_optimal(), 0),
             ("legacy", &recursive, SolveRequest::find_optimal(), 0),
         ];
@@ -1617,6 +1632,40 @@ mod tests {
             |request| request.with_deadline(Duration::ZERO),
             Exhaustion::Deadline,
         );
+    }
+
+    /// An optimum sweep never truncates or wraps its budget: a bound
+    /// past `u32::MAX` answers `engine_limit` without a probe, and a
+    /// sweep refuted at `u32::MAX` stops there instead of wrapping to 0.
+    #[test]
+    fn the_budget_sweep_stops_at_the_largest_u32_budget() {
+        for engine in ["bitset", "legacy"] {
+            let engine = engine_by_name(engine).unwrap();
+            let beyond = engine.solve(
+                &Problem::lambda_fold(5, 4_000_000_000),
+                &SolveRequest::find_optimal().with_max_nodes(1_000),
+            );
+            let limit = Optimality::BudgetExhausted {
+                reason: Exhaustion::EngineLimit,
+            };
+            assert_eq!(*beyond.optimality(), limit);
+            assert_eq!((beyond.stats().nodes, beyond.stats().budgets_tried), (0, 0));
+            // Two diameters of K_6 demanded u32::MAX times each: the
+            // capacity bound is exactly u32::MAX, and the diameter bound
+            // refutes that budget at the root.
+            let diameters = [
+                cyclecover_graph::Edge::new(0, 3),
+                cyclecover_graph::Edge::new(1, 4),
+            ];
+            let mut spec = CoverSpec::subset(6, &diameters);
+            spec.demand.iter_mut().for_each(|d| *d *= u32::MAX);
+            let last = engine.solve(
+                &Problem::new(TileUniverse::new(Ring::new(6), 6), spec),
+                &SolveRequest::find_optimal().with_max_nodes(1_000),
+            );
+            assert_eq!(*last.optimality(), limit);
+            assert_eq!((last.stats().nodes, last.stats().budgets_tried), (1, 1));
+        }
     }
 
     #[test]

@@ -197,43 +197,61 @@ impl fmt::Debug for ChordSet {
     }
 }
 
-/// Low bit of every 2-bit lane of a [`LaneSet`] word.
-pub const LANE_LOW: u64 = 0x5555_5555_5555_5555;
-
-/// Lanes per `u64` word of a [`LaneSet`].
-pub const LANES_PER_WORD: u32 = 32;
-
 /// Word-packed per-chord multiplicities: the λ-fold sibling of
 /// [`ChordSet`].
 ///
-/// Each chord owns a 2-bit lane (32 lanes per word) holding its
-/// *residual* demand — how many more times it must be covered — so
-/// λ ≤ 3 specs fit without inter-lane carries. Placing a tile is one
-/// masked subtract per word: lanes that are covered by the tile *and*
-/// still nonzero each lose exactly 1, which cannot borrow into the
-/// neighbouring lane because every decremented lane is ≥ 1. "Fully
-/// covered" is the lane-wise compare against zero, and residual-demand
-/// popcounts (how many covered lanes are still live) fall out of the
-/// same mask that drives the subtract.
+/// Each chord owns a `BITS`-bit lane holding its *residual* demand — how
+/// many more times it must be covered. Two widths are in use: 2-bit lanes
+/// (32 per word) hold demands ≤ 3, 4-bit lanes (16 per word) demands
+/// ≤ 15; `BITS` must divide 64. Placing a tile is one masked subtract per
+/// word: lanes that are covered by the tile *and* still nonzero each lose
+/// exactly 1, which cannot borrow into the neighbouring lane because every
+/// decremented lane is ≥ 1. "Fully covered" is the lane-wise compare
+/// against zero, and residual-demand popcounts (how many covered lanes are
+/// still live) fall out of the same mask that drives the subtract.
 ///
-/// Word `w` lane `i` (chord `32·w + i`) occupies bits `2i` (low) and
-/// `2i + 1` (high); [`LANE_LOW`] selects the low bit of every lane.
+/// Word `w` lane `i` (chord `PER_WORD·w + i`) occupies bits `BITS·i`
+/// (low) to `BITS·i + BITS − 1` (high); [`LaneSet::LOW`] selects the low
+/// bit of every lane.
 #[derive(Clone, PartialEq, Eq, Hash)]
-pub struct LaneSet {
+pub struct LaneSet<const BITS: u32> {
     words: Vec<u64>,
     nlanes: u32,
 }
 
-impl LaneSet {
+impl<const BITS: u32> LaneSet<BITS> {
+    /// Lanes per `u64` word.
+    pub const PER_WORD: u32 = 64 / BITS;
+
+    /// Low bit of every lane of a word (`0x5555…` at 2 bits, `0x1111…`
+    /// at 4).
+    pub const LOW: u64 = u64::MAX / ((1 << BITS) - 1);
+
+    /// The largest residual a lane holds.
+    pub const MAX: u32 = (1 << BITS) - 1;
+
+    /// One [`LaneSet::LOW`] bit per nonzero lane of word `w`:
+    /// `(w | w >> 1) & LOW` at 2 bits, `(w | w >> 1 | w >> 2 | w >> 3) &
+    /// LOW` at 4.
+    #[inline]
+    pub fn nonzero(w: u64) -> u64 {
+        let mut any = w;
+        for s in 1..BITS {
+            any |= w >> s;
+        }
+        any & Self::LOW
+    }
+
     /// All-zero residuals over `nlanes` chord slots.
     pub fn zero(nlanes: u32) -> Self {
         LaneSet {
-            words: vec![0; nlanes.div_ceil(LANES_PER_WORD) as usize],
+            words: vec![0; nlanes.div_ceil(Self::PER_WORD) as usize],
             nlanes,
         }
     }
 
-    /// Packs per-chord residual counts (each ≤ 3) into lanes.
+    /// Packs per-chord residual counts (each ≤ [`LaneSet::MAX`]) into
+    /// lanes.
     pub fn from_counts(counts: &[u32]) -> Self {
         let mut s = Self::zero(counts.len() as u32);
         for (i, &v) in counts.iter().enumerate() {
@@ -264,17 +282,21 @@ impl LaneSet {
     #[inline]
     pub fn get(&self, i: u32) -> u32 {
         debug_assert!(i < self.nlanes, "lane {i} out of width {}", self.nlanes);
-        (self.words[(i / LANES_PER_WORD) as usize] >> (2 * (i % LANES_PER_WORD)) & 0b11) as u32
+        let w = self.words[(i / Self::PER_WORD) as usize];
+        (w >> (BITS * (i % Self::PER_WORD)) & Self::MAX as u64) as u32
     }
 
-    /// Sets lane `i` to `v` (≤ 3).
+    /// Sets lane `i` to `v` (≤ [`LaneSet::MAX`]).
     #[inline]
     pub fn set(&mut self, i: u32, v: u32) {
         debug_assert!(i < self.nlanes, "lane {i} out of width {}", self.nlanes);
-        debug_assert!(v <= 3, "residual {v} does not fit a 2-bit lane");
-        let w = &mut self.words[(i / LANES_PER_WORD) as usize];
-        let sh = 2 * (i % LANES_PER_WORD);
-        *w = (*w & !(0b11u64 << sh)) | ((v as u64) << sh);
+        debug_assert!(
+            v <= Self::MAX,
+            "residual {v} does not fit a {BITS}-bit lane"
+        );
+        let w = &mut self.words[(i / Self::PER_WORD) as usize];
+        let sh = BITS * (i % Self::PER_WORD);
+        *w = (*w & !((Self::MAX as u64) << sh)) | ((v as u64) << sh);
     }
 
     /// Total residual demand: the sum of every lane.
@@ -282,7 +304,11 @@ impl LaneSet {
     pub fn total(&self) -> u32 {
         self.words
             .iter()
-            .map(|&w| (w & LANE_LOW).count_ones() + 2 * (w >> 1 & LANE_LOW).count_ones())
+            .map(|&w| {
+                (0..BITS)
+                    .map(|k| (w >> k & Self::LOW).count_ones() << k)
+                    .sum::<u32>()
+            })
             .sum()
     }
 
@@ -291,7 +317,7 @@ impl LaneSet {
     pub fn count_nonzero(&self) -> u32 {
         self.words
             .iter()
-            .map(|&w| ((w | w >> 1) & LANE_LOW).count_ones())
+            .map(|&w| Self::nonzero(w).count_ones())
             .sum()
     }
 
@@ -300,7 +326,7 @@ impl LaneSet {
     pub fn first_nonzero(&self) -> Option<u32> {
         for (i, &w) in self.words.iter().enumerate() {
             if w != 0 {
-                return Some((i as u32) * LANES_PER_WORD + w.trailing_zeros() / 2);
+                return Some((i as u32) * Self::PER_WORD + w.trailing_zeros() / BITS);
             }
         }
         None
@@ -309,16 +335,17 @@ impl LaneSet {
     /// Places a tile on word `wi`: every lane selected by `mask_low`
     /// (low-bit positions, as a tile's lane mask) that is still nonzero
     /// is decremented by exactly 1 — the saturating masked subtract.
-    /// Returns the subtracted word (one [`LANE_LOW`] bit per decremented
-    /// lane), which the caller stores for [`LaneSet::unplace_word`] and
-    /// whose popcount is the tile's new coverage in this word.
+    /// Returns the subtracted word (one [`LaneSet::LOW`] bit per
+    /// decremented lane), which the caller stores for
+    /// [`LaneSet::unplace_word`] and whose popcount is the tile's new
+    /// coverage in this word.
     #[inline]
     pub fn place_word(&mut self, wi: usize, mask_low: u64) -> u64 {
-        debug_assert_eq!(mask_low & !LANE_LOW, 0, "mask must use low-bit lanes");
+        debug_assert_eq!(mask_low & !Self::LOW, 0, "mask must use low-bit lanes");
         let r = self.words[wi];
         // Every subtracted lane is ≥ 1, so the word-wide subtract cannot
         // borrow across a lane boundary.
-        let sub = (r | r >> 1) & mask_low;
+        let sub = Self::nonzero(r) & mask_low;
         self.words[wi] = r - sub;
         sub
     }
@@ -328,10 +355,10 @@ impl LaneSet {
     /// decremented from ≥ 1 by the matching place.
     #[inline]
     pub fn unplace_word(&mut self, wi: usize, sub: u64) {
-        debug_assert_eq!(sub & !LANE_LOW, 0, "undo word must use low-bit lanes");
+        debug_assert_eq!(sub & !Self::LOW, 0, "undo word must use low-bit lanes");
         debug_assert_eq!(
-            self.words[wi] & self.words[wi] >> 1 & sub,
-            0,
+            Self::nonzero(!self.words[wi]) & sub,
+            sub,
             "re-incrementing a saturated lane"
         );
         self.words[wi] += sub;
@@ -344,7 +371,7 @@ impl LaneSet {
     }
 }
 
-impl fmt::Debug for LaneSet {
+impl<const BITS: u32> fmt::Debug for LaneSet<BITS> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "LaneSet{{")?;
         let mut first = true;
@@ -490,37 +517,44 @@ mod tests {
         assert_eq!(s.count() as usize, picks.len());
     }
 
-    /// Lane-boundary widths: 31/32/33 straddle the first word edge
-    /// (32 lanes per word), 63/64/65 the second — the λ-fold analogue
-    /// of the bitset width-boundary suite. 66 is a real instance width
-    /// (`n = 12` has 66 chords).
-    #[test]
-    fn lane_width_boundaries() {
-        for nlanes in [1u32, 31, 32, 33, 63, 64, 65, 66] {
-            let counts: Vec<u32> = (0..nlanes).map(|i| i % 4).collect();
-            let s = LaneSet::from_counts(&counts);
-            assert_eq!(s.len(), nlanes, "width {nlanes}");
+    /// Lane-boundary widths: one lane short of, at, and one past each
+    /// word edge (32 lanes per word at 2 bits, 16 at 4), the λ-fold
+    /// analogue of the bitset width-boundary suite. 66 is a real instance
+    /// width (`n = 12` has 66 chords).
+    fn lane_boundaries<const B: u32>(widths: &[u32]) {
+        let levels = LaneSet::<B>::MAX + 1;
+        for &nlanes in widths {
+            let counts: Vec<u32> = (0..nlanes).map(|i| i % levels).collect();
+            let s = LaneSet::<B>::from_counts(&counts);
+            let ctx = format!("{B}-bit lanes, width {nlanes}");
+            assert_eq!(s.len(), nlanes, "{ctx}");
             for i in 0..nlanes {
-                assert_eq!(s.get(i), i % 4, "width {nlanes} lane {i}");
+                assert_eq!(s.get(i), i % levels, "{ctx} lane {i}");
             }
-            assert_eq!(s.total(), counts.iter().sum::<u32>(), "width {nlanes}");
+            assert_eq!(s.total(), counts.iter().sum::<u32>(), "{ctx}");
             assert_eq!(
                 s.count_nonzero(),
                 counts.iter().filter(|&&v| v > 0).count() as u32,
-                "width {nlanes}"
+                "{ctx}"
             );
             assert_eq!(
                 s.first_nonzero(),
                 counts.iter().position(|&v| v > 0).map(|p| p as u32),
-                "width {nlanes}"
+                "{ctx}"
             );
-            assert_eq!(s.is_zero(), nlanes == 1, "width {nlanes}");
+            assert_eq!(s.is_zero(), nlanes == 1, "{ctx}");
         }
     }
 
     #[test]
+    fn lane_width_boundaries() {
+        lane_boundaries::<2>(&[1, 31, 32, 33, 63, 64, 65, 66]);
+        lane_boundaries::<4>(&[1, 15, 16, 17, 31, 32, 33, 66]);
+    }
+
+    #[test]
     fn lane_set_get_roundtrip() {
-        let mut s = LaneSet::zero(65);
+        let mut s = LaneSet::<2>::zero(65);
         for (i, v) in [(0u32, 3u32), (31, 1), (32, 2), (33, 3), (63, 2), (64, 1)] {
             s.set(i, v);
             assert_eq!(s.get(i), v, "lane {i}");
@@ -533,47 +567,66 @@ mod tests {
         assert_eq!(s.get(33), 0);
         assert_eq!(s.get(32), 2, "clearing a lane leaves its neighbours");
         assert_eq!(s.get(34), 0);
+
+        let mut w = LaneSet::<4>::zero(33);
+        for (i, v) in [(0u32, 15u32), (15, 9), (16, 15), (17, 4), (32, 15)] {
+            w.set(i, v);
+            assert_eq!(w.get(i), v, "4-bit lane {i}");
+        }
+        assert_eq!((w.get(1), w.get(14), w.get(18), w.get(31)), (0, 0, 0, 0));
+        w.set(16, 0);
+        assert_eq!((w.get(15), w.get(16), w.get(17)), (9, 0, 4));
+    }
+
+    /// Lanes 0..4 hold `counts`; the mask covers lanes 0, 2 and 3, and
+    /// lane 3 is zero. A place decrements exactly the live masked lanes
+    /// (its popcount is the new coverage), and the undo restores them.
+    fn place_decrements_live_masked<const B: u32>(counts: [u32; 4]) {
+        assert_eq!(counts[3], 0);
+        let mut s = LaneSet::<B>::from_counts(&counts);
+        let mask = 1u64 | 1 << (2 * B) | 1 << (3 * B);
+        let sub = s.place_word(0, mask);
+        // Lane 3 is already zero: saturation keeps it out of the
+        // subtract, so new coverage is the two live masked lanes.
+        assert_eq!(sub, 1u64 | 1 << (2 * B), "{B}-bit");
+        assert_eq!(sub.count_ones(), 2, "coverage popcount");
+        assert_eq!(
+            (s.get(0), s.get(1), s.get(2), s.get(3)),
+            (counts[0] - 1, counts[1], counts[2] - 1, 0),
+            "{B}-bit: masked live lanes lost exactly 1; others untouched"
+        );
+        s.unplace_word(0, sub);
+        assert_eq!(s, LaneSet::<B>::from_counts(&counts));
     }
 
     #[test]
     fn place_word_decrements_only_live_masked_lanes() {
-        // Lanes 0..4 hold 3, 2, 1, 0; the mask covers lanes 0, 2, 3.
-        let mut s = LaneSet::from_counts(&[3, 2, 1, 0]);
-        let mask = 1u64 | 1 << 4 | 1 << 6;
-        let sub = s.place_word(0, mask);
-        // Lane 3 is already zero: saturation keeps it out of the
-        // subtract, so new coverage is the two live masked lanes.
-        assert_eq!(sub, 1u64 | 1 << 4);
-        assert_eq!(sub.count_ones(), 2, "coverage popcount");
-        assert_eq!(
-            (s.get(0), s.get(1), s.get(2), s.get(3)),
-            (2, 2, 0, 0),
-            "masked live lanes lost exactly 1; others untouched"
-        );
-        s.unplace_word(0, sub);
-        assert_eq!((s.get(0), s.get(1), s.get(2), s.get(3)), (3, 2, 1, 0));
+        place_decrements_live_masked::<2>([3, 2, 1, 0]);
+        place_decrements_live_masked::<4>([15, 7, 1, 0]);
     }
 
-    #[test]
-    fn place_word_never_borrows_across_lanes() {
-        // A full word of residual-1 lanes: subtracting the whole mask
-        // must zero every lane without any lane borrowing from its
-        // neighbour (which would show up as 0b11 garbage).
-        let mut s = LaneSet::from_counts(&[1; 32]);
-        let sub = s.place_word(0, LANE_LOW);
-        assert_eq!(sub, LANE_LOW);
+    /// A full word of residual-1 lanes, then residuals `1..=MAX` across a
+    /// word edge: subtracting whole masks must decrement every lane
+    /// without any lane borrowing from its neighbour (which would show up
+    /// as all-ones garbage), and the undo must restore the word exactly.
+    fn never_borrows<const B: u32>() {
+        let per_word = LaneSet::<B>::PER_WORD;
+        let low = LaneSet::<B>::LOW;
+        let mut s = LaneSet::<B>::from_counts(&vec![1; per_word as usize]);
+        let sub = s.place_word(0, low);
+        assert_eq!(sub, low);
         assert!(s.is_zero());
         s.unplace_word(0, sub);
-        assert_eq!(s.total(), 32);
+        assert_eq!(s.total(), per_word);
 
-        // Mixed values 1..=3 across a word edge at lane 32.
-        let counts: Vec<u32> = (0..40).map(|i| 1 + i % 3).collect();
-        let mut m = LaneSet::from_counts(&counts);
+        let max = LaneSet::<B>::MAX;
+        let counts: Vec<u32> = (0..per_word + per_word / 4).map(|i| 1 + i % max).collect();
+        let mut m = LaneSet::<B>::from_counts(&counts);
         let before = m.clone();
-        let s0 = m.place_word(0, LANE_LOW);
-        let s1 = m.place_word(1, LANE_LOW & ((1u64 << 16) - 1));
+        let s0 = m.place_word(0, low);
+        let s1 = m.place_word(1, low & ((1u64 << (B * per_word / 4)) - 1));
         for (i, &v) in counts.iter().enumerate() {
-            assert_eq!(m.get(i as u32), v - 1, "lane {i}");
+            assert_eq!(m.get(i as u32), v - 1, "{B}-bit lane {i}");
         }
         m.unplace_word(1, s1);
         m.unplace_word(0, s0);
@@ -581,8 +634,57 @@ mod tests {
     }
 
     #[test]
+    fn place_word_never_borrows_across_lanes() {
+        never_borrows::<2>();
+        never_borrows::<4>();
+    }
+
+    /// A 4-bit lane holds demands up to 15: a full lane decrements to 14
+    /// and back, a drained lane stays at 0 however often it is placed
+    /// on, and the word-wide queries read 15-valued lanes exactly.
+    #[test]
+    fn four_bit_lanes_saturate_at_15() {
+        assert_eq!(LaneSet::<4>::MAX, 15);
+        assert_eq!(LaneSet::<4>::LOW, 0x1111_1111_1111_1111);
+        assert_eq!(LaneSet::<2>::LOW, 0x5555_5555_5555_5555);
+        let mut s = LaneSet::<4>::from_counts(&[15; 16]);
+        assert_eq!(s.words(), &[u64::MAX]);
+        assert_eq!((s.total(), s.count_nonzero()), (240, 16));
+        let sub = s.place_word(0, LaneSet::<4>::LOW);
+        assert!((0..16).all(|i| s.get(i) == 14));
+        s.unplace_word(0, sub);
+        assert_eq!(s.words(), &[u64::MAX], "back to fifteen in every lane");
+
+        let mut d = LaneSet::<4>::from_counts(&[0, 15, 1]);
+        let mask = LaneSet::<4>::LOW & 0xFFF;
+        let mut undo = Vec::new();
+        for _ in 0..16 {
+            undo.push(d.place_word(0, mask));
+        }
+        assert_eq!(
+            (d.get(0), d.get(1), d.get(2)),
+            (0, 0, 0),
+            "drained, not wrapped"
+        );
+        assert_eq!(undo.iter().map(|w| w.count_ones()).sum::<u32>(), 16);
+        while let Some(sub) = undo.pop() {
+            d.unplace_word(0, sub);
+        }
+        assert_eq!((d.get(0), d.get(1), d.get(2)), (0, 15, 1));
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "does not fit a 4-bit lane")]
+    fn a_sixteen_does_not_fit_a_4_bit_lane() {
+        LaneSet::<4>::zero(3).set(1, 16);
+    }
+
+    #[test]
     fn lane_debug_render() {
-        let s = LaneSet::from_counts(&[0, 2, 0, 3]);
+        let s = LaneSet::<2>::from_counts(&[0, 2, 0, 3]);
         assert_eq!(format!("{s:?}"), "LaneSet{1:2,3:3}/4");
+        let w = LaneSet::<4>::from_counts(&[0, 12, 0, 3]);
+        assert_eq!(format!("{w:?}"), "LaneSet{1:12,3:3}/4");
     }
 }

@@ -29,9 +29,12 @@
 //! | spec | waste slack | search context |
 //! |------|-------------|----------------|
 //! | unit demands | any | the iterative bitset core |
-//! | demands ≤ 3 | in `[0, n)` | the slack-budgeted partition kernel ([`crate::dlx`]) |
-//! | demands ≤ 3 | otherwise | the lane core (packed 2-bit residual lanes) |
-//! | demands > 3 | any | the recursive multiplicity kernel |
+//! | demands ≤ 15 | in `[0, n)` | the slack-budgeted partition kernel ([`crate::dlx`]) |
+//! | demands ≤ 15 | otherwise | the lane core |
+//! | demands > 15 | any | the recursive multiplicity kernel |
+//!
+//! The lane core and the partition kernel pack residual demand into
+//! 2-bit lanes when every demand is ≤ 3 and into 4-bit lanes up to 15.
 //!
 //! The partition route is recorded in [`Stats::partition_probes`]. Unit
 //! probes never take it: their memo-off node counts are pinned bit for
@@ -73,7 +76,7 @@
 //! ([`budget_search_reference`]): on unit specs its bitset kernel is what
 //! the iterative core reproduces *to the node* with the memo off, and its
 //! multiplicity kernel (plain per-chord counters, still driven by the
-//! precomputed chord index lists) serves demands above 3 and the frozen
+//! precomputed chord index lists) serves demands above 15 and the frozen
 //! `legacy` engine.
 //!
 //! # Symmetry reduction
@@ -89,7 +92,7 @@
 //! the reduction factor.
 
 use crate::api::{CancelToken, Exhaustion, Stats};
-use crate::bitset::ChordSet;
+use crate::bitset::{ChordSet, LaneSet};
 use crate::dlx::PartitionCore;
 use crate::lower_bound::{
     combinatorial_lower_bound, diameter_slack_bound, parity_join_bound, weighted_demand_bound,
@@ -215,8 +218,9 @@ impl CoverSpec {
     }
 
     /// The largest per-request multiplicity. ≤ 1 means the unit bitset
-    /// machinery applies; ≤ 3 fits the packed 2-bit lane kernel; larger
-    /// demands fall back to the recursive multiplicity kernel.
+    /// machinery applies; ≤ 3 fits the packed 2-bit lanes and ≤ 15 the
+    /// 4-bit lanes of the lane and partition cores; larger demands fall
+    /// back to the recursive multiplicity kernel.
     pub fn max_demand(&self) -> u32 {
         self.demand.iter().copied().max().unwrap_or(0)
     }
@@ -868,12 +872,12 @@ pub(crate) fn demanded_distance(u: &TileUniverse, spec: &CoverSpec) -> u64 {
 pub(crate) enum Route {
     /// Unit demands: the iterative bitset core.
     Unit,
-    /// Demands ≤ 3: the word-parallel lane core.
+    /// Demands ≤ 15: the word-parallel lane core.
     Lanes,
-    /// Demands ≤ 3 with waste slack in `[0, n)`: the slack-budgeted
+    /// Demands ≤ 15 with waste slack in `[0, n)`: the slack-budgeted
     /// partition kernel.
     Partition,
-    /// Demands > 3: the recursive multiplicity kernel.
+    /// Demands > 15: the recursive multiplicity kernel.
     Multi,
 }
 
@@ -882,7 +886,7 @@ pub(crate) fn route(u: &TileUniverse, spec: &CoverSpec, budget: u32) -> Route {
     if spec.is_unit() {
         return Route::Unit;
     }
-    if spec.max_demand() > 3 {
+    if spec.max_demand() > LaneSet::<4>::MAX {
         return Route::Multi;
     }
     let n = u.ring().n() as u64;
@@ -912,10 +916,11 @@ pub(crate) fn budget_search(
 }
 
 /// [`budget_search`] on a given route. Partition-route probes are
-/// recorded in [`Stats::partition_probes`].
+/// recorded in [`Stats::partition_probes`]. The lane routes run on 2-bit
+/// lanes when every demand is ≤ 3 and on 4-bit lanes otherwise.
 ///
 /// # Panics
-/// Panics if a lane route meets a demand above 3.
+/// Panics if a lane route meets a demand above 15.
 pub(crate) fn search_route(
     route: Route,
     u: &TileUniverse,
@@ -928,21 +933,59 @@ pub(crate) fn search_route(
     let g = Governor::new(lim);
     match route {
         Route::Unit => search_core::probe(IterCore::new(u, spec, budget, g, sym, store)),
-        Route::Lanes => {
-            let lanes = LaneTables::build(u);
-            search_core::probe(LaneCore::new(u, spec, budget, g, sym, store, &lanes))
-        }
-        Route::Partition => {
-            let lanes = LaneTables::build(u);
-            let core = PartitionCore::new(u, spec, budget, g, sym, store, &lanes);
-            let (outcome, stats) = search_core::probe(core);
-            let stats = Stats {
-                partition_probes: 1,
-                ..stats
-            };
-            (outcome, stats)
+        Route::Lanes | Route::Partition => {
+            let demand = spec.max_demand();
+            assert!(demand <= LaneSet::<4>::MAX, "lane routes take demands ≤ 15");
+            let partition = route == Route::Partition;
+            if demand <= LaneSet::<2>::MAX {
+                lane_probe::<2>(partition, u, spec, budget, g, sym, store)
+            } else {
+                wide_lane_probe(partition, u, spec, budget, g, sym, store)
+            }
         }
         Route::Multi => SearchCtx::<MultiKernel>::new(u, spec, budget, g, sym).probe(),
+    }
+}
+
+/// [`lane_probe`] on 4-bit lanes, kept out of line: inlined, its two
+/// search loops joined the unit and 2-bit loops in [`search_route`], and
+/// certify-unit and the λ ≤ 3 certify-lambda instances read 2–4 % slower
+/// with the same node counts.
+#[inline(never)]
+fn wide_lane_probe(
+    partition: bool,
+    u: &TileUniverse,
+    spec: &CoverSpec,
+    budget: u32,
+    g: Governor<'_>,
+    sym: SymmetryMode,
+    store: Option<&MemoStore>,
+) -> (Outcome, Stats) {
+    lane_probe::<4>(partition, u, spec, budget, g, sym, store)
+}
+
+/// One probe on `B`-bit lanes: the partition kernel when `partition`,
+/// else the lane core.
+fn lane_probe<const B: u32>(
+    partition: bool,
+    u: &TileUniverse,
+    spec: &CoverSpec,
+    budget: u32,
+    g: Governor<'_>,
+    sym: SymmetryMode,
+    store: Option<&MemoStore>,
+) -> (Outcome, Stats) {
+    let lanes = LaneTables::<B>::build(u);
+    if partition {
+        let core = PartitionCore::new(u, spec, budget, g, sym, store, &lanes);
+        let (outcome, stats) = search_core::probe(core);
+        let stats = Stats {
+            partition_probes: 1,
+            ..stats
+        };
+        (outcome, stats)
+    } else {
+        search_core::probe(LaneCore::new(u, spec, budget, g, sym, store, &lanes))
     }
 }
 
@@ -969,13 +1012,13 @@ pub fn budget_search_reference(
 }
 
 /// `budget_search` forced onto the word-parallel **lane core** for a
-/// λ ≤ 3 spec, bypassing the low-slack partition route — the
+/// λ ≤ 15 spec, bypassing the low-slack partition route — the
 /// branch-and-bound counterpart the partition kernel is measured
 /// against (benches gate partition witness rows strictly under it;
 /// differential tests pin verdicts and optima to it).
 ///
 /// # Panics
-/// Panics if a demand exceeds 3 (the lane core's packed width).
+/// Panics if a demand exceeds 15 (the lane core's widest lanes).
 pub fn budget_search_packed(
     u: &TileUniverse,
     spec: &CoverSpec,
@@ -984,7 +1027,6 @@ pub fn budget_search_packed(
     sym: SymmetryMode,
     store: Option<&MemoStore>,
 ) -> (Outcome, Stats) {
-    assert!(spec.max_demand() <= 3, "lane core requires demands ≤ 3");
     let lim = RunLimits::nodes_only(max_nodes);
     search_route(Route::Lanes, u, spec, budget, &lim, sym, store)
 }
@@ -992,11 +1034,11 @@ pub fn budget_search_packed(
 /// `budget_search` forced onto the **slack-budgeted partition
 /// kernel** ([`crate::dlx`]) regardless of the instance's slack — the
 /// direct entry benches and differential tests use to measure the
-/// partition route on any λ ≤ 3 spec (the route rule only picks it when
+/// partition route on any λ ≤ 15 spec (the route rule only picks it when
 /// slack < n).
 ///
 /// # Panics
-/// Panics if a demand exceeds 3 (the kernel's packed lane width).
+/// Panics if a demand exceeds 15 (the kernel's widest lanes).
 pub fn budget_search_partition(
     u: &TileUniverse,
     spec: &CoverSpec,
@@ -1023,15 +1065,15 @@ pub(crate) fn budget_search_legacy(
 }
 
 /// The deepening start budget for a spec: the combinatorial bound for the
-/// complete instance, the capacity bound otherwise.
-pub(crate) fn deepening_start(u: &TileUniverse, spec: &CoverSpec) -> u32 {
+/// complete instance, the capacity bound otherwise — `None` when that
+/// bound exceeds the largest budget a `u32` counts.
+pub(crate) fn deepening_start(u: &TileUniverse, spec: &CoverSpec) -> Option<u32> {
     let n = u.ring().n();
-    let base = spec.capacity_lower_bound(u.ring());
+    let mut base = spec.capacity_lower_bound(u.ring());
     if spec.demand == CoverSpec::complete(n).demand {
-        combinatorial_lower_bound(n).max(base) as u32
-    } else {
-        base as u32
+        base = base.max(combinatorial_lower_bound(n));
     }
+    u32::try_from(base).ok()
 }
 
 #[cfg(test)]
@@ -1061,7 +1103,7 @@ mod tests {
         max_nodes: u64,
     ) -> Option<(Vec<Tile>, u32, Stats)> {
         let lim = RunLimits::nodes_only(max_nodes);
-        let mut budget = deepening_start(u, spec);
+        let mut budget = deepening_start(u, spec).expect("the bound fits a budget");
         let mut total = Stats::default();
         loop {
             let (outcome, stats) = run(u, spec, budget, &lim);

@@ -10,8 +10,9 @@
 //!   exact decomposition".
 //! * `PartitionCore` — the cycle-covering search re-posed as a
 //!   *slack-budgeted exact cover*: columns are the priority chords
-//!   (packed 2-bit residual lanes for demands ≤ 3, the
-//!   `crate::search_core::LaneResidual` it shares with the lane core),
+//!   (packed residual lanes, 2-bit for demands ≤ 3 and 4-bit for demands
+//!   ≤ 15, the `crate::search_core::LaneResidual` it shares with the lane
+//!   core),
 //!   rows are the tiles, and one extra global resource — the **waste
 //!   budget** `slack = budget·n − λ·Σd(e)` — absorbs every unit of cycle
 //!   length not spent covering residual demand. The paper's capacity
@@ -41,14 +42,16 @@
 //!     diameter, vertex-degree and parity/T-join bounds, the in-kernel
 //!     limit checks, the sequential probe, and the refutation memo —
 //!     keyed by the packed residual lanes under a **waste-slack** `rem`
-//!     (lane width tag 3 in `crate::memo`): "no completion of this
+//!     (width tag 3 for 2-bit and 5 for 4-bit lanes in `crate::memo`):
+//!     "no completion of this
 //!     residual state wastes ≤ `rem`". Since a `k`-tile completion of
 //!     a state `R` wastes exactly `k·n − Σ residual-dist(R)`, the
 //!     statement is budget-free and monotone in `rem`, so the store's
 //!     dominated/record rules apply unchanged.
 
+use crate::bitset::LaneSet;
 use crate::bnb::{CoverSpec, SymmetryMode};
-use crate::memo::{MemoStore, KEY_WORDS};
+use crate::memo::{width_tag, MemoStore, KEY_WORDS};
 use crate::search_core::{FrameCore, Governor, LaneResidual, LaneTables, MemoEntry, Stack};
 use crate::TileUniverse;
 
@@ -285,9 +288,9 @@ impl ExactCover {
 /// [`LaneResidual`] and frame machinery, plus the three things that make
 /// it a partition planner — the waste budget, the MRV branch choice, and
 /// the waste filter. See the module docs for the formulation.
-pub(crate) struct PartitionCore<'a> {
+pub(crate) struct PartitionCore<'a, const B: u32> {
     s: Stack<'a>,
-    r: LaneResidual<'a>,
+    r: LaneResidual<'a, B>,
     /// The root waste budget `budget·n − λ·Σd(e)` (clamped to 0 when the
     /// budget is below capacity — the root bound prune fires before the
     /// slack is ever consulted).
@@ -306,7 +309,7 @@ pub(crate) struct PartitionCore<'a> {
     waste_off: Vec<u32>,
 }
 
-impl<'a> PartitionCore<'a> {
+impl<'a, const B: u32> PartitionCore<'a, B> {
     pub(crate) fn new(
         u: &'a TileUniverse,
         spec: &CoverSpec,
@@ -314,13 +317,13 @@ impl<'a> PartitionCore<'a> {
         gov: Governor<'a>,
         requested: SymmetryMode,
         store: Option<&'a MemoStore>,
-        tables: &'a LaneTables,
+        tables: &'a LaneTables<B>,
     ) -> Self {
-        assert!(
-            spec.max_demand() <= 3,
-            "partition kernel requires demands ≤ 3"
+        debug_assert!(
+            spec.max_demand() <= LaneSet::<B>::MAX,
+            "demands fit {B}-bit lanes"
         );
-        let s = Stack::new(u, spec, budget, gov, requested, store, 3);
+        let s = Stack::new(u, spec, budget, gov, requested, store, width_tag(B, true));
         let r = LaneResidual::new(&s, spec, tables);
         let slack = (budget as u64 * u.ring().n() as u64).saturating_sub(r.d.rem_dist);
         let mut waste_off = vec![0u32];
@@ -355,7 +358,7 @@ impl<'a> PartitionCore<'a> {
     }
 }
 
-impl<'a> FrameCore<'a> for PartitionCore<'a> {
+impl<'a, const B: u32> FrameCore<'a> for PartitionCore<'a, B> {
     fn stack(&mut self) -> &mut Stack<'a> {
         &mut self.s
     }
@@ -388,7 +391,7 @@ impl<'a> FrameCore<'a> for PartitionCore<'a> {
     }
 
     /// Memo entries are keyed under the remaining *waste* slack (width
-    /// tag 3).
+    /// tag 3 or 5).
     fn memo_rem(&self) -> u32 {
         self.rem_slack() as u32
     }

@@ -65,8 +65,9 @@
 //!   the residual-state dominance memo — Zobrist-keyed, byte-budgeted
 //!   ([`bnb::DEFAULT_MEMO_BYTES`] unless a request sets its own), with
 //!   canonical dihedral state keying under `SymmetryMode::Full`),
-//!   demands ≤ 3 the packed-lane core, and
-//!   demands above 3 the recursive multiplicity kernel, each probe one
+//!   demands ≤ 15 the packed-lane core (2-bit lanes up to 3, 4-bit
+//!   lanes beyond), and
+//!   demands above 15 the recursive multiplicity kernel, each probe one
 //!   sequential search; the recursive bitset path survives as the
 //!   differential reference ([`bnb::budget_search_reference`]);
 //! * [`dlx`] — the slack-budgeted exact-cover kernel behind the

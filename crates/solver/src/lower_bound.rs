@@ -28,6 +28,23 @@ pub fn weighted_demand_bound(ring: Ring, demand: &[u32]) -> u64 {
     total.div_ceil(n as u64)
 }
 
+/// The λ-fold capacity bound `⌈λ·dist/n⌉` of a request set whose ring
+/// distances sum to `dist`: the budget an optimum sweep starts from. A
+/// multiplicity whose bound does not fit a `u32` budget gets the one
+/// refusal message every request parser shows; a sweep would otherwise
+/// climb through billions of probes.
+pub fn lambda_budget(ring: Ring, dist: u64, lambda: u32) -> Result<u32, String> {
+    let bound = (lambda as u64)
+        .saturating_mul(dist)
+        .div_ceil(ring.n() as u64);
+    u32::try_from(bound).map_err(|_| {
+        format!(
+            "lambda = {lambda} is too large: a covering needs at least {bound} cycles, \
+             more than a u32 budget counts"
+        )
+    })
+}
+
 /// The capacity lower bound:
 /// every DRC cycle occupies at most `n` ring edges (its arcs are pairwise
 /// edge-disjoint) and a request at distance `d` occupies at least `d`, so

@@ -60,27 +60,36 @@
 //!
 //! # Mechanics
 //!
-//! States are keyed *exactly*: the residual state's words (`≤ 128` chord
-//! slots, i.e. every `n ≤ 16` — far beyond what exact search finishes)
-//! are the key, so a hash collision can never cause a false prune and
-//! certificates stay exact. Unit-demand searches key by the uncovered
-//! [`crate::bitset::ChordSet`]'s words (1 bit per chord); λ-fold
-//! searches key by the packed residual [`crate::bitset::LaneSet`]'s
-//! words (2 bits per chord, residual multiplicities `≤ 3`); the
-//! zero-slack partition kernel keys by the same packed lane words but
-//! under a **waste-slack** `rem` (unused cycle length remaining, not
-//! tiles remaining). The encodings can collide bit for bit over the
-//! same universe — and lane and partition entries share raw words by
-//! construction — so every slot carries its **lane width** (`bits`:
-//! 1 = unit, 2 = λ-fold tile slack, 3 = partition waste slack) and a
-//! probe only matches entries of its own width — a service-shared store
-//! may hold all kinds side by side. A Zobrist hash — one 64-bit key
-//! per (chord slot, multiplicity level `1..=3`), generated
-//! deterministically by the vendored xoshiro256** generator (the
-//! level-1 keys come first, so unit hashes are unchanged from earlier
-//! revisions), XOR-folded incrementally as residual demand is
-//! covered/uncovered — picks the shard (top bits) and the slot within
-//! it (low bits). Each
+//! States are keyed *exactly*: the residual state's words are the key,
+//! so a hash collision can never cause a false prune and certificates
+//! stay exact. A key holds [`KEY_WORDS`] = 4 words, 256 bits.
+//! Unit-demand searches key by the uncovered
+//! [`crate::bitset::ChordSet`]'s words (1 bit per chord, `≤ 128` chords,
+//! i.e. every `n ≤ 16`); λ-fold searches key by the packed residual
+//! [`crate::bitset::LaneSet`]'s words — 2 bits per chord for residual
+//! multiplicities `≤ 3` (again `≤ 128` chords), 4 bits per chord for
+//! multiplicities `4..=15`. A 4-bit key fits only up to **64 chords**
+//! (complete `n ≤ 11`); wider 4-bit states search memo-free, as every
+//! `n ≥ 17` search does. Widening [`KEY_WORDS`] would grow every slot of
+//! every store, so it stays at 4. The partition kernel keys by the same
+//! packed lane words but under a **waste-slack** `rem` (unused cycle
+//! length remaining, not tiles remaining). The encodings can collide bit
+//! for bit over the same universe — a λ = 2 and a λ = 4 state can have
+//! equal words while meaning different residuals, and lane and partition
+//! entries share raw words by construction — so every slot carries a
+//! **width tag** (`bits`): 1 = unit, 2 = 2-bit lanes under tile slack,
+//! 3 = 2-bit lanes under waste slack, 4 = 4-bit lanes under tile slack,
+//! 5 = 4-bit lanes under waste slack ([`width_tag`]), and a probe only
+//! matches entries of its own tag — a service-shared store may hold all
+//! kinds side by side. A Zobrist hash — one 64-bit key per (chord slot,
+//! multiplicity level), generated deterministically by the vendored
+//! xoshiro256** generator (the level-1 keys come first, so unit hashes
+//! are unchanged from earlier revisions), XOR-folded incrementally as
+//! residual demand is covered/uncovered — picks the shard (top bits) and
+//! the slot within it (low bits). A store draws the keys of levels
+//! `1..=3` when it is built; the keys of levels `4..=15` continue the
+//! same stream and are drawn only when the first 4-bit searcher asks for
+//! them, so unit and 2-bit stores never pay for them. Each
 //! shard is an independently locked open-addressing table probing an
 //! eight-slot window per hash, doubling while under its share of the
 //! byte budget; with the window full, a colliding insert keeps
@@ -114,11 +123,12 @@
 //! another probe's or request's — the `shared_hits` statistic CI gates
 //! on.
 
+use crate::bitset::LaneSet;
 use crate::TileUniverse;
 use rand::prelude::*;
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Mutex, OnceLock, PoisonError};
 
 /// Bytes one [`MemoStore`] slot occupies (key + rem + generation +
 /// epoch + width).
@@ -143,10 +153,45 @@ const ZOBRIST_SEED: u64 = 0xC0DE_C0FF_EE15_5EED;
 /// switches the memo off with `SolveRequest::with_memo` (`--no-memo`).
 pub const DEFAULT_MEMO_BYTES: usize = 32 << 20;
 
-/// Words of one state key: four words hold either a unit uncovered set
-/// (`≤ 128` chords, upper two words zero) or a packed 2-bit residual
-/// lane vector (`≤ 128` chords × 2 bits).
+/// Words of one state key: four words hold a unit uncovered set
+/// (`≤ 128` chords, upper two words zero), a packed 2-bit residual lane
+/// vector (`≤ 128` chords × 2 bits) or a packed 4-bit one (`≤ 64` chords
+/// × 4 bits).
 pub(crate) const KEY_WORDS: usize = 4;
+
+/// The width tag of a memo key (see the module docs): a lane vector's
+/// bits per chord under tile slack, one more under waste slack — 2 and 3
+/// for 2-bit lanes, 4 and 5 for 4-bit lanes. Unit keys are tag 1.
+pub(crate) const fn width_tag(lane_bits: u32, waste_slack: bool) -> u8 {
+    (lane_bits + waste_slack as u32) as u8
+}
+
+/// `count` keys of the deterministic Zobrist stream.
+fn zobrist_keys(count: u32) -> Vec<u64> {
+    let mut rng = StdRng::seed_from_u64(ZOBRIST_SEED);
+    (0..count).map(|_| rng.next_u64()).collect()
+}
+
+/// One lane width's Zobrist keys: [`LevelKeys::get`] gives the key of
+/// (priority chord `c`, multiplicity level `v`). A lane search XORs it
+/// into its running hash whenever chord `c`'s residual demand crosses
+/// `v`, so the hash of residual vector `r` is
+/// `⊕_c ⊕_{v=1..=r(c)} key(c, v)`.
+#[derive(Clone, Copy)]
+pub(crate) struct LevelKeys<'a> {
+    /// Level-major: the keys of level `v` are
+    /// `keys[(v − 1)·num_chords ..][..num_chords]`.
+    keys: &'a [u64],
+    num_chords: u32,
+}
+
+impl LevelKeys<'_> {
+    #[inline]
+    pub(crate) fn get(self, c: u32, v: u32) -> u64 {
+        debug_assert!(v >= 1, "levels start at 1");
+        self.keys[((v - 1) * self.num_chords + c) as usize]
+    }
+}
 
 /// One table slot: the exact residual state (up to [`KEY_WORDS`] words
 /// of the uncovered set or residual lane vector), its lane width, the
@@ -161,8 +206,9 @@ struct Slot {
     /// The shard epoch that wrote this slot (in the padding after
     /// `gen`, so a slot stays 48 bytes).
     epoch: u32,
-    /// Lane-width/semantics tag of `key` (1 = unit bitset, 2 = λ-fold
-    /// lanes under tile slack, 3 = λ-fold lanes under waste slack).
+    /// Width tag of `key` ([`width_tag`]: 1 = unit bitset, 2/3 = 2-bit
+    /// lanes under tile/waste slack, 4/5 = 4-bit lanes under tile/waste
+    /// slack).
     bits: u8,
 }
 
@@ -237,8 +283,12 @@ pub struct MemoStore {
     /// Zobrist keys per (priority chord, multiplicity level): the first
     /// `num_chords` entries are the level-1 keys (the unit search's
     /// whole stream), followed by the level-2 and level-3 blocks the
-    /// λ-fold lane search folds in per residual unit.
+    /// 2-bit lane search folds in per residual unit.
     zobrist: Vec<u64>,
+    /// The keys of levels `1..=15` for 4-bit lanes — the same stream
+    /// drawn further, so its first three levels are `zobrist` — drawn
+    /// when the first 4-bit searcher asks ([`MemoStore::level_keys`]).
+    wide_zobrist: OnceLock<Vec<u64>>,
     /// Next generation tag to hand out (see [`MemoStore::attach`]).
     next_gen: AtomicU32,
     /// Blocking shard-lock acquisitions (zero unless workers collide).
@@ -283,11 +333,10 @@ impl MemoStore {
         let budget_slots = (budget_bytes / SLOT_BYTES / SHARDS).max(MIN_SLOTS);
         // Floor to a power of two so `hash & mask` indexes uniformly.
         let cap_slots = 1usize << (usize::BITS - 1 - budget_slots.leading_zeros());
-        let mut rng = StdRng::seed_from_u64(ZOBRIST_SEED);
         // Level-1 keys first: the prefix of the seeded stream is exactly
         // the historical per-chord key set, so unit-search hashes (and
         // hence node counts) are bit-identical to earlier revisions.
-        let zobrist: Vec<u64> = (0..3 * num_chords).map(|_| rng.next_u64()).collect();
+        let zobrist = zobrist_keys(3 * num_chords);
         let mut shards = SPARE
             .try_with(Cell::take)
             .ok()
@@ -302,6 +351,7 @@ impl MemoStore {
         Some(MemoStore {
             shards,
             zobrist,
+            wide_zobrist: OnceLock::new(),
             next_gen: AtomicU32::new(1),
             contention: AtomicU64::new(0),
             len: AtomicU64::new(0),
@@ -329,20 +379,38 @@ impl MemoStore {
 
     /// The Zobrist key of priority chord `c` — XOR it into a running
     /// hash whenever `c` enters or leaves the uncovered set (the unit
-    /// search's key; identical to level 1 of [`MemoStore::chord_level_key`]).
+    /// search's key; identical to level 1 of [`MemoStore::level_keys`]).
     #[inline]
     pub(crate) fn chord_key(&self, c: u32) -> u64 {
         self.zobrist[c as usize]
     }
 
-    /// The Zobrist key of (priority chord `c`, multiplicity level `v`),
-    /// `v ∈ 1..=3` — the λ-fold lane search XORs it into its running
-    /// hash whenever chord `c`'s residual demand crosses `v` (a hash of
-    /// residual vector `r` is `⊕_c ⊕_{v=1..=r(c)} key(c, v)`).
-    #[inline]
-    pub(crate) fn chord_level_key(&self, c: u32, v: u32) -> u64 {
-        debug_assert!((1..=3).contains(&v), "lane levels are 1..=3");
-        self.zobrist[((v - 1) * self.num_chords + c) as usize]
+    /// Whether a state with width tag `bits` fits a key over this
+    /// store's universe: always for unit and 2-bit keys, up to 64 chords
+    /// for 4-bit keys. A searcher whose states do not fit runs memo-free.
+    pub(crate) fn keys_fit(&self, bits: u8) -> bool {
+        let bits_per_chord = match bits {
+            1 => 1,
+            2 | 3 => 2,
+            _ => 4,
+        };
+        self.num_chords * bits_per_chord <= 64 * KEY_WORDS as u32
+    }
+
+    /// The Zobrist keys of `lane_bits`-wide lanes: levels `1..=3` for
+    /// 2-bit lanes (the keys drawn at construction), `1..=15` for 4-bit
+    /// lanes (drawn on the first call).
+    pub(crate) fn level_keys(&self, lane_bits: u32) -> LevelKeys<'_> {
+        let keys = if lane_bits <= 2 {
+            &self.zobrist
+        } else {
+            self.wide_zobrist
+                .get_or_init(|| zobrist_keys(LaneSet::<4>::MAX * self.num_chords))
+        };
+        LevelKeys {
+            keys,
+            num_chords: self.num_chords,
+        }
     }
 
     /// Occupied entries (the `memo_entries` statistic).
@@ -489,16 +557,16 @@ impl MemoStore {
         }
     }
 
-    /// The Zobrist hash of an explicit state at the given lane width
+    /// The Zobrist hash of an explicit state with width tag `bits`
     /// (used on rehash and by the canonicalization path, which builds
     /// keys it has no running hash for). Unit keys (`bits == 1`) hash
-    /// each set chord's level-1 key; lane keys (`bits == 2` tile-slack,
-    /// `bits == 3` waste-slack — same packed encoding, distinct match
+    /// each set chord's level-1 key; lane keys (tile- and waste-slack
+    /// tags of one width share the packed encoding but are distinct match
     /// domains) fold in one level key per residual unit of every chord.
     pub(crate) fn hash_of_state(&self, key: [u64; KEY_WORDS], bits: u8) -> u64 {
-        let mut hash = 0u64;
         match bits {
             1 => {
+                let mut hash = 0u64;
                 for (wi, w) in key.iter().enumerate() {
                     let mut bits = *w;
                     while bits != 0 {
@@ -507,22 +575,29 @@ impl MemoStore {
                         bits &= bits - 1;
                     }
                 }
+                hash
             }
-            2 | 3 => {
-                for (wi, w) in key.iter().enumerate() {
-                    let mut lanes = *w;
-                    while lanes != 0 {
-                        let p = lanes.trailing_zeros() & !1;
-                        let c = (wi as u32) * 32 + p / 2;
-                        let r = (w >> p) & 0b11;
-                        for v in 1..=r as u32 {
-                            hash ^= self.chord_level_key(c, v);
-                        }
-                        lanes &= !(0b11 << p);
-                    }
+            2 | 3 => self.lane_hash::<2>(key),
+            4 | 5 => self.lane_hash::<4>(key),
+            other => unreachable!("unknown width tag {other}"),
+        }
+    }
+
+    /// The Zobrist hash of a packed vector of `B`-bit lanes.
+    fn lane_hash<const B: u32>(&self, key: [u64; KEY_WORDS]) -> u64 {
+        let levels = self.level_keys(B);
+        let lane_max = LaneSet::<B>::MAX as u64;
+        let mut hash = 0u64;
+        for (wi, w) in key.iter().enumerate() {
+            let mut lanes = *w;
+            while lanes != 0 {
+                let p = lanes.trailing_zeros() / B * B;
+                let c = (wi as u32) * LaneSet::<B>::PER_WORD + p / B;
+                for v in 1..=(w >> p & lane_max) as u32 {
+                    hash ^= levels.get(c, v);
                 }
+                lanes &= !(lane_max << p);
             }
-            other => unreachable!("unknown lane width {other}"),
         }
         hash
     }
@@ -742,17 +817,105 @@ mod tests {
     fn zobrist_stream_is_deterministic() {
         let a = MemoStore::new(&universe(11), 1 << 20).unwrap();
         let b = MemoStore::new(&universe(11), 1 << 20).unwrap();
+        assert!(
+            a.wide_zobrist.get().is_none(),
+            "4-bit keys are drawn on demand"
+        );
         for c in 0..a.num_chords {
             assert_eq!(a.chord_key(c), b.chord_key(c));
             for v in 1..=3 {
-                assert_eq!(a.chord_level_key(c, v), b.chord_level_key(c, v));
+                assert_eq!(a.level_keys(2).get(c, v), b.level_keys(2).get(c, v));
+                assert_eq!(
+                    a.level_keys(4).get(c, v),
+                    a.level_keys(2).get(c, v),
+                    "the 4-bit stream extends the 2-bit one"
+                );
+            }
+            for v in 4..=15 {
+                assert_eq!(a.level_keys(4).get(c, v), b.level_keys(4).get(c, v));
             }
         }
         assert_eq!(
             a.chord_key(3),
-            a.chord_level_key(3, 1),
+            a.level_keys(2).get(3, 1),
             "level 1 is the historical per-chord stream"
         );
+        let all: std::collections::HashSet<u64> = (0..a.num_chords)
+            .flat_map(|c| (1..=15).map(move |v| (c, v)))
+            .map(|(c, v)| a.level_keys(4).get(c, v))
+            .collect();
+        assert_eq!(
+            all.len() as u32,
+            15 * a.num_chords,
+            "every level key differs"
+        );
+    }
+
+    /// A λ = 2 state and a λ = 4 state can pack to the same words — here
+    /// residual 1 in lane 0 at 4 bits is residual 1 in lane 0 at 2 bits,
+    /// and residual 5 in lane 0 at 4 bits reads as residuals 1 and 1 in
+    /// lanes 0 and 1 at 2 bits — yet mean different residuals. A store
+    /// holding the 2-bit entries must never prune the 4-bit states, and
+    /// the waste-slack tags stay apart from the tile-slack ones.
+    #[test]
+    fn two_bit_entries_never_prune_four_bit_states() {
+        let u = universe(8);
+        let memo = MemoStore::new(&u, 1 << 20).unwrap();
+        let gen = memo.attach();
+        let (tile2, waste2) = (width_tag(2, false), width_tag(2, true));
+        let (tile4, waste4) = (width_tag(4, false), width_tag(4, true));
+        assert_eq!((tile2, waste2, tile4, waste4), (2, 3, 4, 5));
+        // n = 8 has 28 chords: every key below is a valid state at both
+        // widths.
+        let keys = [
+            [0b1u64, 0, 0, 0],
+            [0b101, 0, 0, 0],
+            [0x0012_3456_789A_BCDE, 0, 0, 0],
+        ];
+        for key in keys {
+            for bits in [tile2, waste2] {
+                memo.record(memo.hash_of_state(key, bits), key, bits, 9, gen);
+            }
+        }
+        for key in keys {
+            for bits in [tile4, waste4] {
+                assert!(
+                    memo.dominated(memo.hash_of_state(key, bits), key, bits, 0)
+                        .is_none(),
+                    "a narrower entry pruned a 4-bit state {key:?} (tag {bits})"
+                );
+            }
+            memo.record(memo.hash_of_state(key, tile4), key, tile4, 3, gen);
+            assert!(memo
+                .dominated(memo.hash_of_state(key, tile4), key, tile4, 3)
+                .is_some());
+            assert!(
+                memo.dominated(memo.hash_of_state(key, waste4), key, waste4, 0)
+                    .is_none(),
+                "a tile-slack entry pruned a waste-slack state"
+            );
+            assert!(
+                memo.dominated(memo.hash_of_state(key, tile2), key, tile2, 9)
+                    .is_some(),
+                "the 4-bit write left the 2-bit entry as it was"
+            );
+        }
+        assert_eq!(memo.len(), 9, "every key at three tags");
+    }
+
+    /// 4-bit keys fit four words only up to 64 chords: complete `n ≤ 11`.
+    #[test]
+    fn four_bit_keys_fit_up_to_64_chords() {
+        for (n, fits) in [(11, true), (12, false), (16, false)] {
+            let memo = MemoStore::new(&universe(n), 1 << 20).unwrap();
+            for bits in 1..=3 {
+                assert!(memo.keys_fit(bits), "n = {n}, tag {bits}");
+            }
+            assert_eq!(memo.keys_fit(4), fits, "n = {n}");
+            assert_eq!(memo.keys_fit(5), fits, "n = {n}");
+        }
+        let restricted = TileUniverse::new(Ring::new(12), 4);
+        assert!(!MemoStore::new(&restricted, 1 << 20).unwrap().keys_fit(4));
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! Every exact budget probe — cover the spec with at most `budget`
 //! tiles, or prove that no such covering exists — runs on one of four
 //! search contexts, picked by the one route rule (`crate::bnb::route`):
-//! [`IterCore`] for unit demands, [`LaneCore`] for demands ≤ 3,
-//! `crate::dlx::PartitionCore` for demands ≤ 3 whose waste slack is
+//! [`IterCore`] for unit demands, [`LaneCore`] for demands ≤ 15,
+//! `crate::dlx::PartitionCore` for demands ≤ 15 whose waste slack is
 //! below `n`, and the recursive `bnb::SearchCtx<MultiKernel>` beyond.
 //! A probe is one sequential search from the root ([`probe`] here, an
 //! inherent `probe` on the recursive context), and it answers one
@@ -51,19 +51,23 @@
 //! filter the **setwise** prefix stabilizer instead of the pointwise
 //! one — the canonical-prefix reduction, in the two places it is sound.
 //! The lane core and the partition kernel share one [`LaneResidual`]:
-//! per-chord residual demand in packed 2-bit lanes, plus its support
-//! set, which the unit machinery (branching, scoring, dominance, the
-//! diameter-slack dual) consumes unchanged.
+//! per-chord residual demand in packed lanes, plus its support set,
+//! which the unit machinery (branching, scoring, dominance, the
+//! diameter-slack dual) consumes unchanged. The lane width is a const
+//! parameter of the residual, its tables and both cores: 2-bit lanes
+//! serve demands ≤ 3, 4-bit lanes demands `4..=15`, from one source. The
+//! 4-bit states key the memo under their own width tags, and only up to
+//! 64 chords (see [`crate::memo`]); wider 4-bit searches run memo-free.
 //!
 //! With the memo off, [`IterCore`] reproduces the recursive bitset
 //! reference (`bnb::budget_search_reference`) node for node: identical
 //! branch order, candidate scoring, dominance and orbit filtering.
 
 use crate::api::{CancelToken, Exhaustion, Stats};
-use crate::bitset::{ChordSet, LaneSet, LANES_PER_WORD, LANE_LOW};
+use crate::bitset::{ChordSet, LaneSet};
 use crate::bnb::{resolve_symmetry, CoverSpec, Outcome, RunLimits, SymmetryMode};
 use crate::lower_bound::{diameter_slack_bound, parity_join_bound_from_odd};
-use crate::memo::{MemoStore, KEY_WORDS};
+use crate::memo::{width_tag, MemoStore, KEY_WORDS};
 use crate::tiles::DihedralTables;
 use crate::TileUniverse;
 use std::time::Instant;
@@ -515,8 +519,9 @@ impl<'a> Stack<'a> {
         );
         let orbits = Orbits::new(u, spec, requested);
         // A store built for another universe would prune on meaningless
-        // key matches — treat it as absent.
-        let store = store.filter(|s| s.compatible(u));
+        // key matches — treat it as absent — and one whose keys this
+        // core's states do not fit cannot key them exactly.
+        let store = store.filter(|s| s.compatible(u) && s.keys_fit(width));
         Stack {
             u,
             budget,
@@ -1050,10 +1055,10 @@ impl<'a> FrameCore<'a> for IterCore<'a> {
 // ---------------------------------------------------------------------------
 
 /// Per-tile lane-space masks: each tile's chord set re-expressed with one
-/// [`LANE_LOW`] bit per chord in the 2-bit-lane layout of [`LaneSet`],
-/// plus the lane-word span the mask occupies. Built once per probe, so a
-/// λ-fold placement is a handful of masked word subtracts.
-pub(crate) struct LaneTables {
+/// [`LaneSet::LOW`] bit per chord in the `B`-bit-lane layout of
+/// [`LaneSet`], plus the lane-word span the mask occupies. Built once per
+/// probe, so a λ-fold placement is a handful of masked word subtracts.
+pub(crate) struct LaneTables<const B: u32> {
     lane_words: usize,
     /// `masks[t * lane_words .. (t + 1) * lane_words]` = tile `t`'s mask.
     masks: Vec<u64>,
@@ -1061,9 +1066,10 @@ pub(crate) struct LaneTables {
     spans: Vec<(u32, u32)>,
 }
 
-impl LaneTables {
+impl<const B: u32> LaneTables<B> {
     pub(crate) fn build(u: &TileUniverse) -> Self {
-        let lane_words = u.num_chords().div_ceil(LANES_PER_WORD) as usize;
+        let per_word = LaneSet::<B>::PER_WORD;
+        let lane_words = u.num_chords().div_ceil(per_word) as usize;
         let nt = u.len();
         let mut masks = vec![0u64; nt * lane_words];
         let mut spans = vec![(0u32, 0u32); nt];
@@ -1072,8 +1078,8 @@ impl LaneTables {
             let mut lo = lane_words as u32;
             let mut hi = 0u32;
             for &c in u.tile_chords(t as u32) {
-                let w = c / LANES_PER_WORD;
-                masks[base + w as usize] |= 1u64 << (2 * (c % LANES_PER_WORD));
+                let w = c / per_word;
+                masks[base + w as usize] |= 1u64 << (B * (c % per_word));
                 lo = lo.min(w);
                 hi = hi.max(w + 1);
             }
@@ -1099,29 +1105,32 @@ impl LaneTables {
 }
 
 /// The λ-fold residual state the lane core and the partition kernel
-/// share: per-chord residual demand in packed 2-bit lanes (demands ≤ 3),
-/// the support set and bound ingredients ([`Demand`]), an incremental
-/// level-Zobrist hash, and per-depth undo masks.
+/// share: per-chord residual demand in packed `B`-bit lanes (2-bit lanes
+/// for demands ≤ 3, 4-bit lanes for demands ≤ 15), the support set and
+/// bound ingredients ([`Demand`]), an incremental level-Zobrist hash, and
+/// per-depth undo masks.
 ///
-/// Memo keys are the packed lane words — exact for every universe the
-/// store accepts, since `compatible` caps chords at 128 = 4 lane words.
-pub(crate) struct LaneResidual<'a> {
+/// Memo keys are the packed lane words. The stack only keeps a store
+/// whose keys the state fits ([`MemoStore::keys_fit`]: every store at
+/// 2 bits, up to 64 chords at 4 bits), so every key is exact.
+pub(crate) struct LaneResidual<'a, const B: u32> {
     u: &'a TileUniverse,
-    tables: &'a LaneTables,
+    tables: &'a LaneTables<B>,
+    /// The stack's store, whose `B`-bit level keys the hash folds in.
     store: Option<&'a MemoStore>,
-    lanes: LaneSet,
+    lanes: LaneSet<B>,
     /// The support (chords with residual > 0) and bound ingredients.
     pub(crate) d: Demand,
     /// `⊕_c ⊕_{v=1..=r(c)} key(c, v)` over the residual vector `r`.
     hash: u64,
-    /// `undo[d]`: per lane word, the [`LANE_LOW`] decrement mask the
+    /// `undo[d]`: per lane word, the [`LaneSet::LOW`] decrement mask the
     /// placement at depth `d` applied.
     undo: Vec<Vec<u64>>,
 }
 
-impl<'a> LaneResidual<'a> {
-    /// The residual of `spec`, hashed for the stack's (compatible) store.
-    pub(crate) fn new(s: &Stack<'a>, spec: &CoverSpec, tables: &'a LaneTables) -> Self {
+impl<'a, const B: u32> LaneResidual<'a, B> {
+    /// The residual of `spec`, hashed for the stack's store.
+    pub(crate) fn new(s: &Stack<'a>, spec: &CoverSpec, tables: &'a LaneTables<B>) -> Self {
         let u = s.u;
         let d = Demand::new(u, spec);
         let mut lanes = LaneSet::zero(u.num_chords());
@@ -1129,9 +1138,10 @@ impl<'a> LaneResidual<'a> {
             lanes.set(c, spec.demand[u.dense_of_pri(c) as usize]);
         }
         let hash = s.store.map_or(0, |st| {
+            let keys = st.level_keys(B);
             d.live.iter().fold(0, |mut h, c| {
                 for v in 1..=lanes.get(c) {
-                    h ^= st.chord_level_key(c, v);
+                    h ^= keys.get(c, v);
                 }
                 h
             })
@@ -1157,6 +1167,7 @@ impl<'a> LaneResidual<'a> {
             self.undo.push(vec![0u64; self.tables.lane_words]);
         }
         let (lo, hi) = self.tables.span(t);
+        let keys = self.store.map(|st| st.level_keys(B));
         let mut useful = 0u64;
         for w in lo as usize..hi as usize {
             let before = self.lanes.words()[w];
@@ -1165,14 +1176,14 @@ impl<'a> LaneResidual<'a> {
             let mut m = sub;
             while m != 0 {
                 let p = m.trailing_zeros();
-                let c = (w as u32) * LANES_PER_WORD + p / 2;
-                let old = (before >> p & 0b11) as u32;
+                let c = (w as u32) * LaneSet::<B>::PER_WORD + p / B;
+                let old = (before >> p) as u32 & LaneSet::<B>::MAX;
                 useful += self.d.step(self.u, c, true);
                 if old == 1 {
                     self.d.live.remove(c);
                 }
-                if let Some(store) = self.store {
-                    self.hash ^= store.chord_level_key(c, old);
+                if let Some(keys) = keys {
+                    self.hash ^= keys.get(c, old);
                 }
                 m &= m - 1;
             }
@@ -1185,6 +1196,7 @@ impl<'a> LaneResidual<'a> {
     #[inline]
     pub(crate) fn unplace(&mut self, t: u32, depth: usize) -> u64 {
         let (lo, hi) = self.tables.span(t);
+        let keys = self.store.map(|st| st.level_keys(B));
         let mut useful = 0u64;
         for w in lo as usize..hi as usize {
             let sub = self.undo[depth][w];
@@ -1196,15 +1208,15 @@ impl<'a> LaneResidual<'a> {
             let mut m = sub;
             while m != 0 {
                 let p = m.trailing_zeros();
-                let c = (w as u32) * LANES_PER_WORD + p / 2;
+                let c = (w as u32) * LaneSet::<B>::PER_WORD + p / B;
                 // The restored value equals what `place` decremented from.
-                let val = (after >> p & 0b11) as u32;
+                let val = (after >> p) as u32 & LaneSet::<B>::MAX;
                 useful += self.d.step(self.u, c, false);
                 if val == 1 {
                     self.d.live.insert(c);
                 }
-                if let Some(store) = self.store {
-                    self.hash ^= store.chord_level_key(c, val);
+                if let Some(keys) = keys {
+                    self.hash ^= keys.get(c, val);
                 }
                 m &= m - 1;
             }
@@ -1218,7 +1230,7 @@ impl<'a> LaneResidual<'a> {
         let words = self.lanes.words();
         debug_assert!(
             words.len() <= KEY_WORDS,
-            "store.compatible caps chords at 128"
+            "the stack keeps only a store the state fits"
         );
         let mut key = [0u64; KEY_WORDS];
         key[..words.len()].copy_from_slice(words);
@@ -1230,6 +1242,7 @@ impl<'a> LaneResidual<'a> {
     /// over a copy of the lane words.
     #[inline]
     pub(crate) fn child(&self, store: &MemoStore, t: u32) -> ([u64; KEY_WORDS], u64, u64) {
+        let keys = store.level_keys(B);
         let (mut key, mut h, _) = self.memo_state();
         let mut useful = 0u64;
         let (lo, hi) = self.tables.span(t);
@@ -1240,14 +1253,14 @@ impl<'a> LaneResidual<'a> {
             .skip(lo as usize)
         {
             let r = *kw;
-            let sub = (r | r >> 1) & self.tables.mask(t)[w] & LANE_LOW;
+            let sub = LaneSet::<B>::nonzero(r) & self.tables.mask(t)[w];
             *kw = r - sub;
             let mut m = sub;
             while m != 0 {
                 let p = m.trailing_zeros();
-                let c = (w as u32) * LANES_PER_WORD + p / 2;
+                let c = (w as u32) * LaneSet::<B>::PER_WORD + p / B;
                 useful += self.u.dist_of_pri(c) as u64;
-                h ^= store.chord_level_key(c, (r >> p & 0b11) as u32);
+                h ^= keys.get(c, (r >> p) as u32 & LaneSet::<B>::MAX);
                 m &= m - 1;
             }
         }
@@ -1256,19 +1269,20 @@ impl<'a> LaneResidual<'a> {
 }
 
 /// The iterative λ-fold search over a [`LaneResidual`] — the unit core's
-/// sibling for specs with demands in `2..=3`. Branching, scoring and
-/// dominance read the support set (coverage counts *chords* with live
-/// residual, as the legacy multiplicity kernel scores); every bound
-/// scales by λ through the residual-weighted ingredients. Orbit filtering
-/// is pointwise only and memo keys are always raw, so the candidate-level
-/// pre-probe always applies. A tile may be placed repeatedly at
-/// successive depths while its branch chord's residual drains.
-pub(crate) struct LaneCore<'a> {
+/// sibling for specs with demands in `2..=15`, on 2-bit lanes up to
+/// demand 3 and 4-bit lanes beyond. Branching, scoring and dominance read
+/// the support set (coverage counts *chords* with live residual, as the
+/// legacy multiplicity kernel scores); every bound scales by λ through
+/// the residual-weighted ingredients. Orbit filtering is pointwise only
+/// and memo keys are always raw, so the candidate-level pre-probe always
+/// applies. A tile may be placed repeatedly at successive depths while
+/// its branch chord's residual drains.
+pub(crate) struct LaneCore<'a, const B: u32> {
     s: Stack<'a>,
-    r: LaneResidual<'a>,
+    r: LaneResidual<'a, B>,
 }
 
-impl<'a> LaneCore<'a> {
+impl<'a, const B: u32> LaneCore<'a, B> {
     pub(crate) fn new(
         u: &'a TileUniverse,
         spec: &CoverSpec,
@@ -1276,16 +1290,19 @@ impl<'a> LaneCore<'a> {
         gov: Governor<'a>,
         requested: SymmetryMode,
         store: Option<&'a MemoStore>,
-        tables: &'a LaneTables,
+        tables: &'a LaneTables<B>,
     ) -> Self {
-        debug_assert!(spec.max_demand() <= 3, "lane core requires demands ≤ 3");
-        let s = Stack::new(u, spec, budget, gov, requested, store, 2);
+        debug_assert!(
+            spec.max_demand() <= LaneSet::<B>::MAX,
+            "demands fit {B}-bit lanes"
+        );
+        let s = Stack::new(u, spec, budget, gov, requested, store, width_tag(B, false));
         let r = LaneResidual::new(&s, spec, tables);
         LaneCore { s, r }
     }
 }
 
-impl<'a> FrameCore<'a> for LaneCore<'a> {
+impl<'a, const B: u32> FrameCore<'a> for LaneCore<'a, B> {
     fn stack(&mut self) -> &mut Stack<'a> {
         &mut self.s
     }
@@ -1449,6 +1466,63 @@ mod tests {
             }
         }
         assert!(singles_only > 0 && overdrawn_singles > 0);
+    }
+
+    /// Random place/unplace walks over a λ-fold residual on `B`-bit
+    /// lanes: at every step the running hash equals the store's rehash
+    /// of the packed key (the path a growing shard takes), and each
+    /// candidate's simulated child state equals the state placing it
+    /// reaches.
+    fn walk_lane_hashes<const B: u32>(n: u32, lambda: u32, seed: u64) {
+        let u = TileUniverse::new(Ring::new(n), n as usize);
+        let spec = CoverSpec::lambda_fold(n, lambda);
+        let store = MemoStore::new(&u, 1 << 20).unwrap();
+        let tag = width_tag(B, false);
+        assert!(store.keys_fit(tag), "n = {n} keys fit at {B} bits");
+        let lim = RunLimits::nodes_only(u64::MAX);
+        let s = Stack::new(
+            &u,
+            &spec,
+            64,
+            Governor::new(&lim),
+            SymmetryMode::Off,
+            Some(&store),
+            tag,
+        );
+        let tables = LaneTables::<B>::build(&u);
+        let mut r = LaneResidual::new(&s, &spec, &tables);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut placed = Vec::new();
+        for step in 0..600 {
+            let ctx = format!("{B}-bit lanes, n = {n}, λ = {lambda}, step {step}");
+            let (key, hash, raw) = r.memo_state();
+            assert!(raw);
+            assert_eq!(store.hash_of_state(key, tag), hash, "{ctx}");
+            if placed.is_empty() || (placed.len() < 40 && rng.gen_range(0..3u32) > 0) {
+                let t = rng.gen_range(0..u.len() as u32);
+                let (child_key, child_hash, useful) = r.child(&store, t);
+                assert_eq!(r.place(t, placed.len()), useful, "{ctx}");
+                placed.push(t);
+                let (key, hash, _) = r.memo_state();
+                assert_eq!((child_key, child_hash), (key, hash), "{ctx}");
+            } else {
+                let t = placed.pop().unwrap();
+                r.unplace(t, placed.len());
+            }
+        }
+        while let Some(t) = placed.pop() {
+            r.unplace(t, placed.len());
+        }
+        let fresh = LaneResidual::new(&s, &spec, &tables);
+        assert_eq!(r.memo_state(), fresh.memo_state(), "the walk unwound");
+    }
+
+    #[test]
+    fn running_lane_hash_matches_the_rehash() {
+        walk_lane_hashes::<2>(12, 3, 1);
+        walk_lane_hashes::<4>(7, 4, 2);
+        walk_lane_hashes::<4>(9, 9, 3);
+        walk_lane_hashes::<4>(11, 15, 4);
     }
 
     /// The arena against the plain definition: a candidate is dropped

@@ -216,10 +216,11 @@ proptest! {
         }
     }
 
-    /// λ-fold specs route through the multiplicity kernel and must produce
-    /// coverings meeting every multiplicity (the dispatch seam itself).
+    /// λ-fold specs route through the lane cores (2-bit lanes for λ ≤ 3,
+    /// 4-bit lanes beyond) and must produce coverings meeting every
+    /// multiplicity (the dispatch seam itself).
     #[test]
-    fn lambda_specs_still_solved(n in 5u32..=7, lambda in 2u32..=3) {
+    fn lambda_specs_still_solved(n in 5u32..=7, lambda in 2u32..=5) {
         let ring = Ring::new(n);
         let spec = CoverSpec::lambda_fold(n, lambda);
         prop_assert!(!spec.is_unit());

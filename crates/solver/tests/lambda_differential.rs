@@ -1,9 +1,10 @@
-//! Differential property tests pinning the packed λ-fold lane kernel to
+//! Differential property tests pinning the packed λ-fold lane kernels to
 //! the legacy multiplicity reference through the engine boundary: engine
-//! `bitset` (which dispatches demands in `2..=3` to the word-parallel
-//! lane core) must agree with engine `legacy` (`budget_search_legacy`,
-//! the seed-era recursive `Vec<u32>` kernel) on verdicts and optima for
-//! arbitrary λ ≤ 3 specs — every symmetry mode, memo off — and turning
+//! `bitset` (which dispatches demands in `2..=3` to 2-bit lanes and
+//! demands in `4..=15` to 4-bit lanes, on the lane core or the partition
+//! kernel) must agree with engine `legacy` (`budget_search_legacy`, the
+//! seed-era recursive `Vec<u32>` kernel) on verdicts and optima for
+//! arbitrary λ ≤ 6 specs — every symmetry mode, memo off — and turning
 //! the memo on must never flip a verdict nor expand more nodes. This is
 //! the same pinning discipline PR 5 used for the unit-demand core,
 //! applied to the multiplicity fast path.
@@ -37,14 +38,15 @@ fn assert_meets_spec(n: u32, tiles: &[Tile], spec: &CoverSpec) {
 }
 
 /// A random multiplicity spec with demands in `0..=3` (and at least one
-/// demand ≥ 2, so the lane core — not the unit bitset core — serves it).
-fn sparse_spec(n: u32, picks: &[(u32, u32, u32)]) -> Option<CoverSpec> {
+/// demand ≥ 2, so the lane core — not the unit bitset core — serves it),
+/// or, from `base` 4, in `{0} ∪ 4..=6`, which the 4-bit lanes serve.
+fn sparse_spec(n: u32, picks: &[(u32, u32, u32)], base: u32) -> Option<CoverSpec> {
     let mut demand = vec![0u32; n as usize * (n as usize - 1) / 2];
     for &(a, b, mult) in picks {
         let (a, b) = (a % n, b % n);
         if a != b {
             let d = Edge::new(a, b).dense_index(n as usize);
-            demand[d] = demand[d].max(1 + mult % 3);
+            demand[d] = demand[d].max(base + mult % 3);
         }
     }
     demand
@@ -88,7 +90,7 @@ proptest! {
         n in 5u32..=8,
         picks in proptest::collection::vec((0u32..1000, 0u32..1000, 0u32..3), 1..10),
     ) {
-        let spec = sparse_spec(n, &picks);
+        let spec = sparse_spec(n, &picks, 1);
         prop_assume!(spec.is_some());
         let spec = spec.unwrap();
         let problem = Problem::new(TileUniverse::new(Ring::new(n), 4), spec.clone());
@@ -141,7 +143,7 @@ proptest! {
         picks in proptest::collection::vec((0u32..1000, 0u32..1000, 0u32..3), 1..10),
         sym_kind in 0u8..3,
     ) {
-        let spec = sparse_spec(n, &picks);
+        let spec = sparse_spec(n, &picks, 1);
         prop_assume!(spec.is_some());
         let spec = spec.unwrap();
         let sym = match sym_kind {
@@ -181,6 +183,76 @@ proptest! {
             }
         }
     }
+
+    /// Arbitrary specs with demands in `4..=6`, on the 4-bit lanes: the
+    /// optimum agrees with legacy, and at the decisive budgets every
+    /// symmetry mode with the memo on and off gives legacy's verdict.
+    #[test]
+    fn wide_lanes_match_legacy_on_sparse_specs(
+        n in 5u32..=7,
+        picks in proptest::collection::vec((0u32..1000, 0u32..1000, 0u32..3), 1..6),
+    ) {
+        let spec = sparse_spec(n, &picks, 4);
+        prop_assume!(spec.is_some());
+        let problem = Problem::new(TileUniverse::new(Ring::new(n), 4), spec.unwrap());
+        let (fast_opt, fast_tiles) = optimum_via("bitset", &problem);
+        // As above: keep the instances the reference can answer.
+        prop_assume!(fast_opt <= 8);
+        let (slow_opt, _) = optimum_via("legacy", &problem);
+        prop_assert_eq!(fast_opt, slow_opt, "optimum drift: n={}", n);
+        assert_meets_spec(n, &fast_tiles, problem.spec());
+        assert_decisive_verdicts(&problem, fast_opt, true);
+    }
+}
+
+/// At `opt − 1` and `opt`, engine `bitset` under every symmetry mode,
+/// memo on and off, gives the verdict engine `legacy` gives; every
+/// witness meets the spec. Where the witness search at `opt` is out of
+/// reach of the reference and of a memo-free search (`reference_finishes`
+/// false), it runs with the memo on only, against the verdict the
+/// optimum implies.
+fn assert_decisive_verdicts(problem: &Problem, opt: u32, reference_finishes: bool) {
+    let n = problem.ring().n();
+    let bitset = engine_by_name("bitset").unwrap();
+    let legacy = engine_by_name("legacy").unwrap();
+    for budget in [opt.saturating_sub(1), opt] {
+        let reachable = budget < opt || reference_finishes;
+        let expected = if reachable {
+            let slow = legacy.solve(
+                problem,
+                &SolveRequest::within_budget(budget).with_max_nodes(MAX_NODES),
+            );
+            match slow.optimality() {
+                Optimality::Feasible => true,
+                Optimality::Infeasible => false,
+                other => panic!("legacy inconclusive: n={n} budget={budget}: {other:?}"),
+            }
+        } else {
+            true
+        };
+        assert_eq!(expected, budget >= opt, "n={n} budget={budget}");
+        let memo_modes: &[bool] = if reachable { &[false, true] } else { &[true] };
+        for sym in [SymmetryMode::Off, SymmetryMode::Root, SymmetryMode::Full] {
+            for &memo in memo_modes {
+                let fast = bitset.solve(
+                    problem,
+                    &SolveRequest::within_budget(budget)
+                        .with_symmetry(sym)
+                        .with_memo(memo)
+                        .with_max_nodes(MAX_NODES),
+                );
+                let ctx = format!("n={n} budget={budget} {sym:?} memo={memo}");
+                match fast.optimality() {
+                    Optimality::Feasible => assert!(expected, "verdict drift: {ctx}"),
+                    Optimality::Infeasible => assert!(!expected, "verdict drift: {ctx}"),
+                    other => panic!("inconclusive: {ctx}: {other:?}"),
+                }
+                if let Some(tiles) = fast.covering() {
+                    assert_meets_spec(n, tiles, problem.spec());
+                }
+            }
+        }
+    }
 }
 
 /// The paper's own shape — full λ-fold specs — pinned deterministically:
@@ -200,6 +272,39 @@ fn full_lambda_rows_agree() {
         assert_eq!(fast_opt, slow_opt, "n={n} λ={lambda}");
         assert_meets_spec(n, &fast_tiles, problem.spec());
         assert_meets_spec(n, &slow_tiles, problem.spec());
+    }
+}
+
+/// Full λ-fold covers for λ = 4..=6, n = 5..=7, on the 4-bit lanes, and
+/// one C ≤ 4 universe: the optimum sits at the scaled capacity bound,
+/// both kernels refute one below it under every mode, and at it they
+/// agree with legacy wherever the reference finishes. At n = 6, λ = 5
+/// and 6 neither legacy nor a memo-free search finds the witness within
+/// 50M nodes, so there the decisive witness search runs with the memo
+/// on only and is checked by its λ-fold coverage.
+#[test]
+fn wide_lambda_rows_agree() {
+    for (n, lambda, max_len) in [
+        (5u32, 4u32, 5usize),
+        (5, 5, 5),
+        (5, 6, 5),
+        (6, 4, 6),
+        (6, 5, 6),
+        (6, 6, 6),
+        (7, 4, 7),
+        (7, 5, 7),
+        (7, 6, 7),
+        (7, 4, 4),
+    ] {
+        let problem = Problem::new(
+            TileUniverse::new(Ring::new(n), max_len),
+            CoverSpec::lambda_fold(n, lambda),
+        );
+        let (opt, tiles) = optimum_via("bitset", &problem);
+        let bound = problem.spec().capacity_lower_bound(Ring::new(n)) as u32;
+        assert_eq!(opt, bound, "n={n} λ={lambda} max_len={max_len}");
+        assert_meets_spec(n, &tiles, problem.spec());
+        assert_decisive_verdicts(&problem, opt, !(n == 6 && lambda >= 5));
     }
 }
 

@@ -8,8 +8,9 @@
 //! attempts) follow from how the probes of a request add up. Rows cover
 //! every core the route rule serves: the unit core (memo off, root
 //! symmetry, canonical keys), the partition kernel on a restricted
-//! universe and at λ = 2, the lane core, the recursive multiplicity
-//! kernel at λ = 4, and a λ = 3 sweep whose probes change route.
+//! universe, at λ = 2 and on 4-bit lanes at λ = 4, the lane core on 2-
+//! and 4-bit lanes, the recursive multiplicity kernel at λ = 16, and a
+//! λ = 3 sweep whose probes change route.
 
 use cyclecover_ring::Ring;
 use cyclecover_solver::api::{engine_by_name, Optimality, Problem, SolveRequest, SymmetryMode};
@@ -193,30 +194,68 @@ fn capacity_tight_lambda_probes_take_the_partition_route() {
     }
 }
 
-/// Demands above 3 run the recursive multiplicity kernel, whose limit
-/// checks are the frame cores' `Governor`.
+/// ρ₄(6) = 18 sits at the capacity bound `⌈4·27/6⌉` with zero waste
+/// slack, so its one probe runs on the partition kernel over 4-bit lanes,
+/// memo and dominance included. On the recursive kernel, which served
+/// demands above 3 before the lanes widened, it took 4,296,928 nodes.
 #[test]
-fn rho_4_of_5_on_the_recursive_kernel() {
-    let row = solve(
-        "bitset",
-        &Problem::lambda_fold(5, 4),
-        SolveRequest::find_optimal(),
-    );
-    assert_eq!(row, ((Some(12), 23, 11, 0, 1, 0, 0, 0), (0, 2, 0, 1, 1)));
-}
-
-/// The ρ₄(6) witness search takes 4,296,928 nodes; capped at 100,000 it
-/// stops on the node one past the cap.
-#[test]
-fn rho_4_of_6_capped_on_the_recursive_kernel() {
+fn rho_4_of_6_through_the_partition_route() {
     let row = solve(
         "bitset",
         &Problem::lambda_fold(6, 4),
+        SolveRequest::find_optimal(),
+    );
+    assert_eq!(
+        row,
+        (
+            (Some(18), 3_733, 16_361, 0, 4, 0, 3_849, 3_410),
+            (0, 4, 1, 1, 1)
+        )
+    );
+}
+
+/// Budget 19 on the 4-fold cover of K_6 leaves waste slack n, so the
+/// probe runs on the lane core over 4-bit lanes.
+#[test]
+fn lambda_4_of_6_within_19_on_the_lane_core() {
+    let row = solve(
+        "bitset",
+        &Problem::lambda_fold(6, 4),
+        SolveRequest::within_budget(19),
+    );
+    assert_eq!(
+        row,
+        (
+            (Some(19), 38_099, 22_968, 55_324, 4, 0, 21_357, 14_461),
+            (0, 4, 0, 1, 1)
+        )
+    );
+}
+
+/// Demands above 15 run the recursive multiplicity kernel, whose limit
+/// checks are the frame cores' `Governor`.
+#[test]
+fn rho_16_of_5_on_the_recursive_kernel() {
+    let row = solve(
+        "bitset",
+        &Problem::lambda_fold(5, 16),
+        SolveRequest::find_optimal(),
+    );
+    assert_eq!(row, ((Some(48), 107, 59, 0, 1, 0, 0, 0), (0, 2, 0, 1, 1)));
+}
+
+/// The ρ₁₆(6) witness search, capped at 100,000 nodes, stops on the node
+/// one past the cap.
+#[test]
+fn rho_16_of_6_capped_on_the_recursive_kernel() {
+    let row = solve(
+        "bitset",
+        &Problem::lambda_fold(6, 16),
         SolveRequest::find_optimal().with_max_nodes(100_000),
     );
     assert_eq!(
         row,
-        ((None, 100_001, 86_911, 0, 4, 0, 0, 0), (0, 4, 0, 1, 1))
+        ((None, 100_001, 87_408, 0, 4, 0, 0, 0), (0, 4, 0, 1, 1))
     );
 }
 

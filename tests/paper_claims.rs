@@ -76,14 +76,25 @@ fn survivability_holds_for_every_construction() {
 /// obstruction: for even n, ρ₂(n) < 2·ρ(n), so a double cover is
 /// strictly cheaper than two copies of an optimal unit cover, while for
 /// odd n copy-concatenation is tight (Theorem 1's partitions double
-/// into partitions).
+/// into partitions). The λ = 4..6 rows run on the 4-bit lanes; every
+/// witness is checked to cover each pair λ times.
 #[test]
 fn lambda_fold_optima_sit_at_the_scaled_capacity_bound() {
     use cyclecover::core::lambda;
     use cyclecover::solver::api::{engine_by_name, Optimality as O, Problem, SolveRequest};
 
     let bitset = engine_by_name("bitset").expect("registered engine");
-    for (n, lam) in [(5u32, 2u32), (5, 3), (6, 2), (6, 3), (7, 2)] {
+    for (n, lam) in [
+        (5u32, 2u32),
+        (5, 3),
+        (6, 2),
+        (6, 3),
+        (7, 2),
+        (6, 4),
+        (6, 5),
+        (6, 6),
+        (7, 4),
+    ] {
         let sol = bitset.solve(
             &Problem::lambda_fold(n, lam),
             &SolveRequest::find_optimal().with_max_nodes(200_000_000),
@@ -92,6 +103,14 @@ fn lambda_fold_optima_sit_at_the_scaled_capacity_bound() {
             matches!(sol.optimality(), O::Optimal { .. }),
             "n={n} λ={lam}: {:?}",
             sol.optimality()
+        );
+        let covering = cyclecover::core::DrcCovering::from_tiles(
+            cyclecover::ring::Ring::new(n),
+            sol.covering().unwrap().to_vec(),
+        );
+        assert!(
+            covering.coverage().covers_complete(lam),
+            "n={n}: the witness covers some pair fewer than λ = {lam} times"
         );
         let opt = sol.size().unwrap() as u64;
         assert_eq!(
