@@ -335,8 +335,7 @@ fn probe_n16(engine: &'static str, lambda: u32, opt: u32, cap: u64) -> Row {
         CoverSpec::lambda_fold(16, lambda)
     };
     // The C ≤ 4 *shortest-gap* universe (arcs ≤ the diameter 8, 1484
-    // tiles) — the same restriction `explore_n16` probes first, and the
-    // one the ρ(16) = 33 witness lives in.
+    // tiles) — the one the ρ(16) = 33 witness lives in.
     let problem = Problem::new(TileUniverse::with_max_gap(Ring::new(16), 4, 8), spec);
     let eng = engine_by_name(engine).expect("registered engine");
     let t0 = Instant::now();

@@ -1,8 +1,14 @@
 //! # cyclecover-bench
 //!
-//! The experiment harness for the reproduction: one binary per table or
-//! figure (each binary's module docs name its experiment, E1–E14) plus
-//! Criterion timing benches (B1–B7).
+//! The experiment harness for the reproduction. Seven binaries, each run
+//! by a CI step: `table_theorem1`, `table_theorem2` and `certify_optimal`
+//! regenerate and assert the paper's tables (experiments E1, E2 and E4);
+//! `bench_snapshot`, `bench_calibrate`, `bench_service` and
+//! `bench_daemon` gate node counts, the admission calibration and the
+//! service paths. Criterion timing benches B1–B6 ride along. The
+//! survivability, restoration, loading and availability figures (E6,
+//! E11, E13, E14) are one `n` at a time through the CLI's `audit`,
+//! `compare`, `loading` and `avail` subcommands.
 //!
 //! # `BENCH_*.json` provenance
 //!

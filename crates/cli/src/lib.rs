@@ -73,9 +73,12 @@ USAGE:
                                       is a cycle double cover — on the
                                       packed lane and partition kernels
                                       for L <= 15, the recursive
-                                      multiplicity kernel beyond; an L
-                                      whose capacity bound exceeds a u32
-                                      budget is refused;
+                                      multiplicity kernel beyond, which
+                                      stops at 4,096 placed cycles with
+                                      engine_limit (at n = 5, L <= 1365
+                                      certifies); an L whose capacity
+                                      bound exceeds a u32 budget is
+                                      refused;
                                       --no-memo disables the residual-state
                                       dominance memo, --memo-mb caps its
                                       memory like the service universe cache)
@@ -558,7 +561,9 @@ fn run_serve(args: &[String]) -> Result<String, String> {
 /// running daemon over TCP, optionally append `stats`/`shutdown`
 /// control documents, half-close, and return every response line the
 /// daemon sends back (the daemon closes the connection once every
-/// streamed job has its terminal document).
+/// streamed job has its terminal document). The daemon answers each
+/// non-blank, non-`#` line with exactly one line, so a connection that
+/// closes with fewer answers is an error.
 fn run_client(args: &[String]) -> Result<String, String> {
     let mut connect: Option<String> = None;
     let mut jobs: Option<String> = None;
@@ -625,6 +630,20 @@ fn run_client(args: &[String]) -> Result<String, String> {
     stream
         .read_to_string(&mut out)
         .map_err(|e| format!("reading responses from {addr}: {e}"))?;
+    let sent = payload
+        .lines()
+        .map(str::trim)
+        .filter(|l| !l.is_empty() && !l.starts_with('#'))
+        .count();
+    let answered = out.lines().count();
+    if answered < sent {
+        let mut err = format!("connection closed after {answered} of {sent} answers");
+        if answered > 0 {
+            err.push_str(":\n");
+            err.push_str(out.trim_end());
+        }
+        return Err(err);
+    }
     Ok(out)
 }
 
@@ -1324,6 +1343,48 @@ this line is not json at all
         assert_eq!(stats.jobs_received, 2);
         assert_eq!(stats.jobs_answered, 2);
         assert_eq!(stats.unstarted, 0);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A daemon that dies mid-stream closes the connection early; the
+    /// client counts the answers against the lines it sent and fails.
+    #[test]
+    fn client_fails_when_the_connection_closes_early() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let server = std::thread::spawn(move || {
+            let (mut conn, _) = listener.accept().unwrap();
+            let mut payload = String::new();
+            conn.read_to_string(&mut payload).unwrap();
+            payload
+        });
+        let dir = std::env::temp_dir().join("cyclecover_cli_test_client_eof");
+        std::fs::create_dir_all(&dir).unwrap();
+        let jobs = dir.join("jobs.jsonl");
+        std::fs::write(
+            &jobs,
+            concat!(
+                "# a comment and a blank line are not answered\n",
+                "\n",
+                r#"{"format": "cyclecover-request", "version": 1, "n": 6}"#,
+                "\n",
+            ),
+        )
+        .unwrap();
+        let err = runv(&[
+            "client",
+            "--connect",
+            &addr,
+            "--jobs",
+            jobs.to_str().unwrap(),
+            "--shutdown",
+        ])
+        .unwrap_err();
+        assert!(
+            err.starts_with("connection closed after 0 of 2 answers"),
+            "{err}"
+        );
+        assert!(server.join().unwrap().contains("\"op\": \"shutdown\""));
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -12,7 +12,7 @@
 //!   [`GeneralCover::phantom_edges`].
 //! * optimality is no longer given by a formula; we provide a greedy
 //!   heuristic ([`greedy_cover`]) plus exact small-`n` search through
-//!   `cyclecover-solver` (see experiment E8).
+//!   `cyclecover-solver` (a request's `requests` list on the wire).
 //!
 //! The heuristic is the classical set-cover greedy over the winding-tile
 //! universe, scoring tiles by *instance* edges newly covered and breaking

@@ -15,7 +15,8 @@
 //! `ρ_λ(2p+1) = λ·p(p+1)/2` exactly. For even `n` and even `λ` the scaled
 //! capacity bound is `λ·p²/2`, one *below* `λ·ρ(n)` per copy-pair — whether
 //! coverings can exploit this is exactly the open question the paper
-//! gestures at; experiment E8 probes it with the exact solver on small `n`.
+//! gestures at; `cyclecover solve <n> --lambda <λ>` probes it with the
+//! exact solver on small `n`.
 
 use crate::{construct_optimal, DrcCovering};
 use cyclecover_ring::Ring;

@@ -5,7 +5,9 @@
 //! **DRC cycle coverings** of the all-to-all instance `K_n` over the ring
 //! `C_n`, with constructions for every `n`, the `ρ(n)` formulas of
 //! Theorems 1–2, verification machinery, and the extensions the paper
-//! sketches (λ-fold instances, general logical graphs, other topologies).
+//! sketches: λ-fold instances, general logical graphs, and why a path
+//! topology carries no DRC cycle at all ([`path`]). The trees of rings,
+//! grids and tori its closing paragraph announces are not built here.
 //!
 //! ## The problem
 //!

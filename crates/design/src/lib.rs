@@ -8,8 +8,8 @@
 //! *any* ring (three points on a circle are always in circular order), so
 //! every triangle covering of `K_n` is automatically a DRC covering — the
 //! pre-existing design-theory machinery is the natural baseline the
-//! paper's mixed C3/C4 constructions are measured against in experiment
-//! E5. The minimum triangle covering has
+//! paper's mixed C3/C4 constructions are measured against
+//! (`tests/construction_vs_solver.rs`). The minimum triangle covering has
 //! `C(n,3,2) = ⌈n/3 · ⌈(n−1)/2⌉⌉` triangles (Mills–Mullin / Stanton–Rogers,
 //! with the single exception `n = 5` needing one more), about `n²/6`
 //! versus the paper's `ρ(n) ≈ n²/8` — the DRC-aware mix wins by ~4/3.

@@ -17,9 +17,7 @@
 //!
 //! Like triangles, *some* 4-cycles are DRC-routable on the ring (the
 //! winding ones) and some are not — which is exactly the distinction the
-//! paper's worked `K_4/C_4` example makes. The DRC-aware experiments
-//! (E5) repair these classical objects into routable ones and measure
-//! the cost of the constraint.
+//! paper's worked `K_4/C_4` example makes.
 
 use cyclecover_graph::{Edge, EdgeMultiset, Vertex};
 

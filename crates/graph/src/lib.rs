@@ -19,7 +19,8 @@
 //!   paths, and `λK_n` multigraphs.
 //! * [`CycleSubgraph`] — an ordered simple cycle on a subset of vertices (the
 //!   `I_k` subnetworks of the paper).
-//! * Traversal utilities: connectivity, components, BFS distance.
+//! * Traversal utilities: connectivity, components, BFS distance, and
+//!   Euler circuits ([`euler`]).
 //!
 //! Nothing here knows about rings-as-embeddings or the DRC; that lives in
 //! `cyclecover-ring`.
@@ -42,11 +43,9 @@
 #![warn(missing_docs)]
 
 pub mod builders;
-pub mod connectivity;
 mod cycle;
 mod edge;
 pub mod euler;
-pub mod flow;
 mod graph;
 mod traversal;
 

@@ -105,94 +105,6 @@ pub fn render_covering(cover: &DrcCovering, opts: &SvgOptions) -> String {
     s
 }
 
-/// Position of mesh vertex `(r, c)` on a `rows × cols` canvas grid.
-fn mesh_position(r: u32, c: u32, opts: &SvgOptions) -> (f64, f64) {
-    let margin = opts.node_radius + 14.0;
-    (
-        margin + c as f64 * (3.2 * opts.node_radius + 26.0),
-        margin + r as f64 * (3.2 * opts.node_radius + 26.0),
-    )
-}
-
-/// Renders a covering of a `rows × cols` mesh (grid or torus layout) as
-/// a standalone SVG document: nodes on a lattice, one closed polygon per
-/// covering cycle (cycles are given as vertex lists in row-major ids,
-/// the convention of `cyclecover-topo`). Wrap edges are not drawn —
-/// the lattice shows structure, the polygons show the logical cycles.
-pub fn render_mesh_covering(
-    rows: u32,
-    cols: u32,
-    cycles: &[Vec<u32>],
-    opts: &SvgOptions,
-) -> String {
-    assert!(rows >= 1 && cols >= 1, "degenerate mesh");
-    let coords = |v: u32| -> (f64, f64) { mesh_position(v / cols, v % cols, opts) };
-    let (w, _) = mesh_position(0, cols, opts);
-    let (_, h) = mesh_position(rows, 0, opts);
-    let mut s = String::new();
-    let _ = writeln!(
-        s,
-        r#"<svg xmlns="http://www.w3.org/2000/svg" width="{w:.0}" height="{h:.0}" viewBox="0 0 {w:.0} {h:.0}">"#
-    );
-    let _ = writeln!(s, r#"  <rect width="100%" height="100%" fill="white"/>"#);
-    // Lattice edges (no wrap).
-    for r in 0..rows {
-        for c in 0..cols {
-            let (x, y) = mesh_position(r, c, opts);
-            if c + 1 < cols {
-                let (x2, y2) = mesh_position(r, c + 1, opts);
-                let _ = writeln!(
-                    s,
-                    r##"  <line x1="{x:.1}" y1="{y:.1}" x2="{x2:.1}" y2="{y2:.1}" stroke="#dddddd" stroke-width="2"/>"##
-                );
-            }
-            if r + 1 < rows {
-                let (x2, y2) = mesh_position(r + 1, c, opts);
-                let _ = writeln!(
-                    s,
-                    r##"  <line x1="{x:.1}" y1="{y:.1}" x2="{x2:.1}" y2="{y2:.1}" stroke="#dddddd" stroke-width="2"/>"##
-                );
-            }
-        }
-    }
-    for (i, cyc) in cycles.iter().enumerate() {
-        let color = PALETTE[i % PALETTE.len()];
-        let mut points = String::new();
-        for &v in cyc {
-            assert!(v < rows * cols, "cycle vertex {v} outside the mesh");
-            let (x, y) = coords(v);
-            let _ = write!(points, "{x:.1},{y:.1} ");
-        }
-        let _ = writeln!(
-            s,
-            r#"  <polygon points="{}" fill="none" stroke="{color}" stroke-width="{:.1}" opacity="0.75"/>"#,
-            points.trim_end(),
-            opts.stroke_width
-        );
-    }
-    for r in 0..rows {
-        for c in 0..cols {
-            let (x, y) = mesh_position(r, c, opts);
-            let _ = writeln!(
-                s,
-                r##"  <circle cx="{x:.1}" cy="{y:.1}" r="{:.1}" fill="#333333"/>"##,
-                opts.node_radius
-            );
-            if opts.labels {
-                let _ = writeln!(
-                    s,
-                    r#"  <text x="{x:.1}" y="{:.1}" font-family="sans-serif" font-size="{:.0}" fill="white" text-anchor="middle">{}</text>"#,
-                    y + opts.node_radius * 0.38,
-                    opts.node_radius * 1.1,
-                    r * cols + c
-                );
-            }
-        }
-    }
-    s.push_str("</svg>\n");
-    s
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -231,24 +143,6 @@ mod tests {
             assert!(x >= 0.0 && x <= opts.size as f64);
             assert!(y >= 0.0 && y <= opts.size as f64);
         }
-    }
-
-    #[test]
-    fn mesh_rendering_wellformed() {
-        let cycles = vec![vec![0u32, 1, 5, 4], vec![0, 5, 1, 4]];
-        let svg = render_mesh_covering(3, 4, &cycles, &SvgOptions::default());
-        assert!(svg.starts_with("<svg"));
-        assert!(svg.trim_end().ends_with("</svg>"));
-        assert_eq!(svg.matches("<polygon").count(), 2);
-        assert_eq!(svg.matches("<circle").count(), 12);
-        // Lattice edges: 3*3 horizontal + 2*4 vertical = 17.
-        assert_eq!(svg.matches("<line").count(), 17);
-    }
-
-    #[test]
-    #[should_panic(expected = "outside the mesh")]
-    fn mesh_rendering_rejects_out_of_range() {
-        render_mesh_covering(2, 2, &[vec![0, 1, 99]], &SvgOptions::default());
     }
 
     #[test]

@@ -12,12 +12,13 @@
 //! * **unprotected** — a demand dies with any link of its (shortest-arc)
 //!   working path;
 //! * **cycle-protected** — a demand survives every single failure (the
-//!   paper's guarantee, E6); it dies only when a *pair* of failures
-//!   hits both its working arc and its protection arc.
+//!   paper's guarantee, which `cyclecover audit <n>` checks link by
+//!   link); it dies only when a *pair* of failures hits both its working
+//!   arc and its protection arc.
 //!
 //! [`availability_comparison`] reports mean demand unavailability under
 //! both schemes and the improvement factor — "how many nines" the
-//! covering adds.
+//! covering adds (`cyclecover avail <n>` prints it).
 
 use crate::WdmNetwork;
 use cyclecover_ring::{Chord, Ring};

@@ -31,7 +31,8 @@
 //! and amplification." [`CostModel`] exposes those three knobs; on a ring
 //! minimizing cost at fixed weights reduces to minimizing the number of
 //! subnetworks — the paper's objective — while refs \[3,4\] minimize total
-//! ADM count instead. Experiment E7 compares coverings under both.
+//! ADM count instead. [`report::design_report`] prices a covering under
+//! both.
 //!
 //! ```
 //! use cyclecover_core::construct_optimal;

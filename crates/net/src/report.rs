@@ -1,4 +1,4 @@
-//! Human-readable design reports (used by examples and experiment bins).
+//! Human-readable design reports (used by the `certified_design` example).
 
 use crate::{audit_all_failures, CostModel, WdmNetwork};
 use std::fmt::Write;

@@ -15,7 +15,7 @@
 //! per subnetwork) but recovery is not instantaneous and demands can
 //! block under tight provisioning. [`compare_schemes`] quantifies the
 //! trade for the all-to-all instance, making the paper's qualitative
-//! discussion measurable (experiment E11).
+//! discussion measurable (`cyclecover compare <n>` prints it).
 
 use cyclecover_graph::Edge;
 use cyclecover_ring::{Chord, Ring, RingArc};

@@ -7,7 +7,7 @@
 //! loading problem**: choose, per demand, one of its two arcs so that
 //! the maximum link load is minimized. The optimum `L*` lower-bounds the
 //! per-link capacity of *any* unprotected design and calibrates the
-//! protection premium measured in experiment E11.
+//! protection premium (`cyclecover loading <n>` prints it).
 //!
 //! Three solvers, strongest-first guarantees:
 //!

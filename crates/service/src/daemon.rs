@@ -39,7 +39,7 @@
 //! [`CostModel::unmeetable`] for the confidence rules.
 //!
 //! **Graceful drain**: a `{"op": "shutdown"}` control document closes
-//! admission, cancels the service root token with
+//! admission, cancels the service's token with
 //! [`CancelReason::Shutdown`](cyclecover_solver::api::CancelReason) so
 //! in-flight kernels stop within ~4096 nodes and report
 //! `budget_exhausted`/`shutdown`, lets the dispatcher answer everything
@@ -981,7 +981,7 @@ fn handle_line(
         IngestAction::Shutdown => {
             lock(shared).draining = true;
             // The event loop notices `draining` right after this line
-            // and cancels the service root; nothing else to do here.
+            // and cancels the service's token; nothing else to do here.
         }
         IngestAction::Stats => {
             let doc = {

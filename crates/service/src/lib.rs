@@ -17,10 +17,10 @@
 //!   without burning a single search node;
 //! * **request coalescing**: wire-identical jobs are solved once and the
 //!   answer fanned back out to every waiter;
-//! * a **cancellation-token tree**: one root token per batch, one child
-//!   per kernel, so [`SolveService::cancel_all`] aborts the whole batch
-//!   without disturbing anything else (and [`SolveService::shutdown`]
-//!   drains it gracefully, reporting unstarted work as such);
+//! * **one cancellation token per batch**, cloned into every kernel, so
+//!   [`SolveService::cancel_all`] aborts the whole batch without
+//!   disturbing anything else (and [`SolveService::shutdown`] drains it
+//!   gracefully, reporting unstarted work as such);
 //! * a **fault-tolerance layer**: every dispatch runs under
 //!   `catch_unwind` (a panic is a terminal `failed` answer and the key is
 //!   quarantined, never a dead worker), transient failures retry with

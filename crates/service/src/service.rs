@@ -18,8 +18,8 @@
 //! 3. **Universe reuse** — each group's `(n, max_len, max_gap)` key is
 //!    resolved through the byte-budgeted LRU [`UniverseCache`];
 //!    construction happens at most once per key per residency.
-//! 4. **Cancellation tree** — every kernel runs under a child of the
-//!    service's root [`CancelToken`]: [`SolveService::cancel_all`] aborts
+//! 4. **Cancellation** — every kernel runs under a clone of the
+//!    service's one [`CancelToken`]: [`SolveService::cancel_all`] aborts
 //!    every in-flight and future kernel of the batch within ~4096 nodes
 //!    per worker, without touching tokens owned by other batches.
 //!
@@ -42,8 +42,8 @@
 //! 8. **Fault injection** — every dispatch and universe build consults
 //!    the installed [`FaultPlan`](crate::FaultPlan) (no-op by default),
 //!    so chaos tests drive the exact production paths deterministically.
-//! 9. **Graceful drain** — [`SolveService::shutdown`] cancels the root
-//!    token with [`CancelReason::Shutdown`]: in-flight kernels stop
+//! 9. **Graceful drain** — [`SolveService::shutdown`] cancels the
+//!    service's token with [`CancelReason::Shutdown`]: in-flight kernels stop
 //!    within ~4096 nodes and report `budget_exhausted`/`shutdown`;
 //!    not-yet-started groups are reported unstarted without running.
 //!
@@ -245,7 +245,7 @@ pub struct SolveService {
     config: ServiceConfig,
     cache: Mutex<UniverseCache>,
     queue: Vec<Pending>,
-    root: CancelToken,
+    cancel: CancelToken,
     fault: FaultInjector,
     quarantine: Mutex<HashSet<String>>,
     model: Option<CostModel>,
@@ -266,7 +266,7 @@ impl SolveService {
             cache: Mutex::new(UniverseCache::new(config.cache_bytes)),
             config,
             queue: Vec::new(),
-            root: CancelToken::new(),
+            cancel: CancelToken::new(),
             fault: FaultInjector::default(),
             quarantine: Mutex::new(HashSet::new()),
             model: None,
@@ -383,16 +383,16 @@ impl SolveService {
         self.queue.len()
     }
 
-    /// The batch's root cancellation token (clone it to keep a handle).
+    /// The batch's cancellation token (clone it to keep a handle).
     pub fn cancel_token(&self) -> &CancelToken {
-        &self.root
+        &self.cancel
     }
 
     /// Cancels every in-flight and future kernel of this batch: each
-    /// solve runs under a child of the root token, so this stops all
-    /// workers within ~4096 expanded nodes.
+    /// solve runs under a clone of the service's token, so this stops
+    /// all workers within ~4096 expanded nodes.
     pub fn cancel_all(&self) {
-        self.root.cancel();
+        self.cancel.cancel();
     }
 
     /// Begins a graceful drain: like [`SolveService::cancel_all`] but
@@ -401,7 +401,7 @@ impl SolveService {
     /// reported unstarted without running. Call from any thread holding
     /// a clone of [`SolveService::cancel_token`] (or this service).
     pub fn shutdown(&self) {
-        self.root.cancel_with(CancelReason::Shutdown);
+        self.cancel.cancel_with(CancelReason::Shutdown);
     }
 
     /// Processes the whole queue — EDF admission, coalescing, cached
@@ -437,7 +437,7 @@ impl SolveService {
         let ctx = DrainCtx {
             epoch,
             cache: &self.cache,
-            root: &self.root,
+            cancel: &self.cancel,
             fault: &self.fault,
             quarantine: &self.quarantine,
             model: self.model.as_ref(),
@@ -595,7 +595,7 @@ struct Group {
 struct DrainCtx<'a> {
     epoch: Instant,
     cache: &'a Mutex<UniverseCache>,
-    root: &'a CancelToken,
+    cancel: &'a CancelToken,
     fault: &'a FaultInjector,
     quarantine: &'a Mutex<HashSet<String>>,
     model: Option<&'a CostModel>,
@@ -712,10 +712,10 @@ fn process_group(admit_order: usize, group: &Group, ctx: &DrainCtx) -> Vec<JobRe
     // coalescing key). `None` without a model or outside its confidence.
     let predicted = ctx.model.and_then(|m| m.predict(&primary.job));
 
-    // Graceful drain: a cancelled root means this group never starts —
+    // Graceful drain: a cancelled service means this group never starts —
     // report every waiter unstarted with the token's reason (shutdown
     // vs. plain cancel stays distinguishable on the wire).
-    if let Some(reason) = ctx.root.cancel_reason() {
+    if let Some(reason) = ctx.cancel.cancel_reason() {
         for (p, _) in survivors {
             out.push(JobReport {
                 unstarted: reason == CancelReason::Shutdown,
@@ -851,7 +851,7 @@ fn process_group(admit_order: usize, group: &Group, ctx: &DrainCtx) -> Vec<JobRe
             if let Some(abs) = group_deadline {
                 request = request.with_deadline(abs.saturating_duration_since(Instant::now()));
             }
-            request = request.with_cancel_token(ctx.root.child());
+            request = request.with_cancel_token(ctx.cancel.clone());
             let fault = ctx.fault.before_solve(&primary.job.id);
             if fault == Some(FaultKind::Deadline) {
                 // Forced exhaustion: the dispatch runs with no wall-clock

@@ -53,7 +53,7 @@ use crate::improve::improve_covering;
 use crate::TileUniverse;
 use cyclecover_ring::{Ring, Tile};
 use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
-use std::sync::{Arc, Mutex, Weak};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 // ---------------------------------------------------------------------------
@@ -159,9 +159,8 @@ pub enum Objective {
     ProveInfeasible(u32),
 }
 
-/// Why a [`CancelToken`] was cancelled — carried down the token tree so
-/// a kernel stopped through an inherited cancellation can report the
-/// ancestor's motive on the wire instead of a generic "cancelled".
+/// Why a [`CancelToken`] was cancelled, so a stopped kernel can report
+/// the motive on the wire instead of a generic "cancelled".
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CancelReason {
     /// Plain cooperative cancellation (superseded, no longer wanted).
@@ -196,39 +195,28 @@ impl CancelReason {
     }
 }
 
-/// A shareable cooperative-cancellation flag, arranged in a tree.
+/// A shareable cooperative-cancellation flag.
 ///
 /// Clones share one flag: hand a clone to a request (or several), keep
 /// one, and [`CancelToken::cancel`] stops every search holding it within
-/// 4096 expanded nodes.
+/// 4096 expanded nodes. A service hands a clone of its one token to
+/// every job, so one cancellation stops them all.
 ///
-/// [`CancelToken::child`] derives a *subordinate* token: cancelling the
-/// parent cancels every descendant (transitively), while cancelling a
-/// child leaves its parent — and its siblings — running. This is the
-/// primitive a batch service needs: one root token per batch, one child
-/// per in-flight job, so an expired or superseded batch aborts all of its
-/// kernels without disturbing unrelated work. Each token still reads as a
-/// single `AtomicBool` in the search hot loop — propagation happens
-/// eagerly at `cancel()` time, not on every check.
-///
-/// Cancellation carries a [`CancelReason`] down the tree: a child
-/// cancelled through its parent inherits the parent's reason, so the
-/// wire document can distinguish a batch shutdown from a job-level
-/// cancel. A deadline is not a cancellation: a kernel's own deadline
-/// check answers `deadline`.
+/// Cancellation carries a [`CancelReason`], so the wire document can
+/// distinguish a service shutdown from a plain cancel. A deadline is not
+/// a cancellation: a kernel's own deadline check answers `deadline`.
 ///
 /// ```
 /// use cyclecover_solver::api::{CancelReason, CancelToken};
 ///
-/// let batch = CancelToken::new();
-/// let job_a = batch.child();
-/// let job_b = batch.child();
-/// job_a.cancel();                  // superseded: only job A stops
-/// assert!(job_a.is_cancelled() && !job_b.is_cancelled());
-/// batch.cancel_with(CancelReason::Shutdown); // batch drain: all stop
-/// assert!(job_b.is_cancelled() && batch.is_cancelled());
-/// assert_eq!(job_b.cancel_reason(), Some(CancelReason::Shutdown));
-/// assert_eq!(job_a.cancel_reason(), Some(CancelReason::Explicit));
+/// let service = CancelToken::new();
+/// let job = service.clone();
+/// assert!(!job.is_cancelled());
+/// service.cancel_with(CancelReason::Shutdown); // drain: every job stops
+/// assert!(job.is_cancelled());
+/// assert_eq!(job.cancel_reason(), Some(CancelReason::Shutdown));
+/// job.cancel(); // a token cancelled twice keeps its first reason
+/// assert_eq!(service.cancel_reason(), Some(CancelReason::Shutdown));
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct CancelToken {
@@ -242,58 +230,40 @@ struct CancelInner {
     /// before `flag` is raised, so any reader that observes the flag
     /// also observes a reason.
     reason: AtomicU8,
-    /// Children to propagate `cancel()` into; weak so dropped subtrees
-    /// don't accumulate (dead entries are purged on cancellation).
-    children: Mutex<Vec<Weak<CancelInner>>>,
-}
-
-impl CancelInner {
-    fn cancel(&self, reason: CancelReason) {
-        // First writer wins: a token cancelled twice keeps its original
-        // motive. Reason is published before the flag so `flag == true`
-        // implies a readable reason.
-        let _ =
-            self.reason
-                .compare_exchange(0, reason.encode(), Ordering::Relaxed, Ordering::Relaxed);
-        self.flag.store(true, Ordering::Relaxed);
-        // Detach the children before recursing: once cancelled, they can
-        // never be "un-cancelled", so the edges carry no more information.
-        let children = std::mem::take(&mut *self.children.lock().expect("cancel tree poisoned"));
-        for child in children {
-            if let Some(child) = child.upgrade() {
-                child.cancel(reason);
-            }
-        }
-    }
 }
 
 impl CancelToken {
-    /// A fresh, un-cancelled root token.
+    /// A fresh, un-cancelled token.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Requests cancellation of this token and every token derived from
-    /// it via [`CancelToken::child`] (idempotent, visible to all clones),
-    /// with reason [`CancelReason::Explicit`].
+    /// Requests cancellation (idempotent, visible to all clones), with
+    /// reason [`CancelReason::Explicit`].
     pub fn cancel(&self) {
-        self.inner.cancel(CancelReason::Explicit);
+        self.cancel_with(CancelReason::Explicit);
     }
 
-    /// Like [`CancelToken::cancel`], with an explicit reason. Descendants
-    /// inherit the reason; a token cancelled twice keeps the first reason.
+    /// Like [`CancelToken::cancel`], with an explicit reason. A token
+    /// cancelled twice keeps the first reason.
     pub fn cancel_with(&self, reason: CancelReason) {
-        self.inner.cancel(reason);
+        // First writer wins. The reason is published before the flag, so
+        // `flag == true` implies a readable reason.
+        let _ = self.inner.reason.compare_exchange(
+            0,
+            reason.encode(),
+            Ordering::Relaxed,
+            Ordering::Relaxed,
+        );
+        self.inner.flag.store(true, Ordering::Relaxed);
     }
 
-    /// Whether cancellation has been requested (directly, or through an
-    /// ancestor).
+    /// Whether cancellation has been requested.
     pub fn is_cancelled(&self) -> bool {
         self.inner.flag.load(Ordering::Relaxed)
     }
 
-    /// Why this token was cancelled (`None` while it is live). A child
-    /// cancelled through an ancestor reports the ancestor's reason.
+    /// Why this token was cancelled (`None` while it is live).
     pub fn cancel_reason(&self) -> Option<CancelReason> {
         if !self.is_cancelled() {
             return None;
@@ -304,33 +274,6 @@ impl CancelToken {
             CancelReason::decode(self.inner.reason.load(Ordering::Relaxed))
                 .unwrap_or(CancelReason::Explicit),
         )
-    }
-
-    /// Derives a subordinate token: cancelled when `self` is cancelled,
-    /// cancellable on its own without affecting `self`. A child of an
-    /// already-cancelled token is born cancelled, inheriting the reason.
-    pub fn child(&self) -> CancelToken {
-        let child = CancelToken::new();
-        // Hold the registry lock across the flag check so a concurrent
-        // `cancel()` either sees the registration or the child sees the
-        // flag — never neither.
-        let mut children = self.inner.children.lock().expect("cancel tree poisoned");
-        // Opportunistically drop edges to dead children, so a long-lived
-        // never-cancelled root (a service handing out one child per job)
-        // doesn't accumulate Weak entries — or the allocations they pin —
-        // across its lifetime.
-        children.retain(|w| w.strong_count() > 0);
-        if self.inner.flag.load(Ordering::Relaxed) {
-            child
-                .inner
-                .reason
-                .store(self.inner.reason.load(Ordering::Relaxed), Ordering::Relaxed);
-            child.inner.flag.store(true, Ordering::Relaxed);
-        } else {
-            children.push(Arc::downgrade(&child.inner));
-        }
-        drop(children);
-        child
     }
 }
 
@@ -1472,52 +1415,6 @@ mod tests {
     }
 
     #[test]
-    fn cancel_token_tree_propagates_down_not_up() {
-        let root = CancelToken::new();
-        let a = root.child();
-        let b = root.child();
-        let a1 = a.child();
-        // Sibling cancellation is isolated…
-        a.cancel();
-        assert!(a.is_cancelled() && a1.is_cancelled());
-        assert!(!b.is_cancelled() && !root.is_cancelled());
-        // …root cancellation reaches every live descendant…
-        let b1 = b.child();
-        root.cancel();
-        assert!(root.is_cancelled() && b.is_cancelled() && b1.is_cancelled());
-        // …and a child of a cancelled token is born cancelled.
-        assert!(root.child().is_cancelled());
-        // Clones still share one flag (a clone is the same node, not a child).
-        let c = CancelToken::new();
-        let c2 = c.clone();
-        c2.cancel();
-        assert!(c.is_cancelled());
-    }
-
-    #[test]
-    fn child_cancel_token_stops_engine_like_its_parent() {
-        // The service pattern: the batch root is cancelled, a job holding
-        // a child token must abort its kernel.
-        let problem = Problem::complete(8);
-        let root = CancelToken::new();
-        let job = root.child();
-        root.cancel();
-        let sol = engine_by_name("bitset").unwrap().solve(
-            &problem,
-            &SolveRequest::within_budget(8)
-                .with_symmetry(SymmetryMode::Off)
-                .with_cancel_token(job),
-        );
-        assert_eq!(
-            *sol.optimality(),
-            Optimality::BudgetExhausted {
-                reason: Exhaustion::Cancelled
-            }
-        );
-        assert!(sol.stats().nodes <= 8192, "stopped late: {:?}", sol.stats());
-    }
-
-    #[test]
     fn unstarted_solution_reports_zero_work() {
         let sol = Solution::unstarted(Ring::new(6), Exhaustion::Deadline, "service");
         assert!(sol.covering().is_none());
@@ -1609,13 +1506,13 @@ mod tests {
         );
     }
 
-    /// A service shutting down cancels its root token with
-    /// `CancelReason::Shutdown`; a job's child token stops the search on
+    /// A service shutting down cancels its token with
+    /// `CancelReason::Shutdown`; a job's clone of it stops the search on
     /// every route with that reason, not a plain `Cancelled`.
     #[test]
     fn shutdown_reason_stops_every_route() {
         let service = CancelToken::new();
-        let job = service.child();
+        let job = service.clone();
         service.cancel_with(CancelReason::Shutdown);
         assert_stops_on_every_route(
             |request| request.with_cancel_token(job.clone()),
@@ -1666,6 +1563,44 @@ mod tests {
             assert_eq!(*last.optimality(), limit);
             assert_eq!((last.stats().nodes, last.stats().budgets_tried), (1, 1));
         }
+    }
+
+    /// The recursive kernel stops at 4,096 placed tiles instead of
+    /// overflowing its stack: on a thread with a 2 MiB stack, the n = 5
+    /// λ = 1,365 cover certifies at depth 4,095, and λ = 1,366 and
+    /// λ = 20,000 answer `engine_limit`, behind `bitset` and `legacy`.
+    #[test]
+    fn the_recursive_kernel_stops_at_its_depth_cap() {
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(|| {
+                for engine in ["bitset", "legacy"] {
+                    let engine = engine_by_name(engine).unwrap();
+                    let deepest = engine.solve(
+                        &Problem::lambda_fold(5, 1_365),
+                        &SolveRequest::find_optimal(),
+                    );
+                    assert_eq!(deepest.size(), Some(4_095), "{}", engine.name());
+                    assert!(matches!(deepest.optimality(), Optimality::Optimal { .. }));
+                    for lambda in [1_366, 20_000] {
+                        let capped = engine.solve(
+                            &Problem::lambda_fold(5, lambda),
+                            &SolveRequest::find_optimal(),
+                        );
+                        assert_eq!(
+                            *capped.optimality(),
+                            Optimality::BudgetExhausted {
+                                reason: Exhaustion::EngineLimit
+                            },
+                            "{}, λ = {lambda}",
+                            engine.name()
+                        );
+                    }
+                }
+            })
+            .unwrap()
+            .join()
+            .unwrap();
     }
 
     #[test]

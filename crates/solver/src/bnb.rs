@@ -4,8 +4,8 @@
 //! Exact search over a [`TileUniverse`]: find a covering of the demanded
 //! requests by at most `budget` tiles, or prove none exists. Iterated over
 //! increasing budgets this computes `ρ(n)` exactly — the optimality
-//! certificates of experiment E4 — and, with a [`CoverSpec`], the λ-fold
-//! and partial-instance variants of experiment E8.
+//! certificates `certify_optimal` tabulates (E4) — and, with a
+//! [`CoverSpec`], the λ-fold and partial-instance variants.
 //!
 //! Search design:
 //! * branch on the unsatisfied chord with the highest priority (diameter
@@ -600,6 +600,14 @@ pub(crate) fn resolve_symmetry<'a>(
     }
 }
 
+/// The most tiles [`SearchCtx::dfs`] places on one path: a node this
+/// deep that survives its bounds stops the probe with
+/// [`Exhaustion::EngineLimit`] instead of branching. The recursion takes
+/// one stack frame per placed tile, and 4,096 of them fit in a 2 MiB
+/// thread stack, the default for a spawned thread. At n = 5 this
+/// certifies λ ≤ 1,365 (a 4,095-tile witness).
+const MAX_DEPTH: usize = 4096;
+
 impl<'a, K: Kernel> SearchCtx<'a, K> {
     fn new(
         u: &'a TileUniverse,
@@ -792,6 +800,10 @@ impl<'a, K: Kernel> SearchCtx<'a, K> {
                 self.stats.pruned += 1;
                 return false;
             }
+        }
+        if self.chosen.len() >= MAX_DEPTH {
+            self.gov.stop(Exhaustion::EngineLimit);
+            return false;
         }
         let branch = self
             .kernel

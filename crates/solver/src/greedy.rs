@@ -2,9 +2,10 @@
 //!
 //! The classic `ln m`-approximation applied to our tile universe: repeatedly
 //! pick the tile covering the most still-uncovered requests (ties broken by
-//! less wasted ring capacity, then smaller index for determinism). Used by
-//! experiment E5 as the "what a straightforward engineer would ship"
-//! baseline against the paper's optimal constructions, and as the seeding
+//! less wasted ring capacity, then smaller index for determinism). Used as
+//! the "what a straightforward engineer would ship" baseline against the
+//! paper's optimal constructions (`tests/construction_vs_solver.rs`), and
+//! as the seeding
 //! stage of the `greedy`/`greedy-improve`/`anneal` engines in
 //! [`crate::api`].
 //!

@@ -12,9 +12,8 @@
 //!
 //! Each move strictly shrinks the covering, so the loop terminates; the
 //! result is "2-minimal" (no single drop or pair merge applies). Used as
-//! a polish pass over `greedy::greedy_cover` in the baselines of
-//! experiment E5, and as the improvement step of the general-instance
-//! experiments.
+//! a polish pass over `greedy::greedy_cover` by the `greedy-improve` and
+//! `anneal` engines.
 
 use crate::TileUniverse;
 use cyclecover_ring::Tile;

@@ -116,6 +116,11 @@ impl<'a> Governor<'a> {
         true
     }
 
+    /// Stops the search with `cause`, a limit the search checks itself.
+    pub(crate) fn stop(&mut self, cause: Exhaustion) {
+        self.stop_cause = Some(cause);
+    }
+
     /// Whether a limit stopped the search.
     pub(crate) fn stopped(&self) -> bool {
         self.stop_cause.is_some()

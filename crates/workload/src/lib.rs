@@ -2,8 +2,9 @@
 //!
 //! Traffic-instance generators. The paper analyzes the all-to-all
 //! instance (`I = K_n`) and closes by naming "more general logical
-//! graphs" as open; the general-instance experiments (E8/E12) need
-//! realistic demand structure to exercise that machinery. Every
+//! graphs" as open; the general-instance machinery needs realistic
+//! demand structure to exercise it (`tests/extensions_proptests.rs`,
+//! `bench_service`, `bench_daemon` and the repository benchmark). Every
 //! generator returns a simple logical [`Graph`] on `0..n` whose edges
 //! are the (symmetric) requests, matching the paper's symmetric-demand
 //! model.

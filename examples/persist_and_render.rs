@@ -3,16 +3,14 @@
 //! A covering is a deployable artifact: this example constructs one,
 //! saves it in the v1 text format, re-loads it (parsing re-validates
 //! every cycle against the DRC), diffs it against the original, and
-//! renders both a ring SVG and a torus SVG into `target/`.
+//! renders it as a ring SVG into `target/`.
 //!
 //! ```sh
 //! cargo run --example persist_and_render
 //! ```
 
 use cyclecover::core::construct_optimal;
-use cyclecover::graph::builders;
 use cyclecover::io::{format, svg};
-use cyclecover::topo::{mesh_cover, GridTopology};
 
 fn main() {
     let out_dir = std::path::Path::new("target");
@@ -37,27 +35,4 @@ fn main() {
     let ring_file = out_dir.join("k11_covering.svg");
     std::fs::write(&ring_file, ring_svg).expect("write svg");
     println!("rendered ring covering to {}", ring_file.display());
-
-    // 4. Render a torus covering on the mesh layout (first 12 cycles for
-    //    legibility).
-    let torus = GridTopology::torus(3, 4);
-    let tcover = mesh_cover::cover_torus(&torus);
-    tcover
-        .validate(torus.graph(), &builders::complete(12))
-        .expect("valid");
-    let cycles: Vec<Vec<u32>> = tcover
-        .cycles()
-        .iter()
-        .take(12)
-        .map(|rc| rc.cycle.vertices().to_vec())
-        .collect();
-    let mesh_svg = svg::render_mesh_covering(3, 4, &cycles, &svg::SvgOptions::default());
-    let mesh_file = out_dir.join("torus_3x4_covering.svg");
-    std::fs::write(&mesh_file, mesh_svg).expect("write svg");
-    println!(
-        "rendered {} of {} torus cycles to {}",
-        cycles.len(),
-        tcover.len(),
-        mesh_file.display()
-    );
 }
