@@ -6,8 +6,9 @@
 //! `C_n`, with constructions for every `n`, the `ρ(n)` formulas of
 //! Theorems 1–2, verification machinery, and the extensions the paper
 //! sketches: λ-fold instances, general logical graphs, and why a path
-//! topology carries no DRC cycle at all ([`path`]). The trees of rings,
-//! grids and tori its closing paragraph announces are not built here.
+//! topology carries no DRC cycle at all ([`path`]). Of the other
+//! topologies its closing paragraph announces, trees of rings are built
+//! in `cyclecover-topo`; grids and tori are not built.
 //!
 //! ## The problem
 //!

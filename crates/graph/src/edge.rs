@@ -49,6 +49,12 @@ impl Edge {
         (self.u, self.v)
     }
 
+    /// Whether `x` is one of the endpoints.
+    #[inline]
+    pub fn is_incident(&self, x: Vertex) -> bool {
+        self.u == x || self.v == x
+    }
+
     /// Given one endpoint, returns the other.
     ///
     /// # Panics
@@ -237,6 +243,7 @@ mod tests {
         let e = Edge::new(1, 7);
         assert_eq!(e.other(1), 7);
         assert_eq!(e.other(7), 1);
+        assert!(e.is_incident(1) && e.is_incident(7) && !e.is_incident(2));
     }
 
     #[test]

@@ -21,6 +21,9 @@
 //!   `I_k` subnetworks of the paper).
 //! * Traversal utilities: connectivity, components, BFS distance, and
 //!   Euler circuits ([`euler`]).
+//! * Edge connectivity and bridges ([`connectivity`]) over unit-capacity
+//!   max flow ([`flow`]); the tree-of-rings tests of `cyclecover-topo`
+//!   use them to check that no link is a bridge.
 //!
 //! Nothing here knows about rings-as-embeddings or the DRC; that lives in
 //! `cyclecover-ring`.
@@ -43,9 +46,11 @@
 #![warn(missing_docs)]
 
 pub mod builders;
+pub mod connectivity;
 mod cycle;
 mod edge;
 pub mod euler;
+pub mod flow;
 mod graph;
 mod traversal;
 

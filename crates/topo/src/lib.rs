@@ -3,8 +3,9 @@
 //! Extension topologies for DRC cycle covering — the closing section of
 //! *A Note on Cycle Covering* (Bermond, Coudert, Chacon & Tillerot, SPAA
 //! 2001) announces: "We also consider other network topologies, for
-//! example, trees of rings, grids or tori." This crate builds that
-//! investigation:
+//! example, trees of rings, grids or tori." This crate keeps the
+//! trees-of-rings part of that investigation (grids and tori are not
+//! built):
 //!
 //! * [`drc`] — the Disjoint Routing Constraint on *arbitrary* physical
 //!   graphs: an exact bounded backtracking oracle for edge-disjoint
@@ -12,10 +13,6 @@
 //! * [`cover`] — [`GraphCovering`]: coverings that carry their routings,
 //!   a full validator, and the capacity/degree lower bounds generalized
 //!   off the ring;
-//! * [`grid`] — [`GridTopology`]: `R × C` grids and tori;
-//! * [`mesh_cover`] — structured coverings of `K_{R·C}`: lifted ring
-//!   coverings along rows/columns plus crossed quads (torus) or
-//!   perimeter quads and corner triangles (grid);
 //! * [`tree_of_rings`] — [`TreeOfRings`]: hierarchical ring networks,
 //!   request decomposition into per-ring segments, and per-ring covering
 //!   via the general-instance machinery;
@@ -24,13 +21,13 @@
 //!
 //! ```
 //! use cyclecover_graph::builders;
-//! use cyclecover_topo::{mesh_cover, protect, GridTopology};
+//! use cyclecover_topo::{protect, TreeOfRings};
 //!
-//! let torus = GridTopology::torus(3, 4);
-//! let cover = mesh_cover::cover_torus(&torus);
-//! let inst = builders::complete(torus.vertex_count());
-//! assert!(cover.validate(torus.graph(), &inst).is_ok());
-//! assert!(protect::audit_link_failures(torus.graph(), &cover).fully_survivable);
+//! let tree = TreeOfRings::chain(3, 5);
+//! let inst = builders::complete(tree.vertex_count());
+//! let cover = tree.cover(&inst, 4);
+//! assert!(cover.validate(tree.graph(), &tree.segment_instance(&inst)).is_ok());
+//! assert!(protect::audit_link_failures(tree.graph(), &cover).fully_survivable);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -38,13 +35,9 @@
 
 pub mod cover;
 pub mod drc;
-pub mod grid;
-pub mod mesh_cover;
 pub mod protect;
-pub mod search;
 pub mod tree_of_rings;
 
 pub use cover::{GraphCoverError, GraphCoverStats, GraphCovering, RoutedCycle};
 pub use drc::{CycleRouting, RouteOutcome, RoutedPath};
-pub use grid::GridTopology;
 pub use tree_of_rings::{TreeOfRings, TreeOfRingsBuilder};

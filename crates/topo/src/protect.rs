@@ -226,10 +226,15 @@ pub fn audit_node_failure(g: &Graph, cover: &GraphCovering, v: Vertex) -> NodeFa
 mod tests {
     use super::*;
     use crate::drc::{route_cycle, DEFAULT_BUDGET};
-    use crate::grid::GridTopology;
-    use crate::mesh_cover::{cover_grid, cover_torus};
     use crate::tree_of_rings::TreeOfRings;
     use cyclecover_graph::{builders, CycleSubgraph};
+
+    /// A tree of rings and its per-ring covering of `K_n`.
+    fn covered_tree(t: TreeOfRings) -> (TreeOfRings, GraphCovering) {
+        let inst = builders::complete(t.vertex_count());
+        let cover = t.cover(&inst, 4);
+        (t, cover)
+    }
 
     #[test]
     fn ring_covering_fully_survivable() {
@@ -252,25 +257,6 @@ mod tests {
     }
 
     #[test]
-    fn torus_covering_fully_survivable() {
-        let topo = GridTopology::torus(3, 4);
-        let cover = cover_torus(&topo);
-        let audit = audit_link_failures(topo.graph(), &cover);
-        assert!(audit.fully_survivable);
-        assert!(audit.worst_detour >= 1);
-        // Every edge is used by someone (row/col lifts wind their rings).
-        assert!(audit.reports.iter().all(|r| r.affected_cycles > 0));
-    }
-
-    #[test]
-    fn grid_covering_fully_survivable() {
-        let topo = GridTopology::grid(3, 3);
-        let cover = cover_grid(&topo);
-        let audit = audit_link_failures(topo.graph(), &cover);
-        assert!(audit.fully_survivable);
-    }
-
-    #[test]
     fn tree_of_rings_fully_survivable() {
         let t = TreeOfRings::chain(3, 5);
         let inst = builders::complete(t.vertex_count());
@@ -281,9 +267,8 @@ mod tests {
 
     #[test]
     fn detour_lengths_bounded_by_cycle_load() {
-        let topo = GridTopology::torus(3, 3);
-        let cover = cover_torus(&topo);
-        let audit = audit_link_failures(topo.graph(), &cover);
+        let (t, cover) = covered_tree(TreeOfRings::chain(3, 5));
+        let audit = audit_link_failures(t.graph(), &cover);
         // A detour is the rest of the cycle: ≤ total routing load.
         let max_load = cover
             .cycles()
@@ -319,11 +304,10 @@ mod tests {
 
     #[test]
     fn parallel_audit_matches_sequential() {
-        let topo = GridTopology::torus(4, 6);
-        let cover = cover_torus(&topo);
-        let seq = audit_link_failures(topo.graph(), &cover);
+        let (t, cover) = covered_tree(TreeOfRings::star(6, 3, 5));
+        let seq = audit_link_failures(t.graph(), &cover);
         for threads in [1usize, 2, 3, 7] {
-            let par = audit_link_failures_parallel(topo.graph(), &cover, threads);
+            let par = audit_link_failures_parallel(t.graph(), &cover, threads);
             assert_eq!(par.fully_survivable, seq.fully_survivable);
             assert_eq!(par.worst_detour, seq.worst_detour);
             assert_eq!(par.max_affected, seq.max_affected);
@@ -339,10 +323,9 @@ mod tests {
 
     #[test]
     fn node_failure_counts_are_consistent() {
-        let topo = GridTopology::torus(3, 4);
-        let cover = cover_torus(&topo);
-        for v in 0..topo.vertex_count() as u32 {
-            let rep = audit_node_failure(topo.graph(), &cover, v);
+        let (t, cover) = covered_tree(TreeOfRings::chain(3, 5));
+        for v in 0..t.vertex_count() as u32 {
+            let rep = audit_node_failure(t.graph(), &cover, v);
             // Nothing negative, nothing impossible.
             let total_paths: usize = cover.cycles().iter().map(|rc| rc.routing.paths.len()).sum();
             assert!(rep.terminating + rep.restored + rep.unprotected <= total_paths);

@@ -4,12 +4,11 @@
 //! DRC oracle (bounded backtracking over edge-disjoint paths) and the
 //! *ring-specific* winding characterization — two entirely independent
 //! implementations that must give the same verdict on every cycle over
-//! `C_n`. Plus: mesh distances vs BFS, crossed quads route on every
-//! torus rectangle, and coverings survive arbitrary single failures.
+//! `C_n`.
 
-use cyclecover_graph::{bfs_distances, builders, CycleSubgraph};
+use cyclecover_graph::{builders, CycleSubgraph};
 use cyclecover_ring::{routing as ring_routing, Ring};
-use cyclecover_topo::{drc, mesh_cover, protect, GridTopology};
+use cyclecover_topo::drc;
 use proptest::prelude::*;
 
 /// A strategy for a random cycle: distinct vertices of `0..n`, length
@@ -45,49 +44,5 @@ proptest! {
             prop_assert_eq!(routing.total_load() as u32, n);
             prop_assert!(drc::verify_routing(&g, &cyc, &routing));
         }
-    }
-
-    /// Mesh Manhattan distance equals BFS distance on random shapes.
-    #[test]
-    fn mesh_distance_is_graph_distance(r in 2u32..6, c in 2u32..6, wrap in any::<bool>()) {
-        prop_assume!(!wrap || (r >= 3 && c >= 3));
-        let topo = GridTopology::new(r, c, wrap);
-        let n = topo.vertex_count() as u32;
-        let a = 0u32;
-        let bfs = bfs_distances(topo.graph(), a);
-        for b in 0..n {
-            prop_assert_eq!(topo.distance(a, b) as usize, bfs[b as usize]);
-        }
-    }
-
-    /// Every rectangle of every torus admits the crossed-quad routing.
-    #[test]
-    fn crossed_quads_route_on_all_rectangles(
-        r in 3u32..6, c in 3u32..6,
-        r1 in 0u32..6, r2 in 0u32..6, c1 in 0u32..6, c2 in 0u32..6,
-    ) {
-        let (r1, r2) = (r1 % r, r2 % r);
-        let (c1, c2) = (c1 % c, c2 % c);
-        prop_assume!(r1 != r2 && c1 != c2);
-        let topo = GridTopology::torus(r, c);
-        let cyc = CycleSubgraph::new(vec![
-            topo.vertex(r1, c1),
-            topo.vertex(r2, c2),
-            topo.vertex(r1, c2),
-            topo.vertex(r2, c1),
-        ]);
-        // The structured routing exists; the oracle must also find one.
-        prop_assert!(drc::is_drc_routable(topo.graph(), &cyc, r + c));
-    }
-
-    /// Torus coverings survive every failure for random shapes.
-    #[test]
-    fn torus_coverings_always_survivable(r in 3u32..5, c in 3u32..6) {
-        let topo = GridTopology::torus(r, c);
-        let cover = mesh_cover::cover_torus(&topo);
-        let inst = builders::complete(topo.vertex_count());
-        prop_assert!(cover.validate(topo.graph(), &inst).is_ok());
-        let audit = protect::audit_link_failures(topo.graph(), &cover);
-        prop_assert!(audit.fully_survivable);
     }
 }

@@ -7,13 +7,15 @@
 //! * [`ring`] — the physical ring model: arcs, chords, tiles, the DRC
 //!   oracle, ring loading;
 //! * [`graph`] — the multigraph substrate: builders, traversal, Euler
-//!   circuits;
+//!   circuits, max flow, connectivity;
 //! * [`solver`] — exact covering solvers (DLX, branch & bound, greedy,
 //!   local-search improvement) and lower bounds;
 //! * [`design`] — classical covering designs (STS, packings, 4-cycle
 //!   systems), the DRC-oblivious baselines;
 //! * [`net`] — the WDM network simulator: wavelengths, ADMs, failures,
 //!   protection vs restoration;
+//! * [`topo`] — off the ring: the general-graph DRC oracle, trees of
+//!   rings and their failure audits;
 //! * [`workload`] — traffic-instance generators;
 //! * [`io`] — persistence (text format), the JSON wire protocol, CSV
 //!   tables, SVG rendering;
@@ -28,4 +30,5 @@ pub use cyclecover_net as net;
 pub use cyclecover_ring as ring;
 pub use cyclecover_service as service;
 pub use cyclecover_solver as solver;
+pub use cyclecover_topo as topo;
 pub use cyclecover_workload as workload;

@@ -1,72 +1,12 @@
 //! Integration: extension topologies end-to-end.
 //!
-//! Exercises the full pipeline the paper's future-work section sketches:
-//! topology → covering construction → validation → wavelength
-//! assignment → failure audit, across tori, grids and trees of rings,
-//! with the general-graph DRC oracle cross-checking the structured
-//! constructions.
+//! Exercises the pipeline the paper's future-work section sketches on
+//! trees of rings: topology → covering construction → failure audit,
+//! plus the general-graph DRC oracle on a path, where no covering cycle
+//! can route.
 
-use cyclecover::color::{clique_lower_bound, conflict_graph, dsatur, verify_coloring};
 use cyclecover::graph::{builders, connectivity};
-use cyclecover::topo::{drc, mesh_cover, protect, GridTopology, TreeOfRings, TreeOfRingsBuilder};
-
-/// Torus pipeline: construct, validate, color, audit — all coherent.
-#[test]
-fn torus_full_pipeline() {
-    for (r, c) in [(3u32, 4u32), (4, 4), (4, 5)] {
-        let topo = GridTopology::torus(r, c);
-        let inst = builders::complete(topo.vertex_count());
-
-        // 2-edge-connectivity is what makes protection possible at all.
-        assert!(connectivity::is_k_edge_connected(topo.graph(), 2));
-
-        let cover = mesh_cover::cover_torus(&topo);
-        cover.validate(topo.graph(), &inst).expect("covers K_n");
-
-        // Wavelengths: valid coloring, at least the clique bound, and
-        // strictly fewer than the no-reuse count.
-        let conflicts = conflict_graph(&cover.footprints());
-        let coloring = dsatur(&conflicts);
-        assert!(verify_coloring(&conflicts, &coloring));
-        assert!(coloring.count >= clique_lower_bound(&conflicts));
-        assert!(
-            (coloring.count as usize) < cover.len(),
-            "{r}x{c}: torus must allow some wavelength reuse"
-        );
-
-        // Survivability, exhaustively.
-        let audit = protect::audit_link_failures(topo.graph(), &cover);
-        assert!(audit.fully_survivable, "{r}x{c}");
-    }
-}
-
-/// Every structured torus cycle is independently confirmed routable by
-/// the exact DRC oracle (constructions don't get to grade their own
-/// homework).
-#[test]
-fn oracle_confirms_structured_torus_cycles() {
-    let topo = GridTopology::torus(3, 4);
-    let cover = mesh_cover::cover_torus(&topo);
-    let slack = topo.vertex_count() as u32;
-    for rc in cover.cycles() {
-        let out = drc::route_cycle(topo.graph(), &rc.cycle, slack, drc::DEFAULT_BUDGET);
-        assert!(out.is_routed(), "oracle rejects {:?}", rc.cycle);
-    }
-}
-
-/// Grid pipeline, plus the structural grid-vs-torus comparison.
-#[test]
-fn grid_full_pipeline() {
-    let grid = GridTopology::grid(3, 4);
-    let inst = builders::complete(12);
-    let cover = mesh_cover::cover_grid(&grid);
-    cover.validate(grid.graph(), &inst).expect("covers K_12");
-    let audit = protect::audit_link_failures(grid.graph(), &cover);
-    assert!(audit.fully_survivable);
-
-    let torus_cycles = mesh_cover::cover_torus(&GridTopology::torus(3, 4)).len();
-    assert!(torus_cycles < cover.len(), "wraparound must help");
-}
+use cyclecover::topo::{drc, protect, TreeOfRings, TreeOfRingsBuilder};
 
 /// Tree of rings: end-to-end request survives any single link failure by
 /// composing the per-ring protections — verified by materializing the
@@ -115,33 +55,20 @@ fn tree_of_rings_structure() {
     }
 }
 
-/// Node failures on the torus: the audit reports the honest split
-/// (terminating / restored / unprotected) and never overcounts.
-#[test]
-fn torus_node_failures_accounted() {
-    let topo = GridTopology::torus(3, 4);
-    let cover = mesh_cover::cover_torus(&topo);
-    let total_paths: usize = cover.cycles().iter().map(|rc| rc.routing.paths.len()).sum();
-    for v in 0..topo.vertex_count() as u32 {
-        let rep = protect::audit_node_failure(topo.graph(), &cover, v);
-        assert!(rep.terminating + rep.restored + rep.unprotected <= total_paths);
-        assert!(rep.terminating > 0, "every node terminates some demand");
-    }
-}
-
 /// The path-topology impossibility (core::path) agrees with the general
-/// oracle on 1×C grids: no covering cycle can exist.
+/// oracle on a 1 × C grid, which is the path `P_C`: no covering cycle can
+/// exist.
 #[test]
 fn degenerate_grid_is_a_path() {
     use cyclecover::graph::CycleSubgraph;
-    let line = GridTopology::grid(1, 6);
+    let line = builders::path(6);
     for cyc in [
         CycleSubgraph::new(vec![0, 2, 4]),
         CycleSubgraph::new(vec![1, 3, 5]),
         CycleSubgraph::new(vec![0, 2, 3, 5]),
     ] {
         assert!(
-            !drc::is_drc_routable(line.graph(), &cyc, 6),
+            !drc::is_drc_routable(&line, &cyc, 6),
             "{cyc:?} routed on a path?!"
         );
     }
