@@ -4,7 +4,6 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use cyclecover_ring::Ring;
 use cyclecover_solver::api::{engine_by_name, Optimality, Problem, SolveRequest, SymmetryMode};
-use cyclecover_solver::bnb::{budget_search_reference, CoverSpec, Outcome};
 use cyclecover_solver::{dlx::ExactCover, greedy, TileUniverse};
 
 fn bench_bnb_optimal(c: &mut Criterion) {
@@ -25,51 +24,35 @@ fn bench_bnb_optimal(c: &mut Criterion) {
     g.finish();
 }
 
-/// Bitset kernel vs the legacy multiplicity kernel on the same
-/// infeasibility proof (`ρ(n) − 1` over the full universe) — the
-/// before/after of the word-packed coverage refactor, both behind the
-/// engine boundary.
+/// The bitset engine on the infeasibility proof `ρ(n) − 1` over the
+/// full universe, behind the engine boundary.
 fn bench_kernel_comparison(c: &mut Criterion) {
     use cyclecover_solver::lower_bound::rho_formula;
     let mut g = c.benchmark_group("solver/kernel_infeasibility");
     g.sample_size(10);
     // Only even p makes the proof a real search (odd-n rho-1 is a 1-node
     // capacity prune); n = 8 is the smallest such instance.
-    for n in [8u32] {
-        let problem = Problem::complete(n);
-        let request = SolveRequest::prove_infeasible(rho_formula(n) as u32 - 1);
-        for kernel in ["bitset", "legacy"] {
-            let engine = engine_by_name(kernel).unwrap();
-            g.bench_with_input(BenchmarkId::new(kernel, n), &n, |b, _| {
-                b.iter(|| {
-                    let sol = engine.solve(&problem, &request);
-                    assert!(matches!(sol.optimality(), Optimality::Infeasible));
-                    sol.stats().nodes
-                })
-            });
-        }
-    }
+    let n = 8u32;
+    let problem = Problem::complete(n);
+    let request = SolveRequest::prove_infeasible(rho_formula(n) as u32 - 1);
+    let engine = engine_by_name("bitset").unwrap();
+    g.bench_with_input(BenchmarkId::new("bitset", n), &n, |b, _| {
+        b.iter(|| {
+            let sol = engine.solve(&problem, &request);
+            assert!(matches!(sol.optimality(), Optimality::Infeasible));
+            sol.stats().nodes
+        })
+    });
     g.finish();
 }
 
-/// The PR-3 recursive search vs the iterative allocation-free core on
-/// the same workload (the n = 8 budget-8 refutation, `SymmetryMode::Off`
-/// so both explore the identical 97,465-node tree), plus the iterative
-/// core with its residual-state memo on — the recursion-to-arena rewrite
-/// and the memo's node cut, measured side by side.
-fn bench_recursive_vs_iterative(c: &mut Criterion) {
-    let mut g = c.benchmark_group("solver/recursive_vs_iterative");
+/// The iterative allocation-free core on the n = 8 budget-8 refutation
+/// (`SymmetryMode::Off`, the 97,465-node tree), with its residual-state
+/// memo off and on — the memo's node cut, measured side by side.
+fn bench_iterative_memo(c: &mut Criterion) {
+    let mut g = c.benchmark_group("solver/iterative_memo");
     g.sample_size(10);
     let problem = Problem::complete(8);
-    let spec = CoverSpec::complete(8);
-    g.bench_function("recursive", |b| {
-        b.iter(|| {
-            let (outcome, stats) =
-                budget_search_reference(problem.universe(), &spec, 8, u64::MAX, SymmetryMode::Off);
-            assert_eq!(outcome, Outcome::Infeasible);
-            stats.nodes
-        })
-    });
     let engine = engine_by_name("bitset").unwrap();
     for (label, memo) in [("iterative", false), ("iterative-memo", true)] {
         let request = SolveRequest::prove_infeasible(8)
@@ -139,7 +122,7 @@ criterion_group!(
     benches,
     bench_bnb_optimal,
     bench_kernel_comparison,
-    bench_recursive_vs_iterative,
+    bench_iterative_memo,
     bench_rho10_certification,
     bench_greedy,
     bench_dlx

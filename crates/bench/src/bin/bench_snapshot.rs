@@ -3,8 +3,8 @@
 //! Certifies `ρ(n)` — prove `ρ(n) − 1` infeasible, find a `ρ(n)` covering
 //! over the full tile universe — through the [`cyclecover_solver::api`]
 //! engine registry, across the symmetry dimension (`Off`/`Root`/`Full`)
-//! **and the residual-state memo dimension** (off/on): `bitset` sweeps
-//! both, `legacy` is the pre-bitset reference. Writes `BENCH_10.json`
+//! **and the residual-state memo dimension** (off/on), on engine
+//! `bitset`. Writes `BENCH_10.json`
 //! with node counts and memo hit counts per (n, λ, engine, symmetry,
 //! memo) so both reduction levers — and the λ-fold lane kernel — are
 //! tracked in-trajectory:
@@ -23,13 +23,13 @@
 //!   parity-bound proof under `Root`/`Full`, node-capped at 30M under
 //!   `Off` + memo-off where it exhausts (the pre-symmetry state);
 //! * the **λ-fold rows** certify ρ_λ(n) for the small double/triple
-//!   covers on both the packed lane kernel (`bitset`) and the recursive
-//!   multiplicity reference (`legacy`): every one sits at the scaled
-//!   capacity bound, so the ρ_λ − 1 refutations are one-node root
+//!   covers on the packed lane kernel (`bitset`): every one sits at the
+//!   scaled capacity bound, so the ρ_λ − 1 refutations are one-node root
 //!   prunes and the recorded cost is the witness search. `--check`
-//!   pins the legacy witness counts exactly (±0 — the reference is
-//!   frozen) and the packed counts under ceilings, and gates that the
-//!   packed kernel is *strictly* cheaper than legacy on every row;
+//!   holds the packed counts under ceilings, and *strictly* under the
+//!   witness counts of the retired recursive multiplicity search
+//!   (`legacy`), which are frozen as data in [`LAMBDA_CHECKS`] (and in
+//!   BENCH_9.json and BENCH_10.json);
 //! * the **n = 16 probe rows** track the formerly-open n ≡ 0 (mod 8)
 //!   construction gap, **closed by PR 10: ρ(16) = 33**. Budget-33
 //!   witness searches on the C ≤ 4 shortest-gap universe, once on the
@@ -58,19 +58,20 @@
 //!
 //! Usage: `cargo run --release -p cyclecover-bench --bin bench_snapshot`
 //!
-//! * `--max-n <k>`: stop the n ≤ 10 sweep earlier (legacy dominates at 10)
+//! * `--max-n <k>`: stop the n ≤ 10 sweep earlier (the `off` ρ(10)
+//!   witness dominates at 10)
 //! * `--skip-n12`: drop the n = 12 certification rows
 //! * `--quick`: regression subset only — n ∈ {8, 10}, engine `bitset`,
 //!   `Off`/`Root` × memo off/on, plus the λ-fold rows and the n = 16
-//!   probe (no n = 12, no unit legacy)
+//!   probe (no n = 12)
 //!
 //! Only the full matrix (no `--quick`, `--skip-n12`, or `--max-n` below
 //! 10) writes `BENCH_10.json`; a subset run prints its rows and leaves
 //! the committed snapshot alone.
 //! * `--check`: after running, fail unless the `Off` + memo-off rows
 //!   match BENCH_1 exactly, the `Root` rows (memo off *and* on) stay
-//!   within the recorded ceilings, the λ-fold rows match their legacy
-//!   baselines / packed ceilings with packed strictly under legacy, and
+//!   within the recorded ceilings, the λ-fold rows stay under their
+//!   packed ceilings and strictly under the frozen legacy counts, and
 //!   the n = 16 rows hold their verdicts (b&b and λ₂ probes stay
 //!   inconclusive, the partition row keeps certifying ρ(16) = 33 at
 //!   its exact node count) — the CI node-count regression gate
@@ -121,13 +122,14 @@ const SHARED_CHECKS: [(u32, SymmetryMode, u64, u64); 2] = [
 /// `(n, λ, ρ_λ(n), legacy witness nodes, packed memo-on witness ceiling,
 /// packed memo-off witness ceiling)` gates for the λ-fold rows. Every
 /// optimum sits at the scaled capacity bound `⌈λ·Σd(e)/n⌉`, so the
-/// ρ_λ − 1 refutations root-prune in exactly one node on both kernels
-/// (gated ±0) and the witness search carries the cost: the legacy
-/// recursive reference is frozen (±0), the fast rows run under `Full`
-/// dihedral symmetry with recorded ceilings, and `--check` additionally
-/// requires fast < legacy *strictly* on every row — the λ-fold fast
-/// path must never regress behind the reference it retired. Since PR 10
-/// the witness probes sit at waste slack < n, so the `bitset` dispatch
+/// ρ_λ − 1 refutations root-prune in exactly one node (gated ±0) and the
+/// witness search carries the cost: the legacy column holds the witness
+/// node counts of the retired recursive multiplicity search (`legacy`,
+/// measured ±0 on every run until it was deleted), the fast rows run
+/// under `Full` dihedral symmetry with recorded ceilings, and `--check`
+/// additionally requires fast < legacy *strictly* on every row — the
+/// λ-fold fast path must never regress behind the reference it retired.
+/// The witness probes sit at waste slack < n, so the `bitset` dispatch
 /// serves them from the slack-budgeted partition kernel — the ceilings
 /// are re-measured partition-route counts (memo-on/off: 32/45, 12/12,
 /// 1095/11784), far under the old lane-core figures.
@@ -498,16 +500,6 @@ fn main() {
                 run(certify("bitset", &problem, rho, sym, memo, u64::MAX));
             }
         }
-        if !quick {
-            run(certify(
-                "legacy",
-                &problem,
-                rho,
-                SymmetryMode::Off,
-                false,
-                u64::MAX,
-            ));
-        }
     }
 
     // Shared-store rows, for the shapes whose searches do real memo work
@@ -551,8 +543,7 @@ fn main() {
 
     // λ-fold rows (in `--quick` too — they are a CI acceptance gate):
     // the packed lane kernel under `Full` symmetry at both memo
-    // settings, plus the frozen recursive reference. The legacy path
-    // ignores symmetry and the memo — it predates both.
+    // settings, gated against the frozen legacy counts.
     for (n, lambda, opt, _, _, _) in LAMBDA_CHECKS {
         for memo in [true, false] {
             run(certify_lambda(
@@ -564,14 +555,6 @@ fn main() {
                 memo,
             ));
         }
-        run(certify_lambda(
-            "legacy",
-            n,
-            lambda,
-            opt,
-            SymmetryMode::Off,
-            false,
-        ));
     }
 
     // The PR-10 partition-kernel rows (all `--quick` rows — they carry
@@ -593,9 +576,9 @@ fn main() {
         "  \"workload\": \"certify rho(n) over the full tile universe: prove rho-1 \
          infeasible, find a rho covering; symmetry dimension off/root/full x \
          residual-state memo off/on; lambda-fold rows certify rho_lambda(n) on \
-         the packed lane kernel vs the frozen recursive reference (witness \
-         probes at the capacity budget route through the slack-budgeted \
-         partition kernel); rho_2(8) pair on the C<=4 universe gates the \
+         the packed lane kernel, gated under the frozen recursive reference's \
+         witness counts (witness probes at the capacity budget route through \
+         the slack-budgeted partition kernel); rho_2(8) pair on the C<=4 universe gates the \
          partition route strictly under the forced lane core; n=16 rows are \
          the capped budget-33 probes on the C<=4 universe (the partition row \
          certifies rho(16)=33, closing the mod-8 construction gap) plus the \
@@ -735,24 +718,10 @@ fn main() {
                 }
             }
         }
-        // λ-fold gates: one-node refutations on both kernels, frozen
-        // legacy witness counts, packed ceilings, and the strict
-        // packed < legacy win on every row.
+        // λ-fold gates: one-node refutations, packed ceilings, and the
+        // strict packed < legacy win on every row against the frozen
+        // legacy witness counts.
         for (n, lambda, _, legacy_wit, packed_on, packed_off) in LAMBDA_CHECKS {
-            let legacy = rows
-                .iter()
-                .find(|r| r.n == n && r.lambda == lambda && r.engine == "legacy");
-            match legacy {
-                None => failures.push(format!("missing row n={n} lambda={lambda} legacy")),
-                Some(row) => {
-                    if row.nodes_infeasible != 1 || row.nodes_feasible != legacy_wit {
-                        failures.push(format!(
-                            "n={n} lambda={lambda} legacy: nodes {} + {} vs baseline 1 + {legacy_wit} (exact)",
-                            row.nodes_infeasible, row.nodes_feasible
-                        ));
-                    }
-                }
-            }
             for (memo, ceiling) in [(true, packed_on), (false, packed_off)] {
                 let Some(row) = rows.iter().find(|r| {
                     r.n == n && r.lambda == lambda && r.engine == "bitset" && r.memo == memo

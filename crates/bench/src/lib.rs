@@ -32,8 +32,10 @@
 //!   ceiling (≤ 400k witness nodes vs BENCH_3's 770,227).
 //! * `BENCH_9.json` — PR 9 (λ-fold lane kernel): the unit sweep plus
 //!   λ-fold rows certifying ρ_λ(n) on the packed 2-bit-lane kernel vs
-//!   the frozen recursive `legacy` reference (legacy witness counts
-//!   gated ±0, packed under ceilings *and* strictly under legacy), and
+//!   the recursive `legacy` reference (legacy witness counts then gated
+//!   ±0, and since the recursive search was deleted kept as frozen data
+//!   in `bench_snapshot`; packed under ceilings *and* strictly under
+//!   legacy), and
 //!   the capped n = 16 budget-33 construction-gap probe, which must
 //!   stay inconclusive (a certified row would close the ρ(16) gap).
 //!

@@ -72,13 +72,13 @@ USAGE:
                                       — every request covered L times, L=2
                                       is a cycle double cover — on the
                                       packed lane and partition kernels
-                                      for L <= 15, the recursive
-                                      multiplicity kernel beyond, which
-                                      stops at 4,096 placed cycles with
-                                      engine_limit (at n = 5, L <= 1365
-                                      certifies); an L whose capacity
-                                      bound exceeds a u32 budget is
-                                      refused;
+                                      (4-bit lanes for L <= 15, 16-bit
+                                      lanes up to 65535, engine_limit
+                                      beyond); a search stops at 4,096
+                                      placed cycles with engine_limit (at
+                                      n = 5, L <= 1365 certifies); an L
+                                      whose capacity bound exceeds a u32
+                                      budget is refused;
                                       --no-memo disables the residual-state
                                       dominance memo, --memo-mb caps its
                                       memory like the service universe cache)
@@ -126,6 +126,10 @@ USAGE:
                                      line; --stats appends a stats control,
                                      --shutdown asks the daemon to drain
                                      gracefully and prints its final stats
+                                     (send it on a connection of its own:
+                                     the drain would cancel jobs sent
+                                     beside it, so --jobs with --shutdown
+                                     is refused)
   cyclecover engines [--json]        list the registered solver engines
                                      (--json: machine-readable listing with
                                      per-objective capability probes)
@@ -558,12 +562,15 @@ fn run_serve(args: &[String]) -> Result<String, String> {
 }
 
 /// Runs the `client` subcommand: stream a jobs file (or stdin) to a
-/// running daemon over TCP, optionally append `stats`/`shutdown`
-/// control documents, half-close, and return every response line the
-/// daemon sends back (the daemon closes the connection once every
-/// streamed job has its terminal document). The daemon answers each
-/// non-blank, non-`#` line with exactly one line, so a connection that
-/// closes with fewer answers is an error.
+/// running daemon over TCP, optionally append a `stats` control
+/// document, or send a `stats`/`shutdown` control on a connection of its
+/// own, half-close, and return every response line the daemon sends
+/// back (the daemon closes the connection once every streamed job has
+/// its terminal document). The daemon answers each non-blank, non-`#`
+/// line with exactly one line, so a connection that closes with fewer
+/// answers is an error. Jobs and a shutdown on one connection are
+/// refused before connecting: the drain cancels the jobs before their
+/// generation runs, so none of them would be solved.
 fn run_client(args: &[String]) -> Result<String, String> {
     let mut connect: Option<String> = None;
     let mut jobs: Option<String> = None;
@@ -585,6 +592,13 @@ fn run_client(args: &[String]) -> Result<String, String> {
         }
     }
     let addr = connect.ok_or("client needs --connect <ip:port>")?;
+    if jobs.is_some() && shutdown {
+        return Err(
+            "--jobs and --shutdown cannot share a connection: the drain would \
+                    answer every job unstarted; send --shutdown on a connection of its own"
+                .into(),
+        );
+    }
     let mut payload = String::new();
     if let Some(path) = jobs {
         let text = if path == "-" {
@@ -1023,11 +1037,13 @@ mod tests {
         // DLX partitions the odd case optimally.
         let out = runv(&["solve", "9", "--engine", "dlx"]).unwrap();
         assert!(out.contains("OPTIMAL: 10 cycles"), "{out}");
-        // The registry listing names every engine.
+        // The registry listing names every engine, and no longer the
+        // retired `legacy` reference search.
         let listing = runv(&["engines"]).unwrap();
-        for name in ["bitset", "legacy", "dlx", "partition", "greedy", "anneal"] {
+        for name in ["bitset", "dlx", "partition", "greedy", "anneal"] {
             assert!(listing.contains(name), "{listing}");
         }
+        assert!(!listing.contains("legacy"), "{listing}");
     }
 
     #[test]
@@ -1346,6 +1362,36 @@ this line is not json at all
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// Jobs and a shutdown on one connection are refused before the
+    /// client connects (no listener runs on port 1) or reads the jobs
+    /// file; a stats control and a shutdown together stay legal.
+    #[test]
+    fn client_refuses_jobs_with_a_shutdown() {
+        let err = runv(&[
+            "client",
+            "--connect",
+            "127.0.0.1:1",
+            "--jobs",
+            "no-such-jobs-file.jsonl",
+            "--shutdown",
+        ])
+        .unwrap_err();
+        assert!(
+            err.starts_with("--jobs and --shutdown cannot share a connection"),
+            "{err}"
+        );
+        assert!(err.contains("a connection of its own"), "{err}");
+        let err = runv(&[
+            "client",
+            "--connect",
+            "127.0.0.1:1",
+            "--stats",
+            "--shutdown",
+        ])
+        .unwrap_err();
+        assert!(err.starts_with("cannot connect to 127.0.0.1:1"), "{err}");
+    }
+
     /// A daemon that dies mid-stream closes the connection early; the
     /// client counts the answers against the lines it sent and fails.
     #[test]
@@ -1377,14 +1423,14 @@ this line is not json at all
             &addr,
             "--jobs",
             jobs.to_str().unwrap(),
-            "--shutdown",
+            "--stats",
         ])
         .unwrap_err();
         assert!(
             err.starts_with("connection closed after 0 of 2 answers"),
             "{err}"
         );
-        assert!(server.join().unwrap().contains("\"op\": \"shutdown\""));
+        assert!(server.join().unwrap().contains("\"op\": \"stats\""));
         std::fs::remove_dir_all(&dir).ok();
     }
 

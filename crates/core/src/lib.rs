@@ -5,10 +5,9 @@
 //! **DRC cycle coverings** of the all-to-all instance `K_n` over the ring
 //! `C_n`, with constructions for every `n`, the `ρ(n)` formulas of
 //! Theorems 1–2, verification machinery, and the extensions the paper
-//! sketches: λ-fold instances, general logical graphs, and why a path
-//! topology carries no DRC cycle at all ([`path`]). Of the other
+//! sketches: λ-fold instances and general logical graphs. Of the other
 //! topologies its closing paragraph announces, trees of rings are built
-//! in `cyclecover-topo`; grids and tori are not built.
+//! in `cyclecover-topo`; paths, grids and tori are not built.
 //!
 //! ## The problem
 //!
@@ -47,7 +46,6 @@ pub mod even;
 pub mod general;
 pub mod lambda;
 pub mod odd;
-pub mod path;
 pub mod small;
 
 pub use certificate::Certificate;

@@ -37,7 +37,6 @@
 #![warn(missing_docs)]
 
 pub mod packing;
-pub mod quads;
 
 use cyclecover_graph::{Edge, EdgeMultiset, Vertex};
 

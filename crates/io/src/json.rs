@@ -37,7 +37,7 @@
 //! | `max_len` | no | max tile vertex count, `3 ≤ max_len ≤ n`; default `n` |
 //! | `max_gap` | no | max ring gap between consecutive tile vertices, `1 ≤ max_gap ≤ n`; default `n` (unconstrained) |
 //! | `requests` | no | array of `[u, v]` vertex pairs (`u ≠ v`, both `< n`): the demand is *exactly these requests, each `lambda` times*; absent or `null` = all of `K_n` |
-//! | `lambda` | no | covering multiplicity `λ ≥ 1`: every request must be covered `λ` times; default `1` (the classical cover). `λ ≤ 15` runs on the packed lane and partition kernels (2-bit lanes up to 3, 4-bit lanes beyond); larger λ falls back to the recursive multiplicity kernel. A λ whose capacity bound `⌈λ·Σd(e)/n⌉` exceeds `2³² − 1` cycles is refused |
+//! | `lambda` | no | covering multiplicity `λ ≥ 1`: every request must be covered `λ` times; default `1` (the classical cover). Every λ up to `65,535` runs on the packed lane and partition kernels (2-bit lanes up to 3, 4-bit lanes up to 15, 16-bit lanes beyond, memo-free); a larger λ answers `engine_limit` without a search node. A λ whose capacity bound `⌈λ·Σd(e)/n⌉` exceeds `2³² − 1` cycles is refused |
 //! | `engine` | no | engine registry name; default `"bitset"` (validated against the registry at admission, not parse, time) |
 //! | `objective` | no | `{"kind": "find_optimal"}` (default), `{"kind": "within_budget", "budget": K}`, or `{"kind": "prove_infeasible", "budget": K}` |
 //! | `max_nodes` | no | search-node budget for the whole request |

@@ -339,6 +339,22 @@ mod tests {
         assert_eq!(reloaded.rejected_on_load(), 1);
     }
 
+    /// A certificate recorded under an engine name the registry no
+    /// longer serves — the retired `legacy` reference search — is
+    /// dropped at load like any other invalid entry.
+    #[test]
+    fn a_retired_engine_loads_as_a_miss() {
+        let (job, key, sol) = solved(7);
+        let mut cache = CertCache::new();
+        cache.record(&job, &key, &sol);
+        let doc = cache.to_json();
+        let retired = doc.replace(r#"\"engine\": \"bitset\""#, r#"\"engine\": \"legacy\""#);
+        assert_ne!(doc, retired, "engine name present in the solution");
+        let reloaded = CertCache::from_json(&retired).expect("document parses");
+        assert_eq!(reloaded.len(), 0);
+        assert_eq!(reloaded.rejected_on_load(), 1);
+    }
+
     #[test]
     fn malformed_documents_are_errors_but_entries_fail_soft() {
         assert!(CertCache::from_json("{").is_err());

@@ -22,9 +22,8 @@
 //! | name | substrate |
 //! |------|-----------|
 //! | `bitset` | branch & bound on the routed core |
-//! | `legacy` | the multiplicity-counter reference search |
 //! | `dlx` | the partition kernel, restricted to zero-slack specs |
-//! | `partition` | the slack-budgeted partition kernel, any spec with demands ≤ 15 |
+//! | `partition` | the slack-budgeted partition kernel, any spec with demands ≤ 65,535 |
 //! | `greedy` | max-coverage greedy |
 //! | `greedy-improve` | greedy + drop/merge local search |
 //! | `anneal` | greedy + simulated annealing + local search |
@@ -45,7 +44,6 @@
 //! ```
 
 use crate::anneal::{anneal_covering, AnnealParams};
-use crate::bitset::LaneSet;
 pub use crate::bnb::SymmetryMode;
 use crate::bnb::{self, CoverSpec, MemoStore, Outcome, RunLimits, DEFAULT_MEMO_BYTES};
 use crate::greedy::greedy_cover;
@@ -363,8 +361,7 @@ impl SolveRequest {
     }
 
     /// Sets the dihedral symmetry reduction level for the exact engines
-    /// (`bitset`, `partition`, `dlx`). The `legacy` reference engine and
-    /// the non-search engines ignore it.
+    /// (`bitset`, `partition`, `dlx`). The heuristic engines ignore it.
     ///
     /// ```
     /// use cyclecover_solver::api::{engine_by_name, Problem, SolveRequest, SymmetryMode};
@@ -564,8 +561,10 @@ pub enum Exhaustion {
     /// work.
     Shutdown,
     /// The engine's method has no further moves (a heuristic finished
-    /// above the requested budget, DLX found no exact partition, or an
-    /// optimum sweep would pass the largest budget a `u32` counts).
+    /// above the requested budget, DLX found no exact partition, an
+    /// optimum sweep would pass the largest budget a `u32` counts, a
+    /// demand exceeds what a search core takes, or a search reached the
+    /// cores' depth cap).
     EngineLimit,
 }
 
@@ -866,9 +865,8 @@ pub trait Engine: Sync {
 
 /// All registered engines, exact first.
 pub fn engines() -> &'static [&'static dyn Engine] {
-    static ENGINES: [&dyn Engine; 7] = [
+    static ENGINES: [&dyn Engine; 6] = [
         &BitsetEngine,
-        &LegacyEngine,
         &PartitionEngine::DLX,
         &PartitionEngine::PARTITION,
         &HeuristicEngine::GREEDY,
@@ -892,7 +890,10 @@ pub fn engine_by_name(name: &str) -> Option<&'static dyn Engine> {
 /// deepening from the combinatorial bound for `FindOptimal`. `start` is
 /// the engine's entry instant: `Stats::wall` and the request's deadline
 /// both run from it, so set-up the engine did before the first probe
-/// (building its refutation store) is charged and budgeted too.
+/// (building its refutation store) is charged and budgeted too. A spec
+/// demanding a request more than 65,535 times, beyond every search
+/// core's widest lanes, answers [`Exhaustion::EngineLimit`] here,
+/// without a probe.
 fn drive_exact(
     engine: &'static str,
     start: Instant,
@@ -917,7 +918,14 @@ fn drive_exact(
         (o, s)
     };
 
+    let beyond_cores = problem.spec().max_demand() > bnb::MAX_DEMAND;
     let (covering, optimality) = match request.objective() {
+        _ if beyond_cores => (
+            None,
+            Optimality::BudgetExhausted {
+                reason: Exhaustion::EngineLimit,
+            },
+        ),
         Objective::WithinBudget(k) | Objective::ProveInfeasible(k) => match probe(k).0 {
             Outcome::Feasible(idx) => (tiles(idx), Optimality::Feasible),
             Outcome::Infeasible => (None, Optimality::Infeasible),
@@ -977,11 +985,10 @@ fn drive_exact(
 }
 
 /// The default exact engine (`"bitset"`): every budget probe runs on the
-/// context the route rule picks — the bitset core for unit demands, the
-/// lane core for demands ≤ 15, the partition kernel when a λ ≤ 15
-/// probe's waste slack `budget·n − λ·Σd(e)` is below `n` (recorded in the
-/// certificate's `partition_probes` stat), the recursive multiplicity
-/// kernel beyond.
+/// core the route rule picks — the bitset core for unit demands, the
+/// partition kernel when a probe's waste slack `budget·n − λ·Σd(e)` is
+/// in `[0, n)` (recorded in the certificate's `partition_probes` stat),
+/// the lane core otherwise.
 pub struct BitsetEngine;
 
 impl Engine for BitsetEngine {
@@ -1014,32 +1021,6 @@ impl Engine for BitsetEngine {
     }
 }
 
-/// The multiplicity-counter reference search (`"legacy"`): the faithful
-/// pre-bitset path, kept for differential testing and before/after
-/// benchmarking. Always [`SymmetryMode::Off`] — this engine *is* the
-/// measured baseline the symmetry machinery is compared against.
-pub struct LegacyEngine;
-
-impl Engine for LegacyEngine {
-    fn name(&self) -> &'static str {
-        "legacy"
-    }
-
-    fn description(&self) -> &'static str {
-        "multiplicity-counter branch & bound (pre-bitset reference path)"
-    }
-
-    fn supports(&self, _problem: &Problem, _request: &SolveRequest) -> bool {
-        true
-    }
-
-    fn solve(&self, problem: &Problem, request: &SolveRequest) -> Solution {
-        drive_exact("legacy", Instant::now(), problem, request, |budget, lim| {
-            bnb::budget_search_legacy(problem.universe(), problem.spec(), budget, lim)
-        })
-    }
-}
-
 /// The slack-budgeted partition planner as directly selectable engines
 /// (`"partition"`, `"dlx"`): every probe runs on the partition kernel
 /// ([`crate::dlx`]) — MRV column selection over the priority chords,
@@ -1056,11 +1037,11 @@ pub struct PartitionEngine {
 }
 
 impl PartitionEngine {
-    /// Any spec with demands in `1..=15`, at any budget. Most effective
-    /// on capacity-tight instances (where the route rule picks this
-    /// kernel automatically once slack < n); selectable explicitly to
-    /// push *any* λ ≤ 15 probe through the partition route, e.g. the
-    /// n = 16 frontier probes.
+    /// Any spec with demands in `1..=65,535`, at any budget. Most
+    /// effective on capacity-tight instances (where the route rule picks
+    /// this kernel automatically once slack < n); selectable explicitly
+    /// to push *any* probe through the partition route, e.g. the n = 16
+    /// frontier probes.
     pub const PARTITION: PartitionEngine = PartitionEngine {
         name: "partition",
         description: "slack-budgeted exact-cover kernel (MRV chords, waste budget = budget*n - lambda*total-dist)",
@@ -1080,7 +1061,7 @@ impl PartitionEngine {
     pub const DLX: PartitionEngine = PartitionEngine {
         name: "dlx",
         description:
-            "exact partition at zero slack (lambda*total-dist divisible by n, demands <= 15)",
+            "exact partition at zero slack (lambda*total-dist divisible by n, demands <= 65535)",
         zero_slack: true,
     };
 }
@@ -1096,7 +1077,7 @@ impl Engine for PartitionEngine {
 
     fn supports(&self, problem: &Problem, _request: &SolveRequest) -> bool {
         let spec = problem.spec();
-        (1..=LaneSet::<4>::MAX).contains(&spec.max_demand())
+        (1..=bnb::MAX_DEMAND).contains(&spec.max_demand())
             && (!self.zero_slack
                 || bnb::demanded_distance(problem.universe(), spec)
                     .is_multiple_of(problem.ring().n() as u64))
@@ -1453,9 +1434,8 @@ mod tests {
     /// Solves one instance per route with the stop `limit` applies and
     /// checks that the search answers `BudgetExhausted { reason }` within
     /// 8,192 nodes: the unit core, the lane core and the partition kernel
-    /// on 2-bit and on 4-bit lanes, and the recursive multiplicity kernel
-    /// behind both `bitset` and `legacy`. Every instance needs far more
-    /// nodes than that to finish.
+    /// on 2-bit and on 4-bit lanes, and the partition kernel on 16-bit
+    /// lanes. Every instance needs far more nodes than that to finish.
     fn assert_stops_on_every_route(
         limit: impl Fn(SolveRequest) -> SolveRequest,
         reason: Exhaustion,
@@ -1468,7 +1448,7 @@ mod tests {
         let partition = Problem::lambda_fold(8, 2);
         let wide_lanes = Problem::lambda_fold(6, 4);
         let wide_partition = Problem::lambda_fold(6, 5);
-        let recursive = Problem::lambda_fold(6, 16);
+        let sixteen_bit = Problem::lambda_fold(6, 16);
         let unit_off = SolveRequest::within_budget(8).with_symmetry(SymmetryMode::Off);
         let cases = [
             ("bitset", &unit, unit_off, 0),
@@ -1476,8 +1456,7 @@ mod tests {
             ("partition", &partition, SolveRequest::find_optimal(), 1),
             ("bitset", &wide_lanes, SolveRequest::within_budget(19), 0),
             ("bitset", &wide_partition, SolveRequest::find_optimal(), 1),
-            ("bitset", &recursive, SolveRequest::find_optimal(), 0),
-            ("legacy", &recursive, SolveRequest::find_optimal(), 0),
+            ("bitset", &sixteen_bit, SolveRequest::find_optimal(), 1),
         ];
         for (engine, problem, request, partition_probes) in cases {
             let sol = engine_by_name(engine)
@@ -1532,70 +1511,91 @@ mod tests {
     }
 
     /// An optimum sweep never truncates or wraps its budget: a bound
-    /// past `u32::MAX` answers `engine_limit` without a probe, and a
-    /// sweep refuted at `u32::MAX` stops there instead of wrapping to 0.
+    /// past `u32::MAX` answers `engine_limit` without a probe, and so
+    /// does a demand no search core takes — here two diameters of K_6
+    /// demanded `u32::MAX` times each, whose capacity bound is exactly
+    /// `u32::MAX`.
     #[test]
     fn the_budget_sweep_stops_at_the_largest_u32_budget() {
-        for engine in ["bitset", "legacy"] {
-            let engine = engine_by_name(engine).unwrap();
-            let beyond = engine.solve(
-                &Problem::lambda_fold(5, 4_000_000_000),
-                &SolveRequest::find_optimal().with_max_nodes(1_000),
-            );
-            let limit = Optimality::BudgetExhausted {
-                reason: Exhaustion::EngineLimit,
-            };
-            assert_eq!(*beyond.optimality(), limit);
-            assert_eq!((beyond.stats().nodes, beyond.stats().budgets_tried), (0, 0));
-            // Two diameters of K_6 demanded u32::MAX times each: the
-            // capacity bound is exactly u32::MAX, and the diameter bound
-            // refutes that budget at the root.
-            let diameters = [
-                cyclecover_graph::Edge::new(0, 3),
-                cyclecover_graph::Edge::new(1, 4),
-            ];
-            let mut spec = CoverSpec::subset(6, &diameters);
-            spec.demand.iter_mut().for_each(|d| *d *= u32::MAX);
-            let last = engine.solve(
-                &Problem::new(TileUniverse::new(Ring::new(6), 6), spec),
-                &SolveRequest::find_optimal().with_max_nodes(1_000),
-            );
-            assert_eq!(*last.optimality(), limit);
-            assert_eq!((last.stats().nodes, last.stats().budgets_tried), (1, 1));
-        }
+        let engine = engine_by_name("bitset").unwrap();
+        let beyond = engine.solve(
+            &Problem::lambda_fold(5, 4_000_000_000),
+            &SolveRequest::find_optimal().with_max_nodes(1_000),
+        );
+        let limit = Optimality::BudgetExhausted {
+            reason: Exhaustion::EngineLimit,
+        };
+        assert_eq!(*beyond.optimality(), limit);
+        assert_eq!((beyond.stats().nodes, beyond.stats().budgets_tried), (0, 0));
+        let diameters = [
+            cyclecover_graph::Edge::new(0, 3),
+            cyclecover_graph::Edge::new(1, 4),
+        ];
+        let mut spec = CoverSpec::subset(6, &diameters);
+        spec.demand.iter_mut().for_each(|d| *d *= u32::MAX);
+        let last = engine.solve(
+            &Problem::new(TileUniverse::new(Ring::new(6), 6), spec),
+            &SolveRequest::find_optimal().with_max_nodes(1_000),
+        );
+        assert_eq!(*last.optimality(), limit);
+        assert_eq!((last.stats().nodes, last.stats().budgets_tried), (0, 0));
     }
 
-    /// The recursive kernel stops at 4,096 placed tiles instead of
-    /// overflowing its stack: on a thread with a 2 MiB stack, the n = 5
-    /// λ = 1,365 cover certifies at depth 4,095, and λ = 1,366 and
-    /// λ = 20,000 answer `engine_limit`, behind `bitset` and `legacy`.
+    /// One pair of K_6 demanded 65,535 times, the most a 16-bit lane
+    /// holds, is refuted at budget 10 in one node on the lanes; demanded
+    /// 65,536 times it is beyond every core and answers `engine_limit`
+    /// without a node.
+    #[test]
+    fn demands_past_sixteen_bit_lanes_answer_engine_limit() {
+        let engine = engine_by_name("bitset").unwrap();
+        let pair = |lambda: u32| {
+            let mut spec = CoverSpec::subset(6, &[cyclecover_graph::Edge::new(0, 1)]);
+            spec.demand.iter_mut().for_each(|d| *d *= lambda);
+            Problem::new(TileUniverse::new(Ring::new(6), 6), spec)
+        };
+        let widest = engine.solve(&pair(65_535), &SolveRequest::within_budget(10));
+        assert_eq!(*widest.optimality(), Optimality::Infeasible);
+        assert_eq!(widest.stats().nodes, 1);
+        let beyond = engine.solve(&pair(65_536), &SolveRequest::within_budget(10));
+        assert_eq!(
+            *beyond.optimality(),
+            Optimality::BudgetExhausted {
+                reason: Exhaustion::EngineLimit
+            }
+        );
+        assert_eq!(beyond.stats().nodes, 0);
+    }
+
+    /// The search cores stop at 4,096 placed tiles: the n = 5 λ = 1,365
+    /// cover certifies at depth 4,095, and λ = 1,366 and λ = 20,000
+    /// answer `engine_limit`. The cap dates from the recursive kernel
+    /// that served λ > 15 and needed a stack frame per tile; the check
+    /// still runs on a thread with a 2 MiB stack, as a daemon
+    /// dispatcher's.
     #[test]
     fn the_recursive_kernel_stops_at_its_depth_cap() {
         std::thread::Builder::new()
             .stack_size(2 << 20)
             .spawn(|| {
-                for engine in ["bitset", "legacy"] {
-                    let engine = engine_by_name(engine).unwrap();
-                    let deepest = engine.solve(
-                        &Problem::lambda_fold(5, 1_365),
+                let engine = engine_by_name("bitset").unwrap();
+                let deepest = engine.solve(
+                    &Problem::lambda_fold(5, 1_365),
+                    &SolveRequest::find_optimal(),
+                );
+                assert_eq!(deepest.size(), Some(4_095));
+                assert!(matches!(deepest.optimality(), Optimality::Optimal { .. }));
+                for lambda in [1_366, 20_000] {
+                    let capped = engine.solve(
+                        &Problem::lambda_fold(5, lambda),
                         &SolveRequest::find_optimal(),
                     );
-                    assert_eq!(deepest.size(), Some(4_095), "{}", engine.name());
-                    assert!(matches!(deepest.optimality(), Optimality::Optimal { .. }));
-                    for lambda in [1_366, 20_000] {
-                        let capped = engine.solve(
-                            &Problem::lambda_fold(5, lambda),
-                            &SolveRequest::find_optimal(),
-                        );
-                        assert_eq!(
-                            *capped.optimality(),
-                            Optimality::BudgetExhausted {
-                                reason: Exhaustion::EngineLimit
-                            },
-                            "{}, λ = {lambda}",
-                            engine.name()
-                        );
-                    }
+                    assert_eq!(
+                        *capped.optimality(),
+                        Optimality::BudgetExhausted {
+                            reason: Exhaustion::EngineLimit
+                        },
+                        "λ = {lambda}"
+                    );
                 }
             })
             .unwrap()

@@ -201,14 +201,14 @@ impl fmt::Debug for ChordSet {
 /// [`ChordSet`].
 ///
 /// Each chord owns a `BITS`-bit lane holding its *residual* demand — how
-/// many more times it must be covered. Two widths are in use: 2-bit lanes
-/// (32 per word) hold demands ≤ 3, 4-bit lanes (16 per word) demands
-/// ≤ 15; `BITS` must divide 64. Placing a tile is one masked subtract per
-/// word: lanes that are covered by the tile *and* still nonzero each lose
-/// exactly 1, which cannot borrow into the neighbouring lane because every
-/// decremented lane is ≥ 1. "Fully covered" is the lane-wise compare
-/// against zero, and residual-demand popcounts (how many covered lanes are
-/// still live) fall out of the same mask that drives the subtract.
+/// many more times it must be covered. Three widths are in use: 2-bit
+/// lanes (32 per word) hold demands ≤ 3, 4-bit lanes (16 per word)
+/// demands ≤ 15, 16-bit lanes (4 per word) demands ≤ 65,535; `BITS` must
+/// divide 64. Placing a tile is one masked subtract per word: lanes that
+/// are covered by the tile *and* still nonzero each lose exactly 1, which
+/// cannot borrow into the neighbouring lane because every decremented lane
+/// is ≥ 1. "Fully covered" is the lane-wise compare against zero, and
+/// residual-demand popcounts fall out of the mask that drives the subtract.
 ///
 /// Word `w` lane `i` (chord `PER_WORD·w + i`) occupies bits `BITS·i`
 /// (low) to `BITS·i + BITS − 1` (high); [`LaneSet::LOW`] selects the low
@@ -518,7 +518,7 @@ mod tests {
     }
 
     /// Lane-boundary widths: one lane short of, at, and one past each
-    /// word edge (32 lanes per word at 2 bits, 16 at 4), the λ-fold
+    /// word edge (32 lanes per word at 2 bits, 16 at 4, 4 at 16), the λ-fold
     /// analogue of the bitset width-boundary suite. 66 is a real instance
     /// width (`n = 12` has 66 chords).
     fn lane_boundaries<const B: u32>(widths: &[u32]) {
@@ -550,6 +550,7 @@ mod tests {
     fn lane_width_boundaries() {
         lane_boundaries::<2>(&[1, 31, 32, 33, 63, 64, 65, 66]);
         lane_boundaries::<4>(&[1, 15, 16, 17, 31, 32, 33, 66]);
+        lane_boundaries::<16>(&[1, 3, 4, 5, 7, 8, 9, 66]);
     }
 
     #[test]
@@ -603,6 +604,7 @@ mod tests {
     fn place_word_decrements_only_live_masked_lanes() {
         place_decrements_live_masked::<2>([3, 2, 1, 0]);
         place_decrements_live_masked::<4>([15, 7, 1, 0]);
+        place_decrements_live_masked::<16>([65_535, 7, 1, 0]);
     }
 
     /// A full word of residual-1 lanes, then residuals `1..=MAX` across a
@@ -637,6 +639,7 @@ mod tests {
     fn place_word_never_borrows_across_lanes() {
         never_borrows::<2>();
         never_borrows::<4>();
+        never_borrows::<16>();
     }
 
     /// A 4-bit lane holds demands up to 15: a full lane decrements to 14

@@ -20,8 +20,8 @@
 //!   certificate stating exactly what was proved, with unified stats;
 //! * [`api::Engine`] — the trait every solver implements, with a
 //!   name-keyed registry ([`api::engines`] / [`api::engine_by_name`]):
-//!   `bitset`, `legacy`, `dlx`, `partition`, `greedy`,
-//!   `greedy-improve`, `anneal`.
+//!   `bitset`, `dlx`, `partition`, `greedy`, `greedy-improve`,
+//!   `anneal`.
 //!
 //! ```
 //! use cyclecover_solver::api::{engine_by_name, Optimality, Problem, SolveRequest};
@@ -56,20 +56,18 @@
 //!   `ρ(n) ≥ ⌈Σ dist(u,v) / n⌉` (and its arbitrary-demand form
 //!   [`lower_bound::weighted_demand_bound`]), the diameter bound, and
 //!   the search-state prefix bounds: the parity/T-join bound
-//!   ([`lower_bound::parity_join_bound`] — Theorem 2's `+1` derived at
-//!   the root of capacity-tight even probes) and the diameter-slack
-//!   greedy dual ([`lower_bound::diameter_slack_bound`]);
+//!   ([`lower_bound::parity_join_bound_from_odd`] — Theorem 2's `+1`
+//!   derived at the root of capacity-tight even probes) and the
+//!   diameter-slack greedy dual ([`lower_bound::diameter_slack_bound`]);
 //! * [`bnb`] — the branch & bound searches and their one route rule:
 //!   unit-demand specs run the iterative allocation-free core (explicit
 //!   search stack over reused arenas, incremental bound ingredients, and
 //!   the residual-state dominance memo — Zobrist-keyed, byte-budgeted
 //!   ([`bnb::DEFAULT_MEMO_BYTES`] unless a request sets its own), with
-//!   canonical dihedral state keying under `SymmetryMode::Full`),
-//!   demands ≤ 15 the packed-lane core (2-bit lanes up to 3, 4-bit
-//!   lanes beyond), and
-//!   demands above 15 the recursive multiplicity kernel, each probe one
-//!   sequential search; the recursive bitset path survives as the
-//!   differential reference ([`bnb::budget_search_reference`]);
+//!   canonical dihedral state keying under `SymmetryMode::Full`), and
+//!   every other demand up to 65,535 the packed-lane core
+//!   (2-bit lanes up to 3, 4-bit lanes up to 15, 16-bit lanes beyond),
+//!   each probe one sequential search with no recursion;
 //! * [`dlx`] — the slack-budgeted exact-cover kernel behind the
 //!   `partition` and `dlx` engines (MRV chord selection, exact-waste
 //!   candidate filtering against the budget's slack

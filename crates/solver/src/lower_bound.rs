@@ -79,9 +79,10 @@ pub fn diameter_lower_bound(n: u32) -> u64 {
 ///
 /// The paper's Theorem 2 additionally proves `+1` over the capacity bound
 /// for `n = 2p` with `p` even; that refinement is *certified* per
-/// instance rather than assumed: the search's [`parity_join_bound`]
-/// derives it at the root of the capacity-tight probe (a one-node
-/// refutation under `SymmetryMode::Root`/`Full`), and
+/// instance rather than assumed: the search's
+/// [`parity_join_bound_from_odd`] derives it at the root of the
+/// capacity-tight probe (a one-node refutation under
+/// `SymmetryMode::Root`/`Full`), and
 /// [`SymmetryMode::Off`](crate::bnb::SymmetryMode) still proves it by
 /// plain exhaustion (the `certify_optimal` bench binary, and the `off`
 /// rows of `BENCH_10.json`).
@@ -89,7 +90,8 @@ pub fn combinatorial_lower_bound(n: u32) -> u64 {
     capacity_lower_bound(n).max(diameter_lower_bound(n))
 }
 
-/// The parity (T-join) bound over per-vertex residual degrees.
+/// The parity (T-join) bound over per-vertex residual degrees, given
+/// `odd = |T|`, the count of vertices with odd residual degree.
 ///
 /// Every tile covers an *even* number of chords at every vertex — exactly
 /// 2 at each vertex it visits (its two ring-consecutive neighbours), 0
@@ -112,22 +114,10 @@ pub fn combinatorial_lower_bound(n: u32) -> u64 {
 /// exhaustive refutations into one-node proofs. Deeper in a witness
 /// search it keeps pruning: any prefix that strands odd residual degrees
 /// with too little slack dies immediately.
-pub fn parity_join_bound(u: &TileUniverse, uncovered: &ChordSet, rem_dist: u64) -> u64 {
-    let n = u.ring().n();
-    let mut odd = 0u64;
-    for v in 0..n {
-        let deg = u.vertex_mask(v).intersection_count(uncovered);
-        odd += (deg & 1) as u64;
-    }
-    parity_join_bound_from_odd(n, rem_dist, odd)
-}
-
-/// [`parity_join_bound`] when the caller already knows `|T|` — the count
-/// of vertices with odd uncovered degree. The iterative search core
-/// maintains that count incrementally on place/unplace (each newly
-/// covered chord flips the parity of its two endpoints), turning the
-/// parity bound into a constant-time check per node instead of a
-/// per-vertex mask scan.
+///
+/// The search cores maintain `|T|` incrementally on place/unplace (each
+/// covered unit flips the parity of its chord's two endpoints), so the
+/// bound is a constant-time check per node.
 #[inline]
 pub fn parity_join_bound_from_odd(n: u32, rem_dist: u64, odd: u64) -> u64 {
     debug_assert!(odd.is_multiple_of(2), "handshake: odd-degree count is even");

@@ -70,7 +70,8 @@
 //! multiplicities `≤ 3` (again `≤ 128` chords), 4 bits per chord for
 //! multiplicities `4..=15`. A 4-bit key fits only up to **64 chords**
 //! (complete `n ≤ 11`); wider 4-bit states search memo-free, as every
-//! `n ≥ 17` search does. Widening [`KEY_WORDS`] would grow every slot of
+//! `n ≥ 17` search and every 16-bit lane search (multiplicities
+//! `16..=65,535`) does. Widening [`KEY_WORDS`] would grow every slot of
 //! every store, so it stays at 4. The partition kernel keys by the same
 //! packed lane words but under a **waste-slack** `rem` (unused cycle
 //! length remaining, not tiles remaining). The encodings can collide bit
@@ -161,7 +162,8 @@ pub(crate) const KEY_WORDS: usize = 4;
 
 /// The width tag of a memo key (see the module docs): a lane vector's
 /// bits per chord under tile slack, one more under waste slack — 2 and 3
-/// for 2-bit lanes, 4 and 5 for 4-bit lanes. Unit keys are tag 1.
+/// for 2-bit lanes, 4 and 5 for 4-bit lanes, 16 and 17 for 16-bit lanes
+/// (which no store keys). Unit keys are tag 1.
 pub(crate) const fn width_tag(lane_bits: u32, waste_slack: bool) -> u8 {
     (lane_bits + waste_slack as u32) as u8
 }
@@ -387,12 +389,15 @@ impl MemoStore {
 
     /// Whether a state with width tag `bits` fits a key over this
     /// store's universe: always for unit and 2-bit keys, up to 64 chords
-    /// for 4-bit keys. A searcher whose states do not fit runs memo-free.
+    /// for 4-bit keys, never for 16-bit keys (the store draws no Zobrist
+    /// levels above 15). A searcher whose states do not fit runs
+    /// memo-free.
     pub(crate) fn keys_fit(&self, bits: u8) -> bool {
         let bits_per_chord = match bits {
             1 => 1,
             2 | 3 => 2,
-            _ => 4,
+            4 | 5 => 4,
+            _ => return false,
         };
         self.num_chords * bits_per_chord <= 64 * KEY_WORDS as u32
     }
@@ -916,6 +921,21 @@ mod tests {
         }
         let restricted = TileUniverse::new(Ring::new(12), 4);
         assert!(!MemoStore::new(&restricted, 1 << 20).unwrap().keys_fit(4));
+    }
+
+    /// A 16-bit searcher never gets a store: the store draws Zobrist
+    /// keys for levels up to 15 only, so no universe fits its keys, not
+    /// even one of three chords.
+    #[test]
+    fn sixteen_bit_searchers_never_get_a_store() {
+        for n in 3..=11 {
+            let memo = MemoStore::new(&universe(n), 1 << 20).unwrap();
+            assert!(memo.keys_fit(width_tag(4, false)), "n = {n}");
+            for waste_slack in [false, true] {
+                let tag = width_tag(16, waste_slack);
+                assert!(!memo.keys_fit(tag), "n = {n}, tag {tag}");
+            }
+        }
     }
 
     #[test]

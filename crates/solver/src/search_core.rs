@@ -1,20 +1,19 @@
 //! The search contract and the frame-based cores.
 //!
 //! Every exact budget probe — cover the spec with at most `budget`
-//! tiles, or prove that no such covering exists — runs on one of four
-//! search contexts, picked by the one route rule (`crate::bnb::route`):
-//! [`IterCore`] for unit demands, [`LaneCore`] for demands ≤ 15,
-//! `crate::dlx::PartitionCore` for demands ≤ 15 whose waste slack is
-//! below `n`, and the recursive `bnb::SearchCtx<MultiKernel>` beyond.
-//! A probe is one sequential search from the root ([`probe`] here, an
-//! inherent `probe` on the recursive context), and it answers one
-//! `(Outcome, Stats)` pair: the verdict, with the limit that stopped an
-//! inconclusive search, and the counters in the solver's one [`Stats`]
-//! type. Each probe's node counts are the same on every run, which is
-//! what the CI node-count gates pin.
+//! tiles, or prove that no such covering exists — runs on one of three
+//! search cores, one per residual representation, picked by the one
+//! route rule (`crate::bnb::route`): [`IterCore`] for unit demands, and
+//! for every other demand up to 65,535 [`LaneCore`], or
+//! `crate::dlx::PartitionCore` when the waste slack is in `[0, n)`. A
+//! probe is one sequential search from the root ([`probe`]), and it
+//! answers one `(Outcome, Stats)` pair: the verdict, with the limit that
+//! stopped an inconclusive search, and the counters in the solver's one
+//! [`Stats`] type. Each probe's node counts are the same on every run,
+//! which is what the CI node-count gates pin.
 //!
-//! The three frame-based cores share the per-node machinery, so each
-//! piece of it exists once:
+//! The three cores share the per-node machinery, so each piece of it
+//! exists once:
 //!
 //! * **Explicit stack, depth-indexed arenas** ([`run_frames`]). Recursion
 //!   becomes a loop over per-depth [`Frame`]s whose candidate buffers
@@ -22,7 +21,8 @@
 //!   flat [`DomArena`] grown to the longest candidate list seen. After
 //!   warm-up no search node allocates.
 //! * **One node protocol** ([`enter`]): satisfied, then the limits
-//!   ([`Governor`]), the prefix bounds, the memo, and candidate staging
+//!   ([`Governor`]), the prefix bounds, the depth cap ([`MAX_DEPTH`]),
+//!   the memo, and candidate staging
 //!   ([`Stack::stage`]: scoring over the words a tile's mask spans, the
 //!   partition kernel's waste filter, dominance, orbit filtering).
 //!   Candidates that cover no live chord besides the branch chord can
@@ -55,13 +55,15 @@
 //! which the unit machinery (branching, scoring, dominance, the
 //! diameter-slack dual) consumes unchanged. The lane width is a const
 //! parameter of the residual, its tables and both cores: 2-bit lanes
-//! serve demands ≤ 3, 4-bit lanes demands `4..=15`, from one source. The
-//! 4-bit states key the memo under their own width tags, and only up to
-//! 64 chords (see [`crate::memo`]); wider 4-bit searches run memo-free.
+//! serve demands ≤ 3, 4-bit lanes demands `4..=15` and 16-bit lanes
+//! demands `16..=65,535`, from one source. The 4-bit states key the memo
+//! under their own width tags, and only up to 64 chords (see
+//! [`crate::memo`]); wider 4-bit searches and every 16-bit search run
+//! memo-free.
 //!
-//! With the memo off, [`IterCore`] reproduces the recursive bitset
-//! reference (`bnb::budget_search_reference`) node for node: identical
-//! branch order, candidate scoring, dominance and orbit filtering.
+//! With the memo off, [`IterCore`] reproduces the node counts of the
+//! recursive search it replaced; `tests/kernel_proptests.rs` keeps them
+//! as data.
 
 use crate::api::{CancelToken, Exhaustion, Stats};
 use crate::bitset::{ChordSet, LaneSet};
@@ -117,13 +119,8 @@ impl<'a> Governor<'a> {
     }
 
     /// Stops the search with `cause`, a limit the search checks itself.
-    pub(crate) fn stop(&mut self, cause: Exhaustion) {
+    fn stop(&mut self, cause: Exhaustion) {
         self.stop_cause = Some(cause);
-    }
-
-    /// Whether a limit stopped the search.
-    pub(crate) fn stopped(&self) -> bool {
-        self.stop_cause.is_some()
     }
 
     /// The probe's answer: the placed `chosen` tiles when the search
@@ -180,8 +177,7 @@ enum Enter {
 /// of the node being filtered, in one flat word arena grown to the
 /// longest candidate list seen. Staging hands it only the candidates
 /// covering at least two live chords, 13–134 a node on average over the
-/// certify-unit instances, far fewer than
-/// [`TileUniverse::max_candidates`].
+/// certify-unit instances, far fewer than a chord's full candidate list.
 struct DomArena {
     words: Vec<u64>,
     /// Words per slot: the universe's chord-set width.
@@ -745,10 +741,23 @@ pub(crate) trait FrameCore<'a> {
     }
 }
 
+/// The most tiles a core places on one path: a node this deep that
+/// survives its bounds stops the probe with [`Exhaustion::EngineLimit`]
+/// instead of branching. It bounds the per-depth frame memory. At n = 5
+/// this certifies λ ≤ 1,365 (a 4,095-tile witness); a unit search places
+/// at most one tile per demanded request, so only a spec of more than
+/// 4,096 requests can reach it.
+const MAX_DEPTH: usize = 4096;
+
 /// Enters the node at the current prefix: satisfied, then the limits,
-/// the prefix bounds, the memo, and candidate staging. `check_memo` is
-/// false when the node was already probed as a candidate child; its
-/// entry is still staged so the node can be recorded on exhaust.
+/// the prefix bounds, the depth cap, the memo, and candidate staging.
+/// `check_memo` is false when the node was already probed as a candidate
+/// child; its entry is still staged so the node can be recorded on
+/// exhaust.
+///
+/// The depth cap comes after the bounds, so a root refutation runs at
+/// any budget, and it aborts the probe rather than killing the node: a
+/// dead child would let its parent record a refutation never proved.
 #[inline]
 fn enter<'a, C: FrameCore<'a>>(c: &mut C, check_memo: bool) -> Enter {
     if c.satisfied() {
@@ -762,6 +771,11 @@ fn enter<'a, C: FrameCore<'a>>(c: &mut C, check_memo: bool) -> Enter {
     if c.refuted() {
         c.stack().stats.pruned += 1;
         return Enter::Dead;
+    }
+    let s = c.stack();
+    if s.depth() >= MAX_DEPTH {
+        s.gov.stop(Exhaustion::EngineLimit);
+        return Enter::Abort;
     }
     let mut entry = None;
     if c.stack().store.is_some() {
@@ -854,8 +868,8 @@ fn run_frames<'a, C: FrameCore<'a>>(c: &mut C) -> bool {
 
 /// The iterative search for unit-demand specs: the uncovered chords as
 /// one [`ChordSet`], placement as word sweeps with a per-depth undo set
-/// of newly covered chords. Mirrors `bnb::SearchCtx<BitsetKernel>`
-/// observably (same nodes, same order, same stats with the memo off).
+/// of newly covered chords. With the memo off its node counts are those
+/// of the recursive search it replaced.
 pub(crate) struct IterCore<'a> {
     s: Stack<'a>,
     /// The uncovered chords and their bound ingredients.
@@ -1044,8 +1058,8 @@ impl<'a> FrameCore<'a> for IterCore<'a> {
     fn stage(&mut self, entry: Option<MemoEntry>) {
         let branch = self.d.live.first_set().expect("unsatisfied demand exists");
         // The setwise upgrade is part of the canonical machinery: with
-        // the memo off, `Full` filters exactly as the recursive reference
-        // does, so the differential node-count gate stays exact.
+        // the memo off, `Full` filters by the pointwise stabilizer alone,
+        // so the memo-off node counts stay those kept as data.
         let setwise = self.canon.then(|| self.setwise_stab());
         self.s.stage(&self.d.live, branch, u64::MAX, setwise, entry);
     }
@@ -1111,13 +1125,15 @@ impl<const B: u32> LaneTables<B> {
 
 /// The λ-fold residual state the lane core and the partition kernel
 /// share: per-chord residual demand in packed `B`-bit lanes (2-bit lanes
-/// for demands ≤ 3, 4-bit lanes for demands ≤ 15), the support set and
+/// for demands ≤ 3, 4-bit lanes for demands ≤ 15, 16-bit lanes for
+/// demands ≤ 65,535), the support set and
 /// bound ingredients ([`Demand`]), an incremental level-Zobrist hash, and
 /// per-depth undo masks.
 ///
 /// Memo keys are the packed lane words. The stack only keeps a store
 /// whose keys the state fits ([`MemoStore::keys_fit`]: every store at
-/// 2 bits, up to 64 chords at 4 bits), so every key is exact.
+/// 2 bits, up to 64 chords at 4 bits, none at 16 bits), so every key is
+/// exact.
 pub(crate) struct LaneResidual<'a, const B: u32> {
     u: &'a TileUniverse,
     tables: &'a LaneTables<B>,
@@ -1274,10 +1290,10 @@ impl<'a, const B: u32> LaneResidual<'a, B> {
 }
 
 /// The iterative λ-fold search over a [`LaneResidual`] — the unit core's
-/// sibling for specs with demands in `2..=15`, on 2-bit lanes up to
-/// demand 3 and 4-bit lanes beyond. Branching, scoring and dominance read
-/// the support set (coverage counts *chords* with live residual, as the
-/// legacy multiplicity kernel scores); every bound scales by λ through
+/// sibling for specs with demands in `2..=65,535`, on 2-bit lanes up to
+/// demand 3, 4-bit lanes up to 15 and 16-bit lanes beyond. Branching,
+/// scoring and dominance read the support set (coverage counts *chords*
+/// with live residual); every bound scales by λ through
 /// the residual-weighted ingredients. Orbit filtering is pointwise only
 /// and memo keys are always raw, so the candidate-level pre-probe always
 /// applies. A tile may be placed repeatedly at successive depths while

@@ -58,9 +58,6 @@ pub struct TileUniverse {
     /// Priority indices `< diam_chords` are exactly the diameter-class
     /// chords (0 for odd `n`).
     diam_chords: u32,
-    /// Longest per-chord candidate list — the one-shot sizing bound for
-    /// per-node candidate arenas (no search node can see more).
-    max_candidates: u32,
 
     // ---- tile tables ----
     /// CSR offsets into `chord_idx`: tile `i` owns
@@ -80,9 +77,6 @@ pub struct TileUniverse {
     waste: Vec<u32>,
     /// Per-tile number of diameter-class chords.
     diam_count: Vec<u32>,
-    /// `vertex_masks[v]`: the chords incident to ring vertex `v`
-    /// (priority space) — the support of the vertex-degree lower bound.
-    vertex_masks: Vec<ChordSet>,
 
     /// Lazily-built dihedral action tables (`None` inside the cell when
     /// the group order `2n` exceeds the 64-bit subgroup masks).
@@ -409,13 +403,6 @@ impl TileUniverse {
             .take_while(|&&d| ring.is_diameter_class(d))
             .count() as u32;
 
-        let mut vertex_masks = vec![ChordSet::empty(m as u32); n as usize];
-        for (dense, &pri) in pri_of_dense.iter().enumerate() {
-            let e = Edge::from_dense_index(dense, n as usize);
-            vertex_masks[e.u() as usize].insert(pri);
-            vertex_masks[e.v() as usize].insert(pri);
-        }
-
         // Per-tile metadata + per-chord candidate lists, one pass.
         let mut by_chord = vec![Vec::new(); m];
         let mut chord_off = Vec::with_capacity(tiles.len() + 1);
@@ -453,7 +440,6 @@ impl TileUniverse {
             waste.push(n - tile_load.min(n));
             diam_count.push(tile_diam);
         }
-        let max_candidates = by_chord.iter().map(|c| c.len() as u32).max().unwrap_or(0);
 
         TileUniverse {
             ring,
@@ -464,7 +450,6 @@ impl TileUniverse {
             dist_of_pri,
             ends_of_pri,
             diam_chords,
-            max_candidates,
             chord_off,
             chord_idx,
             masks,
@@ -472,7 +457,6 @@ impl TileUniverse {
             load,
             waste,
             diam_count,
-            vertex_masks,
             dihedral: OnceLock::new(),
         }
     }
@@ -521,7 +505,6 @@ impl TileUniverse {
         bytes += (self.chord_off.len() + self.chord_idx.len()) * size_of::<u32>();
         bytes += self.masks.len() * (mask_bytes + size_of::<(u32, u32)>());
         bytes += (self.load.len() + self.waste.len() + self.diam_count.len()) * size_of::<u32>();
-        bytes += self.vertex_masks.len() * mask_bytes;
         let order = 2 * self.ring.n() as usize;
         if order <= 64 {
             bytes += DihedralTables::heap_bytes(order, m, self.tiles.len());
@@ -591,14 +574,6 @@ impl TileUniverse {
         self.ends_of_pri[pri as usize]
     }
 
-    /// Length of the longest per-chord candidate list — an upper bound on
-    /// how many candidates any single search node can score (the
-    /// recursive reference search sizes its dominance scratch from it).
-    #[inline]
-    pub fn max_candidates(&self) -> u32 {
-        self.max_candidates
-    }
-
     /// Number of diameter-class chords; priority indices `< diam_chords()`
     /// are exactly those chords.
     pub fn diam_chords(&self) -> u32 {
@@ -641,12 +616,6 @@ impl TileUniverse {
     #[inline]
     pub fn tile_diam_count(&self, i: u32) -> u32 {
         self.diam_count[i as usize]
-    }
-
-    /// Chords incident to ring vertex `v`, as a priority-space mask.
-    #[inline]
-    pub fn vertex_mask(&self, v: u32) -> &ChordSet {
-        &self.vertex_masks[v as usize]
     }
 }
 

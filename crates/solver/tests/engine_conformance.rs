@@ -17,7 +17,7 @@ use proptest::prelude::*;
 use std::time::Duration;
 
 const NS: std::ops::RangeInclusive<u32> = 4..=8;
-const EXACT: [&str; 4] = ["bitset", "legacy", "dlx", "partition"];
+const EXACT: [&str; 3] = ["bitset", "dlx", "partition"];
 
 /// The multiset of edges `tiles` covers.
 fn coverage_of(n: u32, tiles: &[cyclecover_ring::Tile]) -> EdgeMultiset {
@@ -79,7 +79,7 @@ fn all_engines_return_valid_coverings_and_exact_engines_agree() {
 }
 
 /// `ProveInfeasible(ρ(n) − 1)` verdicts match across the exact engines
-/// (bitset, legacy, partition, and DLX where it applies): all must
+/// (bitset, partition, and DLX where it applies): all must
 /// return `Infeasible`, and at `ρ(n)` all must refute with a witness.
 #[test]
 fn infeasibility_verdicts_match_across_exact_engines() {
@@ -206,7 +206,7 @@ fn dlx_scope_is_zero_slack() {
 }
 
 /// The partition engine's declared scope: any spec with demands in
-/// `1..=3`, slack notwithstanding — it is the explicit entry to the
+/// `1..=65,535`, slack notwithstanding — it is the explicit entry to the
 /// slack-budgeted kernel (the frontier probes use it to force the
 /// partition route on slack-`n` instances the auto-dispatch skips).
 #[test]
@@ -218,6 +218,8 @@ fn partition_scope_is_any_packed_demand() {
     }
     assert!(partition.supports(&Problem::lambda_fold(6, 2), &req));
     assert!(partition.supports(&Problem::lambda_fold(6, 3), &req));
+    assert!(partition.supports(&Problem::lambda_fold(5, 65_535), &req));
+    assert!(!partition.supports(&Problem::lambda_fold(5, 65_536), &req));
 }
 
 /// Heuristics refuse to "prove" anything.

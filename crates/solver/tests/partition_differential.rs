@@ -1,22 +1,22 @@
 //! Differential property tests pinning the slack-budgeted partition
 //! kernel (`bnb::budget_search_partition`, the PR-10 exact-cover route)
-//! to the branch-and-bound cores it must agree with: the iterative unit
-//! bitset core and the word-parallel λ-fold lane core (both reached
-//! through `bnb::budget_search_reference` / `bnb::budget_search_packed`,
-//! which bypass the low-slack dispatch). On random specs with demands in
-//! `0..=3`, probed at the capacity budget (waste slack in `[0, n)` — the
-//! dispatch's own trigger zone) and one above it, the partition kernel
-//! must reproduce verdicts and optima exactly, return witnesses meeting
-//! every multiplicity, and stay sound under every symmetry mode × memo
-//! combination — including a shared store reused across both kernels,
-//! which exercises the width-2/width-3 memo aliasing guard in anger.
+//! to the test-only exact oracle (`tests/oracle`). On random specs with
+//! demands in `0..=3`, probed at the capacity budget (waste slack in
+//! `[0, n)` — the dispatch's own trigger zone) and one above it, the
+//! partition kernel must reproduce verdicts and optima exactly, return
+//! witnesses meeting every multiplicity, and stay sound under every
+//! symmetry mode × memo combination — including a shared store reused
+//! with the word-parallel lane core (`bnb::budget_search_packed`, which
+//! bypasses the low-slack dispatch), which exercises the width-2/width-3
+//! memo aliasing guard in anger.
+
+mod oracle;
 
 use cyclecover_graph::{Edge, EdgeMultiset};
 use cyclecover_ring::Ring;
 use cyclecover_solver::api::SymmetryMode;
 use cyclecover_solver::bnb::{
-    budget_search_packed, budget_search_partition, budget_search_reference, CoverSpec, MemoStore,
-    Outcome,
+    budget_search_packed, budget_search_partition, CoverSpec, MemoStore, Outcome,
 };
 use cyclecover_solver::TileUniverse;
 use proptest::prelude::*;
@@ -46,7 +46,7 @@ fn assert_meets_spec(u: &TileUniverse, tiles: &[u32], spec: &CoverSpec) {
 /// A random multiplicity spec with demands in `0..=3` and at least one
 /// demand ≥ 1. Unlike the λ-differential generator this one keeps pure
 /// unit specs too: the partition kernel serves demands `1..=3`
-/// uniformly, so it must be pinned against *both* reference cores.
+/// uniformly.
 fn sparse_spec(n: u32, picks: &[(u32, u32, u32)]) -> Option<CoverSpec> {
     let mut demand = vec![0u32; n as usize * (n as usize - 1) / 2];
     for &(a, b, mult) in picks {
@@ -73,13 +73,11 @@ fn capacity_budget(u: &TileUniverse, spec: &CoverSpec) -> u32 {
     wsum.div_ceil(n) as u32
 }
 
-/// Reference verdict: the branch-and-bound core the spec would run on
-/// with the partition dispatch out of the picture.
+/// Reference verdict: the oracle's.
 fn reference(u: &TileUniverse, spec: &CoverSpec, budget: u32) -> Outcome {
-    if spec.max_demand() <= 1 {
-        budget_search_reference(u, spec, budget, MAX_NODES, SymmetryMode::Off).0
-    } else {
-        budget_search_packed(u, spec, budget, MAX_NODES, SymmetryMode::Off, None).0
+    match oracle::covering_within(u, spec, budget) {
+        Some(tiles) => Outcome::Feasible(tiles),
+        None => Outcome::Infeasible,
     }
 }
 
@@ -88,8 +86,8 @@ proptest! {
 
     /// Random demands `0..=3` at the capacity budget and one above:
     /// every symmetry mode × memo combination of the partition kernel
-    /// agrees with the reference core's verdict, and every witness it
-    /// returns meets the full multiplicity spec.
+    /// agrees with the oracle's verdict, and every witness it returns
+    /// meets the full multiplicity spec.
     #[test]
     fn partition_matches_the_bnb_cores_on_low_slack_specs(
         n in 5u32..=8,
@@ -120,7 +118,7 @@ proptest! {
                         Outcome::Feasible(tiles) => {
                             prop_assert!(
                                 want,
-                                "partition found a covering the core refuted: \
+                                "partition found a covering the oracle refuted: \
                                  n={} budget={} {:?} memo={}", n, budget, sym, memo
                             );
                             assert_meets_spec(&u, &tiles, &spec);
@@ -137,10 +135,10 @@ proptest! {
         }
     }
 
-    /// Optimum agreement: probing every budget upward from zero, the
-    /// partition kernel's first feasible budget equals the reference
-    /// core's — the kernel neither loses solutions (incomplete search)
-    /// nor invents them (unsound waste accounting).
+    /// Optimum agreement: probing every budget upward from the capacity
+    /// budget, the partition kernel's first feasible budget equals the
+    /// oracle's optimum — the kernel neither loses solutions (incomplete
+    /// search) nor invents them (unsound waste accounting).
     #[test]
     fn partition_optimum_matches_the_reference(
         n in 5u32..=8,
@@ -158,24 +156,17 @@ proptest! {
         let u = TileUniverse::new(Ring::new(n), 4);
         let store = MemoStore::new(&u, 1 << 20).unwrap();
         let mut part_opt = None;
-        let mut ref_opt = None;
         for budget in capacity_budget(&u, &spec)..=64 {
-            if part_opt.is_none() {
-                if let (Outcome::Feasible(tiles), _) = budget_search_partition(
-                    &u, &spec, budget, MAX_NODES, sym, Some(&store),
-                ) {
-                    assert_meets_spec(&u, &tiles, &spec);
-                    part_opt = Some(budget);
-                }
-            }
-            if ref_opt.is_none() && !matches!(reference(&u, &spec, budget), Outcome::Infeasible) {
-                ref_opt = Some(budget);
-            }
-            if part_opt.is_some() && ref_opt.is_some() {
+            if let (Outcome::Feasible(tiles), _) = budget_search_partition(
+                &u, &spec, budget, MAX_NODES, sym, Some(&store),
+            ) {
+                assert_meets_spec(&u, &tiles, &spec);
+                part_opt = Some(budget);
                 break;
             }
         }
-        prop_assert_eq!(part_opt, ref_opt, "optimum drift: n={} {:?}", n, sym);
+        let (ref_opt, _) = oracle::optimum(&u, &spec, 64);
+        prop_assert_eq!(part_opt, Some(ref_opt), "optimum drift: n={} {:?}", n, sym);
     }
 
     /// Sharing one store across the lane core (width-2 entries, tile

@@ -8,9 +8,9 @@
 //! attempts) follow from how the probes of a request add up. Rows cover
 //! every core the route rule serves: the unit core (memo off, root
 //! symmetry, canonical keys), the partition kernel on a restricted
-//! universe, at λ = 2 and on 4-bit lanes at λ = 4, the lane core on 2-
-//! and 4-bit lanes, the recursive multiplicity kernel at λ = 16, and a
-//! λ = 3 sweep whose probes change route.
+//! universe, at λ = 2, on 4-bit lanes at λ = 4 and on 16-bit lanes at
+//! λ = 16, the lane core on 2- and 4-bit lanes, and a λ = 3 sweep whose
+//! probes change route.
 
 use cyclecover_ring::Ring;
 use cyclecover_solver::api::{engine_by_name, Optimality, Problem, SolveRequest, SymmetryMode};
@@ -232,8 +232,10 @@ fn lambda_4_of_6_within_19_on_the_lane_core() {
     );
 }
 
-/// Demands above 15 run the recursive multiplicity kernel, whose limit
-/// checks are the frame cores' `Governor`.
+/// Demands above 15 run on 16-bit lanes, memo-free. ρ₁₆(5) = 48 sits at
+/// the capacity bound with zero waste slack, so its one probe takes the
+/// partition route. (The name dates from the recursive kernel that
+/// served λ > 15 before and took 107 nodes here.)
 #[test]
 fn rho_16_of_5_on_the_recursive_kernel() {
     let row = solve(
@@ -241,11 +243,12 @@ fn rho_16_of_5_on_the_recursive_kernel() {
         &Problem::lambda_fold(5, 16),
         SolveRequest::find_optimal(),
     );
-    assert_eq!(row, ((Some(48), 107, 59, 0, 1, 0, 0, 0), (0, 2, 0, 1, 1)));
+    assert_eq!(row, ((Some(48), 48, 112, 0, 1, 0, 0, 0), (0, 2, 1, 1, 1)));
 }
 
-/// The ρ₁₆(6) witness search, capped at 100,000 nodes, stops on the node
-/// one past the cap.
+/// The ρ₁₆(6) witness search on the partition route over 16-bit lanes,
+/// capped at 100,000 nodes, stops on the node one past the cap. (The
+/// name dates from the recursive kernel that served λ > 15 before.)
 #[test]
 fn rho_16_of_6_capped_on_the_recursive_kernel() {
     let row = solve(
@@ -255,7 +258,7 @@ fn rho_16_of_6_capped_on_the_recursive_kernel() {
     );
     assert_eq!(
         row,
-        ((None, 100_001, 87_408, 0, 4, 0, 0, 0), (0, 4, 0, 1, 1))
+        ((None, 100_001, 385_568, 0, 4, 0, 0, 0), (0, 4, 1, 1, 1))
     );
 }
 

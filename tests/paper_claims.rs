@@ -76,8 +76,9 @@ fn survivability_holds_for_every_construction() {
 /// obstruction: for even n, ρ₂(n) < 2·ρ(n), so a double cover is
 /// strictly cheaper than two copies of an optimal unit cover, while for
 /// odd n copy-concatenation is tight (Theorem 1's partitions double
-/// into partitions). The λ = 4..6 rows run on the 4-bit lanes; every
-/// witness is checked to cover each pair λ times.
+/// into partitions). The λ = 4..6 rows run on the 4-bit lanes and the
+/// λ = 16..20 rows on the 16-bit lanes; every witness is checked to
+/// cover each pair λ times.
 #[test]
 fn lambda_fold_optima_sit_at_the_scaled_capacity_bound() {
     use cyclecover::core::lambda;
@@ -94,6 +95,11 @@ fn lambda_fold_optima_sit_at_the_scaled_capacity_bound() {
         (6, 5),
         (6, 6),
         (7, 4),
+        (4, 20),
+        (5, 16),
+        (7, 17),
+        (9, 16),
+        (9, 20),
     ] {
         let sol = bitset.solve(
             &Problem::lambda_fold(n, lam),
