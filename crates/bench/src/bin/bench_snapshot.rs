@@ -296,21 +296,14 @@ fn certify_shared(
     }
 }
 
-/// λ-fold certification row over the full tile universe: prove
-/// ρ_λ(n) − 1 infeasible, find a ρ_λ(n) covering. Every recorded λ-fold
-/// optimum equals the scaled capacity bound, so the refutation is a
-/// one-node root prune on both kernels and the witness search is the
+/// λ-fold certification row through engine `bitset` over the full tile
+/// universe: prove ρ_λ(n) − 1 infeasible, find a ρ_λ(n) covering. Every
+/// recorded λ-fold optimum equals the scaled capacity bound, so the
+/// refutation is a one-node root prune and the witness search is the
 /// tracked quantity.
-fn certify_lambda(
-    engine: &'static str,
-    n: u32,
-    lambda: u32,
-    opt: u32,
-    symmetry: SymmetryMode,
-    memo: bool,
-) -> Row {
+fn certify_lambda(n: u32, lambda: u32, opt: u32, symmetry: SymmetryMode, memo: bool) -> Row {
     let problem = Problem::lambda_fold(n, lambda);
-    let mut row = certify(engine, &problem, opt, symmetry, memo, u64::MAX);
+    let mut row = certify("bitset", &problem, opt, symmetry, memo, u64::MAX);
     row.lambda = lambda;
     row
 }
@@ -546,14 +539,7 @@ fn main() {
     // settings, gated against the frozen legacy counts.
     for (n, lambda, opt, _, _, _) in LAMBDA_CHECKS {
         for memo in [true, false] {
-            run(certify_lambda(
-                "bitset",
-                n,
-                lambda,
-                opt,
-                SymmetryMode::Full,
-                memo,
-            ));
+            run(certify_lambda(n, lambda, opt, SymmetryMode::Full, memo));
         }
     }
 

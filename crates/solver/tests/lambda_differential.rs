@@ -206,6 +206,9 @@ proptest! {
     /// with the same picks in `16..=18`, on the 16-bit lanes: the optimum
     /// agrees with the oracle's, and at the decisive budgets every
     /// symmetry mode with the memo on and off gives the oracle's verdict.
+    /// A 4-bit draw must be answered in full (an inconclusive probe
+    /// fails the test); only an optimum past 8, deep for the oracle,
+    /// skips it.
     #[test]
     fn wide_lanes_match_legacy_on_sparse_specs(
         n in 5u32..=7,
@@ -216,11 +219,16 @@ proptest! {
             let spec = sparse_spec(n, &picks, base);
             prop_assume!(spec.is_some());
             let problem = Problem::new(TileUniverse::new(Ring::new(n), 4), spec.unwrap());
-            // As above: keep the instances both searches answer quickly —
-            // crossing pairs, which no cycle serves together, push the
-            // optimum far past the largest demand, and the cores' bounds
-            // do not see that.
-            match optimum_within("bitset", &problem, 1_000_000) {
+            // A 16-bit draw is skipped when a probe stays inconclusive at
+            // 1M nodes or the optimum passes 20: crossing pairs, which no
+            // cycle serves together, push the optimum far past the largest
+            // demand, and the cores' bounds do not see that.
+            let fast = if base == 4 {
+                Ok(optimum_via("bitset", &problem))
+            } else {
+                optimum_within("bitset", &problem, 1_000_000)
+            };
+            match fast {
                 Ok((fast_opt, fast_tiles)) if fast_opt <= base + 4 => {
                     let (slow_opt, _) = oracle_optimum(&problem);
                     prop_assert_eq!(fast_opt, slow_opt, "optimum drift: n={} base={}", n, base);
