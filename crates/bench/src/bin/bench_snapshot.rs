@@ -10,7 +10,8 @@
 //! tracked in-trajectory:
 //!
 //! * the `Off` + memo-off rows must reproduce BENCH_1.json *exactly*
-//!   (±0 nodes) — the iterative core and the memo machinery are
+//!   (±0 nodes) — the lane core on 1-bit lanes, which serves every unit
+//!   row, searches the historical tree, and the memo machinery is
 //!   zero-cost when disabled;
 //! * the `Root` + memo-on rows are the engine-default configuration; the
 //!   ρ(10) witness row carries the shared-store PR's acceptance ceiling

@@ -81,7 +81,8 @@ USAGE:
                                       budget is refused;
                                       --no-memo disables the residual-state
                                       dominance memo, --memo-mb caps its
-                                      memory like the service universe cache)
+                                      memory like the service universe cache,
+                                      M >= 1 MiB)
   cyclecover serve --batch <jobs.jsonl | -> [--workers N] [--cache-mb M]
                        [--out DIR] [--retries R] [--backoff-ms B]
                        [--fault-plan plan.json] [--shared-memo]
@@ -158,7 +159,7 @@ fn run_solve(args: &[String]) -> Result<String, String> {
     let mut symmetry: Option<SymmetryMode> = None;
     let mut lambda = 1u32;
     let mut memo = true;
-    let mut memo_mb: Option<usize> = None;
+    let mut memo_mb: Option<u64> = None;
     let mut as_json = false;
     let mut it = args[1..].iter();
     while let Some(flag) = it.next() {
@@ -208,11 +209,10 @@ fn run_solve(args: &[String]) -> Result<String, String> {
             }
             "--no-memo" => memo = false,
             "--memo-mb" => {
-                memo_mb = Some(
-                    value("a size in MiB")?
-                        .parse()
-                        .map_err(|e| format!("bad --memo-mb: {e}"))?,
-                )
+                let mb = value("a size in MiB")?
+                    .parse()
+                    .map_err(|e| format!("bad --memo-mb: {e}"))?;
+                memo_mb = Some(json::check_memo_mb(mb).map_err(|e| format!("bad --memo-mb: {e}"))?);
             }
             "--json" => as_json = true,
             other => return Err(format!("unknown solve flag '{other}'")),
@@ -233,7 +233,7 @@ fn run_solve(args: &[String]) -> Result<String, String> {
     }
     request = request.with_memo(memo);
     if let Some(mb) = memo_mb {
-        request = request.with_memo_budget_bytes(mb << 20);
+        request = request.with_memo_budget_bytes((mb as usize) << 20);
     }
     let engine = engine_by_name(&engine_name).ok_or_else(|| {
         let names: Vec<&str> = engines().iter().map(|e| e.name()).collect();
@@ -1090,6 +1090,33 @@ mod tests {
         assert!(json.contains("\"canon_pruned\""), "{json}");
         let err = runv(&["solve", "8", "--memo-mb", "lots"]).unwrap_err();
         assert!(err.contains("bad --memo-mb"), "{err}");
+    }
+
+    /// `--memo-mb` takes what the wire's `memo_mb` takes, with the wire's
+    /// messages: 0 is refused, and so is 2^44, whose byte count once
+    /// wrapped to 0 and ran on the smallest table.
+    #[test]
+    fn solve_memo_mb_follows_the_wire_rule() {
+        let err = runv(&["solve", "6", "--memo-mb", "0"]).unwrap_err();
+        assert!(err.contains("'memo_mb' must be >= 1"), "{err}");
+        let err = runv(&["solve", "6", "--memo-mb", "17592186044416"]).unwrap_err();
+        assert!(
+            err.contains("'memo_mb' = 17592186044416 out of range"),
+            "{err}"
+        );
+        let wire = |mb: &str| {
+            json::request_from_json(&format!(
+                r#"{{"format": "cyclecover-request", "version": 1, "n": 6, "memo_mb": {mb}}}"#
+            ))
+        };
+        assert_eq!(wire("0").unwrap_err(), "'memo_mb' must be >= 1");
+        assert_eq!(
+            wire("17592186044416").unwrap_err(),
+            "'memo_mb' = 17592186044416 out of range"
+        );
+        let top = json::MAX_MEMO_MB.to_string();
+        assert!(runv(&["solve", "6", "--memo-mb", &top]).is_ok());
+        assert_eq!(wire(&top).unwrap().memo_mb, Some(json::MAX_MEMO_MB));
     }
 
     #[test]

@@ -44,7 +44,7 @@
 //! | `deadline_ms` | no | wall-clock deadline in milliseconds, **measured from batch start**: the scheduler admits the job only while `now < start + deadline_ms`, and an admitted job runs with the remaining slice; an expired job is reported `budget_exhausted`/`deadline` without running |
 //! | `symmetry` | no | `"off"`, `"root"`, or `"full"`; absent = the engine default (`root` for exact engines) |
 //! | `memo` | no | boolean: enable/disable the refutation-store memo; absent or `null` = the engine default (on for exact engines) |
-//! | `memo_mb` | no | refutation-store byte budget in MiB (`≥ 1`); absent = the engine default (32 MiB) |
+//! | `memo_mb` | no | refutation-store byte budget in MiB (`1..=2^43 − 1`, [`check_memo_mb`]); absent = the engine default (32 MiB) |
 //! | `fallback` | no | array of engine registry names forming the degradation ladder: when the primary `engine` exhausts its budget (or fails), a scheduler may re-dispatch down this chain in order, and the answer carries an honest `degraded` record; absent or `null` = no fallback |
 //!
 //! `(n, max_len, max_gap)` is the **universe key**: jobs agreeing on it
@@ -939,6 +939,23 @@ pub fn request_to_json(job: &SolveJob) -> String {
     s
 }
 
+/// The largest memo budget a request may name, in MiB: the byte count
+/// `memo_mb << 20` stays below `2^63`, so it cannot wrap.
+pub const MAX_MEMO_MB: u64 = u64::MAX >> 21;
+
+/// The one rule for a memo budget in MiB, on the wire (`memo_mb`) and on
+/// the command line (`solve --memo-mb`): at least 1 and at most
+/// [`MAX_MEMO_MB`]. Returns the budget, or the reject's message.
+pub fn check_memo_mb(mb: u64) -> Result<u64, String> {
+    if mb == 0 {
+        Err("'memo_mb' must be >= 1".into())
+    } else if mb > MAX_MEMO_MB {
+        Err(format!("'memo_mb' = {mb} out of range"))
+    } else {
+        Ok(mb)
+    }
+}
+
 /// Reads an optional unsigned integer field: absent and `null` both mean
 /// `None`; anything non-integral or out of `[0, max]` is an error.
 fn opt_uint(doc: &Json, key: &str, max: u64) -> Result<Option<u64>, String> {
@@ -1106,11 +1123,8 @@ pub fn request_from_json(text: &str) -> Result<SolveJob, String> {
         Some(Json::Bool(b)) => job.memo = Some(*b),
         Some(_) => return Err("'memo' must be a boolean or null".into()),
     }
-    if let Some(mb) = opt_uint(&doc, "memo_mb", u64::MAX >> 21)? {
-        if mb == 0 {
-            return Err("'memo_mb' must be >= 1".into());
-        }
-        job.memo_mb = Some(mb);
+    if let Some(mb) = opt_uint(&doc, "memo_mb", MAX_MEMO_MB)? {
+        job.memo_mb = Some(check_memo_mb(mb)?);
     }
     match doc.get("fallback") {
         None | Some(Json::Null) => {}

@@ -985,10 +985,10 @@ fn drive_exact(
 }
 
 /// The default exact engine (`"bitset"`): every budget probe runs on the
-/// core the route rule picks — the bitset core for unit demands, the
-/// partition kernel when a probe's waste slack `budget·n − λ·Σd(e)` is
-/// in `[0, n)` (recorded in the certificate's `partition_probes` stat),
-/// the lane core otherwise.
+/// core the route rule picks — the partition kernel when a non-unit
+/// probe's waste slack `budget·n − λ·Σd(e)` is in `[0, n)` (recorded in
+/// the certificate's `partition_probes` stat), the lane core otherwise,
+/// on 1-bit lanes for unit demands.
 pub struct BitsetEngine;
 
 impl Engine for BitsetEngine {
@@ -1433,14 +1433,16 @@ mod tests {
 
     /// Solves one instance per route with the stop `limit` applies and
     /// checks that the search answers `BudgetExhausted { reason }` within
-    /// 8,192 nodes: the unit core, the lane core and the partition kernel
-    /// on 2-bit and on 4-bit lanes, and the partition kernel on 16-bit
-    /// lanes. Every instance needs far more nodes than that to finish.
+    /// 8,192 nodes: the lane core and the partition kernel on 1-, 2- and
+    /// 4-bit lanes, and the partition kernel on 16-bit lanes. Every
+    /// instance needs far more nodes than that to finish (the unit spec
+    /// on the partition kernel takes 163,362).
     fn assert_stops_on_every_route(
         limit: impl Fn(SolveRequest) -> SolveRequest,
         reason: Exhaustion,
     ) {
         let unit = Problem::complete(8);
+        let unit_partition = Problem::complete(10);
         // Budget 26 on the double cover of K_10 and budget 19 on the
         // 4-fold cover of K_6 leave waste slack n, so those probes stay on
         // the lane core.
@@ -1452,6 +1454,12 @@ mod tests {
         let unit_off = SolveRequest::within_budget(8).with_symmetry(SymmetryMode::Off);
         let cases = [
             ("bitset", &unit, unit_off, 0),
+            (
+                "partition",
+                &unit_partition,
+                SolveRequest::find_optimal(),
+                1,
+            ),
             ("bitset", &lanes, SolveRequest::within_budget(26), 0),
             ("partition", &partition, SolveRequest::find_optimal(), 1),
             ("bitset", &wide_lanes, SolveRequest::within_budget(19), 0),

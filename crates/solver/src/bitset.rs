@@ -162,6 +162,13 @@ impl ChordSet {
             .all(|(a, b)| a & !b == 0)
     }
 
+    /// Overwrites word `wi` with `w`, which sets no bit at or above
+    /// `len()`.
+    #[inline]
+    pub(crate) fn set_word(&mut self, wi: usize, w: u64) {
+        self.words[wi] = w;
+    }
+
     /// Clears all bits (width unchanged).
     #[inline]
     pub fn clear(&mut self) {

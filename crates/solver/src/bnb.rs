@@ -27,34 +27,36 @@
 //!
 //! | spec | waste slack | search core |
 //! |------|-------------|-------------|
-//! | unit demands | any | the iterative bitset core |
-//! | demands ≤ 65,535 | in `[0, n)` | the slack-budgeted partition kernel ([`crate::dlx`]) |
-//! | demands ≤ 65,535 | otherwise | the lane core |
+//! | unit demands | any | the lane core, on 1-bit lanes |
+//! | demands `2..=65,535` | in `[0, n)` | the slack-budgeted partition kernel ([`crate::dlx`]) |
+//! | demands `2..=65,535` | otherwise | the lane core |
 //!
-//! The lane core and the partition kernel pack residual demand into
-//! 2-bit lanes when every demand is ≤ 3, into 4-bit lanes up to 15 and
-//! into 16-bit lanes up to 65,535. A larger demand answers
-//! [`Exhaustion::EngineLimit`] at the engine boundary without a probe.
+//! Both cores pack residual demand into lanes whose width follows the
+//! largest demand: 1-bit lanes for unit demands, 2-bit lanes up to 3,
+//! 4-bit lanes up to 15 and 16-bit lanes up to 65,535. A larger demand
+//! answers [`Exhaustion::EngineLimit`] at the engine boundary without a
+//! probe.
 //!
 //! The partition route is recorded in [`Stats::partition_probes`]. Unit
-//! probes never take it: their memo-off node counts are pinned bit for
-//! bit to the historical search. A negative slack (budget below
-//! capacity) stays on the lane core, whose root bound refutes in one
-//! node.
+//! probes never take it unless the `partition` or `dlx` engine forces
+//! them: their memo-off node counts are pinned bit for bit to the
+//! historical search. A negative slack (budget below capacity) stays on
+//! the lane core, whose root bound refutes in one node.
 //!
 //! The cores (in `crate::search_core` and [`crate::dlx`]) run an
 //! explicit stack over reused arenas with incrementally maintained
 //! bound ingredients and the optional **residual-state dominance memo**
 //! ([`MemoStore`], [`DEFAULT_MEMO_BYTES`] unless the request sets a
 //! budget), which prunes nodes reaching an already-exhausted residual
-//! state with an equal-or-worse budget. The unit core keeps its coverage
-//! bookkeeping in word-packed [`ChordSet`](crate::bitset::ChordSet)s in
-//! the universe's *priority* chord order: placing a tile is two
-//! AND/ANDNOT word sweeps, scoring a candidate an intersection-popcount,
-//! and selecting the branch chord `trailing_zeros` on the uncovered set.
-//! The universe precomputes each tile's chord bitmask, load, and
-//! diameter count once ([`TileUniverse::tile_mask`] and friends), so
-//! search nodes never touch ring arithmetic.
+//! state with an equal-or-worse budget. The support set is a word-packed
+//! [`ChordSet`](crate::bitset::ChordSet) in the universe's *priority*
+//! chord order, and on 1-bit lanes the residual's words are the
+//! uncovered set's: placing a tile is one AND-NOT per word of its mask,
+//! scoring a candidate an intersection-popcount, and selecting the
+//! branch chord `trailing_zeros` on the uncovered set. The universe
+//! precomputes each tile's chord bitmask, load, and diameter count once
+//! ([`TileUniverse::tile_mask`] and friends), so search nodes never touch
+//! ring arithmetic.
 //!
 //! Every core applies **dominance pruning** at every node: a candidate
 //! whose useful-coverage mask is a subset of an earlier sibling's is
@@ -87,7 +89,7 @@ use crate::bitset::LaneSet;
 use crate::dlx::PartitionCore;
 use crate::lower_bound::{combinatorial_lower_bound, weighted_demand_bound};
 pub use crate::memo::{MemoStore, DEFAULT_MEMO_BYTES};
-use crate::search_core::{self, Governor, IterCore, LaneCore, LaneTables};
+use crate::search_core::{self, Governor, LaneCore, LaneTables};
 use crate::tiles::DihedralTables;
 use crate::TileUniverse;
 use cyclecover_graph::Edge;
@@ -203,15 +205,14 @@ impl CoverSpec {
         weighted_demand_bound(ring, &self.demand)
     }
 
-    /// Whether every demand is ≤ 1 (the bitset kernel applies).
+    /// Whether every demand is ≤ 1 (1-bit lanes hold it).
     pub fn is_unit(&self) -> bool {
         self.demand.iter().all(|&d| d <= 1)
     }
 
-    /// The largest per-request multiplicity. ≤ 1 means the unit bitset
-    /// machinery applies; ≤ 3 fits the packed 2-bit lanes, ≤ 15 the 4-bit
-    /// and ≤ 65,535 the 16-bit lanes of the lane and partition
-    /// cores; a larger demand is beyond every core.
+    /// The largest per-request multiplicity. ≤ 1 fits the 1-bit lanes of
+    /// the lane and partition cores, ≤ 3 the 2-bit, ≤ 15 the 4-bit and
+    /// ≤ 65,535 the 16-bit lanes; a larger demand is beyond every core.
     pub fn max_demand(&self) -> u32 {
         self.demand.iter().copied().max().unwrap_or(0)
     }
@@ -232,7 +233,7 @@ pub enum Outcome {
 /// when the tables are unavailable (`2n > 64`) or the spec-preserving
 /// subgroup is only the identity; otherwise the requested mode with the
 /// tables and the subgroup mask. The frame cores' orbit filter and the
-/// unit core's canonical memo keys both read it.
+/// lane core's canonical memo keys both read it.
 pub(crate) fn resolve_symmetry<'a>(
     u: &'a TileUniverse,
     spec: &CoverSpec,
@@ -271,19 +272,17 @@ pub(crate) const MAX_DEMAND: u32 = LaneSet::<16>::MAX;
 /// The search core a budget probe runs on (see the module docs).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum Route {
-    /// Unit demands: the iterative bitset core.
-    Unit,
-    /// Other demands: the word-parallel lane core.
+    /// The word-parallel lane core, which spends tile slack.
     Lanes,
-    /// Other demands with waste slack in `[0, n)`: the slack-budgeted
-    /// partition kernel.
+    /// Non-unit demands with waste slack in `[0, n)`: the slack-budgeted
+    /// partition kernel, which spends waste slack.
     Partition,
 }
 
 /// The one dispatch rule: which search core serves `budget` on `spec`.
 pub(crate) fn route(u: &TileUniverse, spec: &CoverSpec, budget: u32) -> Route {
     if spec.is_unit() {
-        return Route::Unit;
+        return Route::Lanes;
     }
     let n = u.ring().n() as u64;
     let cap = budget as u64 * n;
@@ -312,12 +311,12 @@ pub(crate) fn budget_search(
 }
 
 /// [`budget_search`] on a given route. Partition-route probes are
-/// recorded in [`Stats::partition_probes`]. The lane routes run on 2-bit
-/// lanes when every demand is ≤ 3, on 4-bit lanes up to 15 and on 16-bit
-/// lanes beyond.
+/// recorded in [`Stats::partition_probes`]. The lane width follows the
+/// largest demand alone: 1-bit lanes for unit demands, 2-bit lanes up to
+/// 3, 4-bit lanes up to 15 and 16-bit lanes beyond.
 ///
 /// # Panics
-/// Panics if a lane route meets a demand above 65,535.
+/// Panics if a demand exceeds 65,535.
 pub(crate) fn search_route(
     route: Route,
     u: &TileUniverse,
@@ -328,27 +327,24 @@ pub(crate) fn search_route(
     store: Option<&MemoStore>,
 ) -> (Outcome, Stats) {
     let g = Governor::new(lim);
-    match route {
-        Route::Unit => search_core::probe(IterCore::new(u, spec, budget, g, sym, store)),
-        Route::Lanes | Route::Partition => {
-            let demand = spec.max_demand();
-            assert!(
-                demand <= MAX_DEMAND,
-                "lane routes take demands ≤ {MAX_DEMAND}"
-            );
-            let partition = route == Route::Partition;
-            if demand <= LaneSet::<2>::MAX {
-                lane_probe::<2>(partition, u, spec, budget, g, sym, store)
-            } else {
-                wide_lane_probe(partition, u, spec, budget, g, sym, store)
-            }
-        }
+    let demand = spec.max_demand();
+    assert!(
+        demand <= MAX_DEMAND,
+        "the cores take demands ≤ {MAX_DEMAND}"
+    );
+    let partition = route == Route::Partition;
+    if demand <= LaneSet::<1>::MAX {
+        lane_probe::<1>(partition, u, spec, budget, g, sym, store)
+    } else if demand <= LaneSet::<2>::MAX {
+        lane_probe::<2>(partition, u, spec, budget, g, sym, store)
+    } else {
+        wide_lane_probe(partition, u, spec, budget, g, sym, store)
     }
 }
 
 /// [`lane_probe`] on 4-bit lanes up to demand 15 and on 16-bit lanes
-/// beyond, kept out of line: inlined, its search loops joined the unit
-/// and 2-bit loops in [`search_route`], and certify-unit and the λ ≤ 3
+/// beyond, kept out of line: inlined, its search loops joined the 1- and
+/// 2-bit loops in [`search_route`], and certify-unit and the λ ≤ 3
 /// certify-lambda instances read 2–4 % slower with the same node counts.
 #[inline(never)]
 fn wide_lane_probe(

@@ -10,8 +10,8 @@
 //!   exact decomposition".
 //! * `PartitionCore` — the cycle-covering search re-posed as a
 //!   *slack-budgeted exact cover*: columns are the priority chords
-//!   (packed residual lanes, 2-bit for demands ≤ 3, 4-bit for demands
-//!   ≤ 15 and 16-bit for demands ≤ 65,535, the
+//!   (packed residual lanes, 1-bit for unit demands, 2-bit for demands
+//!   ≤ 3, 4-bit for demands ≤ 15 and 16-bit for demands ≤ 65,535, the
 //!   `crate::search_core::LaneResidual` it shares with the lane core),
 //!   rows are the tiles, and one extra global resource — the **waste
 //!   budget** `slack = budget·n − λ·Σd(e)` — absorbs every unit of cycle
@@ -42,8 +42,8 @@
 //!     diameter, vertex-degree and parity/T-join bounds, the in-kernel
 //!     limit checks, the sequential probe, and the refutation memo —
 //!     keyed by the packed residual lanes under a **waste-slack** `rem`
-//!     (width tag 3 for 2-bit and 5 for 4-bit lanes in `crate::memo`;
-//!     16-bit lanes run memo-free): "no completion of this
+//!     (the lane width's tag with the waste-slack flag set in
+//!     `crate::memo`; 16-bit lanes run memo-free): "no completion of this
 //!     residual state wastes ≤ `rem`". Since a `k`-tile completion of
 //!     a state `R` wastes exactly `k·n − Σ residual-dist(R)`, the
 //!     statement is budget-free and monotone in `rem`, so the store's
@@ -390,8 +390,8 @@ impl<'a, const B: u32> FrameCore<'a> for PartitionCore<'a, B> {
         self.r.memo_state()
     }
 
-    /// Memo entries are keyed under the remaining *waste* slack (width
-    /// tag 3 or 5; 16-bit lanes keep no entries).
+    /// Memo entries are keyed under the remaining *waste* slack (the
+    /// waste-slack width tags; 16-bit lanes keep no entries).
     fn memo_rem(&self) -> u32 {
         self.rem_slack() as u32
     }
@@ -399,7 +399,7 @@ impl<'a, const B: u32> FrameCore<'a> for PartitionCore<'a, B> {
     /// The child's remaining waste budget. Candidates were filtered
     /// against the node's slack, so it never underflows.
     fn child_state(&self, store: &MemoStore, t: u32) -> Option<MemoEntry> {
-        let (key, hash, useful) = self.r.child(store, t);
+        let (key, hash, useful) = self.r.child::<true>(store, t);
         Some((hash, key, (self.rem_slack() - self.waste(useful)) as u32))
     }
 

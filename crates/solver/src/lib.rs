@@ -51,7 +51,8 @@
 //!   permutations of chords and tiles, stabilizer bitmasks, orbit
 //!   representatives) backing the [`bnb::SymmetryMode`] search reduction;
 //! * [`bitset`] — [`bitset::ChordSet`], the word-packed chord sets the
-//!   exact search's coverage bookkeeping runs on;
+//!   exact search's support sets and tile masks are, and
+//!   [`bitset::LaneSet`], the packed residual lanes it searches over;
 //! * [`lower_bound`] — the capacity lower bound
 //!   `ρ(n) ≥ ⌈Σ dist(u,v) / n⌉` (and its arbitrary-demand form
 //!   [`lower_bound::weighted_demand_bound`]), the diameter bound, and
@@ -60,14 +61,15 @@
 //!   derived at the root of capacity-tight even probes) and the
 //!   diameter-slack greedy dual ([`lower_bound::diameter_slack_bound`]);
 //! * [`bnb`] — the branch & bound searches and their one route rule:
-//!   unit-demand specs run the iterative allocation-free core (explicit
-//!   search stack over reused arenas, incremental bound ingredients, and
-//!   the residual-state dominance memo — Zobrist-keyed, byte-budgeted
+//!   every demand up to 65,535 runs the iterative allocation-free
+//!   packed-lane core (1-bit lanes for unit demands, 2-bit lanes up to 3,
+//!   4-bit lanes up to 15, 16-bit lanes beyond; explicit search stack
+//!   over reused arenas, incremental bound ingredients, and the
+//!   residual-state dominance memo — Zobrist-keyed, byte-budgeted
 //!   ([`bnb::DEFAULT_MEMO_BYTES`] unless a request sets its own), with
-//!   canonical dihedral state keying under `SymmetryMode::Full`), and
-//!   every other demand up to 65,535 the packed-lane core
-//!   (2-bit lanes up to 3, 4-bit lanes up to 15, 16-bit lanes beyond),
-//!   each probe one sequential search with no recursion;
+//!   canonical dihedral state keying of unit states under
+//!   `SymmetryMode::Full`), each probe one sequential search with no
+//!   recursion;
 //! * [`dlx`] — the slack-budgeted exact-cover kernel behind the
 //!   `partition` and `dlx` engines (MRV chord selection, exact-waste
 //!   candidate filtering against the budget's slack

@@ -1,5 +1,7 @@
 //! The shared refutation store: a concurrent transposition table over
-//! the exact search's uncovered [`ChordSet`]s, reused across budget
+//! the exact search's residual states (packed
+//! [`LaneSet`](crate::bitset::LaneSet)s; at 1 bit, the uncovered
+//! [`ChordSet`](crate::bitset::ChordSet)'s words), reused across budget
 //! probes and (via the service layer) whole requests, which the
 //! service's workers may search at once.
 //!
@@ -47,10 +49,10 @@
 //! fingerprint of the universe it was built for and attachment is
 //! refused on mismatch.
 //!
-//! Under [`crate::bnb::SymmetryMode::Full`] the search keys the store by
-//! the **canonical** residual state — the lexicographically smallest
-//! dihedral image of the uncovered set under the spec-preserving
-//! subgroup. Two prefixes whose residual states are mirror images then
+//! Under [`crate::bnb::SymmetryMode::Full`] the unit search (1-bit lanes)
+//! keys the store by the **canonical** residual state — the
+//! lexicographically smallest dihedral image of the uncovered set under
+//! the spec-preserving subgroup. Two prefixes whose residual states are mirror images then
 //! share one entry: this is the ROADMAP's canonical-prefix test, applied
 //! where it is sound (a completion of a state maps element-wise to a
 //! completion of every state in its orbit, so "orbit exhausted" proofs
@@ -62,35 +64,35 @@
 //!
 //! States are keyed *exactly*: the residual state's words are the key,
 //! so a hash collision can never cause a false prune and certificates
-//! stay exact. A key holds [`KEY_WORDS`] = 4 words, 256 bits.
-//! Unit-demand searches key by the uncovered
-//! [`crate::bitset::ChordSet`]'s words (1 bit per chord, `≤ 128` chords,
-//! i.e. every `n ≤ 16`); λ-fold searches key by the packed residual
-//! [`crate::bitset::LaneSet`]'s words — 2 bits per chord for residual
-//! multiplicities `≤ 3` (again `≤ 128` chords), 4 bits per chord for
-//! multiplicities `4..=15`. A 4-bit key fits only up to **64 chords**
-//! (complete `n ≤ 11`); wider 4-bit states search memo-free, as every
-//! `n ≥ 17` search and every 16-bit lane search (multiplicities
-//! `16..=65,535`) does. Widening [`KEY_WORDS`] would grow every slot of
-//! every store, so it stays at 4. The partition kernel keys by the same
-//! packed lane words but under a **waste-slack** `rem` (unused cycle
-//! length remaining, not tiles remaining). The encodings can collide bit
-//! for bit over the same universe — a λ = 2 and a λ = 4 state can have
-//! equal words while meaning different residuals, and lane and partition
-//! entries share raw words by construction — so every slot carries a
-//! **width tag** (`bits`): 1 = unit, 2 = 2-bit lanes under tile slack,
-//! 3 = 2-bit lanes under waste slack, 4 = 4-bit lanes under tile slack,
-//! 5 = 4-bit lanes under waste slack ([`width_tag`]), and a probe only
-//! matches entries of its own tag — a service-shared store may hold all
-//! kinds side by side. A Zobrist hash — one 64-bit key per (chord slot,
-//! multiplicity level), generated deterministically by the vendored
-//! xoshiro256** generator (the level-1 keys come first, so unit hashes
-//! are unchanged from earlier revisions), XOR-folded incrementally as
-//! residual demand is covered/uncovered — picks the shard (top bits) and
-//! the slot within it (low bits). A store draws the keys of levels
-//! `1..=3` when it is built; the keys of levels `4..=15` continue the
-//! same stream and are drawn only when the first 4-bit searcher asks for
-//! them, so unit and 2-bit stores never pay for them. Each
+//! stay exact. A key holds [`KEY_WORDS`] = 4 words, 256 bits, of packed
+//! residual lanes: 1 bit per chord for unit demands (the uncovered set),
+//! 2 bits per chord for residual multiplicities `≤ 3`, 4 bits per chord
+//! for multiplicities `4..=15`. [`MemoStore::new`] refuses universes of
+//! more than 128 chords, so 1- and 2-bit keys always fit (every
+//! `n ≤ 16`); a 4-bit key fits only up to **64 chords** (complete
+//! `n ≤ 11`). Wider 4-bit states search memo-free, as every `n ≥ 17`
+//! search and every 16-bit lane search (multiplicities `16..=65,535`)
+//! does. Widening [`KEY_WORDS`] would grow every slot of every store, so
+//! it stays at 4. The partition kernel keys by the same packed lane
+//! words but under a **waste-slack** `rem` (unused cycle length
+//! remaining, not tiles remaining). The encodings can collide bit for
+//! bit over the same universe — a unit and a λ = 2 state, or a λ = 2 and
+//! a λ = 4 state, can have equal words while meaning different
+//! residuals, and lane and partition entries share raw words by
+//! construction — so every slot carries a **width tag** (`bits`): the
+//! lane width (1, 2 or 4) under tile slack, with bit 7 set under waste
+//! slack (129, 130, 132; [`width_tag`]), and a probe only matches
+//! entries of its own tag — a service-shared store may hold all kinds
+//! side by side. Tags never leave the process. A Zobrist hash — one
+//! 64-bit key per (chord slot, multiplicity level), generated
+//! deterministically by the vendored xoshiro256** generator (the level-1
+//! keys come first, so unit hashes are unchanged from earlier
+//! revisions), XOR-folded incrementally as residual demand is
+//! covered/uncovered — picks the shard (top bits) and the slot within it
+//! (low bits). A store draws the keys of levels `1..=3` when it is
+//! built; the keys of levels `4..=15` continue the same stream and are
+//! drawn only when the first 4-bit searcher asks for them, so 1- and
+//! 2-bit stores never pay for them. Each
 //! shard is an independently locked open-addressing table probing an
 //! eight-slot window per hash, doubling while under its share of the
 //! byte budget; with the window full, a colliding insert keeps
@@ -154,19 +156,22 @@ const ZOBRIST_SEED: u64 = 0xC0DE_C0FF_EE15_5EED;
 /// switches the memo off with `SolveRequest::with_memo` (`--no-memo`).
 pub const DEFAULT_MEMO_BYTES: usize = 32 << 20;
 
-/// Words of one state key: four words hold a unit uncovered set
-/// (`≤ 128` chords, upper two words zero), a packed 2-bit residual lane
-/// vector (`≤ 128` chords × 2 bits) or a packed 4-bit one (`≤ 64` chords
-/// × 4 bits).
+/// Words of one state key: four words hold a packed 1-bit residual lane
+/// vector, the uncovered set (`≤ 128` chords, upper two words zero), a
+/// 2-bit one (`≤ 128` chords × 2 bits) or a 4-bit one (`≤ 64` chords × 4
+/// bits).
 pub(crate) const KEY_WORDS: usize = 4;
 
 /// The width tag of a memo key (see the module docs): a lane vector's
-/// bits per chord under tile slack, one more under waste slack — 2 and 3
-/// for 2-bit lanes, 4 and 5 for 4-bit lanes, 16 and 17 for 16-bit lanes
-/// (which no store keys). Unit keys are tag 1.
+/// bits per chord under tile slack (1, 2, 4, or 16, which no store
+/// keys), with [`WASTE_SLACK`] set under waste slack. Distinct kinds of
+/// key get distinct tags.
 pub(crate) const fn width_tag(lane_bits: u32, waste_slack: bool) -> u8 {
-    (lane_bits + waste_slack as u32) as u8
+    lane_bits as u8 | if waste_slack { WASTE_SLACK } else { 0 }
 }
+
+/// The width-tag flag of waste-slack keys (the partition kernel's).
+const WASTE_SLACK: u8 = 1 << 7;
 
 /// `count` keys of the deterministic Zobrist stream.
 fn zobrist_keys(count: u32) -> Vec<u64> {
@@ -196,7 +201,7 @@ impl LevelKeys<'_> {
 }
 
 /// One table slot: the exact residual state (up to [`KEY_WORDS`] words
-/// of the uncovered set or residual lane vector), its lane width, the
+/// of the packed residual lane vector), its width tag, the
 /// largest slack the state was refuted under, the generation that
 /// recorded it, and the shard epoch it was written in. A slot is
 /// occupied iff its epoch is its shard's.
@@ -208,9 +213,8 @@ struct Slot {
     /// The shard epoch that wrote this slot (in the padding after
     /// `gen`, so a slot stays 48 bytes).
     epoch: u32,
-    /// Width tag of `key` ([`width_tag`]: 1 = unit bitset, 2/3 = 2-bit
-    /// lanes under tile/waste slack, 4/5 = 4-bit lanes under tile/waste
-    /// slack).
+    /// Width tag of `key` ([`width_tag`]: the lane width, with
+    /// [`WASTE_SLACK`] set under waste slack).
     bits: u8,
 }
 
@@ -283,9 +287,9 @@ thread_local! {
 pub struct MemoStore {
     shards: Vec<Mutex<Shard>>,
     /// Zobrist keys per (priority chord, multiplicity level): the first
-    /// `num_chords` entries are the level-1 keys (the unit search's
-    /// whole stream), followed by the level-2 and level-3 blocks the
-    /// 2-bit lane search folds in per residual unit.
+    /// `num_chords` entries are the level-1 keys (all a 1-bit lane search
+    /// reads), followed by the level-2 and level-3 blocks the 2-bit lane
+    /// search folds in per residual unit.
     zobrist: Vec<u64>,
     /// The keys of levels `1..=15` for 4-bit lanes — the same stream
     /// drawn further, so its first three levels are `zobrist` — drawn
@@ -320,7 +324,7 @@ impl MemoStore {
     /// (`num_chords > 128`, i.e. `n ≥ 17`). This is a known limit, not a
     /// bound on exact search: ρ(17) certifies on the default route and the
     /// partition route certifies ρ(18), both with the memo off and nothing
-    /// in the answer saying so. Wider keys are ROADMAP open item 3.
+    /// in the answer saying so. Wider keys are ROADMAP open item 5.
     ///
     /// The slot table is this thread's spare (the retired shards of the
     /// last store the thread dropped) when it has one, and a freshly
@@ -379,32 +383,21 @@ impl MemoStore {
         self.next_gen.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// The Zobrist key of priority chord `c` — XOR it into a running
-    /// hash whenever `c` enters or leaves the uncovered set (the unit
-    /// search's key; identical to level 1 of [`MemoStore::level_keys`]).
-    #[inline]
-    pub(crate) fn chord_key(&self, c: u32) -> u64 {
-        self.zobrist[c as usize]
-    }
-
     /// Whether a state with width tag `bits` fits a key over this
-    /// store's universe: always for unit and 2-bit keys, up to 64 chords
+    /// store's universe: always for 1- and 2-bit keys, up to 64 chords
     /// for 4-bit keys, never for 16-bit keys (the store draws no Zobrist
     /// levels above 15). A searcher whose states do not fit runs
     /// memo-free.
     pub(crate) fn keys_fit(&self, bits: u8) -> bool {
-        let bits_per_chord = match bits {
-            1 => 1,
-            2 | 3 => 2,
-            4 | 5 => 4,
-            _ => return false,
-        };
-        self.num_chords * bits_per_chord <= 64 * KEY_WORDS as u32
+        match (bits & !WASTE_SLACK) as u32 {
+            lane_bits @ (1 | 2 | 4) => self.num_chords * lane_bits <= 64 * KEY_WORDS as u32,
+            _ => false,
+        }
     }
 
-    /// The Zobrist keys of `lane_bits`-wide lanes: levels `1..=3` for
-    /// 2-bit lanes (the keys drawn at construction), `1..=15` for 4-bit
-    /// lanes (drawn on the first call).
+    /// The Zobrist keys of `lane_bits`-wide lanes: level 1 for 1-bit and
+    /// levels `1..=3` for 2-bit lanes (the keys drawn at construction),
+    /// `1..=15` for 4-bit lanes (drawn on the first call).
     pub(crate) fn level_keys(&self, lane_bits: u32) -> LevelKeys<'_> {
         let keys = if lane_bits <= 2 {
             &self.zobrist
@@ -562,28 +555,16 @@ impl MemoStore {
         }
     }
 
-    /// The Zobrist hash of an explicit state with width tag `bits`
-    /// (used on rehash and by the canonicalization path, which builds
-    /// keys it has no running hash for). Unit keys (`bits == 1`) hash
-    /// each set chord's level-1 key; lane keys (tile- and waste-slack
-    /// tags of one width share the packed encoding but are distinct match
-    /// domains) fold in one level key per residual unit of every chord.
+    /// The Zobrist hash of an explicit state with width tag `bits`, the
+    /// hash a grown shard re-seats an entry by: one level key per
+    /// residual unit of every chord. The tile- and waste-slack tags of one
+    /// width share the packed encoding and its hash, but are distinct
+    /// match domains.
     pub(crate) fn hash_of_state(&self, key: [u64; KEY_WORDS], bits: u8) -> u64 {
-        match bits {
-            1 => {
-                let mut hash = 0u64;
-                for (wi, w) in key.iter().enumerate() {
-                    let mut bits = *w;
-                    while bits != 0 {
-                        let c = (wi as u32) * 64 + bits.trailing_zeros();
-                        hash ^= self.zobrist[c as usize];
-                        bits &= bits - 1;
-                    }
-                }
-                hash
-            }
-            2 | 3 => self.lane_hash::<2>(key),
-            4 | 5 => self.lane_hash::<4>(key),
+        match bits & !WASTE_SLACK {
+            1 => self.lane_hash::<1>(key),
+            2 => self.lane_hash::<2>(key),
+            4 => self.lane_hash::<4>(key),
             other => unreachable!("unknown width tag {other}"),
         }
     }
@@ -727,23 +708,25 @@ mod tests {
             .dominated(memo.hash_of_state(key, 1), key, 1, 4)
             .is_some());
         assert_eq!(memo.len(), 2, "the two widths occupy distinct slots");
-        // Width 3 (partition waste slack) shares the lane encoding —
-        // identical raw words AND identical hash — but must match only
-        // its own entries: its `rem` is measured in unused cycle
-        // length, not tiles, so cross-width pruning would be unsound.
+        // The 2-bit waste-slack tag (the partition kernel's) shares the
+        // lane encoding — identical raw words AND identical hash — but
+        // must match only its own entries: its `rem` is measured in
+        // unused cycle length, not tiles, so cross-width pruning would be
+        // unsound.
+        let waste2 = width_tag(2, true);
         assert_eq!(
-            memo.hash_of_state(key, 3),
+            memo.hash_of_state(key, waste2),
             memo.hash_of_state(key, 2),
-            "widths 2 and 3 share the packed-lane hash"
+            "both 2-bit tags share the packed-lane hash"
         );
         assert!(
-            memo.dominated(memo.hash_of_state(key, 3), key, 3, 1)
+            memo.dominated(memo.hash_of_state(key, waste2), key, waste2, 1)
                 .is_none(),
             "a tile-slack entry must never prune a waste-slack state"
         );
-        memo.record(memo.hash_of_state(key, 3), key, 3, 9, gen);
+        memo.record(memo.hash_of_state(key, waste2), key, waste2, 9, gen);
         assert!(memo
-            .dominated(memo.hash_of_state(key, 3), key, 3, 9)
+            .dominated(memo.hash_of_state(key, waste2), key, waste2, 9)
             .is_some());
         assert!(
             memo.dominated(memo.hash_of_state(key, 2), key, 2, 7)
@@ -827,7 +810,7 @@ mod tests {
             "4-bit keys are drawn on demand"
         );
         for c in 0..a.num_chords {
-            assert_eq!(a.chord_key(c), b.chord_key(c));
+            assert_eq!(a.level_keys(1).get(c, 1), b.level_keys(1).get(c, 1));
             for v in 1..=3 {
                 assert_eq!(a.level_keys(2).get(c, v), b.level_keys(2).get(c, v));
                 assert_eq!(
@@ -841,7 +824,7 @@ mod tests {
             }
         }
         assert_eq!(
-            a.chord_key(3),
+            a.level_keys(1).get(3, 1),
             a.level_keys(2).get(3, 1),
             "level 1 is the historical per-chord stream"
         );
@@ -869,7 +852,12 @@ mod tests {
         let gen = memo.attach();
         let (tile2, waste2) = (width_tag(2, false), width_tag(2, true));
         let (tile4, waste4) = (width_tag(4, false), width_tag(4, true));
-        assert_eq!((tile2, waste2, tile4, waste4), (2, 3, 4, 5));
+        let tags: std::collections::HashSet<u8> = [1, 2, 4, 16]
+            .into_iter()
+            .flat_map(|bits| [width_tag(bits, false), width_tag(bits, true)])
+            .collect();
+        assert_eq!(tags.len(), 8, "every kind of key has its own tag");
+        assert_eq!((tile2, tile4), (2, 4), "tile-slack tags are lane widths");
         // n = 8 has 28 chords: every key below is a valid state at both
         // widths.
         let keys = [
@@ -913,11 +901,14 @@ mod tests {
     fn four_bit_keys_fit_up_to_64_chords() {
         for (n, fits) in [(11, true), (12, false), (16, false)] {
             let memo = MemoStore::new(&universe(n), 1 << 20).unwrap();
-            for bits in 1..=3 {
+            for bits in [1, 2]
+                .map(|b| [width_tag(b, false), width_tag(b, true)])
+                .concat()
+            {
                 assert!(memo.keys_fit(bits), "n = {n}, tag {bits}");
             }
             assert_eq!(memo.keys_fit(4), fits, "n = {n}");
-            assert_eq!(memo.keys_fit(5), fits, "n = {n}");
+            assert_eq!(memo.keys_fit(width_tag(4, true)), fits, "n = {n}");
         }
         let restricted = TileUniverse::new(Ring::new(12), 4);
         assert!(!MemoStore::new(&restricted, 1 << 20).unwrap().keys_fit(4));
@@ -968,8 +959,9 @@ mod tests {
         std::thread::spawn(f).join().expect("the scenario passed");
     }
 
-    /// Random states at widths 1, 2 and 3 that fit n = 10's 45 chords
-    /// (unit: 45 bits; lanes: 90 bits over words 0 and 1).
+    /// Random 1-bit states and 2-bit states under tile and waste slack
+    /// that fit n = 10's 45 chords (1 bit: 45 bits; 2 bits: 90 bits over
+    /// words 0 and 1).
     fn n10_states(seed: u64, count: usize) -> Vec<([u64; KEY_WORDS], u8)> {
         let mut rng = StdRng::seed_from_u64(seed);
         (0..count)
@@ -977,7 +969,7 @@ mod tests {
                 0 => ([rng.next_u64() & ((1 << 45) - 1), 0, 0, 0], 1),
                 w => (
                     [rng.next_u64(), rng.next_u64() & ((1 << 26) - 1), 0, 0],
-                    w as u8 + 1,
+                    width_tag(2, w == 2),
                 ),
             })
             .collect()
@@ -1023,7 +1015,7 @@ mod tests {
             let gen = first.attach();
             let old: Vec<_> = (0..300u64)
                 .map(|i| {
-                    let bits = (i % 3) as u8 + 1;
+                    let bits = [1, 2, width_tag(2, true)][i as usize % 3];
                     let key = [i * 0x9E37_79B9 + 1, i, 0, 0];
                     let hash = first.hash_of_state(key, bits);
                     first.record(hash, key, bits, 9, gen);

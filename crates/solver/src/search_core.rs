@@ -1,18 +1,18 @@
 //! The search contract and the frame-based cores.
 //!
 //! Every exact budget probe — cover the spec with at most `budget`
-//! tiles, or prove that no such covering exists — runs on one of three
-//! search cores, one per residual representation, picked by the one
-//! route rule (`crate::bnb::route`): [`IterCore`] for unit demands, and
-//! for every other demand up to 65,535 [`LaneCore`], or
-//! `crate::dlx::PartitionCore` when the waste slack is in `[0, n)`. A
+//! tiles, or prove that no such covering exists — runs on one of two
+//! search cores over one residual representation ([`LaneResidual`]),
+//! picked by the one route rule (`crate::bnb::route`): [`LaneCore`],
+//! which spends tile slack, or, for a non-unit spec whose waste slack is
+//! in `[0, n)`, `crate::dlx::PartitionCore`, which spends waste slack. A
 //! probe is one sequential search from the root ([`probe`]), and it
 //! answers one `(Outcome, Stats)` pair: the verdict, with the limit that
 //! stopped an inconclusive search, and the counters in the solver's one
 //! [`Stats`] type. Each probe's node counts are the same on every run,
 //! which is what the CI node-count gates pin.
 //!
-//! The three cores share the per-node machinery, so each piece of it
+//! The two cores share the per-node machinery, so each piece of it
 //! exists once:
 //!
 //! * **Explicit stack, depth-indexed arenas** ([`run_frames`]). Recursion
@@ -44,26 +44,23 @@
 //!   are pruned, both at node entry and, one level earlier, as candidate
 //!   children before they are placed.
 //!
-//! What differs per core is its residual representation. The unit core
-//! keeps the uncovered [`ChordSet`]; under [`SymmetryMode::Full`] with
-//! the memo on it keys the memo by the *canonical* (lexicographically
-//! smallest) dihedral image of that set and hands the shared orbit
-//! filter the **setwise** prefix stabilizer instead of the pointwise
-//! one — the canonical-prefix reduction, in the two places it is sound.
-//! The lane core and the partition kernel share one [`LaneResidual`]:
-//! per-chord residual demand in packed lanes, plus its support set,
-//! which the unit machinery (branching, scoring, dominance, the
-//! diameter-slack dual) consumes unchanged. The lane width is a const
-//! parameter of the residual, its tables and both cores: 2-bit lanes
-//! serve demands ≤ 3, 4-bit lanes demands `4..=15` and 16-bit lanes
-//! demands `16..=65,535`, from one source. The 4-bit states key the memo
-//! under their own width tags, and only up to 64 chords (see
-//! [`crate::memo`]); wider 4-bit searches and every 16-bit search run
-//! memo-free.
+//! [`LaneResidual`] holds per-chord residual demand in packed lanes,
+//! plus its support set ([`ChordSet`]), which branching, scoring,
+//! dominance and the diameter-slack dual consume. The lane width is a
+//! const parameter of the residual, its tables and both cores: 1-bit
+//! lanes serve unit demands (their words are the uncovered set's), 2-bit
+//! lanes demands ≤ 3, 4-bit lanes demands `4..=15` and 16-bit lanes
+//! demands `16..=65,535`, from one source. Each width keys the memo under
+//! its own width tags; 4-bit states only up to 64 chords (see
+//! [`crate::memo`]), and wider 4-bit searches and every 16-bit search run
+//! memo-free. What differs per core is the slack it spends and a few
+//! hooks ([`FrameCore`]); on 1-bit lanes under [`SymmetryMode::Full`]
+//! with the memo on, [`LaneCore`] keys the memo canonically and filters
+//! siblings setwise.
 //!
-//! With the memo off, [`IterCore`] reproduces the node counts of the
-//! recursive search it replaced; `tests/kernel_proptests.rs` keeps them
-//! as data.
+//! With the memo off, [`LaneCore`] on 1-bit lanes reproduces the unit
+//! node counts of the recursive search it replaced;
+//! `tests/kernel_proptests.rs` keeps them as data.
 
 use crate::api::{CancelToken, Exhaustion, Stats};
 use crate::bitset::{ChordSet, LaneSet};
@@ -309,7 +306,7 @@ impl<'a> Orbits<'a> {
     /// branch chord maps onto an already-kept candidate. `Root` filters
     /// the empty prefix under the spec group; `Full` filters every depth
     /// under the pointwise prefix stabilizer, or under `setwise` when the
-    /// unit core's canonical machinery supplies one (its extra elements'
+    /// lane core's canonical machinery supplies one (its extra elements'
     /// prunes count as `canon_pruned`).
     fn filter(
         &mut self,
@@ -735,7 +732,7 @@ pub(crate) trait FrameCore<'a> {
     fn stage(&mut self, entry: Option<MemoEntry>);
 
     /// Whether children probe the store at entry instead of being
-    /// pre-probed (the unit core's canonical keys need the placed state).
+    /// pre-probed (canonical keys need the placed state).
     fn probes_at_entry(&self) -> bool {
         false
     }
@@ -863,23 +860,311 @@ fn run_frames<'a, C: FrameCore<'a>>(c: &mut C) -> bool {
 }
 
 // ---------------------------------------------------------------------------
-// The unit core
+// The lane residual and the lane core
 // ---------------------------------------------------------------------------
 
-/// The iterative search for unit-demand specs: the uncovered chords as
-/// one [`ChordSet`], placement as word sweeps with a per-depth undo set
-/// of newly covered chords. With the memo off its node counts are those
-/// of the recursive search it replaced.
-pub(crate) struct IterCore<'a> {
-    s: Stack<'a>,
-    /// The uncovered chords and their bound ingredients.
-    d: Demand,
-    /// Incremental Zobrist hash of the uncovered set (0 with the memo off).
+/// Per-tile lane-space masks: each tile's chord set re-expressed with one
+/// [`LaneSet::LOW`] bit per chord in the `B`-bit-lane layout of
+/// [`LaneSet`], plus the lane-word span the mask occupies. Built once per
+/// probe, so a placement is a handful of masked word subtracts.
+///
+/// A 1-bit lane mask is the tile's chord mask itself, so `LaneTables<1>`
+/// holds no masks: [`LaneTables::mask`] and [`LaneTables::span`] read
+/// [`TileUniverse::tile_mask`] and [`TileUniverse::tile_mask_span`], and a
+/// unit probe builds nothing per tile.
+pub(crate) struct LaneTables<const B: u32> {
+    lane_words: usize,
+    /// `masks[t * lane_words .. (t + 1) * lane_words]` = tile `t`'s mask
+    /// (empty at 1 bit).
+    masks: Vec<u64>,
+    /// Lane-word span of each tile's mask (`lo..hi`; empty at 1 bit).
+    spans: Vec<(u32, u32)>,
+}
+
+impl<const B: u32> LaneTables<B> {
+    pub(crate) fn build(u: &TileUniverse) -> Self {
+        let per_word = LaneSet::<B>::PER_WORD;
+        let lane_words = u.num_chords().div_ceil(per_word) as usize;
+        let nt = if B == 1 { 0 } else { u.len() };
+        let mut masks = vec![0u64; nt * lane_words];
+        let mut spans = vec![(0u32, 0u32); nt];
+        for (t, span) in spans.iter_mut().enumerate() {
+            let base = t * lane_words;
+            let mut lo = lane_words as u32;
+            let mut hi = 0u32;
+            for &c in u.tile_chords(t as u32) {
+                let w = c / per_word;
+                masks[base + w as usize] |= 1u64 << (B * (c % per_word));
+                lo = lo.min(w);
+                hi = hi.max(w + 1);
+            }
+            *span = if lo < hi { (lo, hi) } else { (0, 0) };
+        }
+        LaneTables {
+            lane_words,
+            masks,
+            spans,
+        }
+    }
+
+    #[inline]
+    fn mask<'s>(&'s self, u: &'s TileUniverse, t: u32) -> &'s [u64] {
+        if B == 1 {
+            return u.tile_mask(t).words();
+        }
+        let base = t as usize * self.lane_words;
+        &self.masks[base..base + self.lane_words]
+    }
+
+    #[inline]
+    fn span(&self, u: &TileUniverse, t: u32) -> (usize, usize) {
+        let (lo, hi) = if B == 1 {
+            u.tile_mask_span(t)
+        } else {
+            self.spans[t as usize]
+        };
+        (lo as usize, hi as usize)
+    }
+}
+
+/// The residual state both cores search over: per-chord residual demand
+/// in packed `B`-bit lanes (1-bit lanes for unit demands, 2-bit lanes for
+/// demands ≤ 3, 4-bit lanes for demands ≤ 15, 16-bit lanes for demands
+/// ≤ 65,535), the support set and bound ingredients ([`Demand`]), an
+/// incremental level-Zobrist hash, and per-depth undo masks. A 1-bit lane
+/// is a chord bit, so at 1 bit the lane vector is the support set itself,
+/// the uncovered chords, and the residual keeps no second copy
+/// ([`LaneResidual::words`]).
+///
+/// Memo keys are the packed lane words. The stack only keeps a store
+/// whose keys the state fits ([`MemoStore::keys_fit`]: every store at 1
+/// and 2 bits, up to 64 chords at 4 bits, none at 16 bits), so every key
+/// is exact.
+pub(crate) struct LaneResidual<'a, const B: u32> {
+    u: &'a TileUniverse,
+    tables: &'a LaneTables<B>,
+    /// The stack's store, whose `B`-bit level keys the hash folds in.
+    store: Option<&'a MemoStore>,
+    /// The packed lanes; empty at 1 bit.
+    lanes: LaneSet<B>,
+    /// The support (chords with residual > 0) and bound ingredients.
+    pub(crate) d: Demand,
+    /// `⊕_c ⊕_{v=1..=r(c)} key(c, v)` over the residual vector `r`.
     hash: u64,
-    /// `undo[d]`: chords newly covered by the tile placed at depth `d`.
-    undo: Vec<ChordSet>,
-    /// Key the memo by the canonical dihedral image of the uncovered set
-    /// (`Full` mode with the memo on).
+    /// `undo[d]`: per lane word, the [`LaneSet::LOW`] decrement mask the
+    /// placement at depth `d` applied.
+    undo: Vec<Vec<u64>>,
+}
+
+impl<'a, const B: u32> LaneResidual<'a, B> {
+    /// The residual of `spec`, hashed for the stack's store.
+    pub(crate) fn new(s: &Stack<'a>, spec: &CoverSpec, tables: &'a LaneTables<B>) -> Self {
+        let u = s.u;
+        let d = Demand::new(u, spec);
+        let mut lanes = LaneSet::zero(if B == 1 { 0 } else { u.num_chords() });
+        let need = |c: u32| spec.demand[u.dense_of_pri(c) as usize];
+        if B > 1 {
+            for c in d.live.iter() {
+                lanes.set(c, need(c));
+            }
+        }
+        let hash = s.store.map_or(0, |st| {
+            let keys = st.level_keys(B);
+            d.live.iter().fold(0, |mut h, c| {
+                for v in 1..=need(c) {
+                    h ^= keys.get(c, v);
+                }
+                h
+            })
+        });
+        LaneResidual {
+            u,
+            tables,
+            store: s.store,
+            lanes,
+            d,
+            hash,
+            undo: Vec::new(),
+        }
+    }
+
+    /// The packed lane words: at 1 bit, the support set's own words.
+    #[inline]
+    fn words(&self) -> &[u64] {
+        if B == 1 {
+            self.d.live.words()
+        } else {
+            self.lanes.words()
+        }
+    }
+
+    /// The residual in lane word `w` of the lane whose low bit is bit `p`,
+    /// a lane known to be nonzero: always 1 at 1 bit.
+    #[inline]
+    fn level(w: u64, p: u32) -> u32 {
+        if B == 1 {
+            1
+        } else {
+            (w >> p) as u32 & LaneSet::<B>::MAX
+        }
+    }
+
+    /// Places tile `t` at `depth`: one saturating masked subtract per lane
+    /// word, then per decremented chord the bound ingredients, support
+    /// retirement when its residual hits zero, and the hash. At 1 bit the
+    /// subtract is `r & !mask` on the support set's own word, and every
+    /// decremented lane held 1. Returns the distance the placement newly
+    /// covered.
+    // Forced inline, like `unplace`: left to the compiler, every
+    // certify-unit instance read 1–5 % slower over three benchmark pairs
+    // on a 2-core host, with the same node counts.
+    #[inline(always)]
+    pub(crate) fn place(&mut self, t: u32, depth: usize) -> u64 {
+        if self.undo.len() == depth {
+            self.undo.push(vec![0u64; self.tables.lane_words]);
+        }
+        let (lo, hi) = self.tables.span(self.u, t);
+        let mask = self.tables.mask(self.u, t);
+        let keys = self.store.map(|st| st.level_keys(B));
+        let mut useful = 0u64;
+        for (w, &tile_word) in mask.iter().enumerate().take(hi).skip(lo) {
+            let before = self.words()[w];
+            let sub = if B == 1 {
+                let sub = before & tile_word;
+                self.d.live.set_word(w, before & !sub);
+                sub
+            } else {
+                self.lanes.place_word(w, tile_word)
+            };
+            self.undo[depth][w] = sub;
+            let mut m = sub;
+            while m != 0 {
+                let p = m.trailing_zeros();
+                let c = (w as u32) * LaneSet::<B>::PER_WORD + p / B;
+                let old = Self::level(before, p);
+                useful += self.d.step(self.u, c, true);
+                if B > 1 && old == 1 {
+                    self.d.live.remove(c);
+                }
+                if let Some(keys) = keys {
+                    self.hash ^= keys.get(c, old);
+                }
+                m &= m - 1;
+            }
+        }
+        useful
+    }
+
+    /// Reverts the placement of `t` at `depth`; returns the distance it
+    /// had covered.
+    #[inline(always)]
+    pub(crate) fn unplace(&mut self, t: u32, depth: usize) -> u64 {
+        let (lo, hi) = self.tables.span(self.u, t);
+        let keys = self.store.map(|st| st.level_keys(B));
+        let mut useful = 0u64;
+        for w in lo..hi {
+            let sub = self.undo[depth][w];
+            if sub == 0 {
+                continue;
+            }
+            let after = self.words()[w] + sub;
+            if B == 1 {
+                self.d.live.set_word(w, after);
+            } else {
+                self.lanes.unplace_word(w, sub);
+            }
+            let mut m = sub;
+            while m != 0 {
+                let p = m.trailing_zeros();
+                let c = (w as u32) * LaneSet::<B>::PER_WORD + p / B;
+                // The restored value equals what `place` decremented from.
+                let val = Self::level(after, p);
+                useful += self.d.step(self.u, c, false);
+                if B > 1 && val == 1 {
+                    self.d.live.insert(c);
+                }
+                if let Some(keys) = keys {
+                    self.hash ^= keys.get(c, val);
+                }
+                m &= m - 1;
+            }
+        }
+        useful
+    }
+
+    /// The memo key and hash of the residual vector: the packed lane
+    /// words, zero-padded to the store's key width.
+    #[inline]
+    pub(crate) fn memo_state(&self) -> ([u64; KEY_WORDS], u64, bool) {
+        let words = self.words();
+        debug_assert!(
+            words.len() <= KEY_WORDS,
+            "the stack keeps only a store the state fits"
+        );
+        // Built at the full key length, not by `copy_from_slice`: this
+        // runs on every candidate pre-probe, where a call to `memcpy` is
+        // measurable.
+        let key: [u64; KEY_WORDS] = std::array::from_fn(|i| words.get(i).copied().unwrap_or(0));
+        (key, self.hash, true)
+    }
+
+    /// The key and hash of the state placing `t` would reach, and, when
+    /// `USEFUL` (only the partition kernel reads it), the distance it
+    /// would newly cover: [`LaneResidual::place`] simulated over a copy of
+    /// the lane words.
+    #[inline]
+    pub(crate) fn child<const USEFUL: bool>(
+        &self,
+        store: &MemoStore,
+        t: u32,
+    ) -> ([u64; KEY_WORDS], u64, u64) {
+        let keys = store.level_keys(B);
+        let (mut key, mut h, _) = self.memo_state();
+        let mut useful = 0u64;
+        let (lo, hi) = self.tables.span(self.u, t);
+        let mask = self.tables.mask(self.u, t);
+        for (w, kw) in key.iter_mut().enumerate().take(hi).skip(lo) {
+            let r = *kw;
+            let sub = LaneSet::<B>::nonzero(r) & mask[w];
+            *kw = r - sub;
+            let mut m = sub;
+            while m != 0 {
+                let p = m.trailing_zeros();
+                let c = (w as u32) * LaneSet::<B>::PER_WORD + p / B;
+                if USEFUL {
+                    useful += self.u.dist_of_pri(c) as u64;
+                }
+                h ^= keys.get(c, Self::level(r, p));
+                m &= m - 1;
+            }
+        }
+        (key, h, useful)
+    }
+}
+
+/// The tile-slack search over a [`LaneResidual`], for every demand up to
+/// 65,535: 1-bit lanes for unit demands, 2-bit lanes up to demand 3,
+/// 4-bit lanes up to 15 and 16-bit lanes beyond. Branching, scoring and
+/// dominance read the support set (coverage counts *chords* with live
+/// residual); every bound scales by λ through the residual-weighted
+/// ingredients. A tile may be placed repeatedly at successive depths
+/// while its branch chord's residual drains. With the memo off its unit
+/// node counts are those of the recursive search it replaced;
+/// `tests/kernel_proptests.rs` keeps them as data.
+///
+/// **Canonical keys.** On 1-bit lanes, with a store and effective
+/// [`SymmetryMode::Full`], the core keys the memo by the *canonical*
+/// (lexicographically smallest) dihedral image of the uncovered set and
+/// hands the shared orbit filter the **setwise** prefix stabilizer instead
+/// of the pointwise one — the canonical-prefix reduction, in the two
+/// places it is sound. Canonical keys need the placed state, so children
+/// then probe the store at entry instead of being pre-probed. Everywhere
+/// else keys are raw and filtering is pointwise: a multiplicity vector is
+/// not a set.
+pub(crate) struct LaneCore<'a, const B: u32> {
+    s: Stack<'a>,
+    r: LaneResidual<'a, B>,
+    /// Key the memo canonically and filter setwise (see the type docs).
     canon: bool,
     /// Canonical mode: the placed tile multiset, kept sorted for the
     /// setwise stabilizer test.
@@ -888,7 +1173,7 @@ pub(crate) struct IterCore<'a> {
     images: Vec<u32>,
 }
 
-impl<'a> IterCore<'a> {
+impl<'a, const B: u32> LaneCore<'a, B> {
     pub(crate) fn new(
         u: &'a TileUniverse,
         spec: &CoverSpec,
@@ -896,23 +1181,57 @@ impl<'a> IterCore<'a> {
         gov: Governor<'a>,
         requested: SymmetryMode,
         store: Option<&'a MemoStore>,
+        tables: &'a LaneTables<B>,
     ) -> Self {
-        debug_assert!(spec.is_unit(), "iterative core requires unit demands");
-        let s = Stack::new(u, spec, budget, gov, requested, store, 1);
-        let d = Demand::new(u, spec);
-        let hash = s
-            .store
-            .map_or(0, |st| d.live.iter().fold(0, |h, c| h ^ st.chord_key(c)));
-        let canon = s.store.is_some() && s.orbits.mode == SymmetryMode::Full;
-        IterCore {
+        debug_assert!(
+            spec.max_demand() <= LaneSet::<B>::MAX,
+            "demands fit {B}-bit lanes"
+        );
+        let s = Stack::new(u, spec, budget, gov, requested, store, width_tag(B, false));
+        let r = LaneResidual::new(&s, spec, tables);
+        let canon = B == 1 && s.store.is_some() && s.orbits.mode == SymmetryMode::Full;
+        LaneCore {
             s,
-            d,
-            hash,
-            undo: Vec::new(),
+            r,
             canon,
             placed_sorted: Vec::new(),
             images: Vec::new(),
         }
+    }
+
+    /// The canonical memo key: the lexicographically smallest dihedral
+    /// image of the uncovered set under the spec group, with its hash and
+    /// whether it is the raw key. Kept out of line: inlined, the
+    /// benchmark's unit instances read 1–5 % slower over three pairs on
+    /// a 2-core host, with the same node counts.
+    #[inline(never)]
+    fn canonical_state(&self) -> ([u64; KEY_WORDS], u64, bool) {
+        let (raw, hash, _) = self.r.memo_state();
+        let keys = self
+            .s
+            .store
+            .expect("canonical mode implies a store")
+            .level_keys(1);
+        let sym = self.s.orbits.tables.expect("canonical mode implies tables");
+        let mut best = raw;
+        let mut best_hash = hash;
+        let mut elements = self.s.orbits.spec_group & !1;
+        while elements != 0 {
+            let g = elements.trailing_zeros();
+            elements &= elements - 1;
+            let mut img = [0u64; KEY_WORDS];
+            let mut h = 0u64;
+            for c in self.r.d.live.iter() {
+                let ic = sym.chord_image(g, c);
+                img[(ic / 64) as usize] |= 1u64 << (ic % 64);
+                h ^= keys.get(ic, 1);
+            }
+            if img < best {
+                best = img;
+                best_hash = h;
+            }
+        }
+        (best, best_hash, best == raw)
     }
 
     /// The setwise stabilizer of the placed tile multiset inside the
@@ -937,390 +1256,6 @@ impl<'a> IterCore<'a> {
         }
         stab
     }
-
-    /// The raw memo key of the uncovered set.
-    fn raw_key(&self) -> [u64; KEY_WORDS] {
-        let words = self.d.live.words();
-        [words[0], words.get(1).copied().unwrap_or(0), 0, 0]
-    }
-}
-
-impl<'a> FrameCore<'a> for IterCore<'a> {
-    fn stack(&mut self) -> &mut Stack<'a> {
-        &mut self.s
-    }
-
-    fn satisfied(&self) -> bool {
-        self.d.live.is_empty()
-    }
-
-    /// Covers `t`'s new chords and updates every incremental ingredient
-    /// in one sweep over them.
-    fn place(&mut self, t: u32) {
-        if self.canon {
-            let pos = self.placed_sorted.partition_point(|&x| x < t);
-            self.placed_sorted.insert(pos, t);
-        }
-        let depth = self.s.depth();
-        if self.undo.len() == depth {
-            self.undo.push(ChordSet::empty(self.d.live.len()));
-        }
-        let newly = &mut self.undo[depth];
-        self.s.u.tile_mask(t).intersection_into(&self.d.live, newly);
-        self.d.live.subtract(newly);
-        for c in newly.iter() {
-            self.d.step(self.s.u, c, true);
-            if let Some(store) = self.s.store {
-                self.hash ^= store.chord_key(c);
-            }
-        }
-        self.s.push(t);
-    }
-
-    fn unplace(&mut self) {
-        let t = self.s.pop();
-        let newly = &self.undo[self.s.depth()];
-        for c in newly.iter() {
-            self.d.step(self.s.u, c, false);
-            if let Some(store) = self.s.store {
-                self.hash ^= store.chord_key(c);
-            }
-        }
-        self.d.live.union_with(newly);
-        if self.canon {
-            let pos = self.placed_sorted.partition_point(|&x| x < t);
-            debug_assert_eq!(self.placed_sorted.get(pos), Some(&t));
-            self.placed_sorted.remove(pos);
-        }
-    }
-
-    fn refuted(&mut self) -> bool {
-        self.s.refutes(&mut self.d)
-    }
-
-    /// The raw uncovered words, or (canonical mode) the lexicographically
-    /// smallest dihedral image of the uncovered set.
-    fn memo_state(&self) -> ([u64; KEY_WORDS], u64, bool) {
-        let raw = self.raw_key();
-        if !self.canon {
-            return (raw, self.hash, true);
-        }
-        let store = self.s.store.expect("canonical mode implies a store");
-        let sym = self.s.orbits.tables.expect("canonical mode implies tables");
-        let mut best = raw;
-        let mut best_hash = self.hash;
-        let mut elements = self.s.orbits.spec_group & !1;
-        while elements != 0 {
-            let g = elements.trailing_zeros();
-            elements &= elements - 1;
-            let mut img = [0u64; KEY_WORDS];
-            let mut h = 0u64;
-            for c in self.d.live.iter() {
-                let ic = sym.chord_image(g, c);
-                img[(ic / 64) as usize] |= 1u64 << (ic % 64);
-                h ^= store.chord_key(ic);
-            }
-            if img < best {
-                best = img;
-                best_hash = h;
-            }
-        }
-        (best, best_hash, best == raw)
-    }
-
-    fn memo_rem(&self) -> u32 {
-        self.s.tiles_left()
-    }
-
-    /// Simulates the placement's word sweep over a copy of the key.
-    /// Canonical keys need the placed state, so canonical mode never
-    /// pre-probes.
-    fn child_state(&self, store: &MemoStore, t: u32) -> Option<MemoEntry> {
-        if self.canon {
-            return None;
-        }
-        let mut key = self.raw_key();
-        let mut h = self.hash;
-        let (lo, hi) = self.s.u.tile_mask_span(t);
-        let tmask = self.s.u.tile_mask(t).words();
-        for w in lo as usize..hi as usize {
-            let mut m = tmask[w] & key[w];
-            key[w] &= !m;
-            while m != 0 {
-                h ^= store.chord_key(w as u32 * 64 + m.trailing_zeros());
-                m &= m - 1;
-            }
-        }
-        Some((h, key, self.s.tiles_left().saturating_sub(1)))
-    }
-
-    /// Branches on the highest-priority uncovered chord.
-    fn stage(&mut self, entry: Option<MemoEntry>) {
-        let branch = self.d.live.first_set().expect("unsatisfied demand exists");
-        // The setwise upgrade is part of the canonical machinery: with
-        // the memo off, `Full` filters by the pointwise stabilizer alone,
-        // so the memo-off node counts stay those kept as data.
-        let setwise = self.canon.then(|| self.setwise_stab());
-        self.s.stage(&self.d.live, branch, u64::MAX, setwise, entry);
-    }
-
-    fn probes_at_entry(&self) -> bool {
-        self.canon
-    }
-}
-
-// ---------------------------------------------------------------------------
-// The λ-fold lane residual and the lane core
-// ---------------------------------------------------------------------------
-
-/// Per-tile lane-space masks: each tile's chord set re-expressed with one
-/// [`LaneSet::LOW`] bit per chord in the `B`-bit-lane layout of
-/// [`LaneSet`], plus the lane-word span the mask occupies. Built once per
-/// probe, so a λ-fold placement is a handful of masked word subtracts.
-pub(crate) struct LaneTables<const B: u32> {
-    lane_words: usize,
-    /// `masks[t * lane_words .. (t + 1) * lane_words]` = tile `t`'s mask.
-    masks: Vec<u64>,
-    /// Lane-word span of each tile's mask (`lo..hi`).
-    spans: Vec<(u32, u32)>,
-}
-
-impl<const B: u32> LaneTables<B> {
-    pub(crate) fn build(u: &TileUniverse) -> Self {
-        let per_word = LaneSet::<B>::PER_WORD;
-        let lane_words = u.num_chords().div_ceil(per_word) as usize;
-        let nt = u.len();
-        let mut masks = vec![0u64; nt * lane_words];
-        let mut spans = vec![(0u32, 0u32); nt];
-        for (t, span) in spans.iter_mut().enumerate() {
-            let base = t * lane_words;
-            let mut lo = lane_words as u32;
-            let mut hi = 0u32;
-            for &c in u.tile_chords(t as u32) {
-                let w = c / per_word;
-                masks[base + w as usize] |= 1u64 << (B * (c % per_word));
-                lo = lo.min(w);
-                hi = hi.max(w + 1);
-            }
-            *span = if lo < hi { (lo, hi) } else { (0, 0) };
-        }
-        LaneTables {
-            lane_words,
-            masks,
-            spans,
-        }
-    }
-
-    #[inline]
-    fn mask(&self, t: u32) -> &[u64] {
-        let base = t as usize * self.lane_words;
-        &self.masks[base..base + self.lane_words]
-    }
-
-    #[inline]
-    fn span(&self, t: u32) -> (u32, u32) {
-        self.spans[t as usize]
-    }
-}
-
-/// The λ-fold residual state the lane core and the partition kernel
-/// share: per-chord residual demand in packed `B`-bit lanes (2-bit lanes
-/// for demands ≤ 3, 4-bit lanes for demands ≤ 15, 16-bit lanes for
-/// demands ≤ 65,535), the support set and
-/// bound ingredients ([`Demand`]), an incremental level-Zobrist hash, and
-/// per-depth undo masks.
-///
-/// Memo keys are the packed lane words. The stack only keeps a store
-/// whose keys the state fits ([`MemoStore::keys_fit`]: every store at
-/// 2 bits, up to 64 chords at 4 bits, none at 16 bits), so every key is
-/// exact.
-pub(crate) struct LaneResidual<'a, const B: u32> {
-    u: &'a TileUniverse,
-    tables: &'a LaneTables<B>,
-    /// The stack's store, whose `B`-bit level keys the hash folds in.
-    store: Option<&'a MemoStore>,
-    lanes: LaneSet<B>,
-    /// The support (chords with residual > 0) and bound ingredients.
-    pub(crate) d: Demand,
-    /// `⊕_c ⊕_{v=1..=r(c)} key(c, v)` over the residual vector `r`.
-    hash: u64,
-    /// `undo[d]`: per lane word, the [`LaneSet::LOW`] decrement mask the
-    /// placement at depth `d` applied.
-    undo: Vec<Vec<u64>>,
-}
-
-impl<'a, const B: u32> LaneResidual<'a, B> {
-    /// The residual of `spec`, hashed for the stack's store.
-    pub(crate) fn new(s: &Stack<'a>, spec: &CoverSpec, tables: &'a LaneTables<B>) -> Self {
-        let u = s.u;
-        let d = Demand::new(u, spec);
-        let mut lanes = LaneSet::zero(u.num_chords());
-        for c in d.live.iter() {
-            lanes.set(c, spec.demand[u.dense_of_pri(c) as usize]);
-        }
-        let hash = s.store.map_or(0, |st| {
-            let keys = st.level_keys(B);
-            d.live.iter().fold(0, |mut h, c| {
-                for v in 1..=lanes.get(c) {
-                    h ^= keys.get(c, v);
-                }
-                h
-            })
-        });
-        LaneResidual {
-            u,
-            tables,
-            store: s.store,
-            lanes,
-            d,
-            hash,
-            undo: Vec::new(),
-        }
-    }
-
-    /// Places tile `t` at `depth`: one saturating masked subtract per lane
-    /// word, then per decremented chord the bound ingredients, support
-    /// retirement when its residual hits zero, and the hash. Returns the
-    /// distance the placement newly covered.
-    #[inline]
-    pub(crate) fn place(&mut self, t: u32, depth: usize) -> u64 {
-        if self.undo.len() == depth {
-            self.undo.push(vec![0u64; self.tables.lane_words]);
-        }
-        let (lo, hi) = self.tables.span(t);
-        let keys = self.store.map(|st| st.level_keys(B));
-        let mut useful = 0u64;
-        for w in lo as usize..hi as usize {
-            let before = self.lanes.words()[w];
-            let sub = self.lanes.place_word(w, self.tables.mask(t)[w]);
-            self.undo[depth][w] = sub;
-            let mut m = sub;
-            while m != 0 {
-                let p = m.trailing_zeros();
-                let c = (w as u32) * LaneSet::<B>::PER_WORD + p / B;
-                let old = (before >> p) as u32 & LaneSet::<B>::MAX;
-                useful += self.d.step(self.u, c, true);
-                if old == 1 {
-                    self.d.live.remove(c);
-                }
-                if let Some(keys) = keys {
-                    self.hash ^= keys.get(c, old);
-                }
-                m &= m - 1;
-            }
-        }
-        useful
-    }
-
-    /// Reverts the placement of `t` at `depth`; returns the distance it
-    /// had covered.
-    #[inline]
-    pub(crate) fn unplace(&mut self, t: u32, depth: usize) -> u64 {
-        let (lo, hi) = self.tables.span(t);
-        let keys = self.store.map(|st| st.level_keys(B));
-        let mut useful = 0u64;
-        for w in lo as usize..hi as usize {
-            let sub = self.undo[depth][w];
-            if sub == 0 {
-                continue;
-            }
-            self.lanes.unplace_word(w, sub);
-            let after = self.lanes.words()[w];
-            let mut m = sub;
-            while m != 0 {
-                let p = m.trailing_zeros();
-                let c = (w as u32) * LaneSet::<B>::PER_WORD + p / B;
-                // The restored value equals what `place` decremented from.
-                let val = (after >> p) as u32 & LaneSet::<B>::MAX;
-                useful += self.d.step(self.u, c, false);
-                if val == 1 {
-                    self.d.live.insert(c);
-                }
-                if let Some(keys) = keys {
-                    self.hash ^= keys.get(c, val);
-                }
-                m &= m - 1;
-            }
-        }
-        useful
-    }
-
-    /// The memo key and hash of the residual vector: the packed lane
-    /// words, zero-padded to the store's key width.
-    pub(crate) fn memo_state(&self) -> ([u64; KEY_WORDS], u64, bool) {
-        let words = self.lanes.words();
-        debug_assert!(
-            words.len() <= KEY_WORDS,
-            "the stack keeps only a store the state fits"
-        );
-        let mut key = [0u64; KEY_WORDS];
-        key[..words.len()].copy_from_slice(words);
-        (key, self.hash, true)
-    }
-
-    /// The key and hash of the state placing `t` would reach, and the
-    /// distance it would newly cover: [`LaneResidual::place`] simulated
-    /// over a copy of the lane words.
-    #[inline]
-    pub(crate) fn child(&self, store: &MemoStore, t: u32) -> ([u64; KEY_WORDS], u64, u64) {
-        let keys = store.level_keys(B);
-        let (mut key, mut h, _) = self.memo_state();
-        let mut useful = 0u64;
-        let (lo, hi) = self.tables.span(t);
-        for (w, kw) in key
-            .iter_mut()
-            .enumerate()
-            .take(hi as usize)
-            .skip(lo as usize)
-        {
-            let r = *kw;
-            let sub = LaneSet::<B>::nonzero(r) & self.tables.mask(t)[w];
-            *kw = r - sub;
-            let mut m = sub;
-            while m != 0 {
-                let p = m.trailing_zeros();
-                let c = (w as u32) * LaneSet::<B>::PER_WORD + p / B;
-                useful += self.u.dist_of_pri(c) as u64;
-                h ^= keys.get(c, (r >> p) as u32 & LaneSet::<B>::MAX);
-                m &= m - 1;
-            }
-        }
-        (key, h, useful)
-    }
-}
-
-/// The iterative λ-fold search over a [`LaneResidual`] — the unit core's
-/// sibling for specs with demands in `2..=65,535`, on 2-bit lanes up to
-/// demand 3, 4-bit lanes up to 15 and 16-bit lanes beyond. Branching,
-/// scoring and dominance read the support set (coverage counts *chords*
-/// with live residual); every bound scales by λ through
-/// the residual-weighted ingredients. Orbit filtering is pointwise only
-/// and memo keys are always raw, so the candidate-level pre-probe always
-/// applies. A tile may be placed repeatedly at successive depths while
-/// its branch chord's residual drains.
-pub(crate) struct LaneCore<'a, const B: u32> {
-    s: Stack<'a>,
-    r: LaneResidual<'a, B>,
-}
-
-impl<'a, const B: u32> LaneCore<'a, B> {
-    pub(crate) fn new(
-        u: &'a TileUniverse,
-        spec: &CoverSpec,
-        budget: u32,
-        gov: Governor<'a>,
-        requested: SymmetryMode,
-        store: Option<&'a MemoStore>,
-        tables: &'a LaneTables<B>,
-    ) -> Self {
-        debug_assert!(
-            spec.max_demand() <= LaneSet::<B>::MAX,
-            "demands fit {B}-bit lanes"
-        );
-        let s = Stack::new(u, spec, budget, gov, requested, store, width_tag(B, false));
-        let r = LaneResidual::new(&s, spec, tables);
-        LaneCore { s, r }
-    }
 }
 
 impl<'a, const B: u32> FrameCore<'a> for LaneCore<'a, B> {
@@ -1333,6 +1268,10 @@ impl<'a, const B: u32> FrameCore<'a> for LaneCore<'a, B> {
     }
 
     fn place(&mut self, t: u32) {
+        if self.canon {
+            let pos = self.placed_sorted.partition_point(|&x| x < t);
+            self.placed_sorted.insert(pos, t);
+        }
         self.r.place(t, self.s.depth());
         self.s.push(t);
     }
@@ -1340,22 +1279,38 @@ impl<'a, const B: u32> FrameCore<'a> for LaneCore<'a, B> {
     fn unplace(&mut self) {
         let t = self.s.pop();
         self.r.unplace(t, self.s.depth());
+        if self.canon {
+            let pos = self.placed_sorted.partition_point(|&x| x < t);
+            debug_assert_eq!(self.placed_sorted.get(pos), Some(&t));
+            self.placed_sorted.remove(pos);
+        }
     }
 
     fn refuted(&mut self) -> bool {
         self.s.refutes(&mut self.r.d)
     }
 
+    /// The packed lane words, or (canonical mode) the lexicographically
+    /// smallest dihedral image of the uncovered set.
     fn memo_state(&self) -> ([u64; KEY_WORDS], u64, bool) {
-        self.r.memo_state()
+        if self.canon {
+            self.canonical_state()
+        } else {
+            self.r.memo_state()
+        }
     }
 
     fn memo_rem(&self) -> u32 {
         self.s.tiles_left()
     }
 
+    /// Canonical keys need the placed state, so canonical mode never
+    /// pre-probes.
     fn child_state(&self, store: &MemoStore, t: u32) -> Option<MemoEntry> {
-        let (key, hash, _) = self.r.child(store, t);
+        if self.canon {
+            return None;
+        }
+        let (key, hash, _) = self.r.child::<false>(store, t);
         Some((hash, key, self.s.tiles_left().saturating_sub(1)))
     }
 
@@ -1367,7 +1322,16 @@ impl<'a, const B: u32> FrameCore<'a> for LaneCore<'a, B> {
             .live
             .first_set()
             .expect("unsatisfied demand exists");
-        self.s.stage(&self.r.d.live, branch, u64::MAX, None, entry);
+        // The setwise upgrade is part of the canonical machinery: with
+        // the memo off, `Full` filters by the pointwise stabilizer alone,
+        // so the memo-off node counts stay those kept as data.
+        let setwise = self.canon.then(|| self.setwise_stab());
+        self.s
+            .stage(&self.r.d.live, branch, u64::MAX, setwise, entry);
+    }
+
+    fn probes_at_entry(&self) -> bool {
+        self.canon
     }
 }
 
@@ -1489,11 +1453,11 @@ mod tests {
         assert!(singles_only > 0 && overdrawn_singles > 0);
     }
 
-    /// Random place/unplace walks over a λ-fold residual on `B`-bit
-    /// lanes: at every step the running hash equals the store's rehash
-    /// of the packed key (the path a growing shard takes), and each
-    /// candidate's simulated child state equals the state placing it
-    /// reaches.
+    /// Random place/unplace walks over a residual on `B`-bit lanes
+    /// (λ = 1 on 1-bit lanes is the unit spec): at every step the running
+    /// hash equals the store's rehash of the packed key (the path a
+    /// growing shard takes), and each candidate's simulated child state
+    /// equals the state placing it reaches.
     fn walk_lane_hashes<const B: u32>(n: u32, lambda: u32, seed: u64) {
         let u = TileUniverse::new(Ring::new(n), n as usize);
         let spec = CoverSpec::lambda_fold(n, lambda);
@@ -1521,7 +1485,7 @@ mod tests {
             assert_eq!(store.hash_of_state(key, tag), hash, "{ctx}");
             if placed.is_empty() || (placed.len() < 40 && rng.gen_range(0..3u32) > 0) {
                 let t = rng.gen_range(0..u.len() as u32);
-                let (child_key, child_hash, useful) = r.child(&store, t);
+                let (child_key, child_hash, useful) = r.child::<true>(&store, t);
                 assert_eq!(r.place(t, placed.len()), useful, "{ctx}");
                 placed.push(t);
                 let (key, hash, _) = r.memo_state();
@@ -1540,6 +1504,8 @@ mod tests {
 
     #[test]
     fn running_lane_hash_matches_the_rehash() {
+        walk_lane_hashes::<1>(10, 1, 5);
+        walk_lane_hashes::<1>(12, 1, 6);
         walk_lane_hashes::<2>(12, 3, 1);
         walk_lane_hashes::<4>(7, 4, 2);
         walk_lane_hashes::<4>(9, 9, 3);

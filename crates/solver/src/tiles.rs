@@ -53,7 +53,7 @@ pub struct TileUniverse {
     dist_of_pri: Vec<u32>,
     /// priority index → the chord's two ring vertices `(u, v)` with
     /// `u < v` — the endpoints whose uncovered degrees a placement
-    /// changes (the iterative core's incremental parity bookkeeping).
+    /// changes (the search cores' incremental parity bookkeeping).
     ends_of_pri: Vec<(u32, u32)>,
     /// Priority indices `< diam_chords` are exactly the diameter-class
     /// chords (0 for odd `n`).

@@ -2,9 +2,9 @@
 //! agree with the test-only exact oracle (`tests/oracle`) — same
 //! feasible/infeasible verdicts, same optimum — on every instance shape
 //! the solver supports (`n ≤ 9`, complete and random subset specs, full
-//! and restricted universes), and with the memo off its unit core must
-//! reproduce, node for node, the counts the recursive search it replaced
-//! recorded.
+//! and restricted universes), and with the memo off its unit search (the
+//! lane core on 1-bit lanes) must reproduce, node for node, the counts
+//! the recursive search it replaced recorded.
 
 mod oracle;
 
@@ -187,7 +187,7 @@ proptest! {
 
 /// The 30 random subset specs (n = 5..=10, C3/C4 universe) the property
 /// test of this name drew at 32 cases (two drew no request), with the
-/// counts the unit core reported memo-off at each symmetry mode and at
+/// counts the unit search reported memo-off at each symmetry mode and at
 /// `opt − 1`, `opt` and `opt + 1` — the counts of the recursive search it
 /// replaced, which it matched node for node. One line per spec and mode:
 /// `n requests mode`, then `budget:verdict/nodes/pruned/dominated/
@@ -285,9 +285,9 @@ const RECURSIVE_REFERENCE_COUNTS: &str = "\
 9 0-7,1-6,2-8,3-6,3-7,4-8,7-8 full 3:I/13/7/84/0 4:F/4/0/63/0 5:F/4/0/63/0
 ";
 
-/// The unit core (engine path, memo off) reproduces every recorded row:
-/// verdict, nodes, bound prunes, dominance drops and orbit prunes, and
-/// no canonical prunes.
+/// The unit search (engine path, memo off, the lane core on 1-bit lanes)
+/// reproduces every recorded row: verdict, nodes, bound prunes, dominance
+/// drops and orbit prunes, and no canonical prunes.
 #[test]
 fn iterative_core_matches_recursive_reference() {
     let engine = engine_by_name("bitset").unwrap();

@@ -38,7 +38,7 @@ fn assert_meets_spec(n: u32, tiles: &[Tile], spec: &CoverSpec) {
 }
 
 /// A random multiplicity spec with demands in `0..=3` (and at least one
-/// demand ≥ 2, so the lane core — not the unit bitset core — serves it),
+/// demand ≥ 2, so 2-bit lanes — not the unit spec's 1-bit lanes — serve it),
 /// or, from `base` 4, in `{0} ∪ 4..=6`, which the 4-bit lanes serve, or,
 /// from `base` 16, in `{0} ∪ 16..=18`, which the 16-bit lanes serve.
 fn sparse_spec(n: u32, picks: &[(u32, u32, u32)], base: u32) -> Option<CoverSpec> {

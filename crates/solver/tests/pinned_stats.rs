@@ -6,11 +6,11 @@
 //! tree the same keeps every row here ±0. The sweep counters (shared
 //! hits, the symmetry factor, partition probes, budgets tried and
 //! attempts) follow from how the probes of a request add up. Rows cover
-//! every core the route rule serves: the unit core (memo off, root
-//! symmetry, canonical keys), the partition kernel on a restricted
-//! universe, at λ = 2, on 4-bit lanes at λ = 4 and on 16-bit lanes at
-//! λ = 16, the lane core on 2- and 4-bit lanes, and a λ = 3 sweep whose
-//! probes change route.
+//! every core the route rule serves: the lane core on 1-bit lanes (memo
+//! off, root symmetry, canonical keys), the partition kernel on 1-bit
+//! lanes on a restricted universe, at λ = 2, on 4-bit lanes at λ = 4 and
+//! on 16-bit lanes at λ = 16, the lane core on 2- and 4-bit lanes, and a
+//! λ = 3 sweep whose probes change route.
 
 use cyclecover_ring::Ring;
 use cyclecover_solver::api::{engine_by_name, Optimality, Problem, SolveRequest, SymmetryMode};

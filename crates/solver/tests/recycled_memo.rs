@@ -42,7 +42,8 @@ fn rho_10_counts_do_not_depend_on_what_the_thread_solved_before() {
         // thread gets was grown and then cut back.
         assert!(fresh.stats().memo_entries > 16 * 768);
 
-        // Width-2/3 entries, then unit entries over another universe.
+        // 2-bit entries under tile and waste slack, then 1-bit (unit)
+        // entries over another universe.
         let lambda = bitset.solve(&Problem::lambda_fold(8, 2), &SolveRequest::find_optimal());
         assert!(matches!(lambda.optimality(), Optimality::Optimal { .. }));
         assert!(lambda.stats().memo_entries > 0);
