@@ -5,9 +5,9 @@
 //! **DRC cycle coverings** of the all-to-all instance `K_n` over the ring
 //! `C_n`, with constructions for every `n`, the `ρ(n)` formulas of
 //! Theorems 1–2, verification machinery, and the extensions the paper
-//! sketches: λ-fold instances and general logical graphs. Of the other
-//! topologies its closing paragraph announces, trees of rings are built
-//! in `cyclecover-topo`; paths, grids and tori are not built.
+//! sketches: λ-fold instances and general logical graphs. No topology
+//! beyond the ring is built: the trees of rings, paths, grids and tori
+//! its closing paragraph announces are not.
 //!
 //! ## The problem
 //!

@@ -22,8 +22,7 @@
 //! * Traversal utilities: connectivity, components, BFS distance, and
 //!   Euler circuits ([`euler`]).
 //! * Edge connectivity and bridges ([`connectivity`]) over unit-capacity
-//!   max flow ([`flow`]); the tree-of-rings tests of `cyclecover-topo`
-//!   use them to check that no link is a bridge.
+//!   max flow ([`flow`]); no crate outside this one calls them.
 //!
 //! Nothing here knows about rings-as-embeddings or the DRC; that lives in
 //! `cyclecover-ring`.

@@ -57,11 +57,9 @@ use cyclecover_io::json::{
     quote as json_escape, request_from_json, solution_to_json_with_id, to_single_line, Json,
     SolveJob,
 };
-use mio::net::{TcpListener, TcpStream};
-use mio::{Events, Interest, Poll, Token};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::{self, Read, Write};
-use std::net::SocketAddr;
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -510,7 +508,8 @@ pub struct DaemonConfig {
     /// reject and closed.
     pub max_conns: usize,
     /// Capacity of the global admission queue *and* of each
-    /// connection's response outbox (the two backpressure bounds).
+    /// connection's response outbox (the two backpressure bounds); 0
+    /// reads as 1.
     pub queue_depth: usize,
 }
 
@@ -623,9 +622,11 @@ impl Daemon {
     /// Binds the listening socket (predictive admission on, using the
     /// committed calibration table).
     pub fn bind(addr: SocketAddr, config: DaemonConfig) -> io::Result<Daemon> {
+        let listener = TcpListener::bind(addr)?;
+        listener.set_nonblocking(true)?;
         Ok(Daemon {
             config,
-            listener: TcpListener::bind(addr)?,
+            listener,
             model: Some(CostModel::builtin().clone()),
             shared_memo: false,
             cert_cache: None,
@@ -664,7 +665,12 @@ impl Daemon {
     /// counters (the same snapshot the drain's stats document carries).
     pub fn run(mut self) -> DaemonStats {
         let started = Instant::now();
-        let cfg = self.config;
+        // An outbox bound of 0 would pause every connection before it
+        // reads a line; `Ingest::new` clamps the admission queue alike.
+        let cfg = DaemonConfig {
+            queue_depth: self.config.queue_depth.max(1),
+            ..self.config
+        };
         let shared: Shared = Arc::new((Mutex::new(SharedState::default()), Condvar::new()));
         let ingest = Ingest::new(self.model.clone(), cfg.queue_depth);
 
@@ -691,29 +697,26 @@ impl Daemon {
             std::thread::spawn(move || dispatcher_loop(service, &shared, cert_save))
         };
 
-        let mut poll = Poll::new().expect("poll creation");
-        let mut events = Events::with_capacity(cfg.max_conns + 8);
-        poll.registry()
-            .register(&mut self.listener, Token(0), Interest::READABLE)
-            .expect("listener registration");
-
-        let mut conns: HashMap<usize, Conn> = HashMap::new();
+        let mut conns: HashMap<u64, Conn> = HashMap::new();
         let mut next_conn_id: u64 = 0;
-        let mut next_slot: usize = 1;
         let mut draining = false;
         let mut drain_requester: Option<u64> = None;
         let mut final_stats_sent = false;
         let mut drain_flush_started: Option<Instant> = None;
 
         loop {
-            poll.poll(&mut events, Some(TICK)).expect("poll");
+            // Every socket is non-blocking and polled once a tick:
+            // `WouldBlock` says there is nothing to do yet.
+            std::thread::sleep(TICK);
 
-            // Accept — the shim reports the listener ready every tick;
-            // WouldBlock settles the truth.
             if !draining {
                 loop {
-                    match self.listener.accept() {
-                        Ok((stream, _)) => {
+                    let accepted = self
+                        .listener
+                        .accept()
+                        .and_then(|(stream, _)| stream.set_nonblocking(true).map(|()| stream));
+                    match accepted {
+                        Ok(stream) => {
                             if conns.len() >= cfg.max_conns {
                                 // Refuse loudly: one reject line, then
                                 // close. Best-effort — the peer may not
@@ -729,9 +732,7 @@ impl Daemon {
                                 lock(&shared).stats.connections_refused += 1;
                                 continue;
                             }
-                            let slot = next_slot;
-                            next_slot += 1;
-                            let mut conn = Conn {
+                            let conn = Conn {
                                 id: next_conn_id,
                                 stream,
                                 framer: LineFramer::new(MAX_LINE_BYTES),
@@ -744,20 +745,13 @@ impl Daemon {
                                 eof: false,
                                 dead: false,
                             };
+                            conns.insert(conn.id, conn);
                             next_conn_id += 1;
-                            poll.registry()
-                                .register(
-                                    &mut conn.stream,
-                                    Token(slot),
-                                    Interest::READABLE.add(Interest::WRITABLE),
-                                )
-                                .expect("stream registration");
-                            conns.insert(slot, conn);
                             let mut sh = lock(&shared);
                             sh.stats.connections_accepted += 1;
                             sh.stats.connections_open += 1;
                         }
-                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                        // `WouldBlock` when no peer is waiting.
                         Err(_) => break,
                     }
                 }
@@ -768,16 +762,12 @@ impl Daemon {
                 let mut sh = lock(&shared);
                 (std::mem::take(&mut sh.responses), sh.dispatcher_done)
             };
-            if !routed.is_empty() {
-                let by_id: HashMap<u64, usize> =
-                    conns.iter().map(|(&slot, c)| (c.id, slot)).collect();
-                for (conn_id, doc) in routed {
-                    // A vanished connection drops its responses — the
-                    // peer that would have read them is gone.
-                    if let Some(conn) = by_id.get(&conn_id).and_then(|s| conns.get_mut(s)) {
-                        conn.outbox.push_back(doc);
-                        conn.outstanding = conn.outstanding.saturating_sub(1);
-                    }
+            for (conn_id, doc) in routed {
+                // A vanished connection drops its responses — the peer
+                // that would have read them is gone.
+                if let Some(conn) = conns.get_mut(&conn_id) {
+                    conn.outbox.push_back(doc);
+                    conn.outstanding = conn.outstanding.saturating_sub(1);
                 }
             }
 
@@ -803,15 +793,7 @@ impl Daemon {
                 loop {
                     let mut stalled = false;
                     while let Some(framed) = conn.lines.pop_front() {
-                        handle_line(
-                            framed,
-                            conn,
-                            &ingest,
-                            &shared,
-                            cfg.queue_depth,
-                            draining,
-                            started,
-                        );
+                        handle_line(framed, conn, &ingest, &shared, draining, started);
                         if !draining && lock(&shared).draining {
                             // A shutdown control arrived on this
                             // connection: close admission globally and
@@ -849,20 +831,15 @@ impl Daemon {
             }
 
             // Reap connections: dead, or EOF with everything answered.
-            let gone: Vec<usize> = conns
-                .iter()
-                .filter(|(_, c)| {
-                    c.dead || (c.eof && c.flushed() && c.lines.is_empty() && c.outstanding == 0)
-                })
-                .map(|(&slot, _)| slot)
-                .collect();
-            for slot in gone {
-                if let Some(mut conn) = conns.remove(&slot) {
-                    let _ = poll.registry().deregister(&mut conn.stream);
-                    let mut sh = lock(&shared);
-                    sh.stats.connections_open = sh.stats.connections_open.saturating_sub(1);
-                    sh.stats.connections_closed += 1;
-                }
+            let before = conns.len();
+            conns.retain(|_, c| {
+                !(c.dead || (c.eof && c.flushed() && c.lines.is_empty() && c.outstanding == 0))
+            });
+            let reaped = (before - conns.len()) as u64;
+            if reaped > 0 {
+                let mut sh = lock(&shared);
+                sh.stats.connections_open = sh.stats.connections_open.saturating_sub(reaped);
+                sh.stats.connections_closed += reaped;
             }
 
             // Graceful-drain epilogue: dispatcher finished, responses
@@ -876,7 +853,7 @@ impl Daemon {
                         daemon_stats_json(&sh.stats)
                     };
                     if let Some(req) = drain_requester {
-                        if let Some(conn) = conns.values_mut().find(|c| c.id == req) {
+                        if let Some(conn) = conns.get_mut(&req) {
                             conn.outbox.push_back(doc);
                         }
                     }
@@ -912,7 +889,6 @@ fn handle_line(
     conn: &mut Conn,
     ingest: &Ingest,
     shared: &Shared,
-    queue_depth: usize,
     draining: bool,
     started: Instant,
 ) {
@@ -943,18 +919,9 @@ fn handle_line(
                 ));
                 return;
             }
+            // `Ingest::admit` refused every line the queue has no room
+            // for: only this thread pushes to `pending`.
             let mut sh = lock(shared);
-            if sh.pending.len() >= queue_depth {
-                sh.stats.rejected_overload += 1;
-                drop(sh);
-                conn.outbox.push_back(reject_json(
-                    Some(job.id.as_str()).filter(|s| !s.is_empty()),
-                    "overload",
-                    "admission queue full",
-                    None,
-                ));
-                return;
-            }
             sh.stats.jobs_received += 1;
             sh.pending.push_back((conn.id, *job));
             drop(sh);

@@ -5,7 +5,8 @@
 
 use cyclecover_service::{CalibrationRow, CertCache, CostModel, Daemon, DaemonConfig, DaemonStats};
 use std::io::{BufRead, BufReader, Write};
-use std::net::{Shutdown, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpStream};
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 fn row(n: u32, nodes: u64, wall_ms: f64) -> CalibrationRow {
@@ -19,7 +20,7 @@ fn row(n: u32, nodes: u64, wall_ms: f64) -> CalibrationRow {
     }
 }
 
-fn connect(addr: std::net::SocketAddr) -> (TcpStream, BufReader<TcpStream>) {
+fn connect(addr: SocketAddr) -> (TcpStream, BufReader<TcpStream>) {
     let stream = TcpStream::connect(addr).expect("connect");
     stream
         .set_read_timeout(Some(Duration::from_secs(20)))
@@ -33,6 +34,22 @@ fn read_line(reader: &mut BufReader<TcpStream>) -> String {
     reader.read_line(&mut line).expect("read line");
     assert!(line.ends_with('\n'), "daemon lines are newline-terminated");
     line.trim_end().to_string()
+}
+
+fn spawn(config: DaemonConfig) -> (SocketAddr, JoinHandle<DaemonStats>) {
+    let daemon = Daemon::bind("127.0.0.1:0".parse().unwrap(), config).expect("bind loopback");
+    let addr = daemon.local_addr().expect("local addr");
+    (addr, std::thread::spawn(move || daemon.run()))
+}
+
+/// Sends the `shutdown` control; returns the drain's final stats document.
+fn shut_down(w: &mut TcpStream, r: &mut BufReader<TcpStream>) -> DaemonStats {
+    writeln!(
+        w,
+        r#"{{"format": "cyclecover-control", "version": 1, "op": "shutdown"}}"#
+    )
+    .expect("write shutdown control");
+    DaemonStats::from_json(&read_line(r)).expect("final stats parse")
 }
 
 #[test]
@@ -135,13 +152,7 @@ fn daemon_round_trips_streams_predicts_and_drains() {
     assert_eq!(live_stats.rejected_parse, 1);
     assert_eq!(live_stats.rejected_predicted, 1);
 
-    writeln!(
-        w2,
-        r#"{{"format": "cyclecover-control", "version": 1, "op": "shutdown"}}"#
-    )
-    .expect("write shutdown control");
-    let last = read_line(&mut r2);
-    let final_doc = DaemonStats::from_json(&last).expect("final stats parse");
+    let final_doc = shut_down(&mut w2, &mut r2);
     let mut eof = String::new();
     assert_eq!(r2.read_line(&mut eof).expect("post-drain read"), 0);
 
@@ -205,13 +216,7 @@ fn cert_cache_serves_repeats_and_persists_across_generations() {
         "a cached answer burns zero kernel nodes: {warm}"
     );
 
-    writeln!(
-        w,
-        r#"{{"format": "cyclecover-control", "version": 1, "op": "shutdown"}}"#
-    )
-    .expect("write shutdown control");
-    let last = read_line(&mut r);
-    let final_stats = DaemonStats::from_json(&last).expect("final stats parse");
+    let final_stats = shut_down(&mut w, &mut r);
     assert_eq!(final_stats.cert_cache_hits, 1);
     assert_eq!(final_stats.cert_cache_entries, 1);
 
@@ -224,4 +229,118 @@ fn cert_cache_serves_repeats_and_persists_across_generations() {
     assert_eq!(reloaded.len(), 1);
     assert_eq!(reloaded.rejected_on_load(), 0);
     let _ = std::fs::remove_file(&save);
+}
+
+#[test]
+fn a_zero_queue_depth_still_answers_and_drains() {
+    // Read as depth 1: a depth-0 outbox would pause the connection
+    // before its first line, and the read timeout would fail the test.
+    let (addr, server) = spawn(DaemonConfig {
+        queue_depth: 0,
+        ..DaemonConfig::default()
+    });
+
+    let (mut w, mut r) = connect(addr);
+    writeln!(
+        w,
+        r#"{{"format": "cyclecover-request", "version": 1, "id": "z", "n": 6}}"#
+    )
+    .expect("write job");
+    let answer = read_line(&mut r);
+    assert!(
+        answer.contains("\"format\": \"cyclecover-solution\"") && answer.contains("\"id\": \"z\""),
+        "the job is answered: {answer}"
+    );
+
+    let final_doc = shut_down(&mut w, &mut r);
+    assert_eq!(final_doc.jobs_answered, 1);
+    let stats = server.join().expect("daemon thread");
+    assert_eq!(stats.jobs_received, 1);
+    assert_eq!(stats.jobs_answered, 1);
+}
+
+#[test]
+fn a_connection_past_the_limit_gets_one_overload_reject_then_eof() {
+    let (addr, server) = spawn(DaemonConfig {
+        max_conns: 1,
+        ..DaemonConfig::default()
+    });
+
+    // The stats reply proves the first connection holds the only slot.
+    let (mut w1, mut r1) = connect(addr);
+    writeln!(
+        w1,
+        r#"{{"format": "cyclecover-control", "version": 1, "op": "stats"}}"#
+    )
+    .expect("write stats control");
+    let live = DaemonStats::from_json(&read_line(&mut r1)).expect("live stats parse");
+    assert_eq!(live.connections_accepted, 1);
+
+    let (_w2, mut r2) = connect(addr);
+    let refusal = read_line(&mut r2);
+    assert!(
+        refusal.contains("\"format\": \"cyclecover-reject\"")
+            && refusal.contains("\"reason\": \"overload\"")
+            && refusal.contains("\"detail\": \"connection limit 1 reached\""),
+        "the second peer is refused on the wire: {refusal}"
+    );
+    let mut rest = String::new();
+    assert_eq!(
+        r2.read_line(&mut rest).expect("read after the reject"),
+        0,
+        "one reject, then the daemon closes: {rest:?}"
+    );
+
+    let final_doc = shut_down(&mut w1, &mut r1);
+    assert_eq!(final_doc.connections_refused, 1);
+    assert_eq!(final_doc.connections_accepted, 1);
+    let stats = server.join().expect("daemon thread");
+    assert_eq!(stats.connections_refused, 1);
+    assert_eq!(stats.connections_accepted, 1);
+}
+
+#[test]
+fn a_full_outbox_stalls_reading_and_every_line_is_answered() {
+    let (addr, server) = spawn(DaemonConfig {
+        queue_depth: 1,
+        ..DaemonConfig::default()
+    });
+
+    // One chunk: the first reject fills the depth-1 outbox while the
+    // rest of the chunk is still unread.
+    let (mut w, mut r) = connect(addr);
+    w.write_all(
+        concat!(
+            "{broken one\n",
+            "{broken two\n",
+            r#"{"format": "cyclecover-request", "version": 1, "id": "q", "n": 6}"#,
+            "\n",
+        )
+        .as_bytes(),
+    )
+    .expect("write the chunk");
+    let docs: Vec<String> = (0..3).map(|_| read_line(&mut r)).collect();
+    assert_eq!(
+        docs.iter()
+            .filter(|d| d.contains("\"reason\": \"parse\""))
+            .count(),
+        2,
+        "both malformed lines are refused: {docs:?}"
+    );
+    assert!(
+        docs.iter()
+            .any(|d| d.contains("\"format\": \"cyclecover-solution\"")
+                && d.contains("\"id\": \"q\"")),
+        "the request behind them is answered: {docs:?}"
+    );
+
+    let final_doc = shut_down(&mut w, &mut r);
+    assert!(
+        final_doc.stalls >= 1,
+        "the depth-1 outbox paused reading: {final_doc:?}"
+    );
+    assert_eq!(final_doc.rejected_parse, 2);
+    assert_eq!(final_doc.jobs_answered, 1);
+    let stats = server.join().expect("daemon thread");
+    assert_eq!(stats.stalls, final_doc.stalls);
 }

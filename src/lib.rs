@@ -14,8 +14,6 @@
 //!   systems), the DRC-oblivious baselines;
 //! * [`net`] — the WDM network simulator: wavelengths, ADMs, failures,
 //!   protection vs restoration;
-//! * [`topo`] — off the ring: the general-graph DRC oracle, trees of
-//!   rings and their failure audits;
 //! * [`workload`] — traffic-instance generators;
 //! * [`io`] — persistence (text format), the JSON wire protocol, CSV
 //!   tables, SVG rendering;
@@ -30,5 +28,4 @@ pub use cyclecover_net as net;
 pub use cyclecover_ring as ring;
 pub use cyclecover_service as service;
 pub use cyclecover_solver as solver;
-pub use cyclecover_topo as topo;
 pub use cyclecover_workload as workload;
