@@ -404,11 +404,13 @@ fn run_serve(args: &[String]) -> Result<String, String> {
                     .map_err(|e| format!("bad --cache-mb: {e}"))?;
             }
             "--max-conns" => {
-                max_conns = Some(
-                    value("a connection limit")?
-                        .parse()
-                        .map_err(|e| format!("bad --max-conns: {e}"))?,
-                )
+                let conns: usize = value("a connection limit")?
+                    .parse()
+                    .map_err(|e| format!("bad --max-conns: {e}"))?;
+                if conns == 0 {
+                    return Err("--max-conns must be >= 1".into());
+                }
+                max_conns = Some(conns);
             }
             "--queue-depth" => {
                 let depth: usize = value("a queue depth")?
@@ -1330,6 +1332,11 @@ this line is not json at all
             runv(&["serve", "--listen", "127.0.0.1:0", "--queue-depth", "0"])
                 .unwrap_err()
                 .contains(">= 1")
+        );
+        assert!(
+            runv(&["serve", "--listen", "127.0.0.1:0", "--max-conns", "0"])
+                .unwrap_err()
+                .contains("--max-conns must be >= 1")
         );
         assert!(runv(&["client"]).unwrap_err().contains("--connect"));
         assert!(runv(&["client", "--connect", "127.0.0.1:1"])

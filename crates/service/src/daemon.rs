@@ -667,8 +667,11 @@ impl Daemon {
         let started = Instant::now();
         // An outbox bound of 0 would pause every connection before it
         // reads a line; `Ingest::new` clamps the admission queue alike.
+        // A connection limit of 0 would refuse every connection, the
+        // `shutdown` control's too, so the daemon could only be killed.
         let cfg = DaemonConfig {
             queue_depth: self.config.queue_depth.max(1),
+            max_conns: self.config.max_conns.max(1),
             ..self.config
         };
         let shared: Shared = Arc::new((Mutex::new(SharedState::default()), Condvar::new()));

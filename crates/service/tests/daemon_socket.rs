@@ -260,6 +260,26 @@ fn a_zero_queue_depth_still_answers_and_drains() {
 }
 
 #[test]
+fn a_zero_connection_limit_still_admits_the_shutdown_control() {
+    // Read as a limit of 1: a limit of 0 would refuse every peer, the
+    // shutdown control's too, and the daemon could only be killed. The
+    // client's read timeout turns that refusal into a failure, not a
+    // hang.
+    let (addr, server) = spawn(DaemonConfig {
+        max_conns: 0,
+        ..DaemonConfig::default()
+    });
+
+    let (mut w, mut r) = connect(addr);
+    let final_doc = shut_down(&mut w, &mut r);
+    assert_eq!(final_doc.connections_accepted, 1);
+    assert_eq!(final_doc.connections_refused, 0);
+    let stats = server.join().expect("daemon thread");
+    assert_eq!(stats.connections_accepted, 1);
+    assert_eq!(stats.connections_refused, 0);
+}
+
+#[test]
 fn a_connection_past_the_limit_gets_one_overload_reject_then_eof() {
     let (addr, server) = spawn(DaemonConfig {
         max_conns: 1,

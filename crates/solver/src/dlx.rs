@@ -24,9 +24,12 @@
 //!   * **MRV column selection.** Instead of branching on the
 //!     highest-priority residual chord, each node branches on the
 //!     support chord with the *fewest* candidates still affordable
-//!     under the remaining slack (counted against each tile's static
-//!     waste `n − load`, precomputed sorted per chord — a
-//!     `partition_point` per support chord).
+//!     under the remaining slack, counted against each tile's static
+//!     waste `n − load`. Each chord's candidates are held sorted by
+//!     `(static waste, tile)`, with a table of affordable counts per
+//!     slack level (`counts[l·m + c]`, built by one counting sort per
+//!     probe), so the choice reads one count per support chord and
+//!     staging scores only the branch chord's affordable prefix.
 //!   * **Full-load propagation.** A candidate whose exact waste
 //!     increment would overdraw the slack is dropped at scoring time —
 //!     the same capacity argument that would prune it as a child node,
@@ -300,13 +303,84 @@ pub(crate) struct PartitionCore<'a, const B: u32> {
     /// Invariant: `placed·n = covered-dist + waste_used`, and the waste
     /// filter keeps `waste_used ≤ slack` at every node.
     waste_used: u64,
-    /// Static tile wastes (`n − load`) of each chord's candidates,
-    /// sorted ascending: `waste_sorted[waste_off[c]..waste_off[c+1]]`.
-    /// A `partition_point` at the remaining slack counts how many
-    /// candidates of chord `c` are still affordable (static waste lower
-    /// bounds the exact increment, so the count never undercounts).
-    waste_sorted: Vec<u32>,
-    waste_off: Vec<u32>,
+    /// Each chord's candidates by static waste: see [`ByWaste`].
+    by_waste: ByWaste,
+}
+
+/// Every chord's candidates sorted by `(static waste, tile)`, with the
+/// counts of the affordable ones per remaining slack. Static waste
+/// (`n − load`) lower-bounds a tile's exact waste increment, so the
+/// candidates whose static waste fits the slack are a prefix of the
+/// chord's list, and the rest are overdrawn.
+struct ByWaste {
+    /// Chord `c`'s candidates: `tiles[off[c]..off[c + 1]]`.
+    tiles: Vec<u32>,
+    off: Vec<u32>,
+    /// `affordable[l·m + c]`: how many of chord `c`'s candidates have
+    /// static waste `≤ l`, for `l ≤ top` (every static waste is at most
+    /// `top = n − 1`).
+    affordable: Vec<u32>,
+    num_chords: usize,
+    top: u64,
+}
+
+impl ByWaste {
+    /// A counting sort by static waste per chord: O(Σ candidates + m·n),
+    /// and stable, so ties stay in tile order.
+    fn build(u: &TileUniverse) -> Self {
+        let m = u.num_chords() as usize;
+        let levels = u.ring().n() as usize;
+        let total: usize = (0..m as u32).map(|c| u.candidates_pri(c).len()).sum();
+        let mut tiles = vec![0u32; total];
+        let mut off = Vec::with_capacity(m + 1);
+        let mut affordable = vec![0u32; levels * m];
+        let mut next = vec![0u32; levels];
+        let mut start = 0u32;
+        for c in 0..m {
+            off.push(start);
+            let cands = u.candidates_pri(c as u32);
+            next.fill(0);
+            for &t in cands {
+                next[u.tile_waste(t) as usize] += 1;
+            }
+            let mut seen = 0u32;
+            for (l, slot) in next.iter_mut().enumerate() {
+                let bucket = *slot;
+                *slot = start + seen;
+                seen += bucket;
+                affordable[l * m + c] = seen;
+            }
+            for &t in cands {
+                let at = &mut next[u.tile_waste(t) as usize];
+                tiles[*at as usize] = t;
+                *at += 1;
+            }
+            start += seen;
+        }
+        off.push(start);
+        ByWaste {
+            tiles,
+            off,
+            affordable,
+            num_chords: m,
+            top: levels as u64 - 1,
+        }
+    }
+
+    /// The affordable counts of every chord at remaining slack `slack`.
+    #[inline]
+    fn counts(&self, slack: u64) -> &[u32] {
+        let l = slack.min(self.top) as usize;
+        &self.affordable[l * self.num_chords..(l + 1) * self.num_chords]
+    }
+
+    /// Chord `c`'s first `count` candidates in `(static waste, tile)`
+    /// order.
+    #[inline]
+    fn prefix(&self, c: u32, count: u32) -> &[u32] {
+        let lo = self.off[c as usize] as usize;
+        &self.tiles[lo..lo + count as usize]
+    }
 }
 
 impl<'a, const B: u32> PartitionCore<'a, B> {
@@ -326,21 +400,12 @@ impl<'a, const B: u32> PartitionCore<'a, B> {
         let s = Stack::new(u, spec, budget, gov, requested, store, width_tag(B, true));
         let r = LaneResidual::new(&s, spec, tables);
         let slack = (budget as u64 * u.ring().n() as u64).saturating_sub(r.d.rem_dist);
-        let mut waste_off = vec![0u32];
-        let mut waste_sorted = Vec::new();
-        for c in 0..u.num_chords() {
-            let start = waste_sorted.len();
-            waste_sorted.extend(u.candidates_pri(c).iter().map(|&t| u.tile_waste(t)));
-            waste_sorted[start..].sort_unstable();
-            waste_off.push(waste_sorted.len() as u32);
-        }
         PartitionCore {
             s,
             r,
             slack,
             waste_used: 0,
-            waste_sorted,
-            waste_off,
+            by_waste: ByWaste::build(u),
         }
     }
 
@@ -405,10 +470,10 @@ impl<'a, const B: u32> FrameCore<'a> for PartitionCore<'a, B> {
 
     /// MRV branch choice, then staging under the waste filter: the
     /// support chord with the fewest candidates affordable under the
-    /// remaining slack (counted by `partition_point` over the chord's
-    /// sorted static wastes; ties break toward the higher-priority
-    /// chord, so a uniform count reproduces the priority branch rule),
-    /// whose candidates are kept only if their exact waste increment
+    /// remaining slack (read off the per-slack count table; ties break
+    /// toward the higher-priority chord, so a uniform count reproduces
+    /// the priority branch rule). Only that chord's affordable prefix is
+    /// scored, and a candidate is kept only if its exact waste increment
     /// fits the slack. With zero slack only full-load tiles survive —
     /// the exact-partition collapse. The waste filter runs before
     /// dominance, so dominance stays sound: a dominator's waste
@@ -419,12 +484,11 @@ impl<'a, const B: u32> FrameCore<'a> for PartitionCore<'a, B> {
             "the waste filter keeps every placement within the waste budget"
         );
         let rem_slack = self.rem_slack();
+        let counts = self.by_waste.counts(rem_slack);
         let mut branch = 0u32;
-        let mut best_count = usize::MAX;
+        let mut best_count = u32::MAX;
         for c in self.r.d.live.iter() {
-            let lo = self.waste_off[c as usize] as usize;
-            let hi = self.waste_off[c as usize + 1] as usize;
-            let count = self.waste_sorted[lo..hi].partition_point(|&w| w as u64 <= rem_slack);
+            let count = counts[c as usize];
             if count < best_count {
                 best_count = count;
                 branch = c;
@@ -433,7 +497,9 @@ impl<'a, const B: u32> FrameCore<'a> for PartitionCore<'a, B> {
                 }
             }
         }
-        self.s.stage(&self.r.d.live, branch, rem_slack, None, entry);
+        let offered = self.by_waste.prefix(branch, best_count);
+        self.s
+            .stage(&self.r.d.live, branch, offered, rem_slack, None, entry);
     }
 }
 

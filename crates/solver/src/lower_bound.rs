@@ -156,45 +156,40 @@ pub fn parity_join_bound_from_odd(n: u32, rem_dist: u64, odd: u64) -> u64 {
 /// must be the total ring distance of the uncovered chords. The scan
 /// returns early once the bound exceeds `stop_above` (the caller's
 /// remaining budget), and returns `u64::MAX / 2` if some uncovered
-/// diameter has no covering tile at all.
-///
-/// `witness` carries one tile per diameter chord (indexed by priority,
-/// `u32::MAX` = none yet) from one call to the next. A tile through a
-/// diameter has load exactly `n` (its other arcs sum to `n/2`, so each
-/// is its chord's distance), so it wastes nothing while all its chords
-/// are uncovered. A chord whose witness passes that subset test has
-/// minimum waste 0, the floor for any tile, and its scan is skipped; any
-/// other chord's scan stores its argmin there. The bound does not depend
-/// on what the witnesses hold, so a stale entry only costs the scan it
-/// fails to save. Chords past the slice's end keep no witness: `&mut []`
-/// scans every chord. Each entry, when set, must be a tile through its
-/// chord.
+/// diameter has no covering tile at all. This is the plain definition,
+/// one full scan per diameter chord; a search evaluates the same bound
+/// through `DiameterFloors`, which remembers what earlier nodes found.
 pub fn diameter_slack_bound(
     u: &TileUniverse,
     uncovered: &ChordSet,
     rem_dist: u64,
     stop_above: u64,
-    witness: &mut [u32],
+) -> u64 {
+    dual_ascent(u, uncovered, rem_dist, stop_above, |d| {
+        min_waste(u, d, uncovered, 0).0
+    })
+}
+
+/// The dual ascent of [`diameter_slack_bound`], with each live diameter
+/// chord's least waste from `minwaste`.
+#[inline]
+fn dual_ascent(
+    u: &TileUniverse,
+    uncovered: &ChordSet,
+    rem_dist: u64,
+    stop_above: u64,
+    mut minwaste: impl FnMut(u32) -> u64,
 ) -> u64 {
     let n = u.ring().n() as u64;
     let diam = u.diam_chords();
     let mut extra = 0u64;
     let mut bound = rem_dist.div_ceil(n);
     for d in uncovered.iter().take_while(|&d| d < diam) {
-        let minwaste = match witness.get_mut(d as usize) {
-            Some(&mut w) if w != u32::MAX && u.tile_mask(w).is_subset_of(uncovered) => 0,
-            slot => {
-                let (minwaste, argmin) = min_waste(u, d, uncovered);
-                if let Some(w) = slot {
-                    *w = argmin;
-                }
-                minwaste
-            }
-        };
-        if minwaste == u64::MAX {
+        let waste = minwaste(d);
+        if waste == u64::MAX {
             return u64::MAX / 2;
         }
-        extra += minwaste;
+        extra += waste;
         bound = (rem_dist + extra).div_ceil(n);
         if bound > stop_above {
             return bound;
@@ -203,37 +198,159 @@ pub fn diameter_slack_bound(
     bound
 }
 
-/// The least waste `n − useful` of a tile through chord `d` against
-/// `uncovered`, and the first tile attaining it (`(u64::MAX, u32::MAX)`
-/// when no tile passes through `d`). Stops at the first zero-waste tile.
-fn min_waste(u: &TileUniverse, d: u32, uncovered: &ChordSet) -> (u64, u32) {
-    let n = u.ring().n() as u64;
+/// Tile `t`'s waste `n − useful` against `uncovered`, reading only the
+/// words its mask spans (`n` or more useful distance wastes nothing).
+#[inline]
+fn waste_against(u: &TileUniverse, t: u32, uncovered: &ChordSet) -> u64 {
+    let (lo, hi) = u.tile_mask_span(t);
+    let (lo, hi) = (lo as usize, hi as usize);
+    let mut useful = 0u64;
+    for (wi, (a, b)) in u.tile_mask(t).words()[lo..hi]
+        .iter()
+        .zip(&uncovered.words()[lo..hi])
+        .enumerate()
+    {
+        let mut w = a & b;
+        while w != 0 {
+            let c = ((lo + wi) as u32) * 64 + w.trailing_zeros();
+            useful += u.dist_of_pri(c) as u64;
+            w &= w - 1;
+        }
+    }
+    (u.ring().n() as u64).saturating_sub(useful)
+}
+
+/// The least waste of a tile through chord `d` against `uncovered`, and
+/// the first tile attaining it (`(u64::MAX, u32::MAX)` when no tile
+/// passes through `d`). Stops at the first tile wasting at most `floor`,
+/// a known lower bound on the least waste (0 knows nothing).
+fn min_waste(u: &TileUniverse, d: u32, uncovered: &ChordSet, floor: u64) -> (u64, u32) {
     let mut best = (u64::MAX, u32::MAX);
     for &t in u.candidates_pri(d) {
-        let (lo, hi) = u.tile_mask_span(t);
-        let (lo, hi) = (lo as usize, hi as usize);
-        let mut useful = 0u64;
-        for (wi, (a, b)) in u.tile_mask(t).words()[lo..hi]
-            .iter()
-            .zip(&uncovered.words()[lo..hi])
-            .enumerate()
-        {
-            let mut w = a & b;
-            while w != 0 {
-                let c = ((lo + wi) as u32) * 64 + w.trailing_zeros();
-                useful += u.dist_of_pri(c) as u64;
-                w &= w - 1;
-            }
-        }
-        let waste = n.saturating_sub(useful);
+        let waste = waste_against(u, t, uncovered);
         if waste < best.0 {
             best = (waste, t);
-            if waste == 0 {
+            if waste <= floor {
                 break;
             }
         }
     }
     best
+}
+
+/// The diameter-slack bound ([`diameter_slack_bound`]) of a search's
+/// nodes, with what earlier nodes' scans found kept per diameter chord,
+/// so most evaluations scan no tiles. Its values are the plain bound's;
+/// only the argmin tiles it remembers depend on the path.
+///
+/// * **Zero-waste witnesses.** A tile through a diameter has load exactly
+///   `n` (its other arcs sum to `n/2`, so each is its chord's distance),
+///   so it wastes nothing while all its chords are uncovered. A chord
+///   whose last argmin passes that subset test has least waste 0, the
+///   floor for any tile, and needs no scan. A witness stays useful
+///   anywhere in the tree; a stale one only costs the test.
+/// * **Ancestor floors.** Waste only grows as chords are covered: against
+///   a subset of a live set, every tile wastes at least as much, so an
+///   earlier scan's least waste over a superset of the current live set
+///   is a floor for the current one. Each chord keeps a chain of earlier
+///   scans `(live set, least waste, argmin)`, each live set inside the
+///   one below it, and pops the scans whose live set is not a superset
+///   of the current one (a backtrack uncovered chords). If the top's
+///   argmin still wastes only the floor, that is the least waste, with
+///   no scan; otherwise the scan stops at the first tile attaining the
+///   floor. A scan that finds more waste pushes its own entry, so the
+///   chain holds strictly shrinking live sets and stays at most
+///   `num_chords` long.
+///
+/// In builds with debug assertions every evaluation is checked against
+/// the plain full scan, so every search there doubles as a differential
+/// test.
+pub(crate) struct DiameterFloors {
+    /// The last argmin per diameter chord (`u32::MAX` = none yet).
+    witness: Vec<u32>,
+    /// Per diameter chord, the chain of earlier scans.
+    chains: Vec<FloorChain>,
+    /// Words of a live set.
+    stride: usize,
+}
+
+/// One diameter chord's earlier scans, bottom first: the live sets'
+/// words, `stride` per scan, beside each scan's least waste and argmin.
+#[derive(Default)]
+struct FloorChain {
+    live: Vec<u64>,
+    found: Vec<(u64, u32)>,
+}
+
+impl DiameterFloors {
+    pub(crate) fn new(u: &TileUniverse) -> Self {
+        let diam = u.diam_chords() as usize;
+        DiameterFloors {
+            witness: vec![u32::MAX; diam],
+            chains: (0..diam).map(|_| FloorChain::default()).collect(),
+            stride: u.num_chords().div_ceil(64) as usize,
+        }
+    }
+
+    /// The diameter-slack bound of `live` (see [`diameter_slack_bound`],
+    /// whose value it returns), remembering each chord's scans.
+    pub(crate) fn bound(
+        &mut self,
+        u: &TileUniverse,
+        live: &ChordSet,
+        rem_dist: u64,
+        stop_above: u64,
+    ) -> u64 {
+        dual_ascent(u, live, rem_dist, stop_above, |d| {
+            let waste = self.min_waste(u, d, live);
+            debug_assert_eq!(waste, min_waste(u, d, live, 0).0, "chord {d}");
+            waste
+        })
+    }
+
+    /// Diameter chord `d`'s least waste against `live`: from its witness,
+    /// from its ancestor floor, or from a scan that stops at the floor.
+    fn min_waste(&mut self, u: &TileUniverse, d: u32, live: &ChordSet) -> u64 {
+        let w = self.witness[d as usize];
+        if w != u32::MAX && u.tile_mask(w).is_subset_of(live) {
+            return 0;
+        }
+        let stride = self.stride;
+        let chain = &mut self.chains[d as usize];
+        while let Some(top) = chain.live.len().checked_sub(stride) {
+            let within = live
+                .words()
+                .iter()
+                .zip(&chain.live[top..])
+                .all(|(a, b)| a & !b == 0);
+            if within {
+                break;
+            }
+            chain.live.truncate(top);
+            chain.found.pop();
+        }
+        let floor = chain.found.last().copied();
+        if let Some((least, arg)) = floor {
+            if waste_against(u, arg, live) == least {
+                return least;
+            }
+        }
+        let (least, arg) = min_waste(u, d, live, floor.map_or(0, |f| f.0));
+        if arg == u32::MAX {
+            return least;
+        }
+        self.witness[d as usize] = arg;
+        match chain.found.last_mut() {
+            // The floor was attained by another tile, which attains it
+            // over the top's live set too: it becomes the top's argmin.
+            Some(top) if top.0 == least => top.1 = arg,
+            _ => {
+                chain.live.extend_from_slice(live.words());
+                chain.found.push((least, arg));
+            }
+        }
+        least
+    }
 }
 
 /// The paper's claimed optimal value `ρ(n)`:
@@ -356,7 +473,7 @@ mod tests {
             let uncovered = ChordSet::full(u.num_chords());
             let rem = ring.total_pair_distance();
             assert_eq!(
-                diameter_slack_bound(&u, &uncovered, rem, u64::MAX, &mut []),
+                diameter_slack_bound(&u, &uncovered, rem, u64::MAX),
                 capacity_lower_bound(n),
                 "n={n}"
             );
@@ -377,7 +494,7 @@ mod tests {
         let rem = (u.diam_chords() * (n / 2)) as u64;
         assert_eq!(rem.div_ceil(n as u64), 2, "raw capacity sees only 2");
         assert_eq!(
-            diameter_slack_bound(&u, &uncovered, rem, u64::MAX, &mut []),
+            diameter_slack_bound(&u, &uncovered, rem, u64::MAX),
             u.diam_chords() as u64,
             "dual ascent recovers one tile per leftover diameter"
         );
@@ -393,20 +510,29 @@ mod tests {
         }
         let rem = (u.diam_chords() * (n / 2)) as u64;
         // Early exit still reports a value strictly above the cap.
-        assert!(diameter_slack_bound(&u, &uncovered, rem, 2, &mut []) > 2);
+        assert!(diameter_slack_bound(&u, &uncovered, rem, 2) > 2);
     }
 
-    /// Witnesses carried across a random walk of placements and
-    /// reversals (so many go stale) give the bound it gives with no
-    /// witnesses, early exits included; both the answered and the stale
-    /// witness paths are taken.
+    /// [`DiameterFloors`] carried across random descents and backtracks
+    /// (placements and their reversals, so witnesses go stale and
+    /// floors are popped) gives the plain bound at every node, early
+    /// exits included, on the C ≤ 4 universes of n = 18 and 22 that the
+    /// partition route searches and on the full universes of n = 10..=12.
+    /// Witness answers, floor answers and scans cut short at a positive
+    /// floor all occur.
     #[test]
-    fn carried_witnesses_never_change_the_bound() {
+    fn ancestor_floors_never_change_the_bound() {
         use rand::{rngs::StdRng, Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(18);
-        let (mut answered, mut stale) = (0u32, 0u32);
-        for (n, max_len) in [(8u32, 8), (10, 10), (12, 6), (18, 4), (22, 4)] {
-            let u = TileUniverse::new(Ring::new(n), max_len);
+        let (mut witnessed, mut floored, mut cut_short) = (0u32, 0u32, 0u32);
+        for (n, max_len, max_gap) in [
+            (18u32, 4, 9),
+            (22, 4, 11),
+            (10, 10, 10),
+            (11, 11, 11),
+            (12, 12, 12),
+        ] {
+            let u = TileUniverse::with_max_gap(Ring::new(n), max_len, max_gap);
             // The subset test stands for "wastes nothing" because every
             // tile through a diameter has load n.
             for d in 0..u.diam_chords() {
@@ -416,7 +542,7 @@ mod tests {
             let mut uncovered = ChordSet::full(m);
             let mut rem: u64 = (0..m).map(|c| u.dist_of_pri(c) as u64).sum();
             let mut placed: Vec<ChordSet> = Vec::new();
-            let mut witness = vec![u32::MAX; u.diam_chords() as usize];
+            let mut floors = DiameterFloors::new(&u);
             for _ in 0..1500 {
                 let live: Vec<u32> = uncovered.iter().collect();
                 if !live.is_empty() && (placed.is_empty() || rng.gen_range(0..5u32) < 3) {
@@ -433,14 +559,15 @@ mod tests {
                     rem += newly.iter().map(|c| u.dist_of_pri(c) as u64).sum::<u64>();
                 }
                 for d in uncovered.iter().take_while(|&d| d < u.diam_chords()) {
-                    let w = witness[d as usize];
-                    if w == u32::MAX {
-                        continue;
-                    }
-                    if u.tile_mask(w).is_subset_of(&uncovered) {
-                        answered += 1;
-                    } else {
-                        stale += 1;
+                    let w = floors.witness[d as usize];
+                    if w != u32::MAX && u.tile_mask(w).is_subset_of(&uncovered) {
+                        witnessed += 1;
+                    } else if let Some(&(least, arg)) = floors.chains[d as usize].found.last() {
+                        if least > 0 && waste_against(&u, arg, &uncovered) == least {
+                            floored += 1;
+                        } else if least > 0 {
+                            cut_short += 1;
+                        }
                     }
                 }
                 let stop_above = match rng.gen_range(0..4u64) {
@@ -448,15 +575,15 @@ mod tests {
                     k => (rem.div_ceil(n as u64) + k).saturating_sub(2),
                 };
                 assert_eq!(
-                    diameter_slack_bound(&u, &uncovered, rem, stop_above, &mut witness),
-                    diameter_slack_bound(&u, &uncovered, rem, stop_above, &mut []),
+                    floors.bound(&u, &uncovered, rem, stop_above),
+                    diameter_slack_bound(&u, &uncovered, rem, stop_above),
                     "n = {n}, stop_above = {stop_above}"
                 );
             }
         }
         assert!(
-            answered > 0 && stale > 0,
-            "{answered} answered, {stale} stale"
+            witnessed > 0 && floored > 0 && cut_short > 0,
+            "{witnessed} witnessed, {floored} floored, {cut_short} cut short"
         );
     }
 }

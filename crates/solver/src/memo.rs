@@ -79,11 +79,11 @@
 //! bit over the same universe — a unit and a λ = 2 state, or a λ = 2 and
 //! a λ = 4 state, can have equal words while meaning different
 //! residuals, and lane and partition entries share raw words by
-//! construction — so every slot carries a **width tag** (`bits`): the
+//! construction — so every entry carries a **width tag** (`bits`): the
 //! lane width (1, 2 or 4) under tile slack, with bit 7 set under waste
 //! slack (129, 130, 132; [`width_tag`]), and a probe only matches
 //! entries of its own tag — a service-shared store may hold all kinds
-//! side by side. Tags never leave the process. A Zobrist hash — one
+//! side by side. Width tags never leave the process. A Zobrist hash — one
 //! 64-bit key per (chord slot, multiplicity level), generated
 //! deterministically by the vendored xoshiro256** generator (the level-1
 //! keys come first, so unit hashes are unchanged from earlier
@@ -99,13 +99,27 @@
 //! whichever entries have the *larger* `rem` (the stronger pruners).
 //! Lost entries only lose pruning, never correctness.
 //!
+//! A shard keeps its entries in two parallel arrays: 40-byte slots
+//! (key, `rem`, generation) and one 8-byte **tag** per slot, which packs
+//! the shard epoch the slot was written in (24 bits), its width tag
+//! (8 bits) and its hash's low 32 bits. A probe compares the window's
+//! eight tags, 64 contiguous bytes, and reads a slot's key only where the
+//! tag matches, so a miss costs one or two cache lines instead of the
+//! six or seven a window of whole slots spans. The tag is a filter, not
+//! the match: equal keys of one width have equal hashes, so every entry
+//! a key comparison would match passes its tag, and the key still
+//! decides. A shard that doubles re-seats each entry from its tag's hash
+//! bits, without recomputing a Zobrist hash; 32 bits index every shard
+//! up to [`MAX_SLOTS`]. Slot and tag together are the 48 bytes the byte
+//! budget counts per entry.
+//!
 //! A store's slot table does not depend on its universe, so each thread
-//! recycles one. Every slot is stamped with its shard's **epoch**, and a
-//! slot whose epoch differs from its shard's reads as empty. Dropping a
+//! recycles one. Every tag carries its shard's **epoch**, and a slot
+//! whose tag holds another epoch reads as empty. Dropping a
 //! store retires its shards into the dropping thread's **spare**: a
 //! shard that grew is truncated back to its seed size and shrunk, its
-//! epoch is bumped (only a wrap to 0 refills the slots) and lock poison
-//! is cleared. [`MemoStore::new`] takes the spare when there is one and
+//! epoch is bumped (only a wrap past 24 bits refills the tags) and lock
+//! poison is cleared. [`MemoStore::new`] takes the spare when there is one and
 //! resets it in O(1), so a small request no longer pays to fill
 //! 0.75 MiB of slots before its first node. A recycled store is
 //! indistinguishable from a freshly allocated one — same seed size, same
@@ -133,13 +147,19 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock, PoisonError};
 
-/// Bytes one [`MemoStore`] slot occupies (key + rem + generation +
-/// epoch + width).
-const SLOT_BYTES: usize = std::mem::size_of::<Slot>();
+/// Bytes one [`MemoStore`] entry occupies: its slot (key + rem +
+/// generation) and its tag (epoch + width + hash bits).
+const SLOT_BYTES: usize = std::mem::size_of::<Slot>() + std::mem::size_of::<u64>();
 
 /// Slot count every shard starts from (and the floor its byte budget is
 /// clamped to); a retired shard is cut back to it.
 const MIN_SLOTS: usize = 1 << 10;
+
+/// The most slots a shard grows to, whatever its byte share: a tag's 32
+/// hash bits must cover the slot mask for a doubling shard to re-seat
+/// its entries where probes look for them. (16 shards of this size
+/// would take 1.5 TiB.)
+const MAX_SLOTS: usize = 1 << 31;
 
 /// Shard count: a power of two small enough that the per-shard byte
 /// floor stays negligible and large enough that a few workers rarely
@@ -201,42 +221,48 @@ impl LevelKeys<'_> {
 }
 
 /// One table slot: the exact residual state (up to [`KEY_WORDS`] words
-/// of the packed residual lane vector), its width tag, the
-/// largest slack the state was refuted under, the generation that
-/// recorded it, and the shard epoch it was written in. A slot is
-/// occupied iff its epoch is its shard's.
+/// of the packed residual lane vector), the largest slack the state was
+/// refuted under, and the generation that recorded it. Its epoch, width
+/// tag and hash bits live in the parallel tag array ([`tag`]).
 #[derive(Clone, Copy)]
 struct Slot {
     key: [u64; KEY_WORDS],
     rem: u32,
     gen: u32,
-    /// The shard epoch that wrote this slot (in the padding after
-    /// `gen`, so a slot stays 48 bytes).
-    epoch: u32,
-    /// Width tag of `key` ([`width_tag`]: the lane width, with
-    /// [`WASTE_SLACK`] set under waste slack).
-    bits: u8,
 }
 
-/// A slot no epoch owns: shard epochs start at 1 and skip 0 on wrap.
+/// A slot's contents before anything is written to it; only the tag says
+/// whether a slot is occupied.
 const VACANT: Slot = Slot {
     key: [0; KEY_WORDS],
     rem: 0,
     gen: 0,
-    epoch: 0,
-    bits: 0,
 };
+
+/// Bits of a shard epoch, the top bits of a tag.
+const EPOCH_BITS: u32 = 24;
+
+/// The tag of an entry written in shard epoch `epoch` with width tag
+/// `bits` and hash `hash`: the epoch in the top 24 bits, the width tag in
+/// the next 8, the hash's low 32 bits below. Epochs start at 1, so the
+/// all-zero tag of a fresh or refilled table is vacant in every epoch.
+#[inline]
+fn tag(epoch: u32, bits: u8, hash: u64) -> u64 {
+    (epoch as u64) << 40 | (bits as u64) << 32 | (hash & 0xFFFF_FFFF)
+}
 
 /// One independently locked segment of the store.
 struct Shard {
     slots: Vec<Slot>,
+    /// `tags[i]` is the [`tag`] of `slots[i]`.
+    tags: Vec<u64>,
     /// `slots.len() - 1` (the table is a power of two).
     mask: usize,
     /// Occupied slot count.
     len: usize,
     /// Largest slot count this shard's byte share allows.
     cap_slots: usize,
-    /// The epoch occupied slots carry; never 0.
+    /// The epoch occupied slots carry; never 0, and below `2^24`.
     epoch: u32,
 }
 
@@ -245,6 +271,7 @@ impl Shard {
     fn fresh() -> Shard {
         Shard {
             slots: vec![VACANT; MIN_SLOTS],
+            tags: vec![0; MIN_SLOTS],
             mask: MIN_SLOTS - 1,
             len: 0,
             cap_slots: MIN_SLOTS,
@@ -252,25 +279,54 @@ impl Shard {
         }
     }
 
-    /// Whether `slot` holds an entry of this shard's current epoch.
+    /// Whether a slot tagged `tag` holds an entry of this shard's current
+    /// epoch.
     #[inline]
-    fn occupied(&self, slot: &Slot) -> bool {
-        slot.epoch == self.epoch
+    fn occupied(&self, tag: u64) -> bool {
+        (tag >> 40) as u32 == self.epoch
+    }
+
+    /// Writes `slot` under `tag` at `idx`.
+    #[inline]
+    fn put(&mut self, idx: usize, tag: u64, slot: Slot) {
+        self.tags[idx] = tag;
+        self.slots[idx] = slot;
+    }
+
+    /// Seats `slot` under `tag` in place of the weakest resident (the last
+    /// of the smallest `rem`) of the full window at `base`, if it prunes
+    /// more.
+    fn evict_weakest(&mut self, base: usize, tag: u64, slot: Slot) {
+        let mut weakest = 0usize;
+        let mut weakest_rem = u32::MAX;
+        for i in 0..MemoStore::WAYS {
+            let idx = (base + i) & self.mask;
+            if self.slots[idx].rem <= weakest_rem {
+                weakest_rem = self.slots[idx].rem;
+                weakest = idx;
+            }
+        }
+        if slot.rem > weakest_rem {
+            self.put(weakest, tag, slot);
+        }
     }
 
     /// Empties the shard for reuse without touching its slots: cuts a
     /// grown table back to the seed size and moves to the next epoch.
-    /// Only an epoch wrap refills, so stale stamps can never come back.
+    /// Only an epoch wrap refills the tags, so stale stamps can never come
+    /// back.
     fn retire(&mut self) {
         if self.slots.len() > MIN_SLOTS {
             self.slots.truncate(MIN_SLOTS);
             self.slots.shrink_to_fit();
+            self.tags.truncate(MIN_SLOTS);
+            self.tags.shrink_to_fit();
             self.mask = MIN_SLOTS - 1;
         }
         self.len = 0;
-        self.epoch = self.epoch.wrapping_add(1);
+        self.epoch = (self.epoch + 1) & ((1 << EPOCH_BITS) - 1);
         if self.epoch == 0 {
-            self.slots.fill(VACANT);
+            self.tags.fill(0);
             self.epoch = 1;
         }
     }
@@ -336,7 +392,7 @@ impl MemoStore {
         if num_chords > 128 {
             return None;
         }
-        let budget_slots = (budget_bytes / SLOT_BYTES / SHARDS).max(MIN_SLOTS);
+        let budget_slots = (budget_bytes / SLOT_BYTES / SHARDS).clamp(MIN_SLOTS, MAX_SLOTS);
         // Floor to a power of two so `hash & mask` indexes uniformly.
         let cap_slots = 1usize << (usize::BITS - 1 - budget_slots.leading_zeros());
         // Level-1 keys first: the prefix of the seeded stream is exactly
@@ -450,7 +506,8 @@ impl MemoStore {
     /// was refuted under slack `≥ slack` — i.e. whether a node (or
     /// candidate child) with `slack` tiles of headroom is dominated and
     /// may be pruned. Returns the recording generation on a hit so the
-    /// caller can classify the hit as its own or shared.
+    /// caller can classify the hit as its own or shared. Reads a slot
+    /// only where its tag matches.
     #[inline]
     pub(crate) fn dominated(
         &self,
@@ -460,11 +517,15 @@ impl MemoStore {
         slack: u32,
     ) -> Option<u32> {
         let shard = self.lock_shard(hash);
+        let want = tag(shard.epoch, bits, hash);
         let base = hash as usize;
         for i in 0..Self::WAYS {
-            let slot = &shard.slots[(base + i) & shard.mask];
-            if shard.occupied(slot) && slot.bits == bits && slot.key == key {
-                return (slot.rem >= slack).then_some(slot.gen);
+            let idx = (base + i) & shard.mask;
+            if shard.tags[idx] == want {
+                let slot = &shard.slots[idx];
+                if slot.key == key {
+                    return (slot.rem >= slack).then_some(slot.gen);
+                }
             }
         }
         None
@@ -480,112 +541,57 @@ impl MemoStore {
         if shard.len * 4 > shard.slots.len() * 3 && shard.slots.len() < shard.cap_slots {
             self.grow(&mut shard);
         }
-        let entry = Slot {
-            key,
-            rem,
-            gen,
-            epoch: shard.epoch,
-            bits,
-        };
+        let want = tag(shard.epoch, bits, hash);
+        let entry = Slot { key, rem, gen };
         let base = hash as usize;
-        let mut weakest = 0usize;
-        let mut weakest_rem = u32::MAX;
         for i in 0..Self::WAYS {
             let idx = (base + i) & shard.mask;
-            let slot = shard.slots[idx];
-            if !shard.occupied(&slot) {
+            let t = shard.tags[idx];
+            if !shard.occupied(t) {
                 shard.len += 1;
-                shard.slots[idx] = entry;
+                shard.put(idx, want, entry);
                 self.len.fetch_add(1, Ordering::Relaxed);
                 return;
             }
-            if slot.bits == bits && slot.key == key {
-                if rem > slot.rem {
+            if t == want && shard.slots[idx].key == key {
+                if rem > shard.slots[idx].rem {
                     shard.slots[idx] = entry;
                 }
                 return;
             }
-            if slot.rem <= weakest_rem {
-                weakest_rem = slot.rem;
-                weakest = idx;
-            }
         }
-        if rem > weakest_rem {
-            shard.slots[weakest] = entry;
-        }
+        shard.evict_weakest(base, want, entry);
     }
 
-    /// Doubles a shard, re-seating every entry under the wider mask.
+    /// Doubles a shard, re-seating every entry under the wider mask from
+    /// the hash bits its tag holds.
     fn grow(&self, shard: &mut Shard) {
         let prev_len = shard.len;
         let new_len = shard.slots.len() * 2;
-        let old = std::mem::replace(&mut shard.slots, vec![VACANT; new_len]);
+        let old_slots = std::mem::replace(&mut shard.slots, vec![VACANT; new_len]);
+        let old_tags = std::mem::replace(&mut shard.tags, vec![0; new_len]);
         shard.mask = new_len - 1;
         shard.len = 0;
-        for moved in old {
-            if shard.occupied(&moved) {
-                let hash = self.hash_of_state(moved.key, moved.bits);
-                // Re-seat inline (the shard lock is already held).
-                let base = hash as usize;
-                let mut weakest = 0usize;
-                let mut weakest_rem = u32::MAX;
-                let mut seated = false;
-                for i in 0..Self::WAYS {
-                    let idx = (base + i) & shard.mask;
-                    let slot = shard.slots[idx];
-                    if !shard.occupied(&slot) {
-                        shard.len += 1;
-                        shard.slots[idx] = moved;
-                        seated = true;
-                        break;
-                    }
-                    if slot.rem <= weakest_rem {
-                        weakest_rem = slot.rem;
-                        weakest = idx;
-                    }
+        for (moved_tag, moved) in old_tags.into_iter().zip(old_slots) {
+            if !shard.occupied(moved_tag) {
+                continue;
+            }
+            let base = moved_tag as u32 as usize;
+            let free = (0..Self::WAYS)
+                .map(|i| (base + i) & shard.mask)
+                .find(|&idx| !shard.occupied(shard.tags[idx]));
+            match free {
+                Some(idx) => {
+                    shard.len += 1;
+                    shard.put(idx, moved_tag, moved);
                 }
-                if !seated && moved.rem > weakest_rem {
-                    shard.slots[weakest] = moved;
-                }
+                None => shard.evict_weakest(base, moved_tag, moved),
             }
         }
         let lost = prev_len.saturating_sub(shard.len);
         if lost > 0 {
             self.len.fetch_sub(lost as u64, Ordering::Relaxed);
         }
-    }
-
-    /// The Zobrist hash of an explicit state with width tag `bits`, the
-    /// hash a grown shard re-seats an entry by: one level key per
-    /// residual unit of every chord. The tile- and waste-slack tags of one
-    /// width share the packed encoding and its hash, but are distinct
-    /// match domains.
-    pub(crate) fn hash_of_state(&self, key: [u64; KEY_WORDS], bits: u8) -> u64 {
-        match bits & !WASTE_SLACK {
-            1 => self.lane_hash::<1>(key),
-            2 => self.lane_hash::<2>(key),
-            4 => self.lane_hash::<4>(key),
-            other => unreachable!("unknown width tag {other}"),
-        }
-    }
-
-    /// The Zobrist hash of a packed vector of `B`-bit lanes.
-    fn lane_hash<const B: u32>(&self, key: [u64; KEY_WORDS]) -> u64 {
-        let levels = self.level_keys(B);
-        let lane_max = LaneSet::<B>::MAX as u64;
-        let mut hash = 0u64;
-        for (wi, w) in key.iter().enumerate() {
-            let mut lanes = *w;
-            while lanes != 0 {
-                let p = lanes.trailing_zeros() / B * B;
-                let c = (wi as u32) * LaneSet::<B>::PER_WORD + p / B;
-                for v in 1..=(w >> p & lane_max) as u32 {
-                    hash ^= levels.get(c, v);
-                }
-                lanes &= !(lane_max << p);
-            }
-        }
-        hash
     }
 }
 
@@ -597,8 +603,8 @@ impl Drop for MemoStore {
         let mut shards = std::mem::take(&mut self.shards);
         for shard in &mut shards {
             // A poisoned shard is safe to reuse: `retire` discards every
-            // entry, and `slots.len() == mask + 1` holds at every step
-            // of `record` and `grow`.
+            // entry, and `slots.len() == tags.len() == mask + 1` holds at
+            // every step of `record` and `grow`.
             shard.clear_poison();
             shard
                 .get_mut()
@@ -617,6 +623,41 @@ mod tests {
 
     fn universe(n: u32) -> TileUniverse {
         TileUniverse::new(Ring::new(n), n as usize)
+    }
+
+    impl MemoStore {
+        /// The Zobrist hash of an explicit state with width tag `bits`:
+        /// one level key per residual unit of every chord, the hash the
+        /// search cores maintain incrementally. The tile- and waste-slack
+        /// tags of one width share the packed encoding and its hash, but
+        /// are distinct match domains.
+        pub(crate) fn hash_of_state(&self, key: [u64; KEY_WORDS], bits: u8) -> u64 {
+            match bits & !WASTE_SLACK {
+                1 => self.lane_hash::<1>(key),
+                2 => self.lane_hash::<2>(key),
+                4 => self.lane_hash::<4>(key),
+                other => unreachable!("unknown width tag {other}"),
+            }
+        }
+
+        /// The Zobrist hash of a packed vector of `B`-bit lanes.
+        fn lane_hash<const B: u32>(&self, key: [u64; KEY_WORDS]) -> u64 {
+            let levels = self.level_keys(B);
+            let lane_max = LaneSet::<B>::MAX as u64;
+            let mut hash = 0u64;
+            for (wi, w) in key.iter().enumerate() {
+                let mut lanes = *w;
+                while lanes != 0 {
+                    let p = lanes.trailing_zeros() / B * B;
+                    let c = (wi as u32) * LaneSet::<B>::PER_WORD + p / B;
+                    for v in 1..=(w >> p & lane_max) as u32 {
+                        hash ^= levels.get(c, v);
+                    }
+                    lanes &= !(lane_max << p);
+                }
+            }
+            hash
+        }
     }
 
     #[test]
@@ -1002,6 +1043,8 @@ mod tests {
             let shard = shard.lock().unwrap();
             assert_eq!(shard.slots.len(), MIN_SLOTS);
             assert_eq!(shard.slots.capacity(), MIN_SLOTS, "a grown table is shrunk");
+            assert_eq!(shard.tags.len(), MIN_SLOTS);
+            assert_eq!(shard.tags.capacity(), MIN_SLOTS, "grown tags are shrunk");
             assert_eq!(shard.mask, MIN_SLOTS - 1);
             assert_eq!(shard.len, 0);
             assert_eq!(shard.cap_slots, cap_slots);
@@ -1036,7 +1079,7 @@ mod tests {
             assert_eq!(recycled.zobrist, fresh.zobrist);
             for shard in &recycled.shards {
                 let shard = shard.lock().unwrap();
-                assert!(shard.slots.iter().all(|s| !shard.occupied(s)));
+                assert!(shard.tags.iter().all(|&t| !shard.occupied(t)));
             }
             for &(hash, key, bits) in &old {
                 // The old entries still sit in the slots they were
@@ -1082,21 +1125,18 @@ mod tests {
             let states = n10_states(8, 600);
             let first = MemoStore::new(&universe(10), 1 << 20).unwrap();
             assert!(exercise(&first, &states).1 > 0);
-            // The hook: jump to the last epoch without touching the slots,
-            // so the drop's bump wraps. Without the refill, the entries
-            // stamped with epoch 1 above would come back to life.
+            // The hook: jump to the last 24-bit epoch without touching the
+            // tags, so the drop's bump wraps. Without the refill, the
+            // entries stamped with epoch 1 above would come back to life.
             for shard in &first.shards {
-                shard.lock().unwrap().epoch = u32::MAX;
+                shard.lock().unwrap().epoch = (1 << EPOCH_BITS) - 1;
             }
             drop(first);
             let recycled = MemoStore::new(&universe(10), 1 << 20).unwrap();
             for shard in &recycled.shards {
                 let shard = shard.lock().unwrap();
                 assert_eq!(shard.epoch, 1);
-                assert!(
-                    shard.slots.iter().all(|s| s.epoch == 0),
-                    "every slot refilled"
-                );
+                assert!(shard.tags.iter().all(|&t| t == 0), "every tag refilled");
             }
             let fresh = MemoStore::new(&universe(10), 1 << 20).unwrap();
             assert_eq!(exercise(&recycled, &states), exercise(&fresh, &states));
@@ -1123,8 +1163,88 @@ mod tests {
         });
     }
 
+    /// A shard that doubles re-seats its entries from the hash bits in
+    /// their tags. Every state a seed-size shard held before it grew
+    /// answers `dominated` afterwards, under its rehash, with its slack
+    /// and generation, from the window the rehash picks; and the tags
+    /// hold the rehash's bits. Slot and tag stay the 48 bytes the byte
+    /// budget counts per entry.
     #[test]
-    fn the_epoch_fits_in_the_slot_padding() {
-        assert_eq!(std::mem::size_of::<Slot>(), 48);
+    fn a_grown_shard_answers_every_state_it_held() {
+        assert_eq!(std::mem::size_of::<Slot>(), 40);
+        assert_eq!(SLOT_BYTES, 48);
+        on_fresh_thread(|| {
+            let u = universe(16);
+            let memo = MemoStore::new(&u, 8 << 20).unwrap();
+            let gen = memo.attach();
+            let mut rng = StdRng::seed_from_u64(23);
+            // n = 16 has 120 chords: 1-bit keys span words 0 and 1, 2-bit
+            // keys words 0..=3 with 48 bits of word 3.
+            let hi1 = (1u64 << (u.num_chords() - 64)) - 1;
+            let hi2 = (1u64 << (2 * u.num_chords() - 192)) - 1;
+            let shard_of = |hash: u64| (hash >> 60) as usize & (SHARDS - 1);
+            let mut grown = 0;
+            for i in 0..60_000u32 {
+                let (key, bits) = match i % 3 {
+                    0 => ([rng.next_u64(), rng.next_u64() & hi1, 0, 0], 1),
+                    w => (
+                        [
+                            rng.next_u64(),
+                            rng.next_u64(),
+                            rng.next_u64(),
+                            rng.next_u64() & hi2,
+                        ],
+                        width_tag(2, w == 2),
+                    ),
+                };
+                let hash = memo.hash_of_state(key, bits);
+                if shard_of(hash) != 0 {
+                    continue;
+                }
+                let held: Vec<(u64, Slot)> = {
+                    let shard = memo.shards[0].lock().unwrap();
+                    if shard.len * 4 <= shard.slots.len() * 3 {
+                        Vec::new()
+                    } else {
+                        shard
+                            .tags
+                            .iter()
+                            .zip(&shard.slots)
+                            .filter(|&(&t, _)| shard.occupied(t))
+                            .map(|(&t, &s)| (t, s))
+                            .collect()
+                    }
+                };
+                memo.record(hash, key, bits, i % 13, gen);
+                if held.is_empty() {
+                    continue;
+                }
+                grown += 1;
+                let shard = memo.shards[0].lock().unwrap();
+                assert_eq!(shard.slots.len(), MIN_SLOTS << grown);
+                assert_eq!(shard.tags.len(), shard.slots.len());
+                let mask = shard.mask;
+                drop(shard);
+                for (t, slot) in held {
+                    let width = (t >> 32) as u8;
+                    let rehash = memo.hash_of_state(slot.key, width);
+                    assert_eq!(rehash as u32, t as u32, "the tag holds the hash's low bits");
+                    let shard = memo.shards[0].lock().unwrap();
+                    let seat = (0..MemoStore::WAYS)
+                        .map(|i| (rehash as usize + i) & mask)
+                        .find(|&idx| shard.tags[idx] == t && shard.slots[idx].key == slot.key);
+                    assert!(seat.is_some(), "re-seated in its rehash's window");
+                    drop(shard);
+                    assert_eq!(
+                        memo.dominated(rehash, slot.key, width, slot.rem),
+                        Some(slot.gen)
+                    );
+                }
+                if grown == 2 {
+                    return;
+                }
+            }
+            panic!("shard 0 grew {grown} times");
+        });
     }
 }

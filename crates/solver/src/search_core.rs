@@ -24,10 +24,12 @@
 //!   ([`Governor`]), the prefix bounds, the depth cap ([`MAX_DEPTH`]),
 //!   the memo, and candidate staging
 //!   ([`Stack::stage`]: scoring over the words a tile's mask spans, the
-//!   partition kernel's waste filter, dominance, orbit filtering).
-//!   Candidates that cover no live chord besides the branch chord can
-//!   only be overdrawn or dominated, so staging counts them instead of
-//!   scoring, sorting and filtering them.
+//!   partition kernel's waste filter, a sort of packed `u64` keys,
+//!   dominance, orbit filtering). Candidates that cover no live chord
+//!   besides the branch chord can only be overdrawn or dominated, so
+//!   staging counts them instead of scoring, sorting and filtering them,
+//!   and the partition kernel offers only the candidates whose static
+//!   waste fits its slack.
 //! * **Incremental bound ingredients** ([`Demand`]). Residual distance,
 //!   the uncovered-diameter count, and per-vertex residual degrees (with
 //!   the odd-degree population the parity/T-join bound needs) are
@@ -36,9 +38,10 @@
 //!   [`parity_join_bound_from_odd`] runs in constant time at every
 //!   depth. (A per-tile useful-load array was measured too: updating
 //!   every affected tile per placement cost ~2× what recomputing loads
-//!   at scoring time does, so scoring recomputes.) One witness tile per
-//!   diameter chord lets the diameter-slack bound answer a chord without
-//!   scanning its tiles while the witness still wastes nothing.
+//!   at scoring time does, so scoring recomputes.) The diameter-slack
+//!   bound keeps, per diameter chord, a zero-waste witness tile and the
+//!   floors earlier scans found over supersets of the live set
+//!   ([`DiameterFloors`]), so most evaluations scan no tiles.
 //! * **Residual-state dominance memo** (see [`crate::memo`]): nodes whose
 //!   residual state was already exhausted with an equal-or-better slack
 //!   are pruned, both at node entry and, one level earlier, as candidate
@@ -65,7 +68,7 @@
 use crate::api::{CancelToken, Exhaustion, Stats};
 use crate::bitset::{ChordSet, LaneSet};
 use crate::bnb::{resolve_symmetry, CoverSpec, Outcome, RunLimits, SymmetryMode};
-use crate::lower_bound::{diameter_slack_bound, parity_join_bound_from_odd};
+use crate::lower_bound::{parity_join_bound_from_odd, DiameterFloors};
 use crate::memo::{width_tag, MemoStore, KEY_WORDS};
 use crate::tiles::DihedralTables;
 use crate::TileUniverse;
@@ -147,8 +150,8 @@ impl<'a> Governor<'a> {
 /// Buffers are reused by every node at this depth.
 #[derive(Default)]
 struct Frame {
-    /// `(tile, newly covered chords, waste)` scoring buffer.
-    scored: Vec<(u32, u32, u32)>,
+    /// Scoring buffer of packed sort keys ([`stage_key`]).
+    scored: Vec<u64>,
     /// Candidates surviving every filter, in search order.
     cands: Vec<u32>,
     /// Next unexplored candidate.
@@ -170,6 +173,19 @@ enum Enter {
     Ready,
 }
 
+/// A staged candidate's sort key: `(u16::MAX − cov) << 48 | waste << 32
+/// | tile`, where `cov` counts the live chords tile `t` covers and
+/// `waste` is its exact waste increment. Ascending keys order candidates
+/// by coverage (descending), then waste, then tile: over a tile-ascending
+/// candidate list, the stable `(Reverse(cov), waste)` order, and a total
+/// order over a list in any order (the partition kernel's prefix is
+/// ordered by static waste).
+#[inline]
+fn stage_key(t: u32, cov: u32, waste: u32) -> u64 {
+    debug_assert!(cov <= u16::MAX as u32 && waste <= u16::MAX as u32);
+    ((u16::MAX as u32 - cov) as u64) << 48 | (waste as u64) << 32 | t as u64
+}
+
 /// Dominance-filter arena: one slot of `stride` words per kept candidate
 /// of the node being filtered, in one flat word arena grown to the
 /// longest candidate list seen. Staging hands it only the candidates
@@ -189,7 +205,8 @@ impl DomArena {
         }
     }
 
-    /// Appends the sorted `scored` candidates to `cands`, dropping each
+    /// Appends the tiles of the sorted `scored` keys ([`stage_key`]) to
+    /// `cands`, dropping each
     /// whose live coverage (its tile mask ∩ `live`) is a subset of an
     /// earlier candidate's — sorting put dominators first, so ties keep
     /// the first occurrence. Returns how many were dropped.
@@ -208,11 +225,11 @@ impl DomArena {
         &mut self,
         u: &TileUniverse,
         live: &ChordSet,
-        scored: &[(u32, u32, u32)],
+        scored: &[u64],
         cands: &mut Vec<u32>,
     ) -> u64 {
         if scored.len() < 2 {
-            cands.extend(scored.iter().map(|&(t, _, _)| t));
+            cands.extend(scored.iter().map(|&k| k as u32));
             return 0;
         }
         let stride = self.stride;
@@ -220,7 +237,7 @@ impl DomArena {
             self.words.resize(scored.len() * stride, 0);
         }
         let mut kept = 0;
-        for &(t, _, _) in scored {
+        for t in scored.iter().map(|&k| k as u32) {
             let (earlier, rest) = self.words.split_at_mut(kept * stride);
             let slot = &mut rest[..stride];
             for ((w, a), b) in slot
@@ -364,17 +381,16 @@ impl<'a> Orbits<'a> {
 /// support), and the incrementally maintained bound ingredients, all
 /// weighted by residual multiplicity: demanded distance, demanded
 /// diameter units, per-vertex residual degree, and the number of odd
-/// degrees (`|T|` of the parity bound). `witness` holds one tile per
-/// diameter chord for the diameter-slack bound: the last tile its scan
-/// found cheapest, which answers the chord without a scan while it still
-/// wastes nothing against the live set.
+/// degrees (`|T|` of the parity bound). `floors` keeps what the
+/// diameter-slack bound's scans found at earlier nodes, which answers
+/// most of its evaluations without a scan.
 pub(crate) struct Demand {
     pub(crate) live: ChordSet,
     pub(crate) rem_dist: u64,
     rem_diam: u64,
     deg: Vec<u32>,
     odd: u64,
-    witness: Vec<u32>,
+    floors: DiameterFloors,
 }
 
 impl Demand {
@@ -387,7 +403,7 @@ impl Demand {
             rem_diam: 0,
             deg: vec![0; u.ring().n() as usize],
             odd: 0,
-            witness: vec![u32::MAX; diam as usize],
+            floors: DiameterFloors::new(u),
         };
         for pri in 0..m {
             let need = spec.demand[u.dense_of_pri(pri) as usize];
@@ -459,14 +475,15 @@ impl Demand {
     /// diameter chords first, so their live sets lose the diameters
     /// early; the partition kernel's MRV branching leaves them live deep
     /// into the tree (about one diameter evaluation per node at n = 18 and
-    /// 22), which is where the witnesses save the scans.
+    /// 22), which is where the witnesses and ancestor floors save the
+    /// scans.
     fn strong_lb(&mut self, u: &TileUniverse, stop_above: u64) -> u64 {
         let parity = parity_join_bound_from_odd(u.ring().n(), self.rem_dist, self.odd);
         if parity > stop_above {
             return parity;
         }
-        let witness = &mut self.witness;
-        diameter_slack_bound(u, &self.live, self.rem_dist, stop_above, witness).max(parity)
+        let dual = self.floors.bound(u, &self.live, self.rem_dist, stop_above);
+        dual.max(parity)
     }
 }
 
@@ -588,9 +605,16 @@ impl<'a> Stack<'a> {
     /// Stages the current node's children into its frame: scores
     /// `branch`'s candidates against the `live` chords over the words
     /// each tile's mask spans, drops those whose waste exceeds
-    /// `max_waste`, sorts by coverage (descending) then waste,
-    /// dominance-filters, and orbit-filters (under `setwise` when given).
-    /// `entry` is the memo entry the node records if it exhausts.
+    /// `max_waste`, sorts by coverage (descending), waste, then tile
+    /// ([`stage_key`]), dominance-filters, and orbit-filters (under
+    /// `setwise` when given). `entry` is the memo entry the node records
+    /// if it exhausts.
+    ///
+    /// `offered` is `branch`'s candidate list, or a subset of it holding
+    /// every candidate whose static waste fits `max_waste` (the partition
+    /// kernel's affordable prefix), in any order. The candidates left out
+    /// are counted as overdrawn without being scored: a tile's exact waste
+    /// increment is at least its static waste.
     ///
     /// Every candidate passes through the live branch chord, so one that
     /// covers no other live chord has live coverage `{branch}` and waste
@@ -598,12 +622,13 @@ impl<'a> Stack<'a> {
     /// are counted, not scored: all are overdrawn together, or all are
     /// dominated by any candidate covering more (whose larger useful load
     /// keeps it within the waste budget whenever they are), or, alone,
-    /// the first in list order survives and dominates the rest. That is
-    /// the outcome the sort and the dominance filter would reach.
+    /// the lowest-numbered survives and dominates the rest. That is the
+    /// outcome the sort and the dominance filter would reach.
     pub(crate) fn stage(
         &mut self,
         live: &ChordSet,
         branch: u32,
+        offered: &[u32],
         max_waste: u64,
         setwise: Option<u64>,
         entry: Option<MemoEntry>,
@@ -629,7 +654,7 @@ impl<'a> Stack<'a> {
         let mut overdrawn = 0;
         let mut singles = 0;
         let mut first_single = u32::MAX;
-        for &t in u.candidates_pri(branch) {
+        for &t in offered {
             let (lo, hi) = u.tile_mask_span(t);
             let (lo, hi) = (lo as usize, hi as usize);
             let mut cov = 0u32;
@@ -647,9 +672,7 @@ impl<'a> Stack<'a> {
                 }
             }
             if cov == 0 {
-                if singles == 0 {
-                    first_single = t;
-                }
+                first_single = first_single.min(t);
                 singles += 1;
                 continue;
             }
@@ -658,14 +681,14 @@ impl<'a> Stack<'a> {
                 overdrawn += 1;
                 continue;
             }
-            scored.push((t, cov + 1, waste));
+            scored.push(stage_key(t, cov + 1, waste));
         }
         if singles > 0 {
             let waste = n - bdist.min(n);
             if waste as u64 > max_waste {
                 overdrawn += singles;
             } else if scored.is_empty() {
-                scored.push((first_single, 1, waste));
+                scored.push(stage_key(first_single, 1, waste));
                 self.stats.dominated += singles - 1;
             } else {
                 self.stats.dominated += singles;
@@ -673,8 +696,9 @@ impl<'a> Stack<'a> {
         }
         // A child that would overdraw the waste budget is the capacity
         // prune it would hit as a node, applied without spawning one.
-        self.stats.pruned += overdrawn;
-        scored.sort_by_key(|&(_, cov, waste)| (std::cmp::Reverse(cov), waste));
+        let unscored = u.candidates_pri(branch).len() - offered.len();
+        self.stats.pruned += overdrawn + unscored as u64;
+        scored.sort_unstable();
         self.stats.dominated += self.dom.filter(u, live, &scored, &mut cands);
         self.orbits
             .filter(depth, branch, setwise, &mut cands, &mut self.stats);
@@ -1326,8 +1350,9 @@ impl<'a, const B: u32> FrameCore<'a> for LaneCore<'a, B> {
         // the memo off, `Full` filters by the pointwise stabilizer alone,
         // so the memo-off node counts stay those kept as data.
         let setwise = self.canon.then(|| self.setwise_stab());
+        let cands = self.s.u.candidates_pri(branch);
         self.s
-            .stage(&self.r.d.live, branch, u64::MAX, setwise, entry);
+            .stage(&self.r.d.live, branch, cands, u64::MAX, setwise, entry);
     }
 
     fn probes_at_entry(&self) -> bool {
@@ -1387,12 +1412,14 @@ mod tests {
     /// leave the branch chord as the only chord its candidates can cover,
     /// and the finite waste budgets straddle that single candidate waste
     /// `n − dist(branch)`, so the shortcut's overdrawn, dominated and
-    /// sole-survivor outcomes all occur.
+    /// sole-survivor outcomes all occur. Half the finite budgets offer
+    /// only the partition kernel's input, the candidates whose static
+    /// waste fits, in `(static waste, tile)` order.
     #[test]
     fn stage_matches_plain_scoring_sort_and_dominance() {
         let mut rng = StdRng::seed_from_u64(17);
         let lim = RunLimits::nodes_only(u64::MAX);
-        let (mut singles_only, mut overdrawn_singles) = (0, 0);
+        let (mut singles_only, mut overdrawn_singles, mut prefixes) = (0, 0, 0);
         for (n, max_len, rounds) in [
             (8, 8, 300),
             (10, 10, 300),
@@ -1434,8 +1461,14 @@ mod tests {
                     _ => rng.gen_range(0..n as u64),
                 };
                 overdrawn_singles += (max_waste < single_waste) as u32;
+                let mut offered = u.candidates_pri(branch).to_vec();
+                if max_waste != u64::MAX && rng.gen_range(0..2u32) == 0 {
+                    offered.retain(|&t| u.tile_waste(t) as u64 <= max_waste);
+                    offered.sort_by_key(|&t| (u.tile_waste(t), t));
+                    prefixes += 1;
+                }
 
-                fast.stage(&live, branch, max_waste, None, None);
+                fast.stage(&live, branch, &offered, max_waste, None, None);
                 let (mut expected, pruned, dominated) = plain_stage(&u, &live, branch, max_waste);
                 let depth = plain.depth();
                 plain
@@ -1450,7 +1483,7 @@ mod tests {
                 assert_eq!(fast.stats.sym_factor, plain.stats.sym_factor, "{ctx}");
             }
         }
-        assert!(singles_only > 0 && overdrawn_singles > 0);
+        assert!(singles_only > 0 && overdrawn_singles > 0 && prefixes > 0);
     }
 
     /// Random place/unplace walks over a residual on `B`-bit lanes
@@ -1533,17 +1566,17 @@ mod tests {
                         live.insert(c);
                     }
                 }
-                let scored: Vec<(u32, u32, u32)> = (0..rng.gen_range(0..40usize))
+                let scored: Vec<u64> = (0..rng.gen_range(0..40usize))
                     .map(|_| rng.gen_range(0..u.len() as u32))
                     .filter(|&t| u.tile_mask(t).intersects(&live))
-                    .map(|t| (t, 0, 0))
+                    .map(u64::from)
                     .collect();
                 cands.clear();
                 let dropped = arena.filter(&u, &live, &scored, &mut cands);
 
                 let mut masks: Vec<ChordSet> = Vec::new();
                 let mut expected = Vec::new();
-                for &(t, _, _) in &scored {
+                for t in scored.iter().map(|&k| k as u32) {
                     let mut mask = ChordSet::empty(m);
                     u.tile_mask(t).intersection_into(&live, &mut mask);
                     if !masks.iter().any(|prior| mask.is_subset_of(prior)) {

@@ -281,3 +281,63 @@ fn lambda_3_of_8_sweep_changes_route() {
         )
     );
 }
+
+/// The C ≤ 4 universe of `n` (cycles of at most four vertices, arcs of at
+/// most `n/2`) under the complete spec: the partition route's instances.
+fn short_c4(n: u32) -> Problem {
+    let u = TileUniverse::with_max_gap(Ring::new(n), 4, n / 2);
+    Problem::new(u, CoverSpec::complete(n))
+}
+
+/// ρ(18) on the partition kernel over the C ≤ 4 universe. MRV branching
+/// leaves diameter chords live deep into the tree, so nearly every node
+/// evaluates the diameter-slack bound.
+#[test]
+fn partition_engine_on_the_restricted_n18_universe() {
+    let request = SolveRequest::find_optimal().with_symmetry(SymmetryMode::Full);
+    let row = solve("partition", &short_c4(18), request);
+    assert_eq!(
+        row,
+        (
+            (Some(41), 38_476, 292_852, 31_061, 20, 0, 0, 0),
+            (0, 2, 1, 1, 1)
+        )
+    );
+}
+
+/// The n = 22 C ≤ 4 search on the partition kernel, capped at 20,000
+/// nodes: the diameter-slack scans at their widest.
+#[test]
+fn partition_engine_on_the_restricted_n22_universe_capped() {
+    let request = SolveRequest::find_optimal()
+        .with_symmetry(SymmetryMode::Full)
+        .with_max_nodes(20_000);
+    let row = solve("partition", &short_c4(22), request);
+    assert_eq!(
+        row,
+        (
+            (None, 20_001, 106_747, 26_793, 30, 0, 0, 0),
+            (0, 2, 1, 1, 1)
+        )
+    );
+}
+
+/// The λ = 2, n = 10 witness search, capped at 100,000 nodes: its
+/// capacity-tight first probe takes the partition route over 2-bit lanes
+/// and fills a memo far past its seed size, so the row pins every shard
+/// growth and eviction along the way.
+#[test]
+fn lambda_2_of_10_capped_on_the_partition_route() {
+    let row = solve(
+        "bitset",
+        &Problem::lambda_fold(10, 2),
+        SolveRequest::find_optimal().with_max_nodes(100_000),
+    );
+    assert_eq!(
+        row,
+        (
+            (None, 100_001, 3_663_281, 0, 21, 0, 47_065, 91_240),
+            (0, 4, 1, 1, 1)
+        )
+    );
+}
